@@ -198,9 +198,9 @@ int main(int argc, char** argv) {
   base.grid_points = args.get("grid", 40);
   // The simultaneous price game cycles (Theorem 4: no pure NE), so no round
   // cap makes the raw best-response scan converge — every tracked row ends
-  // in the sequential construction. The cap is still a config knob so the
-  // ledger records the workload it actually ran; raising it only lengthens
-  // the doomed scan phase.
+  // in the sequential construction. The scan stops at the first exact
+  // repeat of its prices, well before the cap; the cap is still a config
+  // knob so the ledger records the workload it actually ran.
   base.max_rounds = args.get("max-rounds", 60);
   const std::size_t cache_capacity =
       core::FollowerEquilibriumCache::recommended_capacity(base.max_rounds,
@@ -228,8 +228,7 @@ int main(int argc, char** argv) {
       options.context.cache = cache;
       // Let the sequential cycle fallback run so the tracked rows report
       // a converged equilibrium (Theorem 4's construction) instead of the
-      // scan's honest-but-alarming converged=false; the ledger's
-      // max_rounds field pins how much scan work precedes the fallback.
+      // scan's honest-but-alarming converged=false.
       return core::solve_leader_stage(params, budgets,
                                       core::EdgeMode::kConnected, options);
     };

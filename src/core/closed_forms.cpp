@@ -166,13 +166,14 @@ StandaloneSpClosedForm standalone_sp_closed_form(const NetworkParams& params,
   return closed;
 }
 
-double csp_reaction_sufficient_closed(const NetworkParams& params,
-                                      double price_edge) {
-  params.validate();
-  HECMINE_REQUIRE(price_edge > 0.0,
-                  "csp_reaction_sufficient_closed: price_edge > 0");
+namespace {
+
+/// Admissible root of the connected CSP first-order condition at edge
+/// success h (see csp_reaction_sufficient_closed); negative when none.
+double connected_reaction_root(const NetworkParams& params, double h,
+                               double price_edge) {
   const double a = 1.0 - params.fork_rate;
-  const double b = params.edge_success * params.fork_rate;
+  const double b = h * params.fork_rate;
   const double cost = params.cost_cloud;
   const double pe = price_edge;
 
@@ -187,12 +188,50 @@ double csp_reaction_sufficient_closed(const NetworkParams& params,
   const auto roots =
       num::solve_quadratic(f1 + f2 * pe, 2.0 * f0, -f0 * pe);
 
-  const double bound = mixed_strategy_cloud_price_bound(params, pe);
-  const double hi = std::min(pe, bound);
+  const double hi = std::min(pe, a * pe / (a + b));  // mixed-strategy bound
   for (double root : roots) {
     if (root > cost && root < hi) return root;
   }
   return -1.0;
+}
+
+}  // namespace
+
+double csp_reaction_sufficient_closed(const NetworkParams& params,
+                                      double price_edge) {
+  params.validate();
+  HECMINE_REQUIRE(price_edge > 0.0,
+                  "csp_reaction_sufficient_closed: price_edge > 0");
+  return connected_reaction_root(params, params.edge_success, price_edge);
+}
+
+StandaloneCspCandidates csp_reaction_standalone_closed(
+    const NetworkParams& params, double budget, int n, double price_edge,
+    double lo, double hi) {
+  params.validate();
+  HECMINE_REQUIRE(n >= 2, "csp_reaction_standalone_closed requires n >= 2");
+  HECMINE_REQUIRE(price_edge > 0.0,
+                  "csp_reaction_standalone_closed: price_edge > 0");
+  HECMINE_REQUIRE(lo <= hi, "csp_reaction_standalone_closed: lo <= hi");
+  StandaloneCspCandidates candidates;
+  const double dn = static_cast<double>(n);
+  const double demand = params.reward * (dn - 1.0) / dn;  // D
+  if (budget < demand / dn) return candidates;  // R(n-1)/n^2: budgets bind
+  const double total = (1.0 - params.fork_rate) * demand;  // K
+  const double cost = params.cost_cloud;
+  const double cap = params.edge_capacity;
+  const double kink = price_edge - params.fork_rate * demand / cap;  // x_k
+
+  if (kink >= lo) {
+    const double peak = connected_reaction_root(params, 1.0, price_edge);
+    candidates.slack = std::clamp(peak > 0.0 ? std::min(peak, kink) : kink,
+                                  lo, std::min(kink, hi));
+  }
+  const double from = std::max({kink, cost, lo});
+  const double to = std::min(total / cap, hi);  // x_end
+  if (from <= to)
+    candidates.binding = std::clamp(std::sqrt(total * cost / cap), from, to);
+  return candidates;
 }
 
 }  // namespace hecmine::core

@@ -77,14 +77,46 @@ struct StandaloneSpClosedForm {
 [[nodiscard]] StandaloneSpClosedForm standalone_sp_closed_form(
     const NetworkParams& params, int n);
 
-/// Theorem 4's CSP reaction curve P_c*(P_e) in the sufficient-budget
-/// connected game, in closed form: the CSP's first-order condition on
-///   V_c ∝ (P_c - C_c) ((1-beta)(P_e-P_c) - h beta P_c) / (P_c (P_e-P_c))
-/// is a cubic in P_c; the admissible root (above cost, below both P_e and
-/// the mixed-strategy bound) is returned. Returns a negative value when no
-/// admissible interior root exists (the best response is then a corner,
-/// handled by the numerical reaction).
+/// Theorem 4's CSP reaction curve P_c*(P_e) in the connected game with n
+/// identical miners, for every budget: Theorem 3 (binding budget) and
+/// Corollary 1 (sufficient budget) give the CSP's profit the same shape,
+///   V_c ∝ (P_c - C_c) ((1-beta)(P_e-P_c) - h beta P_c) / (P_c (P_e-P_c)),
+/// up to a factor that does not depend on the prices (the budget regime is
+/// fixed by B alone; see homogeneous_budget_threshold). V_c is negative
+/// below cost and zero above the mixed-strategy bound, where miners leave
+/// the cloud, and its first-order condition is a quadratic with exactly
+/// one root in between: the admissible root (above cost, below both P_e
+/// and the mixed-strategy bound) is returned. Returns a negative value
+/// when no admissible root exists (the best response is then a corner,
+/// handled by the numerical reaction). The name predates the binding-budget
+/// case.
 [[nodiscard]] double csp_reaction_sufficient_closed(
     const NetworkParams& params, double price_edge);
+
+/// Standalone-mode CSP reaction P_c*(P_e) for n identical miners of budget
+/// B, as the two Table II candidates the caller scores. With
+/// D = R(n-1)/n and K = (1-beta) D, the edge cap binds iff
+/// P_c > x_k = P_e - beta D / E_max, and V_c = (P_c - C_c) C has one
+/// region on each side of that kink:
+///   - cap slack: C = K/P_c - beta D/(P_e-P_c), the connected shape with
+///     h = 1, peaking at r_1 = csp_reaction_sufficient_closed at h = 1;
+///     the candidate is min(r_1, x_k), or x_k when r_1 does not exist;
+///   - cap binds (P_c up to x_end = K/E_max, above which C = 0):
+///     C = K/P_c - E_max, V_c concave with its peak at Table II's
+///     r_2 = sqrt(K C_c / E_max); the candidate is r_2 clamped into
+///     [max(x_k, C_c), x_end].
+/// Each candidate is also clamped into the price interval [lo, hi] and is
+/// negative when its region misses that interval; the reaction is the
+/// candidate with the larger V_c. Valid only for B >= R(n-1)/n^2: the
+/// Table II equilibrium spends at most that per miner at every price, so
+/// the budget never binds. Below it both candidates are negative.
+struct StandaloneCspCandidates {
+  double slack = -1.0;    ///< best price with the edge cap slack
+  double binding = -1.0;  ///< best price with the edge cap binding
+};
+
+[[nodiscard]] StandaloneCspCandidates csp_reaction_standalone_closed(
+    const NetworkParams& params, double budget, int n, double price_edge,
+    double lo, double hi);
 
 }  // namespace hecmine::core

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "core/aggregate_oracle.hpp"
+#include "core/closed_forms.hpp"
 #include "core/equilibrium_cache.hpp"
 #include "game/stackelberg.hpp"
 #include "numerics/optimize.hpp"
@@ -172,11 +173,17 @@ game::StackelbergResult run_leader_best_response(const NetworkParams& params,
   return game::solve_stackelberg(payoff, start, {box.edge, box.cloud}, driver);
 }
 
-/// CSP reaction P_c*(P_e) against a given follower oracle over a given
-/// price box. Shared by csp_reaction_homogeneous and the sequential leader
-/// solver so the latter reuses ONE scan oracle across the whole composite
-/// scan instead of re-validating params and rebuilding the oracle at every
-/// composite point.
+/// V_c at the given prices, with the followers from `oracle`.
+double cloud_profit(const NetworkParams& params, const FollowerOracle& oracle,
+                    const Prices& prices) {
+  count_leader_eval();
+  return sp_profits(params, prices, oracle.solve(prices).totals).cloud;
+}
+
+/// Numeric CSP reaction P_c*(P_e) against a given follower oracle over a
+/// given price box: a 1-D scan of V_c. The heterogeneous sequential
+/// construction uses it directly; the homogeneous one only where no closed
+/// form applies (homogeneous_csp_reaction).
 double csp_reaction_with_oracle(const NetworkParams& params,
                                 const FollowerOracle& oracle,
                                 const PriceBox& box, double price_edge,
@@ -185,46 +192,81 @@ double csp_reaction_with_oracle(const NetworkParams& params,
   scan_options.grid_points = options.grid_points;
   scan_options.tolerance = 1e-8;
   const auto objective = [&](double price_cloud) {
-    count_leader_eval();
-    const Prices prices{price_edge, price_cloud};
-    return sp_profits(params, prices, oracle.solve(prices).totals).cloud;
+    return cloud_profit(params, oracle, {price_edge, price_cloud});
   };
   return num::maximize_scan(objective, box.cloud.lo, box.cloud.hi,
                             scan_options)
       .argmax;
 }
 
-/// Oracle-generic Theorem 4 construction: compute the CSP's numeric
-/// reaction curve P_c*(P_e) against the given follower oracle, substitute
-/// it into V_e and maximize the one-dimensional composite. Mirrors
-/// solve_leader_stage_sequential (which keeps the cheaper homogeneous
-/// reaction solver) for arbitrary oracles; solve_leader_stage uses it as
-/// the cycle fallback of the full-profile path.
-LeaderStageResult sequential_with_oracle(const NetworkParams& params,
-                                         const FollowerOracle& oracle,
-                                         const PriceBox& box,
-                                         const SpSolveOptions& options,
-                                         const SolveContext& context) {
-  const auto csp_reaction = [&](double price_edge) {
-    return csp_reaction_with_oracle(params, oracle, box, price_edge, options);
-  };
-  num::Maximize1DOptions scan;
-  scan.grid_points = std::max(4 * options.grid_points, 160);
-  scan.tolerance = 1e-7;
-  // Each composite point runs a full reaction scan (serial inside), so the
-  // outer scan is the stage to fan out.
+/// CSP reaction P_c*(P_e) for n identical miners of budget B against the
+/// homogeneous scan oracle. Takes the closed form where one applies:
+/// Theorem 3 / Corollary 1 in connected mode (one root for every budget),
+/// the Table II regions in standalone mode (two candidates, one per side of
+/// the edge-cap kink, scored through the same oracle so the closed form
+/// only proposes and V_c decides). Falls back to the numeric scan when the
+/// root leaves the price box, no candidate exists, or the standalone budget
+/// can bind. Shared by csp_reaction_homogeneous and the sequential leader
+/// solver, which reuses ONE scan oracle across its whole composite scan.
+double homogeneous_csp_reaction(const NetworkParams& params, double budget,
+                                int n, EdgeMode mode,
+                                const FollowerOracle& oracle,
+                                const PriceBox& box, double price_edge,
+                                const SpSolveOptions& options) {
+  if (mode == EdgeMode::kConnected) {
+    const double root = csp_reaction_sufficient_closed(params, price_edge);
+    if (root >= box.cloud.lo && root <= box.cloud.hi) return root;
+  } else {
+    const StandaloneCspCandidates closed = csp_reaction_standalone_closed(
+        params, budget, n, price_edge, box.cloud.lo, box.cloud.hi);
+    if (closed.slack > 0.0 && closed.binding > 0.0) {
+      return cloud_profit(params, oracle, {price_edge, closed.binding}) >
+                     cloud_profit(params, oracle, {price_edge, closed.slack})
+                 ? closed.binding
+                 : closed.slack;
+    }
+    if (closed.slack > 0.0) return closed.slack;
+    if (closed.binding > 0.0) return closed.binding;
+  }
+  return csp_reaction_with_oracle(params, oracle, box, price_edge, options);
+}
+
+/// Theorem 4's sequential construction: substitute the CSP reaction curve
+/// P_c*(P_e) into V_e (the re-written Eq. 22), maximize the
+/// one-dimensional composite over P_e with the `scan` follower oracle, and
+/// finish at the optimum with `finish`. solve_leader_stage_sequential
+/// passes the homogeneous reaction (closed forms where they apply);
+/// solve_leader_stage's full-profile cycle fallback passes the numeric
+/// reaction against its oracle.
+template <typename Reaction>
+LeaderStageResult sequential_construction(const NetworkParams& params,
+                                          const FollowerOracle& scan,
+                                          const FollowerOracle& finish,
+                                          const Reaction& reaction,
+                                          const PriceBox& box,
+                                          const SpSolveOptions& options,
+                                          const SolveContext& context) {
+  num::Maximize1DOptions composite_scan;
+  // The composite objective can carry a narrow spike at the capacity
+  // sell-out price (the ESP's optimum sits just below the point where the
+  // CSP would rather undercut), so the outer scan is run much finer than
+  // the inner reaction scans.
+  composite_scan.grid_points = std::max(4 * options.grid_points, 160);
+  composite_scan.tolerance = 1e-7;
+  // Each composite point is one reaction solve (closed form, else a nested
+  // serial scan), so the outer scan is the stage to fan out.
   const auto composite = [&](double price_edge) {
     count_leader_eval();
-    const Prices prices{price_edge, csp_reaction(price_edge)};
-    return sp_profits(params, prices, oracle.solve(prices).totals).edge;
+    const Prices prices{price_edge, reaction(price_edge)};
+    return sp_profits(params, prices, scan.solve(prices).totals).edge;
   };
   const auto best = num::maximize_scan_parallel(composite, box.edge.lo,
-                                                box.edge.hi, scan,
+                                                box.edge.hi, composite_scan,
                                                 context.threads);
   Prices prices;
   prices.edge = best.argmax;
-  prices.cloud = csp_reaction(prices.edge);
-  auto result = finish_leader_stage(params, oracle, prices);
+  prices.cloud = reaction(prices.edge);
+  auto result = finish_leader_stage(params, finish, prices);
   result.method = SpSolveMethod::kSequential;
   result.converged = true;
   result.rounds = 1;
@@ -282,7 +324,8 @@ double csp_reaction_homogeneous(const NetworkParams& params, double budget,
   const SolveContext context = options.resolved_context();
   const PriceBox box = price_box(params, options);
   const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
-  return csp_reaction_with_oracle(params, *scan, box, price_edge, options);
+  return homogeneous_csp_reaction(params, budget, n, mode, *scan, box,
+                                  price_edge, options);
 }
 
 LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
@@ -295,43 +338,17 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.sequential");
   const PriceBox box = price_box(params, options);
-  const auto scan_oracle =
-      homogeneous_oracle(params, budget, n, mode, context, true);
-  num::Maximize1DOptions scan;
-  // The composite objective can carry a narrow spike at the capacity
-  // sell-out price (the ESP's optimum sits just below the point where the
-  // CSP would rather undercut), so the outer scan is run much finer than
-  // the inner reaction scans.
-  scan.grid_points = std::max(4 * options.grid_points, 160);
-  scan.tolerance = 1e-7;
-  // V_e with the CSP reaction substituted (Theorem 4's re-written Eq. 22).
-  // Each composite point is one full reaction-curve solve, so the outer
-  // scan is the expensive stage — fan it out over the pool (the nested
-  // reaction scans stay serial inside each point). The reaction shares
-  // this scope's scan oracle: rebuilding it per composite point would
-  // re-validate params and redo the oracle setup a few hundred times.
-  const auto composite = [&](double price_edge) {
-    count_leader_eval();
-    const double price_cloud =
-        csp_reaction_with_oracle(params, *scan_oracle, box, price_edge,
-                                 options);
-    const Prices prices{price_edge, price_cloud};
-    return sp_profits(params, prices, scan_oracle->solve(prices).totals).edge;
-  };
-  const auto best = num::maximize_scan_parallel(composite, box.edge.lo,
-                                                box.edge.hi, scan,
-                                                context.threads);
-
-  Prices prices;
-  prices.edge = best.argmax;
-  prices.cloud =
-      csp_reaction_with_oracle(params, *scan_oracle, box, prices.edge, options);
+  // The reaction shares the composite's scan oracle: rebuilding it per
+  // composite point would re-validate params and redo the oracle setup a
+  // few hundred times.
+  const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
   const auto full = homogeneous_oracle(params, budget, n, mode, context, false);
-  auto result = finish_leader_stage(params, *full, prices);
-  result.method = SpSolveMethod::kSequential;
-  result.converged = true;
-  result.rounds = 1;
-  return result;
+  const auto reaction = [&](double price_edge) {
+    return homogeneous_csp_reaction(params, budget, n, mode, *scan, box,
+                                    price_edge, options);
+  };
+  return sequential_construction(params, *scan, *full, reaction, box, options,
+                                 context);
 }
 
 LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
@@ -453,7 +470,11 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
   // construction), so auto-dispatch never changes the equilibrium concept.
   count_sequential_fallback(context);
   const support::SolveTrace::Scope phase(trace_of(context), "sequential");
-  auto result = sequential_with_oracle(params, *oracle, box, options, context);
+  const auto reaction = [&](double price_edge) {
+    return csp_reaction_with_oracle(params, *oracle, box, price_edge, options);
+  };
+  auto result = sequential_construction(params, *oracle, *oracle, reaction,
+                                        box, options, context);
   result.rounds += leader.rounds;
   return result;
 }

@@ -38,7 +38,9 @@ struct SpProfits {
 /// Options for the leader-stage solvers.
 struct SpSolveOptions {
   double price_margin = 1e-4;  ///< price lower bounds: cost * (1 + margin)
-  double price_ceiling = 0.0;  ///< upper bound; 0 = cost + reward (heuristic)
+  /// Upper price bound; 0 = 2 max(C_e, C_c) + R/2 (heuristic: demand is
+  /// ~R/n-scale per unit price gap, so higher prices sell nothing).
+  double price_ceiling = 0.0;
   int grid_points = 40;        ///< 1-D scan resolution per price update
   double tolerance = 1e-5;     ///< max price change per round at convergence
   int max_rounds = 60;
@@ -53,7 +55,10 @@ struct SpSolveOptions {
   /// leader game can lack a pure NE — exactly the case Theorem 4
   /// analyzes), fall back to the sequential leader construction instead of
   /// returning the non-converged last iterate. On for every caller that
-  /// wants an answer; benches measuring the raw scan turn it off.
+  /// wants an answer. Off, the caller gets the scan's state when it
+  /// stopped: at the first exact repeat of an earlier round's prices (see
+  /// game::StackelbergResult::cycle_period), else after max_rounds, with
+  /// converged = false.
   bool sequential_fallback = true;
 
   // --- deprecated shims (kept for one release) -----------------------------
@@ -85,28 +90,36 @@ struct LeaderStageResult {
   EquilibriumProfile followers; ///< follower equilibrium at those prices
   SpSolveMethod method = SpSolveMethod::kBestResponse;
   bool converged = false;
+  /// Price best-response rounds actually run (the scan stops at its first
+  /// exact cycle), plus 1 when the sequential construction ran.
   int rounds = 0;
 };
 
 /// Leader-stage solve with n identical miners of budget B. Runs Algorithm 1
 /// (connected) / Algorithm 2 (standalone) asynchronous price best response
 /// first; when that cycles — the simultaneous-move leader game can lack a
-/// pure NE exactly as Theorem 4 anticipates — it falls back to the
-/// sequential construction of solve_leader_stage_sequential and reports
-/// method = kSequential. The follower stage is the symmetric fast-path
-/// oracle, making price sweeps cheap.
+/// pure NE exactly as Theorem 4 anticipates — it stops at the first exact
+/// repeat of the prices, falls back to the sequential construction of
+/// solve_leader_stage_sequential and reports method = kSequential. The
+/// follower stage is the symmetric fast-path oracle, making price sweeps
+/// cheap.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});
 
 /// Theorem 4 structure: the CSP's best response P_c*(P_e) for fixed P_e.
+/// Closed form where one applies (core/closed_forms.hpp): the Theorem 3 /
+/// Corollary 1 root in connected mode when it lies in the price box, the
+/// better-scoring Table II candidate in standalone mode when
+/// B >= R(n-1)/n^2. Elsewhere a numeric scan of V_c over the price box.
 [[nodiscard]] double csp_reaction_homogeneous(const NetworkParams& params,
                                               double budget, int n,
                                               EdgeMode mode, double price_edge,
                                               const SpSolveOptions& options = {});
 
 /// Sequential solve reproducing Theorem 4: substitute the CSP reaction
-/// curve into V_e and maximize the one-dimensional composite over P_e.
+/// curve (csp_reaction_homogeneous) into V_e and maximize the
+/// one-dimensional composite over P_e.
 [[nodiscard]] LeaderStageResult solve_leader_stage_sequential(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});

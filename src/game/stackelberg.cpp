@@ -45,6 +45,9 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
                                    ? &options.context.telemetry->trace
                                    : nullptr;
 
+  // Every action vector the iteration has held, the start state first:
+  // an exact repeat means the rounds replay a cycle (see cycle_period).
+  std::vector<std::vector<double>> visited{result.actions};
   for (int round = 0; round < options.max_rounds; ++round) {
     const support::SolveTrace::Scope round_span(trace, "leader.round");
     result.rounds = round + 1;
@@ -84,6 +87,13 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
       result.converged = true;
       break;
     }
+    const auto repeat =
+        std::find(visited.begin(), visited.end(), result.actions);
+    if (repeat != visited.end()) {
+      result.cycle_period = static_cast<int>(visited.end() - repeat);
+      break;
+    }
+    visited.push_back(result.actions);
   }
   if (result.rounds == 0) {  // max_rounds == 0: no scan values to reuse
     for (std::size_t leader = 0; leader < result.actions.size(); ++leader)

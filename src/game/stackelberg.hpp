@@ -64,13 +64,23 @@ struct StackelbergResult {
   /// noise once converged.
   std::vector<double> payoffs;
   double residual = 0.0;         ///< last round's max action change
-  int rounds = 0;
+  int rounds = 0;                ///< rounds actually run
   bool converged = false;
+  /// Non-zero when the iteration stopped because the action vector
+  /// exactly repeated the one `cycle_period` rounds earlier (the start
+  /// state counts as round 0) without meeting the tolerance. The payoff is
+  /// a pure function of the actions and each scan is deterministic, so
+  /// from then on the rounds replay the same cycle forever; `actions` and
+  /// `payoffs` are the state at detection.
+  int cycle_period = 0;
 };
 
 /// Asynchronous best-response over leaders (paper's Algorithm 1; with the
 /// follower oracle of the standalone mode it realizes Algorithm 2's price
-/// bargaining). Bounds must satisfy lo < hi per leader.
+/// bargaining). Bounds must satisfy lo < hi per leader. Stops after
+/// max_rounds, at the first round whose change is below the tolerance
+/// (converged), or at the first exact repeat of an earlier round's action
+/// vector (cycle_period > 0, converged = false).
 [[nodiscard]] StackelbergResult solve_stackelberg(
     const LeaderPayoffFn& payoff, std::vector<double> start,
     const std::vector<ActionBounds>& bounds,

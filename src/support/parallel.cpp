@@ -21,16 +21,21 @@ int resolve_thread_count(int requested) {
 
 /// One parallel_for invocation. Indices are claimed through an atomic
 /// cursor, so scheduling only decides *who* runs an item, never *what* the
-/// item computes; `done` counts finished items so the issuing thread can
-/// block until the stragglers claimed by workers drain.
+/// item computes; `done` counts finished items. The issuer owns `body` and
+/// the telemetry sink, so it may return only once no executor can touch
+/// either: the last item to finish closes the batch, a helper dequeued
+/// after that returns without entering it, and the issuer waits until
+/// every executor that did enter has left.
 struct ThreadPool::Batch {
   std::size_t size = 0;
   const std::function<void(std::size_t)>* body = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::atomic<bool> cancelled{false};
-  std::exception_ptr error;  // first failure; guarded by mutex
   std::mutex mutex;
+  std::exception_ptr error;  // first failure; guarded by mutex
+  bool closed = false;       // every item finished; guarded by mutex
+  int active = 0;            // executors inside run_batch; guarded by mutex
   std::condition_variable finished;
   Telemetry* telemetry = nullptr;  // issuer's sink, propagated to executors
 };
@@ -74,35 +79,44 @@ void ThreadPool::worker_loop() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  auto future = packaged->get_future();
   if (threads_.empty()) {
-    (*packaged)();  // inline: the caller's own telemetry scope applies
+    // Inline: the caller's own telemetry scope applies.
+    std::packaged_task<void()> packaged(std::move(task));
+    auto future = packaged.get_future();
+    packaged();
     return future;
   }
-  if (Telemetry* sink = current_telemetry(); sink != nullptr) {
-    enqueue([packaged, sink] {
-      TelemetryScope scope(sink);
-      SolveTrace::Scope span(&sink->trace, "pool.task");
-      (*packaged)();
-    });
-  } else {
-    enqueue([packaged] { (*packaged)(); });
-  }
+  // The scope and span live inside the packaged task, so both are closed
+  // before the future turns ready and the issuer may drop its sink.
+  auto packaged = std::make_shared<std::packaged_task<void()>>(
+      [task = std::move(task), sink = current_telemetry()] {
+        if (sink == nullptr) return task();
+        const TelemetryScope scope(sink);
+        const SolveTrace::Scope span(&sink->trace, "pool.task");
+        task();
+      });
+  auto future = packaged->get_future();
+  enqueue([packaged] { (*packaged)(); });
   return future;
 }
 
 void ThreadPool::run_batch(Batch& batch) {
+  {
+    std::lock_guard<std::mutex> lock(batch.mutex);
+    if (batch.closed) return;  // late helper: the issuer may be gone
+    ++batch.active;
+  }
   if (batch.telemetry != nullptr) {
     // Propagate the issuer's sink to this executor and record its busy
     // window; idle time is the gap between busy spans on a track.
-    TelemetryScope scope(batch.telemetry);
-    SolveTrace::Scope span(&batch.telemetry->trace, "pool.batch");
+    const TelemetryScope scope(batch.telemetry);
+    const SolveTrace::Scope span(&batch.telemetry->trace, "pool.batch");
     claim_loop(batch);
-    return;
+  } else {
+    claim_loop(batch);
   }
-  claim_loop(batch);
+  std::lock_guard<std::mutex> lock(batch.mutex);
+  if (--batch.active == 0 && batch.closed) batch.finished.notify_all();
 }
 
 void ThreadPool::claim_loop(Batch& batch) {
@@ -119,9 +133,9 @@ void ThreadPool::claim_loop(Batch& batch) {
       }
     }
     if (batch.done.fetch_add(1) + 1 == batch.size) {
-      // Lock so the notify cannot race past the issuer's wait predicate.
+      // This executor is still active, so it notifies when it leaves.
       std::lock_guard<std::mutex> lock(batch.mutex);
-      batch.finished.notify_all();
+      batch.closed = true;
     }
   }
 }
@@ -151,7 +165,8 @@ void ThreadPool::parallel_for(std::size_t n,
                       // nested call from a pool task cannot deadlock
   {
     std::unique_lock<std::mutex> lock(batch->mutex);
-    batch->finished.wait(lock, [&] { return batch->done.load() == n; });
+    batch->finished.wait(lock,
+                         [&] { return batch->closed && batch->active == 0; });
     if (batch->error) std::rethrow_exception(batch->error);
   }
 }

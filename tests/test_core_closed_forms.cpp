@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/equilibrium.hpp"
 #include "core/miner.hpp"
+#include "core/oracle.hpp"
+#include "core/sp.hpp"
+#include "numerics/optimize.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace hecmine::core {
 namespace {
@@ -248,6 +253,167 @@ TEST(StandaloneSpClosedForm, CspPriceIsOptimalAgainstDemandCurve) {
   for (double factor : {0.8, 0.9, 1.1, 1.25}) {
     EXPECT_LE(profit(sp.prices.cloud * factor), best + 1e-10);
   }
+}
+
+// --- CSP reaction closed forms vs an independent scan ---------------------
+
+/// V_c through the symmetric follower solve (uncapped by default).
+double csp_profit(const NetworkParams& params, const Prices& prices,
+                  double budget, int n, EdgeMode mode,
+                  const SolveContext& context = {}) {
+  const auto eq =
+      solve_followers_symmetric(params, prices, budget, n, mode, context);
+  return (prices.cloud - params.cost_cloud) * eq.totals.cloud;
+}
+
+/// Independent reference: the best V_c a fine scan of the cloud price box
+/// finds at the given edge price.
+double scanned_best_profit(const NetworkParams& params, double budget, int n,
+                           EdgeMode mode, double price_edge, double lo,
+                           double hi) {
+  num::Maximize1DOptions scan;
+  scan.grid_points = 1500;
+  scan.tolerance = 1e-12;
+  return num::maximize_scan(
+             [&](double pc) {
+               return csp_profit(params, {price_edge, pc}, budget, n, mode);
+             },
+             lo, hi, scan)
+      .value;
+}
+
+/// The leader stage's cloud price box at default SpSolveOptions.
+struct CloudBox {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+CloudBox default_cloud_box(const NetworkParams& params) {
+  const SpSolveOptions options;
+  return {params.cost_cloud * (1.0 + options.price_margin) + 1e-9,
+          2.0 * std::max(params.cost_edge, params.cost_cloud) +
+              0.5 * params.reward};
+}
+
+/// The numeric reaction csp_reaction_homogeneous falls back to: the
+/// default 1-D scan of V_c with the leader stage's capped follower solve.
+double numeric_reaction(const NetworkParams& params, double budget, int n,
+                        EdgeMode mode, double price_edge) {
+  const SpSolveOptions options;
+  SolveContext scan_context;
+  scan_context.follower.max_iterations = 600;
+  num::Maximize1DOptions scan;
+  scan.grid_points = options.grid_points;
+  scan.tolerance = 1e-8;
+  const CloudBox box = default_cloud_box(params);
+  return num::maximize_scan(
+             [&](double pc) {
+               return csp_profit(params, {price_edge, pc}, budget, n, mode,
+                                 scan_context);
+             },
+             box.lo, box.hi, scan)
+      .argmax;
+}
+
+TEST(CspReactionParity, ConnectedRootBeatsAnIndependentScan) {
+  // h < 1, binding and sufficient budgets: one root serves both regimes.
+  support::Rng rng(2019);
+  int binding = 0;
+  for (int k = 0; k < 60; ++k) {
+    NetworkParams params;
+    params.fork_rate = rng.uniform(0.1, 0.35);
+    params.edge_success = rng.uniform(0.5, 0.95);
+    params.reward = rng.uniform(80.0, 120.0);
+    const int n = 2 + static_cast<int>(rng.uniform_index(39));
+    const double threshold = homogeneous_budget_threshold(params, n);
+    const bool binds = k % 2 == 0;
+    const double budget =
+        threshold * (binds ? rng.uniform(0.3, 0.9) : rng.uniform(1.1, 5.0));
+    const double pe = rng.uniform(1.2, 8.0);
+    const CloudBox box = default_cloud_box(params);
+    const double root = csp_reaction_sufficient_closed(params, pe);
+    ASSERT_GE(root, box.lo) << "case " << k;
+    ASSERT_LE(root, box.hi) << "case " << k;
+    EXPECT_EQ(csp_reaction_homogeneous(params, budget, n,
+                                       EdgeMode::kConnected, pe),
+              root)
+        << "case " << k;
+    const double closed =
+        csp_profit(params, {pe, root}, budget, n, EdgeMode::kConnected);
+    const double scanned = scanned_best_profit(
+        params, budget, n, EdgeMode::kConnected, pe, box.lo, box.hi);
+    EXPECT_GE(closed, scanned * (1.0 - 1e-12)) << "case " << k;
+    binding += binds ? 1 : 0;
+  }
+  EXPECT_EQ(binding, 30);
+}
+
+TEST(CspReactionParity, StandaloneCandidatesBeatAnIndependentScan) {
+  // Sufficient budgets, edge prices straddling the cap kink so both the
+  // undercut (cap slack) and the sell-out side (cap binding) win cases.
+  support::Rng rng(7919);
+  int slack = 0;
+  int binding = 0;
+  for (int k = 0; k < 80; ++k) {
+    NetworkParams params;
+    params.fork_rate = rng.uniform(0.1, 0.35);
+    params.reward = rng.uniform(80.0, 120.0);
+    params.edge_capacity = rng.uniform(2.0, 30.0);
+    const int n = 2 + static_cast<int>(rng.uniform_index(39));
+    const double dn = static_cast<double>(n);
+    const double demand = params.reward * (dn - 1.0) / dn;
+    const double budget = demand / dn * rng.uniform(1.0, 5.0);
+    // The sell-out price of Table II's cloud price, scaled around 1.
+    const double total = (1.0 - params.fork_rate) * demand;
+    const double sellout =
+        std::sqrt(total * params.cost_cloud / params.edge_capacity) +
+        params.fork_rate * demand / params.edge_capacity;
+    const double pe = std::max(1.2, sellout * rng.uniform(0.6, 1.4));
+    const CloudBox box = default_cloud_box(params);
+    const auto candidates = csp_reaction_standalone_closed(
+        params, budget, n, pe, box.lo, box.hi);
+    ASSERT_TRUE(candidates.slack > 0.0 || candidates.binding > 0.0)
+        << "case " << k;
+    const double pc = csp_reaction_homogeneous(params, budget, n,
+                                               EdgeMode::kStandalone, pe);
+    ASSERT_TRUE(pc == candidates.slack || pc == candidates.binding)
+        << "case " << k;
+    (pc == candidates.slack ? slack : binding) += 1;
+    const double closed =
+        csp_profit(params, {pe, pc}, budget, n, EdgeMode::kStandalone);
+    const double scanned = scanned_best_profit(
+        params, budget, n, EdgeMode::kStandalone, pe, box.lo, box.hi);
+    EXPECT_GE(closed, scanned * (1.0 - 1e-12)) << "case " << k;
+  }
+  EXPECT_GE(slack, 10);
+  EXPECT_GE(binding, 10);
+}
+
+TEST(CspReactionParity, FallsBackToTheNumericScanWithoutAClosedForm) {
+  // Standalone budgets below R(n-1)/n^2 can bind, so Table II does not
+  // apply.
+  const NetworkParams params = default_params();
+  const int n = 5;
+  const double low_budget = 0.9 * params.reward * (n - 1.0) / (n * n);
+  const CloudBox box = default_cloud_box(params);
+  const auto none = csp_reaction_standalone_closed(params, low_budget, n, 3.0,
+                                                   box.lo, box.hi);
+  EXPECT_LT(none.slack, 0.0);
+  EXPECT_LT(none.binding, 0.0);
+  EXPECT_EQ(csp_reaction_homogeneous(params, low_budget, n,
+                                     EdgeMode::kStandalone, 3.0),
+            numeric_reaction(params, low_budget, n, EdgeMode::kStandalone,
+                             3.0));
+  // No admissible connected root: the cloud cost sits above the
+  // mixed-strategy bound, so miners never buy cloud units at a profit.
+  NetworkParams costly = default_params();
+  costly.cost_cloud = 0.95;
+  ASSERT_LT(mixed_strategy_cloud_price_bound(costly, 1.05),
+            costly.cost_cloud);
+  EXPECT_LT(csp_reaction_sufficient_closed(costly, 1.05), 0.0);
+  EXPECT_EQ(csp_reaction_homogeneous(costly, 40.0, n, EdgeMode::kConnected,
+                                     1.05),
+            numeric_reaction(costly, 40.0, n, EdgeMode::kConnected, 1.05));
 }
 
 TEST(ClosedForms, ValidateArguments) {

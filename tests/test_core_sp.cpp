@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/closed_forms.hpp"
 #include "support/error.hpp"
@@ -173,6 +174,60 @@ TEST(CspReaction, HigherEdgePriceAllowsHigherCloudPrice) {
                                                EdgeMode::kConnected, 4.0,
                                                fast_options());
   EXPECT_GE(high, low - 1e-3);
+}
+
+/// V_c at the given prices with the uncapped symmetric follower solve.
+double csp_profit(const NetworkParams& params, const Prices& prices,
+                  double budget, int n, EdgeMode mode) {
+  const auto eq = solve_followers_symmetric(params, prices, budget, n, mode);
+  return sp_profits(params, prices, eq.totals).cloud;
+}
+
+TEST(CspReaction, StandaloneTakesTheUndercutNextToTheSelloutPrice) {
+  // At P_e = 3.04 Table II's sell-out reaction P_c = sqrt(K C_c/E_max) =
+  // 1.6 earns V_c = 36.000, but dropping below the cap kink
+  // x_k = P_e - beta D/E_max = 1.44 earns more: the undercut peaks near
+  // 1.3307 with V_c ~ 36.050. A 40-point scan over the price box misses
+  // that narrow peak; the closed-form candidates do not.
+  NetworkParams params;
+  params.edge_capacity = 10.0;
+  const double pe = 3.04;
+  const double pc = csp_reaction_homogeneous(params, 100.0, 5,
+                                             EdgeMode::kStandalone, pe);
+  EXPECT_NEAR(pc, 1.3307, 1e-4);
+  const double undercut =
+      csp_profit(params, {pe, pc}, 100.0, 5, EdgeMode::kStandalone);
+  const double sellout =
+      csp_profit(params, {pe, 1.6}, 100.0, 5, EdgeMode::kStandalone);
+  EXPECT_NEAR(sellout, 36.0, 1e-9);
+  EXPECT_NEAR(undercut, 36.050, 1e-3);
+}
+
+TEST(HomogeneousStackelberg, StandaloneCspCannotUndercutTheLeaderOptimum) {
+  // With E_max = 5 the numeric reaction let the leader stage settle at
+  // P_e ~ 5.28, where the CSP gained 0.13% by undercutting to ~1.92. At
+  // the returned prices no cloud price on a fine grid of the box may beat
+  // the returned one.
+  NetworkParams params;
+  params.edge_capacity = 5.0;
+  const std::vector<double> budgets(5, 100.0);
+  const SpSolveOptions options;
+  const auto result =
+      solve_leader_stage(params, budgets, EdgeMode::kStandalone, options);
+  ASSERT_TRUE(result.converged);
+  const double best = csp_profit(params, result.prices, 100.0, 5,
+                                 EdgeMode::kStandalone);
+  EXPECT_NEAR(best, result.profits.cloud, 1e-12 * best);
+  const double lo = params.cost_cloud * (1.0 + options.price_margin) + 1e-9;
+  const double hi = 2.0 * params.cost_edge + 0.5 * params.reward;
+  constexpr int kGrid = 20000;
+  for (int i = 0; i <= kGrid; ++i) {
+    const double pc = lo + (hi - lo) * i / kGrid;
+    ASSERT_LE(csp_profit(params, {result.prices.edge, pc}, 100.0, 5,
+                         EdgeMode::kStandalone),
+              best * (1.0 + 1e-7))
+        << "P_c = " << pc;
+  }
 }
 
 TEST(SequentialSolve, AgreesWithSimultaneousOnProfits) {

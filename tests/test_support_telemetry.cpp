@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/equilibrium_cache.hpp"
@@ -186,6 +188,72 @@ TEST(MetricsRegistry, PoolTasksAggregateWorkCountersDeterministically) {
   EXPECT_EQ(total[support::prof::WorkField::kBestResponseEvals],
             kTasks * (kTasks + 1) / 2);
   EXPECT_EQ(sink.metrics.counter("pool.work").value(), kTasks);
+}
+
+/// Occupies every worker of `pool` at once, so each has finished whatever
+/// it dequeued before. Call outside any TelemetryScope.
+void drain(support::ThreadPool& pool) {
+  std::atomic<int> parked{0};
+  std::vector<std::future<void>> tasks;
+  for (int worker = 0; worker < pool.workers(); ++worker) {
+    tasks.push_back(pool.submit([&] {
+      parked.fetch_add(1);
+      while (parked.load() < pool.workers()) std::this_thread::yield();
+    }));
+  }
+  for (auto& task : tasks) task.get();
+}
+
+TEST(MetricsRegistry, PoolTasksNeverOutliveTheIssuersSink) {
+  // The test above, 200 times per thread count, plus one submit() per
+  // repetition. Once parallel_for or future::get returns, the issuer may
+  // destroy its sink. So by then every span a pool thread opened in it
+  // must be closed, and no helper dequeued late may open another: after
+  // the pool drains, the sink must hold exactly the spans it held at
+  // return. The pool has more workers than most hosts have cores, so late
+  // helpers are common.
+  support::ThreadPool pool(7);
+  constexpr std::size_t kTasks = 32;
+  for (const int threads : {1, 2, 4, 8}) {
+    for (int rep = 0; rep < 200; ++rep) {
+      const std::string where =
+          "threads=" + std::to_string(threads) + " rep=" + std::to_string(rep);
+      support::Telemetry sink;
+      const auto expect_quiet_after = [&](const auto& issue) {
+        std::vector<support::SolveTrace::Span> at_return;
+        {
+          const support::TelemetryScope scope(&sink);
+          issue();
+          at_return = sink.trace.snapshot();
+        }
+        drain(pool);
+        for (const auto& span : at_return)
+          ASSERT_TRUE(span.closed) << span.name << " still open; " << where;
+        ASSERT_EQ(sink.trace.snapshot().size(), at_return.size()) << where;
+      };
+      expect_quiet_after([&] {
+        pool.parallel_for(
+            kTasks,
+            [&](std::size_t i) {
+              support::prof::ThreadWorkBlock* work =
+                  support::prof::current_block();
+              ASSERT_NE(work, nullptr);
+              work->add(support::prof::WorkField::kBestResponseEvals, i + 1);
+              sink.metrics.counter("pool.work").add();
+            },
+            threads);
+      });
+      expect_quiet_after([&] {
+        pool.submit([&] { sink.metrics.counter("pool.work").add(); }).get();
+      });
+      ASSERT_EQ(
+          sink.work.total()[support::prof::WorkField::kBestResponseEvals],
+          kTasks * (kTasks + 1) / 2)
+          << where;
+      ASSERT_EQ(sink.metrics.counter("pool.work").value(), kTasks + 1)
+          << where;
+    }
+  }
 }
 
 TEST(MetricsRegistry, SnapshotIsSortedByName) {
