@@ -1,18 +1,19 @@
-// Leader-stage performance bench: serial vs parallel price scans, with and
-// without the follower-equilibrium cache.
+// Leader-stage performance bench: serial vs parallel price scans.
 //
 // Times solve_leader_stage_homogeneous (connected mode — Algorithm 1's
 // hot path: every scanned price triggers a full symmetric follower solve)
-// and the heterogeneous solve_leader_stage (full-profile NEP per price)
-// under four configurations, checks they agree on the equilibrium prices,
-// and emits machine-readable JSON to bench_out/BENCH_leader_stage.json so
-// the perf trajectory is tracked across PRs.
+// and the heterogeneous solve_leader_stage (full-profile NEP per price),
+// each serial and at --threads, asserts every parallel row bitwise equal
+// to its serial row, and emits machine-readable JSON to
+// bench_out/BENCH_leader_stage.json so the perf trajectory is tracked
+// across PRs.
 //
 //   --miners=N --budget=B --grid=G --threads=T (0 = auto) --repeat=R
+//   --hetero-miners=H --max-rounds=M
 //   --perf-sampler (opt-in hardware counters in the telemetry pass)
 //
 // Thread speedup scales with the host's cores (a 1-core CI box reports
-// ~1x); the cache hit rate does not depend on the host.
+// ~1x); the answers and work counters do not depend on the host.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -23,7 +24,6 @@
 
 #include "bench_util.hpp"
 #include "core/audit.hpp"
-#include "core/equilibrium_cache.hpp"
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "core/sp.hpp"
@@ -49,9 +49,6 @@ struct RunResult {
   double profit_total = 0.0;
   int rounds = 0;
   bool converged = false;
-  core::FollowerCacheStats cache;
-  std::size_t cache_capacity = 0;
-  bool cached = false;
 };
 
 double now_ms() {
@@ -61,25 +58,20 @@ double now_ms() {
 }
 
 template <typename Solve>
-RunResult timed_run(const std::string& label, int repeat, bool cached,
-                    std::size_t cache_capacity, const Solve& solve) {
+RunResult timed_run(const std::string& label, int repeat, const Solve& solve) {
   RunResult result;
   result.label = label;
-  result.cached = cached;
-  result.cache_capacity = cached ? cache_capacity : 0;
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(repeat));
   for (int i = 0; i < repeat; ++i) {
-    core::FollowerEquilibriumCache cache(cache_capacity);  // fresh per rep
     const double start = now_ms();
-    const auto solved = solve(cached ? &cache : nullptr);
+    const auto solved = solve();
     samples.push_back(now_ms() - start);
     result.price_edge = solved.prices.edge;
     result.price_cloud = solved.prices.cloud;
     result.profit_total = solved.profits.edge + solved.profits.cloud;
     result.rounds = solved.rounds;
     result.converged = solved.converged;
-    if (cached) result.cache = cache.stats();
   }
   // Best-of-repeat stays the headline number (least scheduler noise); the
   // percentiles feed the regression ledger's noise model.
@@ -116,7 +108,6 @@ void write_json(const std::string& path, int threads,
   };
   const auto& serial = find("homogeneous/serial");
   const auto& parallel = find("homogeneous/parallel");
-  const auto& parallel_cache = find("homogeneous/parallel+cache");
   support::json::Writer writer(out);
   writer.begin_object(support::json::Writer::kBlock);
   writer.member("schema", "hecmine.bench.v1");
@@ -148,14 +139,6 @@ void write_json(const std::string& path, int threads,
     writer.member("profit_total", run.profit_total);
     writer.member("rounds", run.rounds);
     writer.member("converged", run.converged);
-    if (run.cached) {
-      writer.member("cache_capacity",
-                    static_cast<double>(run.cache_capacity));
-      writer.member("cache_hits", run.cache.hits);
-      writer.member("cache_misses", run.cache.misses);
-      writer.member("cache_evictions", run.cache.evictions);
-      writer.member("cache_hit_rate", run.cache.hit_rate());
-    }
     writer.end_object();
   }
   writer.end_array();
@@ -170,9 +153,6 @@ void write_json(const std::string& path, int threads,
   writer.member("converged", audit.converged);
   writer.end_object();
   writer.member("speedup_parallel", serial.wall_ms / parallel.wall_ms);
-  writer.member("speedup_parallel_cache",
-                serial.wall_ms / parallel_cache.wall_ms);
-  writer.member("cache_hit_rate", parallel_cache.cache.hit_rate());
   writer.end_object();
   writer.finish();
   HECMINE_REQUIRE(out.good(), "write failed: " + path);
@@ -202,15 +182,11 @@ int main(int argc, char** argv) {
   // repeat of its prices, well before the cap; the cap is still a config
   // knob so the ledger records the workload it actually ran.
   base.max_rounds = args.get("max-rounds", 60);
-  const std::size_t cache_capacity =
-      core::FollowerEquilibriumCache::recommended_capacity(base.max_rounds,
-                                                           base.grid_points);
 
   const auto homogeneous = [&](int run_threads) {
-    return [&, run_threads](core::FollowerEquilibriumCache* cache) {
+    return [&, run_threads] {
       core::SpSolveOptions options = base;
       options.context.threads = run_threads;
-      options.context.cache = cache;
       return core::solve_leader_stage_homogeneous(
           params, budget, n, core::EdgeMode::kConnected, options);
     };
@@ -222,10 +198,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < budgets.size(); ++i)
     budgets[i] *= 1.0 + 0.1 * static_cast<double>(i);  // heterogeneous
   const auto heterogeneous = [&](int run_threads) {
-    return [&, run_threads](core::FollowerEquilibriumCache* cache) {
+    return [&, run_threads] {
       core::SpSolveOptions options = base;
       options.context.threads = run_threads;
-      options.context.cache = cache;
       // Let the sequential cycle fallback run so the tracked rows report
       // a converged equilibrium (Theorem 4's construction) instead of the
       // scan's honest-but-alarming converged=false.
@@ -234,68 +209,33 @@ int main(int argc, char** argv) {
     };
   };
 
-  // Kernel-layer ablation: the same heterogeneous workload with the
-  // batched SoA sweep drivers disabled (legacy per-miner std::function
-  // machinery with O(n^2) opponent re-aggregation). The scalar closed
-  // forms are shared either way, so the row isolates the batching layer.
-  const auto heterogeneous_legacy = [&](int run_threads) {
-    return [&, run_threads](core::FollowerEquilibriumCache* cache) {
-      core::SpSolveOptions options = base;
-      options.context.threads = run_threads;
-      options.context.cache = cache;
-      options.follower.use_kernels = false;
-      return core::solve_leader_stage(params, budgets,
-                                      core::EdgeMode::kConnected, options);
-    };
-  };
-
   std::vector<RunResult> runs;
-  runs.push_back(timed_run("homogeneous/serial", repeat, false,
-                           cache_capacity, homogeneous(1)));
-  runs.push_back(timed_run("homogeneous/parallel", repeat, false,
-                           cache_capacity, homogeneous(threads)));
-  runs.push_back(timed_run("homogeneous/serial+cache", repeat, true,
-                           cache_capacity, homogeneous(1)));
-  runs.push_back(timed_run("homogeneous/parallel+cache", repeat, true,
-                           cache_capacity, homogeneous(threads)));
-  runs.push_back(timed_run("heterogeneous/serial", 1, false,
-                           cache_capacity, heterogeneous(1)));
-  runs.push_back(timed_run("heterogeneous/parallel+cache", 1, true,
-                           cache_capacity, heterogeneous(threads)));
-  runs.push_back(timed_run("heterogeneous/serial/kernels-off", 1, false,
-                           cache_capacity, heterogeneous_legacy(1)));
+  runs.push_back(timed_run("homogeneous/serial", repeat, homogeneous(1)));
+  runs.push_back(
+      timed_run("homogeneous/parallel", repeat, homogeneous(threads)));
+  runs.push_back(timed_run("heterogeneous/serial", 1, heterogeneous(1)));
+  runs.push_back(
+      timed_run("heterogeneous/parallel", 1, heterogeneous(threads)));
 
-  // Thread count never changes the computation: the parallel cache-off run
-  // must reproduce the serial one bitwise. The cache snaps solve prices to
-  // its quantum, which can shift the terminal iterate along the (flat)
-  // payoff plateau — so cached runs are checked economically instead: the
-  // SP-side profit must match the serial equilibrium's closely.
-  HECMINE_REQUIRE(runs[1].price_edge == runs[0].price_edge &&
-                      runs[1].price_cloud == runs[0].price_cloud,
-                  "parallel run is not bitwise identical to serial");
-  for (const auto& run : runs) {
-    if (!run.cached || run.label.rfind("homogeneous/", 0) != 0) continue;
-    HECMINE_REQUIRE(
-        std::abs(run.profit_total - runs[0].profit_total) <
-            5e-3 * std::max(1.0, std::abs(runs[0].profit_total)),
-        "configuration " + run.label +
-            " diverged economically from the serial equilibrium");
+  // Rows come in serial/parallel pairs. Thread count never changes the
+  // computation: every parallel run must reproduce its serial run bitwise.
+  for (std::size_t i = 0; i + 1 < runs.size(); i += 2) {
+    const RunResult& serial = runs[i];
+    const RunResult& parallel = runs[i + 1];
+    HECMINE_REQUIRE(parallel.price_edge == serial.price_edge &&
+                        parallel.price_cloud == serial.price_cloud &&
+                        parallel.profit_total == serial.profit_total &&
+                        parallel.rounds == serial.rounds &&
+                        parallel.converged == serial.converged,
+                    parallel.label + " is not bitwise identical to " +
+                        serial.label);
   }
 
-  support::Table table({"run", "wall_ms", "speedup_vs_serial", "cache_hits",
-                        "cache_misses", "cache_hit_rate"});
-  const double serial_ms = runs[0].wall_ms;
-  const double hetero_serial_ms = runs[4].wall_ms;
+  support::Table table({"run", "wall_ms", "speedup_vs_serial"});
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& run = runs[i];
-    const double reference =
-        run.label.rfind("heterogeneous/", 0) == 0 ? hetero_serial_ms
-                                                  : serial_ms;
-    table.add_row({static_cast<double>(i), run.wall_ms,
-                   reference / run.wall_ms,
-                   static_cast<double>(run.cache.hits),
-                   static_cast<double>(run.cache.misses),
-                   run.cache.hit_rate()});
+    const double reference = runs[i - i % 2].wall_ms;  // the serial row
+    table.add_row({static_cast<double>(i), runs[i].wall_ms,
+                   reference / runs[i].wall_ms});
   }
   for (std::size_t i = 0; i < runs.size(); ++i)
     std::cout << "run " << i << ": " << runs[i].label << "\n";
@@ -328,21 +268,14 @@ int main(int argc, char** argv) {
   // construction the serial pass's work.
   std::vector<bench::WorkLedgerEntry> counters;
   const auto count_labels = [&](std::initializer_list<const char*> labels,
-                                bool cached, const auto& solve) {
-    const support::prof::WorkCounters work = bench::counted_pass([&] {
-      core::FollowerEquilibriumCache cache(cache_capacity);
-      (void)solve(cached ? &cache : nullptr);
-    });
+                                const auto& solve) {
+    const support::prof::WorkCounters work =
+        bench::counted_pass([&] { (void)solve(); });
     for (const char* label : labels) counters.push_back({label, 1, work});
   };
-  count_labels({"homogeneous/serial", "homogeneous/parallel"}, false,
-               homogeneous(1));
-  count_labels({"homogeneous/serial+cache", "homogeneous/parallel+cache"},
-               true, homogeneous(1));
-  count_labels({"heterogeneous/serial"}, false, heterogeneous(1));
-  count_labels({"heterogeneous/parallel+cache"}, true, heterogeneous(1));
-  count_labels({"heterogeneous/serial/kernels-off"}, false,
-               heterogeneous_legacy(1));
+  count_labels({"homogeneous/serial", "homogeneous/parallel"}, homogeneous(1));
+  count_labels({"heterogeneous/serial", "heterogeneous/parallel"},
+               heterogeneous(1));
 
   // Run provenance, embedded in the ledger and every telemetry/trace
   // export so bench_compare can warn when two ledgers came from different
@@ -368,8 +301,8 @@ int main(int argc, char** argv) {
 
   // Telemetry/trace pass: deliberately separate from the timed runs above
   // (those stay sink-free so the tracked numbers measure the solver, not
-  // the instrumentation). One extra cached parallel solve with the sink
-  // attached produces the machine-readable profile, the per-iteration log
+  // the instrumentation). One extra parallel solve with the sink attached
+  // produces the machine-readable profile, the per-iteration log
   // and health gauges, and, when requested, the Chrome Trace Event
   // timeline and OpenMetrics snapshot.
   const std::string telemetry_path = args.telemetry_out();
@@ -388,14 +321,11 @@ int main(int argc, char** argv) {
     support::health::HealthOptions health_options;
     health_options.action = support::health::WatchdogAction::kObserve;
     support::health::HealthMonitor health_monitor(telemetry, health_options);
-    core::FollowerEquilibriumCache cache(cache_capacity);
     core::SpSolveOptions options = base;
     options.context.threads = threads;
-    options.context.cache = &cache;
     options.context.telemetry = &telemetry;
     (void)core::solve_leader_stage_homogeneous(
         params, budget, n, core::EdgeMode::kConnected, options);
-    core::record_cache_stats(telemetry, cache.stats());
     if (!telemetry_path.empty()) {
       support::write_json(telemetry, telemetry_path);
       support::print_summary(std::cout, telemetry);
@@ -417,8 +347,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "threads=" << threads << "  parallel speedup "
-            << serial_ms / runs[1].wall_ms << "x, parallel+cache speedup "
-            << serial_ms / runs[3].wall_ms << "x (hit rate "
-            << runs[3].cache.hit_rate() << ")\n";
+            << runs[0].wall_ms / runs[1].wall_ms << "x (homogeneous), "
+            << runs[2].wall_ms / runs[3].wall_ms << "x (heterogeneous)\n";
   return 0;
 }

@@ -21,7 +21,6 @@
 
 #include "chain/blocklog.hpp"
 #include "core/audit.hpp"
-#include "core/equilibrium_cache.hpp"
 #include "core/dynamic.hpp"
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
@@ -51,9 +50,7 @@ struct SolvedScenario {
 /// Solves the scenario's follower stage (and, without fixed prices, the
 /// leader stage first), everything routed through the follower-oracle
 /// layer. The caller's SolveContext carries the thread count for the
-/// SP-stage price scans, the cache that memoizes repeated follower solves
-/// (owned by main so its stats survive the solve), and the optional
-/// telemetry sink.
+/// SP-stage price scans and the optional telemetry sink.
 SolvedScenario solve_scenario(const core::Scenario& scenario,
                               const core::SolveContext& context) {
   SolvedScenario solved;
@@ -315,7 +312,7 @@ int usage() {
       "                       HECMINE_LOG_LEVEL environment variable is the\n"
       "                       fallback when the flag is absent.\n"
       "  --telemetry-out=F    write a JSON telemetry profile (solver\n"
-      "                       counters, cache stats, solve trace) to F and\n"
+      "                       counters, gauges, solve trace) to F and\n"
       "                       print the summary tables; HECMINE_TELEMETRY is\n"
       "                       the fallback. Empty/absent = telemetry off.\n"
       "  --iteration-log=F    stream one JSONL record per solver iteration\n"
@@ -394,10 +391,8 @@ int main(int argc, char** argv) {
     const bool audit = args.has("audit");
     const double audit_tol = args.get("audit-tol", 1e-6);
     support::Telemetry telemetry;
-    core::FollowerEquilibriumCache cache;
     core::SolveContext context;
     context.threads = args.threads();
-    context.cache = &cache;
     // A sink is attached whenever any consumer needs it: a telemetry JSON
     // path, a streaming iteration log, a trace timeline, a flight
     // recorder, an OpenMetrics snapshot, a block log, or audit gauges.
@@ -495,19 +490,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(flusher->rotations()));
     }
 
-    // End-of-run observability: the cache counters always get one line
-    // (they used to be silently discarded with the cache), and the full
-    // telemetry summary + JSON profile are emitted when a sink was set.
+    // End-of-run observability: the full telemetry summary + JSON profile
+    // are emitted when a sink was set.
     if (command != "dynamic") {
-      const core::FollowerCacheStats stats = cache.stats();
-      std::printf(
-          "follower cache: %llu hits / %llu misses / %llu evictions "
-          "(hit rate %.3f)\n",
-          static_cast<unsigned long long>(stats.hits),
-          static_cast<unsigned long long>(stats.misses),
-          static_cast<unsigned long long>(stats.evictions), stats.hit_rate());
       if (context.telemetry != nullptr && !telemetry_path.empty()) {
-        core::record_cache_stats(telemetry, stats);
         support::print_summary(std::cout, telemetry);
         support::write_json(telemetry, telemetry_path);
         std::printf("[telemetry] %s\n", telemetry_path.c_str());
@@ -542,7 +528,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(divergences));
     }
     // The OpenMetrics snapshot is written last so it includes every gauge
-    // the run produced (audit, cache, health).
+    // the run produced (audit, health).
     if (!metrics_path.empty()) {
       support::write_openmetrics(telemetry, metrics_path);
       std::printf("[metrics] %s\n", metrics_path.c_str());

@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "core/equilibrium_cache.hpp"
 #include "core/kernels.hpp"
 #include "core/miner.hpp"
 #include "support/error.hpp"
@@ -14,33 +13,15 @@
 
 namespace hecmine::core {
 
-namespace {
-
-// Oracle-class tag mixed into env_hash (continues the kTag* family in
-// core/oracle.cpp) so class-aggregate solves never share a cache key with
-// the dense oracles even when every numeric input coincides.
-constexpr std::uint64_t kTagClassAggregate = 0xA6;
-
-}  // namespace
-
-ClassPartition partition_budget_classes(const std::vector<double>& budgets,
-                                        double budget_quantum) {
-  HECMINE_REQUIRE(budget_quantum >= 0.0,
-                  "partition_budget_classes: quantum must be >= 0");
-  // Snap each budget onto its class key; an ordered map assigns dense class
-  // indices in ascending key order, so the partition is a pure function of
-  // the budget multiset (plus the per-miner map of the original order).
-  std::vector<double> keys(budgets.size());
+ClassPartition partition_budget_classes(const std::vector<double>& budgets) {
+  // An ordered map assigns dense class indices in ascending budget order,
+  // so the partition is a pure function of the budget multiset (plus the
+  // per-miner map of the original order).
   std::map<double, std::uint32_t> index_of;
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    HECMINE_REQUIRE(budgets[i] >= 0.0,
+  for (double budget : budgets) {
+    HECMINE_REQUIRE(budget >= 0.0,
                     "partition_budget_classes: budgets must be >= 0");
-    double key = budgets[i];
-    if (budget_quantum > 0.0)
-      key = budget_quantum *
-            static_cast<double>(std::llround(key / budget_quantum));
-    keys[i] = key;
-    index_of.emplace(key, 0);
+    index_of.emplace(budget, 0);
   }
   std::uint32_t next = 0;
   for (auto& [key, index] : index_of) index = next++;
@@ -51,7 +32,7 @@ ClassPartition partition_budget_classes(const std::vector<double>& budgets,
     partition.classes[index].budget = key;
   partition.class_of.resize(budgets.size());
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    const std::uint32_t k = index_of.at(keys[i]);
+    const std::uint32_t k = index_of.at(budgets[i]);
     partition.class_of[i] = k;
     ++partition.classes[k].count;
   }
@@ -59,58 +40,38 @@ ClassPartition partition_budget_classes(const std::vector<double>& budgets,
 }
 
 ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
-                                           std::vector<double> budgets,
+                                           const std::vector<double>& budgets,
                                            EdgeMode mode,
-                                           MinerSolveOptions options,
-                                           double budget_quantum)
+                                           MinerSolveOptions options)
     : params_(params),
       mode_(mode),
       options_(options),
-      budget_quantum_(budget_quantum),
-      miner_count_(static_cast<int>(budgets.size())),
-      partition_(partition_budget_classes(budgets, budget_quantum)) {
+      miner_count_(static_cast<int>(budgets.size())) {
   HECMINE_REQUIRE(!budgets.empty(), "ClassAggregateOracle: no miners");
+  ClassPartition partition = partition_budget_classes(budgets);
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
-  shape->of = partition_.class_of;
-  shape->counts.reserve(partition_.classes.size());
-  shape->budgets.reserve(partition_.classes.size());
-  for (const MinerClass& cls : partition_.classes) {
+  shape->of = std::move(partition.class_of);
+  shape->counts.reserve(partition.classes.size());
+  shape->budgets.reserve(partition.classes.size());
+  for (const MinerClass& cls : partition.classes) {
     shape->counts.push_back(cls.count);
     shape->budgets.push_back(cls.budget);
   }
   shape_ = std::move(shape);
-
-  // Budgets are hashed once here: the per-miner class map is part of the
-  // oracle's identity (request(i) depends on it), and hashing it per
-  // env_hash() call would be O(N) on the cache hot path.
-  std::uint64_t h = hash_follower_env(params_, options_);
-  h = hash_mix(h, kTagClassAggregate);
-  h = hash_mix(h, static_cast<std::uint64_t>(mode_ == EdgeMode::kConnected));
-  h = hash_mix(h, budget_quantum_);
-  h = hash_mix(h, static_cast<std::uint64_t>(miner_count_));
-  h = hash_mix(h, static_cast<std::uint64_t>(partition_.classes.size()));
-  for (const MinerClass& cls : partition_.classes) {
-    h = hash_mix(h, cls.budget);
-    h = hash_mix(h, static_cast<std::uint64_t>(cls.count));
-  }
-  for (std::uint32_t k : partition_.class_of)
-    h = hash_mix(h, static_cast<std::uint64_t>(k));
-  env_hash_ = h;
 }
 
 EquilibriumProfile ClassAggregateOracle::fixed_point(
     const Prices& prices, double edge_success, double surcharge,
     std::vector<MinerRequest>& seed) const {
-  const std::size_t kn = partition_.classes.size();
+  const std::size_t kn = shape_->counts.size();
   // Structure-of-arrays class state: the sweep below touches these in
   // order, and the interior update is a straight sqrt/div chain over them.
-  std::vector<double> budget(kn);
+  const std::vector<double>& budget = shape_->budgets;
   std::vector<double> count(kn);
   std::vector<double> e(kn);
   std::vector<double> c(kn);
   for (std::size_t k = 0; k < kn; ++k) {
-    budget[k] = partition_.classes[k].budget;
-    count[k] = static_cast<double>(partition_.classes[k].count);
+    count[k] = static_cast<double>(shape_->counts[k]);
     e[k] = seed[k].edge;
     c[k] = seed[k].cloud;
   }
@@ -128,9 +89,9 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
   const double sigma2_sq =
       (1.0 - params_.fork_rate) * params_.reward / prices.cloud;
 
-  // Same stall-halving schedule as game::solve_best_response: aggregative
-  // best responses steepen with the (class-weighted) player count, so a
-  // fixed damping can orbit.
+  // Same stall-halving schedule as the dense sweep (solve_nep_batch):
+  // aggregative best responses steepen with the (class-weighted) player
+  // count, so a fixed damping can orbit.
   double damping = options_.damping;
   double best_residual = std::numeric_limits<double>::infinity();
   int stalled = 0;
@@ -374,7 +335,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
     telemetry->metrics.counter("oracle.aggregate.solves").add();
   }
 
-  const std::size_t kn = partition_.classes.size();
+  const std::size_t kn = shape_->counts.size();
   const double dn = static_cast<double>(miner_count_);
   const double edge_cap = mode_ == EdgeMode::kConnected
                               ? std::numeric_limits<double>::infinity()
@@ -397,7 +358,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
       (1.0 - params_.fork_rate) * params_.reward / prices.cloud / dn;
   std::vector<MinerRequest> seed(kn);
   for (std::size_t k = 0; k < kn; ++k) {
-    const double b = partition_.classes[k].budget;
+    const double b = shape_->budgets[k];
     const double edge_seed =
         std::min({0.25 * b / prices.edge, 0.5 * edge_cap / dn, e_scale});
     const double cloud_seed =
@@ -472,8 +433,6 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
   return last;
 }
 
-std::uint64_t ClassAggregateOracle::env_hash() const { return env_hash_; }
-
 std::unique_ptr<FollowerOracle> make_profile_oracle(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SolveContext& context) {
@@ -481,12 +440,9 @@ std::unique_ptr<FollowerOracle> make_profile_oracle(
   const AggregateOracleOptions& aggregate = context.aggregate;
   if (aggregate.dispatch_threshold > 0 &&
       static_cast<int>(budgets.size()) >= aggregate.dispatch_threshold) {
-    const ClassPartition partition =
-        partition_budget_classes(budgets, aggregate.budget_quantum);
-    if (static_cast<int>(partition.classes.size()) <= aggregate.max_classes) {
-      return std::make_unique<ClassAggregateOracle>(
-          params, budgets, mode, context.follower, aggregate.budget_quantum);
-    }
+    auto oracle = std::make_unique<ClassAggregateOracle>(params, budgets, mode,
+                                                         context.follower);
+    if (oracle->class_count() <= aggregate.max_classes) return oracle;
   }
   if (mode == EdgeMode::kConnected)
     return std::make_unique<ConnectedNepOracle>(params, budgets,

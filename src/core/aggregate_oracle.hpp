@@ -18,8 +18,7 @@
 // lambda = 0, which joint concavity makes the exact global best response
 // whenever it is feasible); infeasible classes fall back to the full
 // miner_best_response boundary search, so the class solve is exact, not an
-// approximation. The only approximation knob is budget_quantum, which snaps
-// budgets onto a grid before bucketing to cap K on near-continuous pools.
+// approximation.
 //
 // Dispatch is opt-in: make_profile_oracle consults
 // SolveContext::aggregate (AggregateOracleOptions) and picks this oracle
@@ -49,36 +48,29 @@ struct ClassPartition {
   std::vector<std::uint32_t> class_of;
 };
 
-/// Buckets `budgets` into classes. Keys are exact budget values when
-/// `budget_quantum` is 0; otherwise budgets snap to the nearest multiple of
-/// the quantum first (near-equal budgets collapse into one class). The
-/// result is a pure function of the inputs — independent of thread count
-/// or iteration order — so cache keys built from it are stable.
+/// Buckets `budgets` into classes keyed by exact budget value. The result
+/// is a pure function of the inputs, independent of thread count or
+/// iteration order.
 [[nodiscard]] ClassPartition partition_budget_classes(
-    const std::vector<double>& budgets, double budget_quantum = 0.0);
+    const std::vector<double>& budgets);
 
 /// Follower oracle solving the K-dimensional class-aggregate fixed point.
 /// Returns class-shaped EquilibriumProfiles: requests/utilities hold one
 /// entry per class and per-miner views expand lazily through the shared
-/// ClassShape. Exact at equilibrium (see file comment); budget_quantum > 0
-/// is the one documented approximation.
+/// ClassShape. Exact at equilibrium (see file comment).
 class ClassAggregateOracle final : public FollowerOracle {
  public:
-  ClassAggregateOracle(NetworkParams params, std::vector<double> budgets,
-                       EdgeMode mode, MinerSolveOptions options = {},
-                       double budget_quantum = 0.0);
+  ClassAggregateOracle(NetworkParams params,
+                       const std::vector<double>& budgets, EdgeMode mode,
+                       MinerSolveOptions options = {});
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
   [[nodiscard]] int miner_count() const override { return miner_count_; }
   [[nodiscard]] EdgeMode mode() const override { return mode_; }
 
   /// Number of budget classes (K).
   [[nodiscard]] int class_count() const noexcept {
-    return static_cast<int>(partition_.classes.size());
-  }
-  [[nodiscard]] const std::vector<MinerClass>& classes() const noexcept {
-    return partition_.classes;
+    return static_cast<int>(shape_->counts.size());
   }
 
  private:
@@ -93,19 +85,18 @@ class ClassAggregateOracle final : public FollowerOracle {
   NetworkParams params_;
   EdgeMode mode_;
   MinerSolveOptions options_;
-  double budget_quantum_;
   int miner_count_;
-  ClassPartition partition_;
-  /// Shared with every profile this oracle returns (O(K) profile copies).
+  /// The budget partition, shared with every profile this oracle returns
+  /// (O(K) profile copies).
   std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
-  std::uint64_t env_hash_;  ///< budgets are hashed once at construction
 };
 
 /// Profile-oracle factory with aggregate dispatch: the ClassAggregateOracle
 /// when context.aggregate opts in (dispatch_threshold > 0, pool size >=
 /// threshold, bucketing yields <= max_classes classes), else the dense
-/// ConnectedNepOracle / StandaloneGnepOracle for `mode`. Returns the bare
-/// oracle — callers layer decorate_follower_oracle themselves (as
+/// ConnectedNepOracle / StandaloneGnepOracle for `mode`. The pool is
+/// bucketed once: the class count is read off the built oracle. Returns
+/// the bare oracle — callers layer decorate_follower_oracle themselves (as
 /// make_follower_oracle and the leader stage do).
 [[nodiscard]] std::unique_ptr<FollowerOracle> make_profile_oracle(
     const NetworkParams& params, const std::vector<double>& budgets,

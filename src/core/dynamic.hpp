@@ -87,7 +87,7 @@ struct DynamicEquilibrium {
 
 /// The fixed-N benchmark at N = round(population mean): the connected-mode
 /// symmetric NE with the same h, for the Fig-9 comparison. Solved through
-/// the follower oracle; `context` carries the cache/tolerances if any.
+/// the follower oracle; `context` carries the follower tolerances.
 [[nodiscard]] MinerRequest fixed_population_benchmark(
     const DynamicGameConfig& config, const PopulationModel& population,
     const SolveContext& context = {});

@@ -9,7 +9,7 @@
 #include "core/kernels.hpp"
 #include "core/soa.hpp"
 
-#include "game/gnep.hpp"
+#include "game/nash.hpp"
 #include "numerics/projection.hpp"
 #include "numerics/vi.hpp"
 #include "support/error.hpp"
@@ -18,54 +18,6 @@
 namespace hecmine::core {
 
 namespace {
-
-using game::Profile;
-
-Profile seed_profile(const Prices& prices, const std::vector<double>& budgets,
-                     double edge_cap) {
-  Profile start(budgets.size());
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    // Positive seeds keep the contest away from the degenerate origin; cap
-    // the total edge seed below capacity so standalone starts feasible.
-    const double seed_edge =
-        std::min(0.25 * budgets[i] / prices.edge,
-                 0.5 * edge_cap / static_cast<double>(budgets.size()));
-    const double seed_cloud = 0.25 * budgets[i] / prices.cloud;
-    start[i] = {seed_edge, seed_cloud};
-  }
-  return start;
-}
-
-std::vector<MinerRequest> to_requests(const Profile& profile) {
-  std::vector<MinerRequest> requests(profile.size());
-  for (std::size_t i = 0; i < profile.size(); ++i)
-    requests[i] = {profile[i][0], profile[i][1]};
-  return requests;
-}
-
-MinerEnv make_env(const NetworkParams& params, const Prices& prices,
-                  double budget, double edge_success, double surcharge,
-                  const Totals& others) {
-  MinerEnv env;
-  env.reward = params.reward;
-  env.fork_rate = params.fork_rate;
-  env.edge_success = edge_success;
-  env.prices = prices;
-  env.edge_surcharge = surcharge;
-  env.budget = budget;
-  env.others = others;
-  return env;
-}
-
-Totals others_of(const Profile& profile, std::size_t player) {
-  Totals others;
-  for (std::size_t j = 0; j < profile.size(); ++j) {
-    if (j == player) continue;
-    others.edge += profile[j][0];
-    others.cloud += profile[j][1];
-  }
-  return others;
-}
 
 void finish_equilibrium(const NetworkParams& params, const Prices& prices,
                         double edge_success, MinerEquilibrium& result) {
@@ -83,12 +35,14 @@ void finish_equilibrium(const NetworkParams& params, const Prices& prices,
   }
 }
 
-/// Seed requests of seed_profile in AoS form (same arithmetic).
+/// Starting profile shared by every profile solver.
 std::vector<MinerRequest> seed_requests(const Prices& prices,
                                         const std::vector<double>& budgets,
                                         double edge_cap) {
   std::vector<MinerRequest> start(budgets.size());
   for (std::size_t i = 0; i < budgets.size(); ++i) {
+    // Positive seeds keep the contest away from the degenerate origin; cap
+    // the total edge seed below capacity so standalone starts feasible.
     const double seed_edge =
         std::min(0.25 * budgets[i] / prices.edge,
                  0.5 * edge_cap / static_cast<double>(budgets.size()));
@@ -118,42 +72,18 @@ MinerEquilibrium solve_connected_nep(const NetworkParams& params,
   const double h = params.edge_success;
   const game::ProbeBinding binding{"nep.best_response", prices.edge,
                                    prices.cloud};
+  // Batched SoA sweep: one hoisted KernelEnv, opponent aggregates by
+  // running-total subtraction, Newton boundary solves.
+  const KernelEnv env = make_kernel_env(params, prices, h, 0.0);
+  MinerBatch batch = make_miner_batch(
+      budgets,
+      seed_requests(prices, budgets, std::numeric_limits<double>::infinity()));
+  const BatchSweepResult sweep = solve_nep_batch(env, batch, options, binding);
   MinerEquilibrium result;
-  if (options.use_kernels) {
-    // Batched SoA path: one hoisted KernelEnv, opponent aggregates by
-    // running-total subtraction, Newton boundary solves.
-    const KernelEnv env = make_kernel_env(params, prices, h, 0.0);
-    MinerBatch batch = make_miner_batch(
-        budgets, seed_requests(prices, budgets,
-                               std::numeric_limits<double>::infinity()));
-    const BatchSweepResult sweep = solve_nep_batch(env, batch, options, binding);
-    result.requests = extract_requests(batch);
-    result.converged = sweep.converged;
-    result.iterations = sweep.iterations;
-    result.residual = sweep.residual;
-  } else {
-    // Legacy per-miner std::function sweep (kernels-off ablation path).
-    const game::BestResponseFn oracle = [&](const Profile& profile,
-                                            std::size_t player) {
-      const MinerEnv env = make_env(params, prices, budgets[player], h, 0.0,
-                                    others_of(profile, player));
-      const MinerRequest response = miner_best_response(env);
-      return std::vector<double>{response.edge, response.cloud};
-    };
-    game::BestResponseOptions br;
-    br.damping = options.damping;
-    br.tolerance = options.tolerance;
-    br.max_iterations = options.max_iterations;
-    br.probe = binding;
-    auto nash = game::solve_best_response(
-        oracle,
-        seed_profile(prices, budgets, std::numeric_limits<double>::infinity()),
-        br);
-    result.requests = to_requests(nash.profile);
-    result.converged = nash.converged;
-    result.iterations = nash.iterations;
-    result.residual = nash.residual;
-  }
+  result.requests = extract_requests(batch);
+  result.converged = sweep.converged;
+  result.iterations = sweep.iterations;
+  result.residual = sweep.residual;
   finish_equilibrium(params, prices, h, result);
   if (!result.converged) {
     // The movement test can floor at the line-search noise while the point
@@ -171,54 +101,23 @@ MinerEquilibrium solve_standalone_gnep(const NetworkParams& params,
                                        const MinerSolveOptions& options) {
   check_inputs(params, prices, budgets);
   const game::ProbeBinding binding{"gnep.inner", prices.edge, prices.cloud};
+  // Fused across-miners surcharge bisection on the SoA batch: the batch
+  // iterate is the warm start shared by every inner solve.
+  const KernelEnv env = make_kernel_env(params, prices, 1.0, 0.0);
+  MinerBatch batch = make_miner_batch(
+      budgets, seed_requests(prices, budgets, params.edge_capacity));
+  BatchGnepOptions gnep_options;
+  gnep_options.cap = params.edge_capacity;
+  gnep_options.surcharge_hi0 = 0.25 * prices.edge;
+  const BatchGnepResult gnep =
+      solve_gnep_batch(env, batch, gnep_options, options, binding);
   MinerEquilibrium result;
-  if (options.use_kernels) {
-    // Fused across-miners surcharge bisection on the SoA batch: the batch
-    // iterate is the warm start shared by every inner solve.
-    const KernelEnv env = make_kernel_env(params, prices, 1.0, 0.0);
-    MinerBatch batch = make_miner_batch(
-        budgets, seed_requests(prices, budgets, params.edge_capacity));
-    BatchGnepOptions gnep_options;
-    gnep_options.cap = params.edge_capacity;
-    gnep_options.surcharge_hi0 = 0.25 * prices.edge;
-    const BatchGnepResult gnep =
-        solve_gnep_batch(env, batch, gnep_options, options, binding);
-    result.requests = extract_requests(batch);
-    result.surcharge = gnep.surcharge;
-    result.cap_active = gnep.cap_active;
-    result.converged = gnep.converged;
-    result.iterations = gnep.inner_solves;
-    result.residual = 0.0;
-  } else {
-    // Legacy decomposition (kernels-off ablation path).
-    const game::PenalizedBestResponseFn oracle =
-        [&](const Profile& profile, std::size_t player, double surcharge) {
-          const MinerEnv env = make_env(params, prices, budgets[player], 1.0,
-                                        surcharge, others_of(profile, player));
-          const MinerRequest response = miner_best_response(env);
-          return std::vector<double>{response.edge, response.cloud};
-        };
-    const game::SharedUsageFn usage = [](const Profile& profile) {
-      double edge = 0.0;
-      for (const auto& strategy : profile) edge += strategy[0];
-      return edge;
-    };
-    game::SharedPriceGnepOptions gnep_options;
-    gnep_options.inner.damping = options.damping;
-    gnep_options.inner.tolerance = options.tolerance;
-    gnep_options.inner.max_iterations = options.max_iterations;
-    gnep_options.inner.probe = binding;
-    gnep_options.surcharge_hi0 = 0.25 * prices.edge;
-    auto gnep = game::solve_shared_price_gnep(
-        oracle, usage, params.edge_capacity,
-        seed_profile(prices, budgets, params.edge_capacity), gnep_options);
-    result.requests = to_requests(gnep.profile);
-    result.surcharge = gnep.surcharge;
-    result.cap_active = gnep.cap_active;
-    result.converged = gnep.converged;
-    result.iterations = gnep.inner_solves;
-    result.residual = 0.0;
-  }
+  result.requests = extract_requests(batch);
+  result.surcharge = gnep.surcharge;
+  result.cap_active = gnep.cap_active;
+  result.converged = gnep.converged;
+  result.iterations = gnep.inner_solves;
+  result.residual = 0.0;
   finish_equilibrium(params, prices, 1.0, result);
   if (!result.converged &&
       result.totals.edge <= params.edge_capacity * (1.0 + 1e-6)) {
@@ -275,11 +174,17 @@ MinerEquilibrium solve_standalone_gnep_vi(const NetworkParams& params,
     return f;
   };
 
-  const auto start_profile = seed_profile(prices, budgets, params.edge_capacity);
+  std::vector<double> start;
+  start.reserve(2 * n);
+  for (const MinerRequest& seed :
+       seed_requests(prices, budgets, params.edge_capacity)) {
+    start.push_back(seed.edge);
+    start.push_back(seed.cloud);
+  }
   num::ExtragradientOptions eg;
   eg.tolerance = options.vi_tolerance;
   eg.max_iterations = options.max_iterations * 20;
-  auto vi = num::solve_extragradient(problem, game::flatten(start_profile), eg);
+  auto vi = num::solve_extragradient(problem, std::move(start), eg);
 
   MinerEquilibrium result;
   result.requests.resize(n);

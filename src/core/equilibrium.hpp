@@ -2,11 +2,11 @@
 //
 // Connected mode (Problem 1a) is a classical NEP with a unique NE
 // (Theorem 2); we find it by damped best-response dynamics over the exact
-// per-miner best response. Standalone mode (Problem 1c) is a jointly convex
-// GNEP whose variational equilibrium we compute two independent ways:
-// the shared-price decomposition (game::solve_shared_price_gnep) and the
-// extragradient method on the equivalent VI (numerics/vi.hpp). Tests verify
-// the two agree.
+// per-miner best response (the batched sweep of core/kernels.hpp).
+// Standalone mode (Problem 1c) is a jointly convex GNEP whose variational
+// equilibrium we compute two independent ways: the shared-price
+// decomposition (solve_gnep_batch) and the extragradient method on the
+// equivalent VI (numerics/vi.hpp). Tests verify the two agree.
 #pragma once
 
 #include <vector>
@@ -15,7 +15,6 @@
 #include "core/params.hpp"
 #include "core/solve_context.hpp"  // MinerSolveOptions lives there now
 #include "core/types.hpp"
-#include "game/nash.hpp"
 
 namespace hecmine::core {
 

@@ -292,57 +292,10 @@ MinerRequest best_response_kernel(const KernelEnv& env, double budget,
   return best;
 }
 
-void batch_utility(const KernelEnv& env, MinerBatch& batch) {
-  const std::size_t n = batch.size();
-  const double* e = batch.edge.data();
-  const double* c = batch.cloud.data();
-  double* utility = batch.utility.data();
-  const double total_edge = batch.total_edge;
-  const double total_cloud = batch.total_cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double oe = std::max(0.0, total_edge - e[i]);
-    const double og = oe + std::max(0.0, total_cloud - c[i]);
-    utility[i] = utility_kernel(env, e[i], c[i], oe, og);
-  }
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kUtilityEvals, n);
-}
-
-void batch_gradient(const KernelEnv& env, const MinerBatch& batch,
-                    double* du_de, double* du_dc) {
-  const std::size_t n = batch.size();
-  const double* e = batch.edge.data();
-  const double* c = batch.cloud.data();
-  const double total_edge = batch.total_edge;
-  const double total_cloud = batch.total_cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double oe = std::max(0.0, total_edge - e[i]);
-    const double og = oe + std::max(0.0, total_cloud - c[i]);
-    gradient_kernel(env, e[i], c[i], oe, og, du_de[i], du_dc[i]);
-  }
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kGradientEvals, n);
-}
-
-void batch_best_response(const KernelEnv& env, MinerBatch& batch) {
-  const std::size_t n = batch.size();
-  const double* e = batch.edge.data();
-  const double* c = batch.cloud.data();
-  const double* budget = batch.budget.data();
-  double* response_e = batch.response_edge.data();
-  double* response_c = batch.response_cloud.data();
-  const double total_edge = batch.total_edge;
-  const double total_cloud = batch.total_cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double oe = std::max(0.0, total_edge - e[i]);
-    const double og = oe + std::max(0.0, total_cloud - c[i]);
-    const MinerRequest response = best_response_kernel(env, budget[i], oe, og);
-    response_e[i] = response.edge;
-    response_c[i] = response.cloud;
-  }
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kBestResponseEvals, n);
-}
+/// Sweeps between convergence / probe / stall-damping checkpoints in
+/// solve_nep_batch. Typical solves take tens of sweeps, so checking every
+/// 4th trades at most 3 overshoot sweeps for 4x less bookkeeping.
+constexpr int kConvergenceStride = 4;
 
 BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
                                  const MinerSolveOptions& options,
@@ -350,22 +303,18 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
   HECMINE_REQUIRE(batch.size() > 0, "solve_nep_batch requires miners");
   HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
                   "solve_nep_batch: damping must be in (0, 1]");
-  HECMINE_REQUIRE(options.convergence_stride >= 1,
-                  "solve_nep_batch: convergence_stride must be >= 1");
   const std::size_t n = batch.size();
   double* e = batch.edge.data();
   double* c = batch.cloud.data();
   const double* budget = batch.budget.data();
-  std::uint8_t* settled = batch.settled.data();
 
-  // Same stall-halving schedule as game::solve_best_response, advanced per
-  // checkpoint rather than per sweep (stall_limit keeps the halving point
-  // at ~30 sweeps for any stride).
+  // Best responses steepen with the player count in aggregative games, so
+  // a fixed damping can orbit: halve the step once the residual has not
+  // improved for ~30 sweeps (stall_limit checkpoints).
   double damping = options.damping;
   double best_residual = std::numeric_limits<double>::infinity();
   int stalled = 0;
-  const int stride = options.convergence_stride;
-  const int stall_limit = std::max(1, 30 / stride);
+  const int stall_limit = std::max(1, 30 / kConvergenceStride);
 
   support::Telemetry* telemetry = support::current_telemetry();
   if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
@@ -390,7 +339,6 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
       const double move =
           std::max(std::abs(new_e - e[i]), std::abs(new_c - c[i]));
       change = std::max(change, move);
-      settled[i] = move < options.tolerance ? 1 : 0;
       total_edge += new_e - e[i];
       total_cloud += new_c - c[i];
       e[i] = new_e;
@@ -407,10 +355,11 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
       work->add(support::prof::WorkField::kBestResponseEvals, n);
     }
 
-    if (iteration % stride != 0 && iteration != options.max_iterations)
+    if (iteration % kConvergenceStride != 0 &&
+        iteration != options.max_iterations)
       continue;
     // Checkpoint: exact re-sum bounds incremental-total drift, then the
-    // legacy convergence / probe / stall logic runs on this sweep's change.
+    // convergence / probe / stall logic runs on this sweep's change.
     batch.recompute_totals();
     if (work != nullptr)
       work->add(support::prof::WorkField::kConvergenceChecks, 1);
@@ -446,8 +395,7 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
 
 namespace {
 
-/// Mirror of game/gnep.cpp's solve-level telemetry so the fused path feeds
-/// the same counters the dashboards already read.
+/// Solve-level GNEP telemetry: the gnep.* counters and histogram.
 void record_gnep_solve(const BatchGnepResult& result) {
   support::Telemetry* telemetry = support::current_telemetry();
   if (telemetry == nullptr) return;
@@ -477,8 +425,7 @@ BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
       telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
 
   // The batch iterate IS the warm start: each inner solve refines it in
-  // place, so bisection steps stay cheap exactly as in the std::function
-  // decomposition.
+  // place, so bisection steps stay cheap.
   bool inner_ok = true;
   const auto solve_at = [&](double mu) {
     // Each surcharge probe (initial, bracket expansion, or halving step)
@@ -547,7 +494,7 @@ BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
   result.surcharge = mu;
   result.cap_active = true;
   // Complementarity may sit slightly off cap at the final bisection width;
-  // accept within 10x the requested tolerance (as the legacy path does).
+  // accept within 10x the requested tolerance.
   result.converged =
       inner_ok && std::abs(result.shared_usage - gnep.cap) <=
                       10.0 * gnep.complementarity_tol;

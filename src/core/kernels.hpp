@@ -9,19 +9,19 @@
 // The scalar kernels are the single source of truth for the closed forms:
 // core/miner.cpp's miner_best_response / miner_utility entry points are
 // thin wrappers over batch-of-one calls here, so scalar and batched paths
-// agree bitwise by construction. The batch_* kernels are flat loops over
-// double* spans; the sweep drivers (solve_nep_batch / solve_gnep_batch)
-// reproduce the damped Gauss-Seidel dynamics of game::solve_best_response
-// and game::solve_shared_price_gnep with:
+// agree bitwise by construction. The sweep routines (solve_nep_batch /
+// solve_gnep_batch) run damped Gauss-Seidel best-response dynamics over
+// flat double* spans, and the shared-price decomposition of the standalone
+// GNEP on top of them, with:
 //
 //   * opponent aggregates by running-total subtraction (O(n) per sweep
 //     instead of O(n^2)); totals are re-summed exactly at every
 //     convergence checkpoint so rounding drift stays bounded,
-//   * convergence / probe / stall-damping checks every
-//     MinerSolveOptions::convergence_stride sweeps instead of every sweep,
+//   * convergence / probe / stall-damping checks every 4th sweep instead
+//     of every sweep,
 //   * boundary segments solved by safeguarded Newton on the exact
-//     derivative (with the legacy golden-section search kept as the
-//     fallback for the degenerate discontinuous cases).
+//     derivative (with a golden-section search as the fallback for the
+//     degenerate discontinuous cases).
 //
 // Tolerance-delta policy vs the pre-kernel scalar path: see DESIGN.md §13.
 #pragma once
@@ -97,23 +97,6 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
                                                 double others_edge,
                                                 double others_grand);
 
-// --- batched flat-loop kernels --------------------------------------------
-
-/// Fills batch.utility with the true per-miner utilities at the current
-/// iterate (opponent aggregates by subtraction from the running totals;
-/// call batch.recompute_totals() first if the totals may have drifted).
-void batch_utility(const KernelEnv& env, MinerBatch& batch);
-
-/// Writes the penalized-utility gradient at the current iterate into
-/// du_de/du_dc (each of batch.size() doubles).
-void batch_gradient(const KernelEnv& env, const MinerBatch& batch,
-                    double* du_de, double* du_dc);
-
-/// Jacobi-style batched best response: writes every miner's best response
-/// against the current totals into batch.response_edge/response_cloud
-/// without touching the iterate.
-void batch_best_response(const KernelEnv& env, MinerBatch& batch);
-
 // --- sweep drivers ---------------------------------------------------------
 
 /// Outcome of a batched sweep solve.
@@ -123,16 +106,15 @@ struct BatchSweepResult {
   double residual = 0.0; ///< max-norm iterate change in the last sweep
 };
 
-/// Damped Gauss-Seidel best-response dynamics on the batch, reproducing
-/// game::solve_best_response (stall-halving damping schedule included) with
-/// checks every options.convergence_stride sweeps. Probe records flow to
-/// the thread's telemetry sink under binding.solver, one per checkpoint.
+/// Damped Gauss-Seidel best-response dynamics on the batch: the damping
+/// halves when the residual stalls, and convergence is checked every 4th
+/// sweep (and on the last). Probe records flow to the thread's telemetry
+/// sink under binding.solver, one per checkpoint.
 BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
                                  const MinerSolveOptions& options,
                                  const game::ProbeBinding& binding);
 
-/// Options of the fused GNEP surcharge bisection (defaults mirror
-/// game::SharedPriceGnepOptions).
+/// Options of the fused GNEP surcharge bisection.
 struct BatchGnepOptions {
   double cap = 0.0;                   ///< shared edge capacity E_max
   double surcharge_hi0 = 1.0;         ///< initial upper bracket for mu
@@ -149,11 +131,12 @@ struct BatchGnepResult {
   int inner_solves = 0;
 };
 
-/// Fused across-miners budget-multiplier bisection for the standalone GNEP:
-/// solves the mu-penalized decoupled NEP on the batch (warm-started in
-/// place across bisection steps) and bisects mu to complementarity,
-/// reproducing game::solve_shared_price_gnep including its telemetry
-/// (gnep.bisection trace span + probe records, gnep.* counters).
+/// Shared-price decomposition of the standalone GNEP (Theorem 5): charges
+/// every miner a common surcharge mu on edge units, solves the mu-penalized
+/// decoupled NEP on the batch (warm-started in place across bisection
+/// steps) and bisects mu to complementarity on E <= cap. Usage must fall
+/// with mu, which holds because edge units are a normal good. Telemetry:
+/// gnep.bisection trace span and probe records, gnep.* counters.
 BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
                                  const BatchGnepOptions& gnep,
                                  const MinerSolveOptions& options,

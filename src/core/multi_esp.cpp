@@ -60,8 +60,7 @@ EdgePremiumReport edge_premium_under_competition(const NetworkParams& params,
       params, budget, n, EdgeMode::kConnected, options);
   EdgePremiumReport report;
   report.competitive = solve_multi_esp_bertrand(params, budget, n, providers,
-                                                1e-3,
-                                                options.resolved_context());
+                                                1e-3, options.context);
   report.price_ratio =
       monopoly.prices.edge / report.competitive.price_edge;
   const double competitive_profit =

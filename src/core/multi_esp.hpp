@@ -42,7 +42,7 @@ struct MultiEspEquilibrium {
 /// max(C_e (1+margin), lowest price at which a deviation would not gain),
 /// which for perfect substitutes is marginal cost; the CSP then plays its
 /// reaction. Requires n >= 2, k >= 2, budget > 0. `context` carries the
-/// follower cache / tolerances for the embedded oracle solves.
+/// follower tolerances for the embedded oracle solves.
 [[nodiscard]] MultiEspEquilibrium solve_multi_esp_bertrand(
     const NetworkParams& params, double budget, int n, int providers,
     double margin = 1e-3, const SolveContext& context = {});

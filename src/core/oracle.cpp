@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/aggregate_oracle.hpp"
-#include "core/equilibrium_cache.hpp"
 #include "core/kernels.hpp"
 #include "core/miner.hpp"
 #include "core/scenario.hpp"
@@ -16,24 +15,6 @@
 #include "support/telemetry.hpp"
 
 namespace hecmine::core {
-
-namespace {
-
-// Oracle-class tags mixed into env_hash so differently shaped games never
-// share a cache key even when all numeric inputs coincide.
-constexpr std::uint64_t kTagConnectedNep = 0xA1;
-constexpr std::uint64_t kTagGnepSharedPrice = 0xA2;
-constexpr std::uint64_t kTagGnepVi = 0xA3;
-constexpr std::uint64_t kTagSymmetric = 0xA4;
-constexpr std::uint64_t kTagPopulation = 0xA5;
-
-std::uint64_t mix_budgets(std::uint64_t h, const std::vector<double>& budgets) {
-  h = hash_mix(h, static_cast<std::uint64_t>(budgets.size()));
-  for (double budget : budgets) h = hash_mix(h, budget);
-  return h;
-}
-
-}  // namespace
 
 const MinerRequest& EquilibriumProfile::request(std::size_t i) const {
   HECMINE_REQUIRE(!requests.empty(), "EquilibriumProfile: empty profile");
@@ -119,43 +100,6 @@ EquilibriumProfile to_profile(const SymmetricEquilibrium& eq,
   return profile;
 }
 
-MinerEquilibrium to_miner_equilibrium(const EquilibriumProfile& profile) {
-  MinerEquilibrium eq;
-  eq.requests = profile.expanded();
-  eq.totals = profile.totals;
-  if (profile.symmetric) {
-    HECMINE_REQUIRE(!profile.utilities.empty(),
-                    "to_miner_equilibrium: empty profile");
-    eq.utilities.assign(static_cast<std::size_t>(profile.miner_count),
-                        profile.utilities.front());
-  } else if (profile.classes != nullptr) {
-    eq.utilities.reserve(profile.classes->of.size());
-    for (std::uint32_t k : profile.classes->of)
-      eq.utilities.push_back(profile.utilities[k]);
-  } else {
-    eq.utilities = profile.utilities;
-  }
-  eq.surcharge = profile.surcharge;
-  eq.cap_active = profile.cap_active;
-  eq.converged = profile.converged;
-  eq.iterations = profile.iterations;
-  eq.residual = profile.residual;
-  return eq;
-}
-
-SymmetricEquilibrium to_symmetric(const EquilibriumProfile& profile) {
-  HECMINE_REQUIRE(profile.symmetric,
-                  "to_symmetric: profile is not a symmetric solve");
-  HECMINE_REQUIRE(!profile.requests.empty(), "to_symmetric: empty profile");
-  SymmetricEquilibrium eq;
-  eq.request = profile.requests.front();
-  eq.surcharge = profile.surcharge;
-  eq.cap_active = profile.cap_active;
-  eq.converged = profile.converged;
-  eq.iterations = profile.iterations;
-  return eq;
-}
-
 ConnectedNepOracle::ConnectedNepOracle(NetworkParams params,
                                        std::vector<double> budgets,
                                        MinerSolveOptions options)
@@ -165,12 +109,6 @@ ConnectedNepOracle::ConnectedNepOracle(NetworkParams params,
 
 EquilibriumProfile ConnectedNepOracle::solve(const Prices& prices) const {
   return to_profile(solve_connected_nep(params_, prices, budgets_, options_));
-}
-
-std::uint64_t ConnectedNepOracle::env_hash() const {
-  std::uint64_t h = hash_follower_env(params_, options_);
-  h = hash_mix(h, kTagConnectedNep);
-  return mix_budgets(h, budgets_);
 }
 
 int ConnectedNepOracle::miner_count() const {
@@ -196,14 +134,6 @@ EquilibriumProfile StandaloneGnepOracle::solve(const Prices& prices) const {
   return to_profile(eq);
 }
 
-std::uint64_t StandaloneGnepOracle::env_hash() const {
-  std::uint64_t h = hash_follower_env(params_, options_);
-  h = hash_mix(h, algorithm_ == GnepAlgorithm::kSharedPrice
-                      ? kTagGnepSharedPrice
-                      : kTagGnepVi);
-  return mix_budgets(h, budgets_);
-}
-
 int StandaloneGnepOracle::miner_count() const {
   return static_cast<int>(budgets_.size());
 }
@@ -223,48 +153,6 @@ EquilibriumProfile SymmetricFollowerOracle::solve(const Prices& prices) const {
           : solve_symmetric_standalone(params_, prices, budget_, n_, options_);
   return to_profile(eq, params_, prices, budget_, n_, mode_);
 }
-
-std::uint64_t SymmetricFollowerOracle::env_hash() const {
-  std::uint64_t h = hash_follower_env(params_, options_);
-  h = hash_mix(h, kTagSymmetric);
-  h = hash_mix(h, budget_);
-  h = hash_mix(h, static_cast<std::uint64_t>(n_));
-  h = hash_mix(h, static_cast<std::uint64_t>(mode_ == EdgeMode::kConnected));
-  return h;
-}
-
-CachedFollowerOracle::CachedFollowerOracle(std::unique_ptr<FollowerOracle> inner,
-                                           FollowerEquilibriumCache& cache)
-    : inner_(std::move(inner)), cache_(cache) {
-  HECMINE_REQUIRE(inner_ != nullptr, "CachedFollowerOracle: null inner oracle");
-}
-
-EquilibriumProfile CachedFollowerOracle::solve(const Prices& prices) const {
-  // Solve at the snapped prices so every thread computing this key computes
-  // identical bits (see core/equilibrium_cache.hpp).
-  const Prices snapped = cache_.snap_prices(prices);
-  const FollowerCacheKey key = cache_.make_key(snapped, inner_->env_hash());
-  // Hit/miss is observed through factory invocation (exact and
-  // thread-local, unlike a before/after delta of the shared cache stats).
-  bool miss = false;
-  EquilibriumProfile profile = cache_.unified(key, [&] {
-    miss = true;
-    return inner_->solve(snapped);
-  });
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(miss ? support::prof::WorkField::kCacheMisses
-                   : support::prof::WorkField::kCacheHits,
-              1);
-  return profile;
-}
-
-std::uint64_t CachedFollowerOracle::env_hash() const {
-  return inner_->env_hash();
-}
-
-int CachedFollowerOracle::miner_count() const { return inner_->miner_count(); }
-
-EdgeMode CachedFollowerOracle::mode() const { return inner_->mode(); }
 
 InstrumentedFollowerOracle::InstrumentedFollowerOracle(
     std::unique_ptr<FollowerOracle> inner, support::Telemetry& telemetry)
@@ -295,10 +183,6 @@ EquilibriumProfile InstrumentedFollowerOracle::solve(
   return profile;
 }
 
-std::uint64_t InstrumentedFollowerOracle::env_hash() const {
-  return inner_->env_hash();  // observation never changes the answer
-}
-
 int InstrumentedFollowerOracle::miner_count() const {
   return inner_->miner_count();
 }
@@ -311,9 +195,6 @@ std::unique_ptr<FollowerOracle> decorate_follower_oracle(
   if (context.telemetry != nullptr)
     oracle = std::make_unique<InstrumentedFollowerOracle>(std::move(oracle),
                                                           *context.telemetry);
-  if (context.cache != nullptr)
-    oracle = std::make_unique<CachedFollowerOracle>(std::move(oracle),
-                                                    *context.cache);
   return oracle;
 }
 
@@ -382,20 +263,6 @@ EquilibriumProfile PopulationExpectationOracle::solve(
   result.miner_count =
       std::max(2, static_cast<int>(std::lround(expected_count)));
   return result;
-}
-
-std::uint64_t PopulationExpectationOracle::env_hash() const {
-  std::uint64_t h = hash_follower_env(params_, context_.follower);
-  h = hash_mix(h, kTagPopulation);
-  h = hash_mix(h, budget_);
-  h = hash_mix(h, static_cast<std::uint64_t>(mode_ == EdgeMode::kConnected));
-  h = hash_mix(h, static_cast<std::uint64_t>(samples_));
-  h = hash_mix(h, context_.rng_root);
-  h = hash_mix(h, static_cast<std::uint64_t>(population_.min_miners()));
-  h = hash_mix(h, static_cast<std::uint64_t>(population_.max_miners()));
-  for (int k = population_.min_miners(); k <= population_.max_miners(); ++k)
-    h = hash_mix(h, population_.pmf(k));
-  return h;
 }
 
 int PopulationExpectationOracle::miner_count() const {

@@ -10,18 +10,18 @@
 //
 //   FollowerOracle
 //     solve(prices) -> EquilibriumProfile    (the one unified result type)
-//     env_hash()                             (non-price identity, for caching)
 //
 // Concrete oracles wrap each solver (ConnectedNepOracle,
 // StandaloneGnepOracle with a shared-price/VI algorithm switch,
-// SymmetricFollowerOracle for the homogeneous fixed point); decorators add
-// memoization (CachedFollowerOracle over a FollowerEquilibriumCache) and
-// population uncertainty (PopulationExpectationOracle, Sec. V's random
-// miner count by deterministic Monte-Carlo). make_follower_oracle picks
-// the symmetric fast path automatically when all budgets are equal
-// (Scenario::homogeneous()) and layers the cache decorator when the
-// SolveContext carries one, so a new workload is a constructor call — not
-// a new solver family.
+// SymmetricFollowerOracle for the homogeneous fixed point,
+// ClassAggregateOracle in core/aggregate_oracle.hpp); decorators add
+// instrumentation (InstrumentedFollowerOracle) and population uncertainty
+// (PopulationExpectationOracle, Sec. V's random miner count by
+// deterministic Monte-Carlo). make_follower_oracle picks the symmetric
+// fast path automatically when all budgets are equal
+// (Scenario::homogeneous()) and layers the instrumentation when the
+// SolveContext carries a telemetry sink, so a new workload is a
+// constructor call — not a new solver family.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +44,7 @@ class Telemetry;
 
 namespace hecmine::core {
 
-class FollowerEquilibriumCache;  // core/equilibrium_cache.hpp
-struct Scenario;                 // core/scenario.hpp
+struct Scenario;  // core/scenario.hpp
 
 /// Unified follower-stage equilibrium: the one result type every oracle
 /// returns. Symmetric solves store a single per-miner request/utility
@@ -55,8 +54,7 @@ struct EquilibriumProfile {
   /// Budget-class shape of a class-aggregate solve (ClassAggregateOracle,
   /// core/aggregate_oracle.hpp): requests/utilities then hold one entry per
   /// class and `of` maps each miner index to its class. The shape is shared
-  /// and immutable so profile copies (and cache entries) stay O(K), not
-  /// O(N).
+  /// and immutable so profile copies stay O(K), not O(N).
   struct ClassShape {
     std::vector<std::uint32_t> of;  ///< miner index -> class index (size n)
     std::vector<int> counts;        ///< miners per class (size K)
@@ -105,21 +103,13 @@ struct EquilibriumProfile {
 /// MinerEquilibrium -> unified profile (heterogeneous shape).
 [[nodiscard]] EquilibriumProfile to_profile(const MinerEquilibrium& eq);
 
-/// SymmetricEquilibrium -> unified profile. The legacy struct carries no
+/// SymmetricEquilibrium -> unified profile. The symmetric result has no
 /// utilities, so they are recomputed from the fixed point (budget, n and
 /// mode say which utility function applies).
 [[nodiscard]] EquilibriumProfile to_profile(const SymmetricEquilibrium& eq,
                                             const NetworkParams& params,
                                             const Prices& prices, double budget,
                                             int n, EdgeMode mode);
-
-/// Unified profile -> legacy MinerEquilibrium (expands symmetric shapes).
-[[nodiscard]] MinerEquilibrium to_miner_equilibrium(
-    const EquilibriumProfile& profile);
-
-/// Unified profile -> legacy SymmetricEquilibrium; requires symmetric.
-[[nodiscard]] SymmetricEquilibrium to_symmetric(
-    const EquilibriumProfile& profile);
 
 /// Abstract follower-equilibrium oracle: everything but the prices is
 /// fixed at construction, so upper layers treat the follower stage as a
@@ -130,12 +120,6 @@ class FollowerOracle {
 
   /// Equilibrium of the wrapped follower game at `prices`.
   [[nodiscard]] virtual EquilibriumProfile solve(const Prices& prices) const = 0;
-
-  /// Hash of every non-price input that shapes solve()'s answer (network
-  /// parameters, budgets, miner count, mode, solver options, ...). Two
-  /// oracles with equal env_hash() and equal prices must produce the same
-  /// profile; cache decorators key on it.
-  [[nodiscard]] virtual std::uint64_t env_hash() const = 0;
 
   /// Number of followers the oracle represents (the expected count for
   /// population oracles).
@@ -153,7 +137,6 @@ class ConnectedNepOracle final : public FollowerOracle {
                      MinerSolveOptions options = {});
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
   [[nodiscard]] int miner_count() const override;
   [[nodiscard]] EdgeMode mode() const override { return EdgeMode::kConnected; }
 
@@ -180,7 +163,6 @@ class StandaloneGnepOracle final : public FollowerOracle {
                        MinerSolveOptions options = {});
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
   [[nodiscard]] int miner_count() const override;
   [[nodiscard]] EdgeMode mode() const override { return EdgeMode::kStandalone; }
   [[nodiscard]] GnepAlgorithm algorithm() const noexcept { return algorithm_; }
@@ -202,7 +184,6 @@ class SymmetricFollowerOracle final : public FollowerOracle {
                           EdgeMode mode, MinerSolveOptions options = {});
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
   [[nodiscard]] int miner_count() const override { return n_; }
   [[nodiscard]] EdgeMode mode() const override { return mode_; }
 
@@ -214,27 +195,6 @@ class SymmetricFollowerOracle final : public FollowerOracle {
   MinerSolveOptions options_;
 };
 
-/// Memoization decorator: snaps prices to the cache quantum and looks the
-/// solve up in a FollowerEquilibriumCache before delegating to the inner
-/// oracle *at the snapped prices* — so cached and uncached runs, and
-/// serial and parallel runs, stay bitwise identical (see
-/// core/equilibrium_cache.hpp). The cache is shared, not owned.
-class CachedFollowerOracle final : public FollowerOracle {
- public:
-  CachedFollowerOracle(std::unique_ptr<FollowerOracle> inner,
-                       FollowerEquilibriumCache& cache);
-
-  [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
-  [[nodiscard]] int miner_count() const override;
-  [[nodiscard]] EdgeMode mode() const override;
-  [[nodiscard]] const FollowerOracle& inner() const noexcept { return *inner_; }
-
- private:
-  std::unique_ptr<FollowerOracle> inner_;
-  FollowerEquilibriumCache& cache_;
-};
-
 /// Observability decorator: counts solves and non-converged results and
 /// histograms per-solve wall time and iteration counts into a
 /// support::Telemetry sink (metric names `oracle.solves`,
@@ -242,15 +202,13 @@ class CachedFollowerOracle final : public FollowerOracle {
 /// installs the sink as the thread-local telemetry for the duration of each
 /// solve — on whichever pool worker runs it — so the deep numeric layers
 /// (VI extragradient, GNEP bisection) can record through
-/// support::current_telemetry() without signature changes. Layered *inside*
-/// the cache decorator so only true solves (cache misses) are counted.
+/// support::current_telemetry() without signature changes.
 class InstrumentedFollowerOracle final : public FollowerOracle {
  public:
   InstrumentedFollowerOracle(std::unique_ptr<FollowerOracle> inner,
                              support::Telemetry& telemetry);
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
   [[nodiscard]] int miner_count() const override;
   [[nodiscard]] EdgeMode mode() const override;
   [[nodiscard]] const FollowerOracle& inner() const noexcept { return *inner_; }
@@ -266,11 +224,9 @@ class InstrumentedFollowerOracle final : public FollowerOracle {
   support::HistogramMetric& iterations_;
 };
 
-/// Applies the context's cross-cutting decorators to a bare oracle:
-/// instrumentation when context.telemetry is set, then memoization when
-/// context.cache is set — i.e. Cached(Instrumented(inner)), so cache hits
-/// never inflate the solve counters. Both factories and the leader stage
-/// funnel through this helper.
+/// Applies the context's cross-cutting decorator to a bare oracle:
+/// instrumentation when context.telemetry is set, else the oracle itself.
+/// Both factories and the leader stage funnel through this helper.
 [[nodiscard]] std::unique_ptr<FollowerOracle> decorate_follower_oracle(
     std::unique_ptr<FollowerOracle> oracle, const SolveContext& context);
 
@@ -290,7 +246,6 @@ class PopulationExpectationOracle final : public FollowerOracle {
                               int samples, SolveContext context = {});
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] std::uint64_t env_hash() const override;
   /// Expected miner count (rounded truncated-law mean, clamped to >= 2).
   [[nodiscard]] int miner_count() const override;
   [[nodiscard]] EdgeMode mode() const override { return mode_; }
@@ -306,8 +261,9 @@ class PopulationExpectationOracle final : public FollowerOracle {
 
 /// Builds the right oracle for a follower game: the symmetric fast path
 /// when all budgets are equal and n >= 2, otherwise the full-profile
-/// NEP/GNEP for `mode`; wrapped in a CachedFollowerOracle when
-/// context.cache is set. Tolerances come from context.follower.
+/// NEP/GNEP for `mode` (the class-aggregate oracle when context.aggregate
+/// opts in); instrumented when context.telemetry is set. Tolerances come
+/// from context.follower.
 [[nodiscard]] std::unique_ptr<FollowerOracle> make_follower_oracle(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SolveContext& context = {});

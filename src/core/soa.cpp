@@ -21,10 +21,6 @@ void MinerBatch::resize(std::size_t n) {
   budget.resize(n);
   edge.resize(n);
   cloud.resize(n);
-  response_edge.resize(n);
-  response_cloud.resize(n);
-  utility.resize(n);
-  settled.resize(n);
 }
 
 void MinerBatch::recompute_totals() noexcept {

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
@@ -27,18 +26,6 @@ struct MinerBatch {
   std::vector<double> budget;  ///< B_i (never mutated by the sweeps)
   std::vector<double> edge;    ///< e_i of the current iterate
   std::vector<double> cloud;   ///< c_i of the current iterate
-
-  /// Scratch spans for Jacobi-style batched responses (batch_best_response
-  /// writes here so the caller controls the blend).
-  std::vector<double> response_edge;
-  std::vector<double> response_cloud;
-
-  /// Per-miner utilities filled by batch_utility.
-  std::vector<double> utility;
-
-  /// Per-miner convergence flags maintained by the sweep drivers (1 once
-  /// the miner's last blended move fell below tolerance).
-  std::vector<std::uint8_t> settled;
 
   /// Running aggregates of edge[] / cloud[]. The Gauss-Seidel driver
   /// updates these incrementally and re-sums at every convergence

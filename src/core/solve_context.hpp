@@ -1,19 +1,18 @@
 // Shared solver context: the "who owns the knobs" half of the
 // FollowerOracle layer (core/oracle.hpp).
 //
-// Before this header existed the thread count and the follower cache were
-// duplicated across MinerSolveOptions / SpSolveOptions / StackelbergOptions
-// and every new consumer re-plumbed them by hand. A SolveContext owns those
-// resources exactly once:
+// The thread count, the follower tolerances and the telemetry sink are
+// needed by every layer that embeds follower solves, so a SolveContext
+// owns them exactly once:
 //
-//   * threads  — fan-out for price scans / Monte-Carlo blocks (0 = auto via
-//                HECMINE_THREADS else hardware concurrency, 1 = serial);
-//                results are bitwise identical for every setting,
-//   * cache    — optional follower-equilibrium memoizer (not owned; may be
-//                shared across solves and threads),
-//   * rng_root — substream root seed for Monte-Carlo decorators (e.g. the
-//                population-expectation oracle),
-//   * follower — tolerances of the embedded miner solves.
+//   * threads   — fan-out for price scans / Monte-Carlo blocks (0 = auto via
+//                 HECMINE_THREADS else hardware concurrency, 1 = serial);
+//                 results are bitwise identical for every setting,
+//   * rng_root  — substream root seed for Monte-Carlo decorators (e.g. the
+//                 population-expectation oracle),
+//   * follower  — tolerances of the embedded miner solves,
+//   * aggregate — opt-in class-aggregate dispatch,
+//   * telemetry — optional instrumentation sink.
 //
 // The struct is header-only and intentionally tiny so that layers below
 // core (game/) can embed one without linking against core.
@@ -27,37 +26,20 @@ class Telemetry;  // support/telemetry.hpp
 
 namespace hecmine::core {
 
-class FollowerEquilibriumCache;  // core/equilibrium_cache.hpp
-
 /// Options for the follower-stage solvers.
 struct MinerSolveOptions {
   double damping = 0.5;       ///< best-response damping (1 = undamped)
   double tolerance = 1e-9;    ///< profile max-norm change at convergence
   int max_iterations = 4000;
   double vi_tolerance = 1e-8; ///< natural-residual target of the VI solver
-  /// Run the profile solvers on the batched SoA kernels (core/kernels.hpp).
-  /// Off restores the legacy per-miner std::function sweep machinery —
-  /// kept for the kernels-on/off bench ablation and as an escape hatch.
-  bool use_kernels = true;
-  /// Sweeps between convergence / probe / stall-damping checkpoints in the
-  /// batched drivers (>= 1). Probe data across the tracked workloads puts
-  /// typical solves at tens of sweeps, so checking every 4th trades at
-  /// most 3 overshoot sweeps for 4x less bookkeeping; 1 restores the
-  /// legacy check-every-sweep cadence.
-  int convergence_stride = 4;
-
-  /// Member-wise equality; lets option merging detect "still the default"
-  /// (see the deprecated shims in SpSolveOptions).
-  friend bool operator==(const MinerSolveOptions&,
-                         const MinerSolveOptions&) = default;
 };
 
-/// Dispatch and bucketing knobs of the ClassAggregateOracle
-/// (core/aggregate_oracle.hpp). Aggregation is opt-in: the oracle factories
-/// pick the aggregate oracle only when dispatch_threshold is positive, the
-/// pool holds at least that many miners, and bucketing the budgets yields
-/// at most max_classes classes; otherwise they fall back to the dense
-/// NEP/GNEP oracles unchanged.
+/// Dispatch knobs of the ClassAggregateOracle (core/aggregate_oracle.hpp).
+/// Aggregation is opt-in: the oracle factories pick the aggregate oracle
+/// only when dispatch_threshold is positive, the pool holds at least that
+/// many miners, and bucketing the budgets yields at most max_classes
+/// classes; otherwise they fall back to the dense NEP/GNEP oracles
+/// unchanged.
 struct AggregateOracleOptions {
   /// Minimum miner count before auto-dispatch considers the aggregate
   /// oracle; 0 (the default) disables auto-dispatch entirely.
@@ -65,24 +47,15 @@ struct AggregateOracleOptions {
   /// Largest class count the aggregate path accepts; pools that bucket
   /// into more classes than this stay on the dense oracles.
   int max_classes = 64;
-  /// Class keys are exact budget values when 0; otherwise budgets are
-  /// snapped onto this grid before bucketing (a documented approximation
-  /// that caps K on near-continuous budget distributions).
-  double budget_quantum = 0.0;
-
-  friend bool operator==(const AggregateOracleOptions&,
-                         const AggregateOracleOptions&) = default;
 };
 
 /// One bundle of cross-cutting solver resources, passed down every layer
 /// that embeds follower solves (leader stage, dynamic population, RL
-/// references, sweeps). Copyable; the cache pointer is shared, not owned.
+/// references, sweeps). Copyable; the telemetry pointer is shared, not
+/// owned.
 struct SolveContext {
   /// Concurrent payoff/follower evaluations (0 = auto, 1 = serial).
   int threads = 0;
-  /// Optional memoizer; when set, oracles snap prices to the cache quantum
-  /// before solving so parallel runs stay bitwise equal to serial runs.
-  FollowerEquilibriumCache* cache = nullptr;
   /// Root seed for Rng substreams drawn by Monte-Carlo decorators.
   std::uint64_t rng_root = 0x9e3779b97f4a7c15ULL;
   /// Tolerances of the embedded miner solves.

@@ -7,7 +7,6 @@
 
 #include "core/aggregate_oracle.hpp"
 #include "core/closed_forms.hpp"
-#include "core/equilibrium_cache.hpp"
 #include "game/stackelberg.hpp"
 #include "numerics/optimize.hpp"
 #include "numerics/roots.hpp"
@@ -15,14 +14,6 @@
 #include "support/telemetry.hpp"
 
 namespace hecmine::core {
-
-SolveContext SpSolveOptions::resolved_context() const {
-  SolveContext resolved = context;
-  if (!(follower == MinerSolveOptions{})) resolved.follower = follower;
-  if (threads != 0) resolved.threads = threads;
-  if (cache != nullptr) resolved.cache = cache;
-  return resolved;
-}
 
 SpProfits sp_profits(const NetworkParams& params, const Prices& prices,
                      const Totals& totals) {
@@ -282,7 +273,7 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
   params.validate();
   HECMINE_REQUIRE(budget > 0.0, "SP solve: budget must be positive");
   HECMINE_REQUIRE(n >= 2, "SP solve: n >= 2 required");
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
@@ -321,7 +312,7 @@ double csp_reaction_homogeneous(const NetworkParams& params, double budget,
                                 const SpSolveOptions& options) {
   params.validate();
   HECMINE_REQUIRE(price_edge > 0.0, "csp_reaction: price_edge must be > 0");
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   const PriceBox box = price_box(params, options);
   const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
   return homogeneous_csp_reaction(params, budget, n, mode, *scan, box,
@@ -333,7 +324,7 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
                                                 EdgeMode mode,
                                                 const SpSolveOptions& options) {
   params.validate();
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.sequential");
@@ -357,7 +348,7 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   params.validate();
   HECMINE_REQUIRE(budget > 0.0, "SP solve: budget must be positive");
   HECMINE_REQUIRE(n >= 2, "SP solve: n >= 2 required");
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
@@ -365,14 +356,11 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   const PriceBox box = price_box(params, options);
 
   // Unconstrained (cap-free) standalone edge demand at the given prices:
-  // the h = 1 connected game, through an uncached scan oracle (root-find
-  // probes rarely repeat a price, so caching would only churn the LRU).
+  // the h = 1 connected game through a scan oracle.
   NetworkParams uncapped = params;
   uncapped.edge_success = 1.0;
-  SolveContext uncached = context;
-  uncached.cache = nullptr;
   const auto demand_oracle = homogeneous_oracle(uncapped, budget, n,
-                                                EdgeMode::kConnected, uncached,
+                                                EdgeMode::kConnected, context,
                                                 true);
   const auto edge_demand = [&](const Prices& prices) {
     return demand_oracle->solve(prices).totals.edge;
@@ -444,7 +432,7 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
                                           static_cast<int>(budgets.size()),
                                           mode, options);
   }
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
@@ -477,57 +465,6 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
                                         box, options, context);
   result.rounds += leader.rounds;
   return result;
-}
-
-// --- deprecated shims ------------------------------------------------------
-
-namespace {
-
-HomogeneousStackelbergResult to_homogeneous(const LeaderStageResult& result) {
-  HomogeneousStackelbergResult legacy;
-  legacy.prices = result.prices;
-  legacy.profits = result.profits;
-  legacy.follower = to_symmetric(result.followers);
-  legacy.method = result.method;
-  legacy.converged = result.converged;
-  legacy.rounds = result.rounds;
-  return legacy;
-}
-
-}  // namespace
-
-HomogeneousStackelbergResult solve_sp_equilibrium_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options) {
-  return to_homogeneous(
-      solve_leader_stage_homogeneous(params, budget, n, mode, options));
-}
-
-HomogeneousStackelbergResult solve_sp_sequential_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options) {
-  return to_homogeneous(
-      solve_leader_stage_sequential(params, budget, n, mode, options));
-}
-
-HomogeneousStackelbergResult solve_sp_standalone_sellout(
-    const NetworkParams& params, double budget, int n,
-    const SpSolveOptions& options) {
-  return to_homogeneous(solve_leader_stage_sellout(params, budget, n, options));
-}
-
-StackelbergEquilibriumResult solve_sp_equilibrium(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SpSolveOptions& options) {
-  const LeaderStageResult result =
-      solve_leader_stage(params, budgets, mode, options);
-  StackelbergEquilibriumResult legacy;
-  legacy.prices = result.prices;
-  legacy.profits = result.profits;
-  legacy.followers = to_miner_equilibrium(result.followers);
-  legacy.converged = result.converged;
-  legacy.rounds = result.rounds;
-  return legacy;
 }
 
 }  // namespace hecmine::core

@@ -9,22 +9,17 @@
 // structure of Theorem 4: the CSP's reaction curve P_c*(P_e) is computed
 // first and the ESP maximizes over it.
 //
-// All entry points return one unified LeaderStageResult; the former
-// HomogeneousStackelbergResult / StackelbergEquilibriumResult split
-// survives only as deprecated shims at the bottom of this header.
+// All entry points return one unified LeaderStageResult.
 #pragma once
 
 #include <vector>
 
-#include "core/equilibrium.hpp"
 #include "core/oracle.hpp"
 #include "core/params.hpp"
 #include "core/solve_context.hpp"
 #include "core/types.hpp"
 
 namespace hecmine::core {
-
-class FollowerEquilibriumCache;  // core/equilibrium_cache.hpp
 
 /// SP profits V_e = (P_e - C_e) E and V_c = (P_c - C_c) C (Eq. 2).
 struct SpProfits {
@@ -44,8 +39,9 @@ struct SpSolveOptions {
   int grid_points = 40;        ///< 1-D scan resolution per price update
   double tolerance = 1e-5;     ///< max price change per round at convergence
   int max_rounds = 60;
-  /// Shared solver resources: thread fan-out, follower cache, RNG root and
-  /// the embedded miner-solve tolerances, owned once (core/solve_context.hpp).
+  /// Shared solver resources: thread fan-out, RNG root, the embedded
+  /// miner-solve tolerances and the telemetry sink, owned once
+  /// (core/solve_context.hpp).
   SolveContext context;
   /// Test hook: force the full-profile oracle even when every budget is
   /// equal (solve_leader_stage normally auto-dispatches the symmetric fast
@@ -60,19 +56,6 @@ struct SpSolveOptions {
   /// game::StackelbergResult::cycle_period), else after max_rounds, with
   /// converged = false.
   bool sequential_fallback = true;
-
-  // --- deprecated shims (kept for one release) -----------------------------
-  /// Deprecated: use context.follower. A non-default value wins over the
-  /// context when resolving.
-  MinerSolveOptions follower;
-  /// Deprecated: use context.threads. Non-zero wins over the context.
-  int threads = 0;
-  /// Deprecated: use context.cache. Non-null wins over the context.
-  FollowerEquilibriumCache* cache = nullptr;
-
-  /// The context actually used by the solvers: `context` with any
-  /// deprecated field that was explicitly set merged on top.
-  [[nodiscard]] SolveContext resolved_context() const;
 };
 
 /// How the leader-stage solution was obtained.
@@ -144,51 +127,6 @@ struct LeaderStageResult {
 /// sequential fallback when the price best response cycles, so the
 /// dispatch choice changes the cost of the solve, never its meaning.
 [[nodiscard]] LeaderStageResult solve_leader_stage(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SpSolveOptions& options = {});
-
-// --- deprecated entry points (kept as thin shims for one release) ----------
-
-/// Deprecated result shape of the homogeneous solvers; superseded by
-/// LeaderStageResult.
-struct HomogeneousStackelbergResult {
-  Prices prices;
-  SpProfits profits;
-  SymmetricEquilibrium follower;
-  SpSolveMethod method = SpSolveMethod::kBestResponse;
-  bool converged = false;
-  int rounds = 0;
-};
-
-/// Deprecated result shape of the heterogeneous solver; superseded by
-/// LeaderStageResult.
-struct StackelbergEquilibriumResult {
-  Prices prices;
-  SpProfits profits;
-  MinerEquilibrium followers;
-  bool converged = false;
-  int rounds = 0;
-};
-
-/// Deprecated: use solve_leader_stage_homogeneous.
-[[nodiscard]] HomogeneousStackelbergResult solve_sp_equilibrium_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options = {});
-
-/// Deprecated: use solve_leader_stage_sequential.
-[[nodiscard]] HomogeneousStackelbergResult solve_sp_sequential_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options = {});
-
-/// Deprecated: use solve_leader_stage_sellout.
-[[nodiscard]] HomogeneousStackelbergResult solve_sp_standalone_sellout(
-    const NetworkParams& params, double budget, int n,
-    const SpSolveOptions& options = {});
-
-/// Deprecated: use solve_leader_stage. Inherits its homogeneous-budget
-/// auto-dispatch; the returned MinerEquilibrium is always expanded to the
-/// full per-miner shape.
-[[nodiscard]] StackelbergEquilibriumResult solve_sp_equilibrium(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SpSolveOptions& options = {});
 

@@ -1,11 +1,6 @@
 #include "game/nash.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "support/error.hpp"
-#include "support/telemetry.hpp"
 
 namespace hecmine::game {
 
@@ -30,119 +25,6 @@ Profile unflatten(const std::vector<double>& flat,
     offset += sizes[i];
   }
   return profile;
-}
-
-namespace {
-
-double profile_distance(const Profile& a, const Profile& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    for (std::size_t k = 0; k < a[i].size(); ++k)
-      worst = std::max(worst, std::abs(a[i][k] - b[i][k]));
-  return worst;
-}
-
-void blend_into(std::vector<double>& target, const std::vector<double>& image,
-                double damping) {
-  for (std::size_t k = 0; k < target.size(); ++k)
-    target[k] = (1.0 - damping) * target[k] + damping * image[k];
-}
-
-/// Feeds one probe record per sweep. Aggregates follow the project-wide
-/// strategy layout: coordinate 0 is the edge request, coordinate 1 (when
-/// present) the cloud request.
-void record_sweep(support::Telemetry& telemetry,
-                  const game::ProbeBinding& binding, std::uint64_t solve_id,
-                  const NashResult& result, double damping, double tolerance) {
-  support::IterationProbe::Record record;
-  record.solver = binding.solver;
-  record.solve = solve_id;
-  record.iteration = result.iterations;
-  record.residual = result.residual;
-  record.tolerance = tolerance;
-  record.price_edge = binding.price_edge;
-  record.price_cloud = binding.price_cloud;
-  record.step = damping;
-  for (const auto& strategy : result.profile) {
-    if (!strategy.empty()) record.total_edge += strategy[0];
-    if (strategy.size() > 1) record.total_cloud += strategy[1];
-  }
-  telemetry.probe.record(record);
-}
-
-}  // namespace
-
-NashResult solve_best_response(const BestResponseFn& best_response,
-                               Profile start,
-                               const BestResponseOptions& options) {
-  HECMINE_REQUIRE(!start.empty(), "solve_best_response requires players");
-  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
-                  "best-response damping must be in (0, 1]");
-  NashResult result;
-  result.profile = std::move(start);
-  // Best responses steepen with the player count in aggregative games, so
-  // a fixed damping can orbit; halve the step whenever the residual stops
-  // improving.
-  double damping = options.damping;
-  double best_residual = std::numeric_limits<double>::infinity();
-  int stalled = 0;
-  // Probe gating is hoisted out of the loop: disarmed or unbound solves pay
-  // one thread-local read here and nothing per sweep.
-  support::Telemetry* telemetry =
-      options.probe ? support::current_telemetry() : nullptr;
-  if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
-  const std::uint64_t solve_id =
-      telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
-  for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    result.iterations = iteration + 1;
-    const Profile before = result.profile;
-    if (options.sweep == BestResponseOptions::Sweep::kGaussSeidel) {
-      for (std::size_t i = 0; i < result.profile.size(); ++i) {
-        const auto response = best_response(result.profile, i);
-        HECMINE_REQUIRE(response.size() == result.profile[i].size(),
-                        "best response must preserve strategy dimension");
-        blend_into(result.profile[i], response, damping);
-      }
-    } else {
-      Profile responses(result.profile.size());
-      for (std::size_t i = 0; i < result.profile.size(); ++i) {
-        responses[i] = best_response(result.profile, i);
-        HECMINE_REQUIRE(responses[i].size() == result.profile[i].size(),
-                        "best response must preserve strategy dimension");
-      }
-      for (std::size_t i = 0; i < result.profile.size(); ++i)
-        blend_into(result.profile[i], responses[i], damping);
-    }
-    result.residual = profile_distance(before, result.profile);
-    if (telemetry != nullptr)
-      record_sweep(*telemetry, *options.probe, solve_id, result, damping,
-                   options.tolerance);
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      return result;
-    }
-    if (result.residual < 0.95 * best_residual) {
-      best_residual = result.residual;
-      stalled = 0;
-    } else if (++stalled >= 30 && damping > 0.02) {
-      damping *= 0.5;
-      stalled = 0;
-    }
-  }
-  return result;
-}
-
-double exploitability(const BestResponseFn& best_response,
-                      const UtilityFn& utility, const Profile& profile) {
-  double worst_gain = 0.0;
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    const double current = utility(profile, i);
-    Profile deviated = profile;
-    deviated[i] = best_response(profile, i);
-    const double best = utility(deviated, i);
-    worst_gain = std::max(worst_gain, best - current);
-  }
-  return worst_gain;
 }
 
 }  // namespace hecmine::game

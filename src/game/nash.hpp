@@ -1,12 +1,9 @@
-// Generic Nash-equilibrium machinery for games with vector strategies.
-//
-// A game is described by per-player strategy dimensions, a best-response
-// oracle and (optionally) a utility oracle for verification. The miner
-// subgames and the SP pricing subgame of the paper both plug into this.
+// Strategy-profile vocabulary shared by the follower solvers: per-player
+// strategy vectors, their flat (VI) layout, and the iteration-probe binding
+// the batched sweeps (core/kernels.hpp) feed.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <cstddef>
 #include <vector>
 
 namespace hecmine::game {
@@ -21,58 +18,17 @@ using Profile = std::vector<std::vector<double>>;
 [[nodiscard]] Profile unflatten(const std::vector<double>& flat,
                                 const std::vector<std::size_t>& sizes);
 
-/// Best-response oracle: the argmax of player `i`'s utility given the full
-/// current profile (its own entry is ignored).
-using BestResponseFn =
-    std::function<std::vector<double>(const Profile&, std::size_t player)>;
-
-/// Utility oracle used for equilibrium verification.
-using UtilityFn =
-    std::function<double(const Profile&, std::size_t player)>;
-
-/// Binds an IterationProbe feed to a best-response solve. The generic loop
+/// Binds an IterationProbe feed to a best-response solve. The sweep loop
 /// knows nothing about prices, so the caller supplies the label and the
 /// price context that should ride along on every record; the loop adds the
-/// per-iteration state (residual, damping, aggregates from strategy
-/// coordinates 0/1). Records flow to the thread's current telemetry sink
-/// (support::current_telemetry()) and only when its probe is armed, so the
-/// binding itself costs nothing on the null-sink path.
+/// per-iteration state (residual, damping, aggregates). Records flow to
+/// the thread's current telemetry sink (support::current_telemetry()) and
+/// only when its probe is armed, so the binding itself costs nothing on
+/// the null-sink path.
 struct ProbeBinding {
   const char* solver = "nash.best_response";  ///< static label, never null
   double price_edge = 0.0;
   double price_cloud = 0.0;
 };
-
-/// Options for best-response dynamics.
-struct BestResponseOptions {
-  enum class Sweep { kGaussSeidel, kJacobi };
-  Sweep sweep = Sweep::kGaussSeidel;  ///< in-place vs simultaneous updates
-  double damping = 1.0;               ///< blend toward the best response
-  double tolerance = 1e-9;            ///< max-norm profile change to stop
-  int max_iterations = 5000;          ///< sweep budget
-  /// Optional iteration-probe binding (see ProbeBinding).
-  std::optional<ProbeBinding> probe;
-};
-
-/// Outcome of best-response dynamics.
-struct NashResult {
-  Profile profile;
-  double residual = 0.0;  ///< max-norm profile change in the last sweep
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Runs damped best-response dynamics from `start` until the profile stops
-/// moving. Convergence to the unique NE is guaranteed for the paper's miner
-/// subgame (Thm 2); for other games the result reports the residual.
-[[nodiscard]] NashResult solve_best_response(const BestResponseFn& best_response,
-                                             Profile start,
-                                             const BestResponseOptions& options = {});
-
-/// Largest unilateral utility improvement any player can realize by playing
-/// its best response against `profile`; ~0 at a Nash equilibrium.
-[[nodiscard]] double exploitability(const BestResponseFn& best_response,
-                                    const UtilityFn& utility,
-                                    const Profile& profile);
 
 }  // namespace hecmine::game

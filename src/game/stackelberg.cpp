@@ -29,8 +29,7 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
   num::Maximize1DOptions scan_options;
   scan_options.grid_points = options.grid_points;
   scan_options.tolerance = options.refine_tolerance;
-  const int threads =
-      support::resolve_thread_count(options.effective_threads());
+  const int threads = support::resolve_thread_count(options.context.threads);
 
   // Leader-round probe records come from the context sink (the leader stage
   // runs above the instrumented oracle, so no thread-local scope is

@@ -16,10 +16,9 @@ namespace hecmine::game {
 
 /// Payoff of leader `i` when the leader action vector is `actions`
 /// (followers assumed at their equilibrium for those actions). With
-/// StackelbergOptions::threads != 1 the driver evaluates candidate actions
+/// context.threads != 1 solve_stackelberg evaluates candidate actions
 /// concurrently, so the oracle must tolerate concurrent invocation (the
-/// library's follower solvers are pure and qualify; a memoizing oracle must
-/// use a thread-safe cache such as core::FollowerEquilibriumCache).
+/// library's follower solvers are pure and qualify).
 using LeaderPayoffFn =
     std::function<double(const std::vector<double>& actions, std::size_t leader)>;
 
@@ -40,17 +39,8 @@ struct StackelbergOptions {
   /// refinements fan out over the shared thread pool. 1 = serial; 0 = auto
   /// (HECMINE_THREADS, else hardware concurrency). Results are bitwise
   /// identical for every setting. The driver itself never touches
-  /// context.cache / context.follower — they ride along for the caller's
-  /// payoff oracle.
+  /// context.follower — it rides along for the caller's payoff oracle.
   core::SolveContext context;
-  /// Deprecated: use context.threads. A non-zero value wins over the
-  /// context for one release.
-  int threads = 0;
-
-  /// Effective thread setting after merging the deprecated field.
-  [[nodiscard]] int effective_threads() const noexcept {
-    return threads != 0 ? threads : context.threads;
-  }
 };
 
 /// Outcome of the leader iteration.

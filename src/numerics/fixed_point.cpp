@@ -1,9 +1,9 @@
 #include "numerics/fixed_point.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.hpp"
-#include "support/prof.hpp"
 
 namespace hecmine::num {
 
@@ -14,38 +14,6 @@ double max_norm_diff(const std::vector<double>& a,
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(a[i] - b[i]));
   return worst;
-}
-
-FixedPointResult iterate_fixed_point(
-    const std::function<std::vector<double>(const std::vector<double>&)>& map,
-    std::vector<double> start, const FixedPointOptions& options) {
-  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
-                  "fixed-point damping must be in (0, 1]");
-  FixedPointResult result;
-  result.point = std::move(start);
-  // Image buffer hoisted out of the loop (move-assigned from the map's
-  // return each sweep).
-  std::vector<double> image;
-  support::prof::ThreadWorkBlock* work = support::prof::current_block();
-  for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    image = map(result.point);
-    HECMINE_REQUIRE(image.size() == result.point.size(),
-                    "fixed-point map must preserve dimension");
-    result.residual = max_norm_diff(image, result.point);
-    result.iterations = iteration + 1;
-    if (work != nullptr) {
-      work->add(support::prof::WorkField::kSweeps, 1);
-      work->add(support::prof::WorkField::kConvergenceChecks, 1);
-    }
-    for (std::size_t i = 0; i < result.point.size(); ++i)
-      result.point[i] = (1.0 - options.damping) * result.point[i] +
-                        options.damping * image[i];
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      return result;
-    }
-  }
-  return result;
 }
 
 }  // namespace hecmine::num

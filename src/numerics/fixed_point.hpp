@@ -1,36 +1,10 @@
-// Damped fixed-point iteration with convergence diagnostics.
-//
-// The best-response dynamics of both subgames (miners, SPs) are fixed-point
-// iterations x <- T(x); this header provides the shared driver with damping
-// and an explicit convergence report instead of silent failure.
+// Convergence metric shared by the iterative numerics solvers (projected
+// gradient ascent, extragradient).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 namespace hecmine::num {
-
-/// Options for fixed-point iteration.
-struct FixedPointOptions {
-  double damping = 1.0;       ///< x' = (1-d) x + d T(x); 1 = undamped
-  double tolerance = 1e-10;   ///< max-norm of T(x) - x at convergence
-  int max_iterations = 2000;  ///< sweep budget
-};
-
-/// Outcome of a fixed-point iteration.
-struct FixedPointResult {
-  std::vector<double> point;   ///< last iterate
-  double residual = 0.0;       ///< max-norm of T(x) - x at the last iterate
-  int iterations = 0;          ///< sweeps performed
-  bool converged = false;
-};
-
-/// Iterates x <- (1-d) x + d T(x) from `start` until the residual
-/// ||T(x) - x||_inf falls below tolerance or the budget runs out.
-/// T must preserve the vector size.
-[[nodiscard]] FixedPointResult iterate_fixed_point(
-    const std::function<std::vector<double>(const std::vector<double>&)>& map,
-    std::vector<double> start, const FixedPointOptions& options = {});
 
 /// Max-norm distance between two equally sized vectors.
 [[nodiscard]] double max_norm_diff(const std::vector<double>& a,

@@ -31,7 +31,7 @@ namespace hecmine::rl {
 /// points of Fig. 9): the symmetric connected-mode equilibrium at the
 /// population's nominal mean count (clamped to >= 2), with the dynamic
 /// edge-success h substituted for the static one. Routed through the
-/// follower oracle; `context` carries the cache/tolerances if any.
+/// follower oracle; `context` carries the follower tolerances.
 [[nodiscard]] core::EquilibriumProfile equilibrium_reference(
     const core::NetworkParams& params, const core::Prices& prices,
     double budget, const core::PopulationModel& population,

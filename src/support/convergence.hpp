@@ -1,11 +1,10 @@
 // One convergence vocabulary for every iterative solver in the stack.
 //
-// EquilibriumProfile (core/oracle.hpp), ViResult (numerics/vi.hpp) and
-// SharedPriceGnepResult (game/gnep.hpp) each grew their own
-// `converged`/`iterations` fields; consumers that want to log or assert on
-// convergence had to know every struct's spelling. Each result type now
-// exposes `report()` returning this one struct, and the telemetry layer
-// consumes only it.
+// EquilibriumProfile (core/oracle.hpp) and ViResult (numerics/vi.hpp) each
+// grew their own `converged`/`iterations` fields; consumers that want to
+// log or assert on convergence had to know every struct's spelling. Each
+// result type exposes `report()` returning this one struct, and the
+// telemetry layer consumes only it.
 #pragma once
 
 namespace hecmine::support {

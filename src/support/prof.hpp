@@ -5,8 +5,7 @@
 // gated at 2x slack precisely because timings are machine- and
 // noise-dependent. What *does* transfer is the amount of algorithmic work
 // a solve performs: best-response kernel evaluations, Gauss-Seidel sweeps,
-// bisection iterations, cache hits, bytes staged through the SoA
-// workspace. This header makes that work first-class:
+// bisection iterations, bytes staged through the SoA workspace. This header makes that work first-class:
 //
 //   * WorkCounters — a plain snapshot of the counter taxonomy (uint64 per
 //     field). Deltas of monotone counts subtract field-wise; totals add.
@@ -57,8 +56,9 @@ enum class WorkField : std::size_t {
   kBisectionIters,        ///< GNEP surcharge bisection iterations
   kProjectionClips,       ///< iterates clipped to a box/budget bound
   kConvergenceChecks,     ///< residual / stopping-rule evaluations
-  kCacheHits,             ///< follower-equilibrium cache hits
-  kCacheMisses,           ///< follower-equilibrium cache misses
+  kCacheHits,             ///< retired follower-cache hits (always 0; kept
+                          ///< so committed ledgers keep their columns)
+  kCacheMisses,           ///< retired follower-cache misses (always 0)
   kSoaBytesMoved,         ///< bytes staged through AoS<->SoA converters
 };
 

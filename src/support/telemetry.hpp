@@ -2,9 +2,9 @@
 // stack.
 //
 // Everything the solvers compute about their own behaviour — convergence
-// iterations, VI residual progress, cache hit rates, per-phase wall time —
-// used to be thrown away at the end of a solve. This header makes those
-// numbers first-class so every perf or robustness claim can be made from a
+// iterations, VI residual progress, per-phase wall time — used to be
+// thrown away at the end of a solve. This header makes those numbers
+// first-class so every perf or robustness claim can be made from a
 // machine-readable profile instead of a stopwatch:
 //
 //   * MetricsRegistry — named monotonic Counters, Gauges and fixed-bucket

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/audit.hpp"
-#include "core/equilibrium_cache.hpp"
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "core/sp.hpp"
@@ -54,22 +53,8 @@ TEST(ClassPartition, ExactKeysBucketDuplicatesAndSortAscending) {
   EXPECT_EQ(partition.class_of, expected);
 }
 
-TEST(ClassPartition, QuantizationCollapsesNearEqualBudgets) {
-  const std::vector<double> budgets{100.0, 100.4, 99.6, 150.0};
-  const auto exact = partition_budget_classes(budgets);
-  EXPECT_EQ(exact.classes.size(), 4u);
-  const auto coarse = partition_budget_classes(budgets, 1.0);
-  ASSERT_EQ(coarse.classes.size(), 2u);
-  EXPECT_EQ(coarse.classes[0].budget, 100.0);
-  EXPECT_EQ(coarse.classes[0].count, 3);
-  EXPECT_EQ(coarse.classes[1].budget, 150.0);
-  EXPECT_EQ(coarse.classes[1].count, 1);
-}
-
 TEST(ClassPartition, RejectsNegativeInputs) {
   EXPECT_THROW((void)partition_budget_classes({-1.0}),
-               support::PreconditionError);
-  EXPECT_THROW((void)partition_budget_classes({1.0}, -0.5),
                support::PreconditionError);
 }
 
@@ -218,7 +203,7 @@ TEST(ProfileOracleDispatch, MakeFollowerOracleRoutesHeterogeneousPools) {
   const NetworkParams params = default_params();
   SolveContext context;
   context.aggregate.dispatch_threshold = 2;
-  // No cache/telemetry: the factory returns the bare aggregate oracle.
+  // No telemetry: the factory returns the bare aggregate oracle.
   const auto oracle = make_follower_oracle(params, few_class_budgets(),
                                            EdgeMode::kConnected, context);
   EXPECT_NE(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
@@ -228,48 +213,6 @@ TEST(ProfileOracleDispatch, MakeFollowerOracleRoutesHeterogeneousPools) {
       params, std::vector<double>(8, 40.0), EdgeMode::kConnected, context);
   EXPECT_EQ(dynamic_cast<const ClassAggregateOracle*>(homogeneous.get()),
             nullptr);
-}
-
-TEST(ClassAggregateOracle, LazyExpansionSurvivesTheCacheDecorator) {
-  const NetworkParams params = default_params();
-  const Prices prices{2.0, 1.0};
-  FollowerEquilibriumCache cache(64);
-  auto inner = std::make_unique<ClassAggregateOracle>(
-      params, few_class_budgets(), EdgeMode::kConnected);
-  const auto direct = inner->solve(prices);
-  CachedFollowerOracle cached(std::move(inner), cache);
-  const auto miss = cached.solve(prices);
-  const auto hit = cached.solve(prices);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  for (const auto* profile : {&miss, &hit}) {
-    ASSERT_TRUE(profile->class_shaped());
-    ASSERT_EQ(profile->requests.size(), 3u);
-    EXPECT_EQ(profile->expanded().size(), 5u);
-    for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(profile->request(i).edge, direct.request(i).edge);
-      EXPECT_EQ(profile->utility(i), direct.utility(i));
-    }
-  }
-}
-
-TEST(ClassAggregateOracle, EnvHashSeparatesShapeModeAndQuantum) {
-  const NetworkParams params = default_params();
-  const std::vector<double> budgets = few_class_budgets();
-  const ClassAggregateOracle connected(params, budgets, EdgeMode::kConnected);
-  const ClassAggregateOracle standalone(params, budgets,
-                                        EdgeMode::kStandalone);
-  const ClassAggregateOracle quantized(params, budgets, EdgeMode::kConnected,
-                                       {}, 1.0);
-  const ClassAggregateOracle reordered(params, {50.0, 120.0, 120.0, 50.0, 200.0},
-                                       EdgeMode::kConnected);
-  EXPECT_NE(connected.env_hash(), standalone.env_hash());
-  EXPECT_NE(connected.env_hash(), quantized.env_hash());
-  // Same multiset, different per-miner order: request(i) answers differ,
-  // so the identities must too.
-  EXPECT_NE(connected.env_hash(), reordered.env_hash());
-  // The aggregate oracle never shares a key with the dense oracle.
-  EXPECT_NE(connected.env_hash(),
-            ConnectedNepOracle(params, budgets).env_hash());
 }
 
 TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {
@@ -306,11 +249,6 @@ TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {
                                                 audit_options);
   EXPECT_EQ(sampled.budget_slack.size(), 3u);
   EXPECT_LE(sampled.best_response_gap, full.best_response_gap + 1e-12);
-  // legacy conversion expands utilities through the class map.
-  const MinerEquilibrium legacy = to_miner_equilibrium(profile);
-  ASSERT_EQ(legacy.requests.size(), budgets.size());
-  ASSERT_EQ(legacy.utilities.size(), budgets.size());
-  EXPECT_EQ(legacy.utilities[1], legacy.utilities[3]);
 }
 
 TEST(ClassAggregateOracle, LeaderStagePricesMatchDenseWithAggregateDispatch) {
@@ -320,10 +258,6 @@ TEST(ClassAggregateOracle, LeaderStagePricesMatchDenseWithAggregateDispatch) {
   options.grid_points = 6;
   options.max_rounds = 4;
   options.tolerance = 1e-2;
-  // One shared cache serves both runs: the aggregate oracle's env_hash
-  // differs from the dense one, so entries never cross-contaminate.
-  FollowerEquilibriumCache cache(1 << 14);
-  options.context.cache = &cache;
   // Scan-grade follower tolerances (the symmetric leader path caps scan
   // solves the same way); exploitability certification keeps the returned
   // equilibria honest, and both runs share the settings.

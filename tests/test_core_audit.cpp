@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
+#include "core/sp.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/telemetry.hpp"
@@ -277,6 +279,71 @@ TEST(Audit, PrintRendersEveryMetric) {
         "monotonicity_quotient", "uniqueness_ok", "leader_gap_edge"}) {
     EXPECT_NE(text.find(label), std::string::npos) << label;
   }
+}
+
+// The metric names a canonical run emits: the leader stage at threads = 1
+// on one homogeneous and one heterogeneous pool in each edge mode, then
+// the auditor on each answer with its gauges exported. A metric that
+// vanishes or appears changes this list, so rename, retire or add metrics
+// here on purpose.
+const std::vector<std::string> kMetricCatalog = {
+    "audit.best_response_gap",
+    "audit.capacity_violation",
+    "audit.converged",
+    "audit.leader_gap_cloud",
+    "audit.leader_gap_edge",
+    "audit.min_budget_slack",
+    "audit.mixed_price_condition",
+    "audit.monotonicity_quotient",
+    "audit.uniqueness_ok",
+    "gnep.inner_solves",
+    "gnep.solves",
+    "oracle.iterations",
+    "oracle.nonconverged",
+    "oracle.solve_ms",
+    "oracle.solves",
+    "sp.best_response_rounds",
+    "sp.leader_solves",
+    "sp.sequential_fallbacks",
+};
+
+TEST(MetricCatalog, CanonicalRunEmitsTheCheckedInNames) {
+  support::Telemetry telemetry;
+  SpSolveOptions options;
+  options.grid_points = 8;
+  options.context.threads = 1;
+  options.context.telemetry = &telemetry;
+  AuditOptions audit_options;
+  audit_options.context = options.context;
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    for (const std::vector<double>& budgets :
+         {std::vector<double>(4, 200.0), std::vector<double>{200.0, 220.0}}) {
+      const Scenario scenario = make_scenario(budgets, mode);
+      const LeaderStageResult result =
+          solve_leader_stage(scenario.params, budgets, mode, options);
+      record_audit(telemetry,
+                   audit_equilibrium(scenario, result.prices, result.followers,
+                                     audit_options));
+    }
+  }
+
+  const support::MetricsSnapshot snapshot = telemetry.metrics.snapshot();
+  std::set<std::string> emitted;
+  for (const auto& counter : snapshot.counters) emitted.insert(counter.name);
+  for (const auto& gauge : snapshot.gauges) emitted.insert(gauge.name);
+  for (const auto& histogram : snapshot.histograms)
+    emitted.insert(histogram.name);
+  const std::set<std::string> expected(kMetricCatalog.begin(),
+                                       kMetricCatalog.end());
+  std::string appeared;
+  std::string vanished;
+  for (const std::string& name : emitted)
+    if (expected.count(name) == 0) appeared += " " + name;
+  for (const std::string& name : expected)
+    if (emitted.count(name) == 0) vanished += " " + name;
+  EXPECT_TRUE(appeared.empty() && vanished.empty())
+      << "metrics not in the catalog:" << appeared
+      << "\ncatalog metrics not emitted:" << vanished;
 }
 
 }  // namespace

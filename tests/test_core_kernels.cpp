@@ -1,6 +1,7 @@
 // Tests for the SoA kernel layer (core/soa.hpp + core/kernels.hpp):
 // AoS <-> SoA round-trip exactness, batch-of-one vs scalar bitwise parity,
-// and batched-vs-legacy sweep parity on heterogeneous NEP/GNEP fixtures.
+// and parity of the batched sweeps with the class-aggregate solver on
+// heterogeneous NEP/GNEP fixtures.
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/aggregate_oracle.hpp"
 #include "core/equilibrium.hpp"
 #include "core/miner.hpp"
 #include "core/soa.hpp"
@@ -128,60 +130,24 @@ TEST(ScalarKernels, BitwiseMatchMinerEntryPoints) {
   }
 }
 
-TEST(BatchKernels, MatchScalarKernelsPerMiner) {
-  // batch_* loops must agree bitwise with the scalar kernels evaluated at
-  // the same running-total-derived opponent aggregates.
-  const NetworkParams params = default_params();
-  const Prices prices{2.0, 1.0};
-  const KernelEnv env = make_kernel_env(params, prices, 0.9, 0.0);
-  support::Rng rng{31};
-  std::vector<double> budgets(13);
-  std::vector<MinerRequest> requests(13);
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    budgets[i] = rng.uniform(5.0, 60.0);
-    requests[i] = {rng.uniform(0.0, 4.0), rng.uniform(0.0, 8.0)};
-  }
-  MinerBatch batch = make_miner_batch(budgets, requests);
-  batch_utility(env, batch);
-  batch_best_response(env, batch);
-  std::vector<double> du_de(batch.size());
-  std::vector<double> du_dc(batch.size());
-  batch_gradient(env, batch, du_de.data(), du_dc.data());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double oe = std::max(0.0, batch.total_edge - batch.edge[i]);
-    const double og = oe + std::max(0.0, batch.total_cloud - batch.cloud[i]);
-    EXPECT_EQ(batch.utility[i],
-              utility_kernel(env, batch.edge[i], batch.cloud[i], oe, og));
-    const MinerRequest br = best_response_kernel(env, budgets[i], oe, og);
-    EXPECT_EQ(batch.response_edge[i], br.edge);
-    EXPECT_EQ(batch.response_cloud[i], br.cloud);
-    double ge = 0.0;
-    double gc = 0.0;
-    gradient_kernel(env, batch.edge[i], batch.cloud[i], oe, og, ge, gc);
-    EXPECT_EQ(du_de[i], ge);
-    EXPECT_EQ(du_dc[i], gc);
-  }
-}
-
 TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
-  // Theorem 2 uniqueness: the batched Gauss-Seidel driver and the legacy
-  // std::function sweep must land on the same equilibrium.
+  // Theorem 2 uniqueness: the batched Gauss-Seidel sweep and the
+  // class-aggregate solver (one class per miner here) must land on the
+  // same equilibrium.
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{5.0, 12.5, 20.0, 35.0, 60.0, 90.0};
-  MinerSolveOptions batched;
-  batched.use_kernels = true;
-  MinerSolveOptions legacy;
-  legacy.use_kernels = false;
-  const auto eq_batched = solve_connected_nep(params, prices, budgets, batched);
-  const auto eq_legacy = solve_connected_nep(params, prices, budgets, legacy);
+  const auto eq_batched = solve_connected_nep(params, prices, budgets);
+  const auto eq_classes =
+      ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+          .solve(prices);
   ASSERT_TRUE(eq_batched.converged);
-  ASSERT_TRUE(eq_legacy.converged);
+  ASSERT_TRUE(eq_classes.converged);
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, eq_legacy.requests[i].edge, 1e-6);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_legacy.requests[i].cloud,
+    EXPECT_NEAR(eq_batched.requests[i].edge, eq_classes.request(i).edge, 1e-6);
+    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_classes.request(i).cloud,
                 1e-6);
-    EXPECT_NEAR(eq_batched.utilities[i], eq_legacy.utilities[i], 1e-4);
+    EXPECT_NEAR(eq_batched.utilities[i], eq_classes.utility(i), 1e-4);
   }
   EXPECT_NEAR(miner_exploitability(params, prices, budgets,
                                    eq_batched.requests, true),
@@ -189,47 +155,28 @@ TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
 }
 
 TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
-  // Tight capacity so the surcharge bisection actually runs in both paths.
+  // Tight capacity so the surcharge bisection actually runs in both the
+  // batched decomposition and the class-aggregate solver.
   NetworkParams params = default_params();
   params.edge_capacity = 4.0;
   const Prices prices{1.6, 1.0};
   const std::vector<double> budgets{8.0, 15.0, 30.0, 55.0};
-  MinerSolveOptions batched;
-  batched.use_kernels = true;
-  MinerSolveOptions legacy;
-  legacy.use_kernels = false;
-  const auto eq_batched =
-      solve_standalone_gnep(params, prices, budgets, batched);
-  const auto eq_legacy = solve_standalone_gnep(params, prices, budgets, legacy);
+  const auto eq_batched = solve_standalone_gnep(params, prices, budgets);
+  const auto eq_classes =
+      ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
+          .solve(prices);
   ASSERT_TRUE(eq_batched.converged);
-  ASSERT_TRUE(eq_legacy.converged);
-  EXPECT_EQ(eq_batched.cap_active, eq_legacy.cap_active);
-  EXPECT_NEAR(eq_batched.surcharge, eq_legacy.surcharge,
-              1e-4 * (1.0 + eq_legacy.surcharge));
-  EXPECT_NEAR(eq_batched.totals.edge, eq_legacy.totals.edge, 1e-5);
+  ASSERT_TRUE(eq_classes.converged);
+  EXPECT_EQ(eq_batched.cap_active, eq_classes.cap_active);
+  EXPECT_NEAR(eq_batched.surcharge, eq_classes.surcharge,
+              1e-4 * (1.0 + eq_classes.surcharge));
+  EXPECT_NEAR(eq_batched.totals.edge, eq_classes.totals.edge, 1e-5);
   EXPECT_LE(eq_batched.totals.edge, params.edge_capacity * (1.0 + 1e-6));
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, eq_legacy.requests[i].edge, 1e-4);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_legacy.requests[i].cloud,
+    EXPECT_NEAR(eq_batched.requests[i].edge, eq_classes.request(i).edge,
                 1e-4);
-  }
-}
-
-TEST(BatchSweeps, ConvergenceStrideDoesNotMoveTheEquilibrium) {
-  const NetworkParams params = default_params();
-  const Prices prices{2.2, 0.9};
-  const std::vector<double> budgets{10.0, 25.0, 40.0, 70.0};
-  MinerSolveOptions stride1;
-  stride1.convergence_stride = 1;
-  MinerSolveOptions stride8;
-  stride8.convergence_stride = 8;
-  const auto eq1 = solve_connected_nep(params, prices, budgets, stride1);
-  const auto eq8 = solve_connected_nep(params, prices, budgets, stride8);
-  ASSERT_TRUE(eq1.converged);
-  ASSERT_TRUE(eq8.converged);
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq1.requests[i].edge, eq8.requests[i].edge, 1e-6);
-    EXPECT_NEAR(eq1.requests[i].cloud, eq8.requests[i].cloud, 1e-6);
+    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_classes.request(i).cloud,
+                1e-4);
   }
 }
 
@@ -238,10 +185,6 @@ TEST(BatchSweeps, InvalidOptionsThrow) {
   const KernelEnv env = make_kernel_env(params, {2.0, 1.0}, 0.9, 0.0);
   MinerBatch batch = make_miner_batch({10.0, 20.0});
   MinerSolveOptions options;
-  options.convergence_stride = 0;
-  EXPECT_THROW(solve_nep_batch(env, batch, options, {"t", 2.0, 1.0}),
-               support::PreconditionError);
-  options = {};
   options.damping = 0.0;
   EXPECT_THROW(solve_nep_batch(env, batch, options, {"t", 2.0, 1.0}),
                support::PreconditionError);

@@ -1,6 +1,6 @@
 // Tests for the FollowerOracle layer (core/oracle.hpp): every oracle must
-// agree with its underlying solver, the decorators must be transparent,
-// and the dispatch helpers must pick the documented fast paths. Registered
+// agree with its underlying solver, and the dispatch helpers must pick the
+// documented fast paths. Registered
 // under the `oracle` ctest label so `ctest -L oracle` runs exactly the
 // equivalence suite.
 #include "core/oracle.hpp"
@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/equilibrium_cache.hpp"
 #include "core/sp.hpp"
 #include "support/error.hpp"
 
@@ -114,66 +113,6 @@ TEST(OracleParity, GnepSharedPriceAndViAgree) {
   EXPECT_NEAR(vi.surcharge, shared.surcharge, 5e-2);
 }
 
-TEST(OracleEnvHash, SeparatesEnvironmentsAndIgnoresNothing) {
-  const NetworkParams params = default_params();
-  const std::vector<double> budgets{20.0, 30.0};
-  const std::uint64_t base = ConnectedNepOracle(params, budgets).env_hash();
-  // Same construction: same identity.
-  EXPECT_EQ(ConnectedNepOracle(params, budgets).env_hash(), base);
-  // Any non-price input shifts the hash.
-  NetworkParams other = params;
-  other.fork_rate = 0.3;
-  EXPECT_NE(ConnectedNepOracle(other, budgets).env_hash(), base);
-  EXPECT_NE(ConnectedNepOracle(params, {20.0, 31.0}).env_hash(), base);
-  MinerSolveOptions tighter;
-  tighter.tolerance = 1e-12;
-  EXPECT_NE(ConnectedNepOracle(params, budgets, tighter).env_hash(), base);
-  // The two standalone algorithms never share cache entries.
-  EXPECT_NE(StandaloneGnepOracle(params, budgets, GnepAlgorithm::kSharedPrice)
-                .env_hash(),
-            StandaloneGnepOracle(params, budgets, GnepAlgorithm::kVi)
-                .env_hash());
-}
-
-TEST(CachedOracle, IsBitwiseTransparentAtSnappedPrices) {
-  // The decorator snaps prices to the cache quantum and delegates, so a
-  // cached solve must equal the inner oracle evaluated at snap_prices().
-  const NetworkParams params = default_params();
-  FollowerEquilibriumCache cache;
-  auto inner = std::make_unique<SymmetricFollowerOracle>(
-      params, 40.0, 5, EdgeMode::kConnected);
-  const SymmetricFollowerOracle reference(params, 40.0, 5,
-                                          EdgeMode::kConnected);
-  const CachedFollowerOracle cached(std::move(inner), cache);
-  const Prices raw{2.000000037, 0.999999981};
-  const auto via_cache = cached.solve(raw);
-  const auto direct = reference.solve(cache.snap_prices(raw));
-  EXPECT_EQ(via_cache.request().edge, direct.request().edge);    // bitwise
-  EXPECT_EQ(via_cache.request().cloud, direct.request().cloud);  // bitwise
-  EXPECT_EQ(via_cache.totals.edge, direct.totals.edge);
-  EXPECT_EQ(via_cache.utility(), direct.utility());
-}
-
-TEST(CachedOracle, SecondSolveHitsAndPreservesTheAnswer) {
-  const NetworkParams params = default_params();
-  FollowerEquilibriumCache cache;
-  const CachedFollowerOracle cached(
-      std::make_unique<SymmetricFollowerOracle>(params, 40.0, 5,
-                                                EdgeMode::kConnected),
-      cache);
-  const Prices prices{2.0, 1.0};
-  const auto first = cached.solve(prices);
-  const auto second = cached.solve(prices);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(second.request().edge, first.request().edge);
-  EXPECT_EQ(second.totals.cloud, first.totals.cloud);
-  // The decorator forwards identity and shape queries to the inner oracle.
-  EXPECT_EQ(cached.env_hash(), cached.inner().env_hash());
-  EXPECT_EQ(cached.miner_count(), 5);
-  EXPECT_EQ(cached.mode(), EdgeMode::kConnected);
-}
-
 TEST(MakeFollowerOracle, DispatchesTheDocumentedFastPaths) {
   const NetworkParams params = default_params();
   // Equal budgets: symmetric fast path.
@@ -192,13 +131,6 @@ TEST(MakeFollowerOracle, DispatchesTheDocumentedFastPaths) {
   // Degenerate zero budgets skip the fast path (it needs budget > 0).
   EXPECT_TRUE(dynamic_cast<ConnectedNepOracle*>(
       make_follower_oracle(params, {0.0, 0.0}, EdgeMode::kConnected).get()));
-  // A context cache layers the decorator on top.
-  FollowerEquilibriumCache cache;
-  SolveContext context;
-  context.cache = &cache;
-  EXPECT_TRUE(dynamic_cast<CachedFollowerOracle*>(
-      make_follower_oracle(params, {40.0, 40.0}, EdgeMode::kConnected, context)
-          .get()));
 }
 
 TEST(SolveFollowers, AutoDispatchMatchesTheExplicitSymmetricCall) {
@@ -250,60 +182,6 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
               0.05 * fast.followers.totals.grand());
 }
 
-TEST(DeprecatedShims, ReproduceTheLeaderStageResultsExactly) {
-  // The shims are thin delegations: same inputs, bitwise-equal outputs in
-  // the legacy result shapes.
-  const NetworkParams params = default_params();
-  const auto options = fast_options();
-  const auto modern = solve_leader_stage_homogeneous(
-      params, 40.0, 5, EdgeMode::kConnected, options);
-  const auto shim = solve_sp_equilibrium_homogeneous(
-      params, 40.0, 5, EdgeMode::kConnected, options);
-  EXPECT_EQ(shim.prices.edge, modern.prices.edge);
-  EXPECT_EQ(shim.prices.cloud, modern.prices.cloud);
-  EXPECT_EQ(shim.profits.edge, modern.profits.edge);
-  EXPECT_EQ(shim.follower.request.edge, modern.followers.request().edge);
-  EXPECT_EQ(shim.rounds, modern.rounds);
-
-  const std::vector<double> budgets{20.0, 30.0, 40.0};
-  // Bitwise shim parity is about delegation, not convergence — skip the
-  // (expensive) sequential fallback of the cycling heterogeneous game.
-  SpSolveOptions hetero = options;
-  hetero.sequential_fallback = false;
-  hetero.context.follower.tolerance = 1e-6;
-  const auto modern_full =
-      solve_leader_stage(params, budgets, EdgeMode::kConnected, hetero);
-  const auto shim_full =
-      solve_sp_equilibrium(params, budgets, EdgeMode::kConnected, hetero);
-  EXPECT_EQ(shim_full.prices.edge, modern_full.prices.edge);
-  EXPECT_EQ(shim_full.prices.cloud, modern_full.prices.cloud);
-  ASSERT_EQ(shim_full.followers.requests.size(), 3u);
-  EXPECT_EQ(shim_full.followers.requests[1].edge,
-            modern_full.followers.request(1).edge);
-}
-
-TEST(DeprecatedShims, ResolvedContextMergesLegacyFieldsOverTheContext) {
-  FollowerEquilibriumCache cache;
-  SpSolveOptions options;
-  options.context.threads = 2;
-  options.context.follower.tolerance = 1e-7;
-  // Legacy fields still set by old call sites win over the context.
-  options.threads = 3;
-  options.cache = &cache;
-  options.follower.tolerance = 1e-5;
-  const SolveContext resolved = options.resolved_context();
-  EXPECT_EQ(resolved.threads, 3);
-  EXPECT_EQ(resolved.cache, &cache);
-  EXPECT_DOUBLE_EQ(resolved.follower.tolerance, 1e-5);
-  // Untouched legacy fields defer to the context.
-  SpSolveOptions modern;
-  modern.context.threads = 4;
-  modern.context.follower.tolerance = 1e-7;
-  const SolveContext kept = modern.resolved_context();
-  EXPECT_EQ(kept.threads, 4);
-  EXPECT_DOUBLE_EQ(kept.follower.tolerance, 1e-7);
-}
-
 TEST(Exploitability, ProfileOverloadCertifiesOracleEquilibria) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
@@ -338,10 +216,6 @@ TEST(PopulationOracle, IsDeterministicInTheContextRngRoot) {
   EXPECT_EQ(first.utility(), second.utility());
   EXPECT_TRUE(first.symmetric);
   EXPECT_GE(oracle.miner_count(), 2);
-  // The sample count is part of the oracle's cacheable identity.
-  const PopulationExpectationOracle more_samples(
-      params, 12.0, population, EdgeMode::kConnected, 128, context);
-  EXPECT_NE(more_samples.env_hash(), oracle.env_hash());
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ SpSolveOptions fast_options() {
   options.grid_points = 28;
   options.max_rounds = 40;
   options.tolerance = 1e-4;
-  options.follower.tolerance = 1e-8;
+  options.context.follower.tolerance = 1e-8;
   return options;
 }
 
@@ -45,7 +45,7 @@ TEST(SpProfits, MatchesDefinition) {
 
 TEST(HomogeneousStackelberg, ConnectedEquilibriumIsSane) {
   const NetworkParams params = default_params();
-  const auto result = solve_sp_equilibrium_homogeneous(
+  const auto result = solve_leader_stage_homogeneous(
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
   EXPECT_TRUE(result.converged);
   // Prices above cost (otherwise an SP would be better off at cost).
@@ -56,7 +56,7 @@ TEST(HomogeneousStackelberg, ConnectedEquilibriumIsSane) {
   EXPECT_GE(result.profits.edge, 0.0);
   EXPECT_GE(result.profits.cloud, 0.0);
   // Miners actually buy at the equilibrium.
-  EXPECT_GT(result.follower.request.total(), 0.0);
+  EXPECT_GT(result.followers.request().total(), 0.0);
 }
 
 TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
@@ -65,13 +65,13 @@ TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
   // ESP cannot gain by deviating along the CSP's reaction curve.
   const NetworkParams params = default_params();
   const auto options = fast_options();
-  const auto result = solve_sp_equilibrium_homogeneous(
+  const auto result = solve_leader_stage_homogeneous(
       params, 40.0, 5, EdgeMode::kConnected, options);
   const auto cloud_payoff = [&](const Prices& prices) {
     const auto eq =
         solve_followers_symmetric(params, prices, 40.0, 5,
                                   EdgeMode::kConnected,
-                                  options.resolved_context());
+                                  options.context);
     return sp_profits(params, prices, eq.totals).cloud;
   };
   const auto composite_edge_payoff = [&](double pe) {
@@ -81,7 +81,7 @@ TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
     const auto eq =
         solve_followers_symmetric(params, {pe, pc}, 40.0, 5,
                                   EdgeMode::kConnected,
-                                  options.resolved_context());
+                                  options.context);
     return sp_profits(params, {pe, pc}, eq.totals).edge;
   };
   const double base_cloud = cloud_payoff(result.prices);
@@ -103,9 +103,9 @@ TEST(HomogeneousStackelberg, StandaloneSellsOutTheEdge) {
   // Paper Problem 2c: at the standalone SP equilibrium the ESP sells its
   // whole capacity (with sufficient miner budgets).
   const NetworkParams params = default_params();
-  const auto result = solve_sp_equilibrium_homogeneous(
+  const auto result = solve_leader_stage_homogeneous(
       params, 500.0, 5, EdgeMode::kStandalone, fast_options());
-  EXPECT_NEAR(5.0 * result.follower.request.edge, params.edge_capacity,
+  EXPECT_NEAR(5.0 * result.followers.request().edge, params.edge_capacity,
               0.05 * params.edge_capacity);
 }
 
@@ -116,10 +116,10 @@ TEST(HomogeneousStackelberg, StandaloneEspChargesMoreAndEarnsMore) {
   // connected mode, while the CSP's profit does not improve.
   NetworkParams params = default_params();
   params.edge_capacity = 4.0;
-  const auto connected = solve_sp_equilibrium_homogeneous(
+  const auto connected = solve_leader_stage_homogeneous(
       params, 500.0, 5, EdgeMode::kConnected, fast_options());
   const auto standalone =
-      solve_sp_standalone_sellout(params, 500.0, 5, fast_options());
+      solve_leader_stage_sellout(params, 500.0, 5, fast_options());
   EXPECT_GT(standalone.prices.edge, connected.prices.edge);
   EXPECT_GT(standalone.profits.edge, connected.profits.edge);
   EXPECT_LT(standalone.profits.cloud, connected.profits.cloud * 1.05);
@@ -131,7 +131,7 @@ TEST(HomogeneousStackelberg, StandaloneSelloutMatchesTableIIClosedForm) {
   ASSERT_TRUE(closed.valid);
   SpSolveOptions options = fast_options();
   options.grid_points = 80;
-  const auto numeric = solve_sp_standalone_sellout(params, 1e4, 5, options);
+  const auto numeric = solve_leader_stage_sellout(params, 1e4, 5, options);
   EXPECT_NEAR(numeric.prices.cloud, closed.prices.cloud,
               0.02 * closed.prices.cloud);
   EXPECT_NEAR(numeric.prices.edge, closed.prices.edge,
@@ -147,8 +147,8 @@ TEST(HomogeneousStackelberg, UnconstrainedStandaloneLetsCspUndercut) {
   // yields the ESP weakly less profit than the Table II point.
   const NetworkParams params = default_params();
   const auto sellout =
-      solve_sp_standalone_sellout(params, 1e4, 5, fast_options());
-  const auto free_game = solve_sp_equilibrium_homogeneous(
+      solve_leader_stage_sellout(params, 1e4, 5, fast_options());
+  const auto free_game = solve_leader_stage_homogeneous(
       params, 1e4, 5, EdgeMode::kStandalone, fast_options());
   EXPECT_LE(free_game.profits.edge, sellout.profits.edge * 1.01);
 }
@@ -234,9 +234,9 @@ TEST(SequentialSolve, AgreesWithSimultaneousOnProfits) {
   // Theorem 4's sequential construction should give (approximately) the
   // same outcome as asynchronous best response when the latter converges.
   const NetworkParams params = default_params();
-  const auto simultaneous = solve_sp_equilibrium_homogeneous(
+  const auto simultaneous = solve_leader_stage_homogeneous(
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
-  const auto sequential = solve_sp_sequential_homogeneous(
+  const auto sequential = solve_leader_stage_sequential(
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
   EXPECT_NEAR(sequential.profits.edge, simultaneous.profits.edge,
               0.1 * std::abs(simultaneous.profits.edge) + 0.5);
@@ -250,24 +250,24 @@ TEST(FullProfileStackelberg, HeterogeneousBudgetsSolve) {
   options.tolerance = 1e-3;
   const std::vector<double> budgets{20.0, 30.0, 40.0};
   const auto result =
-      solve_sp_equilibrium(params, budgets, EdgeMode::kConnected, options);
+      solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
   EXPECT_GT(result.prices.edge, params.cost_edge);
   EXPECT_GT(result.prices.cloud, params.cost_cloud);
   EXPECT_GT(result.followers.totals.grand(), 0.0);
   // Richer miners buy more at the equilibrium prices.
-  EXPECT_GE(result.followers.requests[2].total(),
-            result.followers.requests[0].total() - 1e-6);
+  EXPECT_GE(result.followers.request(2).total(),
+            result.followers.request(0).total() - 1e-6);
 }
 
 TEST(SpSolve, ValidatesInputs) {
   const NetworkParams params = default_params();
-  EXPECT_THROW((void)solve_sp_equilibrium_homogeneous(
+  EXPECT_THROW((void)solve_leader_stage_homogeneous(
                    params, 0.0, 5, EdgeMode::kConnected),
                support::PreconditionError);
-  EXPECT_THROW((void)solve_sp_equilibrium_homogeneous(
+  EXPECT_THROW((void)solve_leader_stage_homogeneous(
                    params, 10.0, 1, EdgeMode::kConnected),
                support::PreconditionError);
-  EXPECT_THROW((void)solve_sp_equilibrium(params, {}, EdgeMode::kConnected),
+  EXPECT_THROW((void)solve_leader_stage(params, {}, EdgeMode::kConnected),
                support::PreconditionError);
 }
 

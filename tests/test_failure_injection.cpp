@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "core/oracle.hpp"
-#include "game/nash.hpp"
 #include "game/stackelberg.hpp"
 #include "net/campaign.hpp"
 #include "net/network.hpp"
@@ -18,17 +17,6 @@
 
 namespace hecmine {
 namespace {
-
-TEST(FailureInjection, ThrowingBestResponsePropagates) {
-  int calls = 0;
-  const game::BestResponseFn oracle = [&](const game::Profile&,
-                                          std::size_t) -> std::vector<double> {
-    if (++calls >= 3) throw std::runtime_error("oracle exploded");
-    return {1.0};
-  };
-  EXPECT_THROW((void)game::solve_best_response(oracle, {{0.0}, {0.0}}),
-               std::runtime_error);
-}
 
 TEST(FailureInjection, ThrowingLeaderPayoffPropagates) {
   const game::LeaderPayoffFn payoff = [](const std::vector<double>&,

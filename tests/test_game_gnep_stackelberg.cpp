@@ -1,82 +1,15 @@
-// Tests for game/gnep and game/stackelberg on toys with known solutions.
+// Tests for game/stackelberg on toys with known solutions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
-#include "game/gnep.hpp"
 #include "game/stackelberg.hpp"
 #include "numerics/optimize.hpp"
 #include "support/error.hpp"
 
 namespace hecmine::game {
 namespace {
-
-// Toy jointly convex GNEP: player i maximizes -(x_i - t_i)^2 subject to
-// x_i >= 0 and the shared cap x_1 + x_2 <= cap. The variational
-// equilibrium shares one multiplier mu: x_i = max(t_i - mu/2, 0) with
-// complementarity on the cap.
-struct ToyGnep {
-  double t1 = 3.0, t2 = 5.0;
-
-  [[nodiscard]] PenalizedBestResponseFn oracle() const {
-    return [*this](const Profile&, std::size_t player, double mu) {
-      const double target = player == 0 ? t1 : t2;
-      return std::vector<double>{std::max(0.0, target - 0.5 * mu)};
-    };
-  }
-
-  [[nodiscard]] static SharedUsageFn usage() {
-    return [](const Profile& profile) {
-      return profile[0][0] + profile[1][0];
-    };
-  }
-};
-
-TEST(SharedPriceGnep, SlackCapGivesUnconstrainedOptima) {
-  const ToyGnep toy;
-  const auto result = solve_shared_price_gnep(toy.oracle(), ToyGnep::usage(),
-                                              100.0, {{0.0}, {0.0}});
-  ASSERT_TRUE(result.converged);
-  EXPECT_FALSE(result.cap_active);
-  EXPECT_DOUBLE_EQ(result.surcharge, 0.0);
-  EXPECT_NEAR(result.profile[0][0], 3.0, 1e-8);
-  EXPECT_NEAR(result.profile[1][0], 5.0, 1e-8);
-}
-
-TEST(SharedPriceGnep, BindingCapFindsVariationalEquilibrium) {
-  // cap = 4: mu solves (t1 - mu/2) + (t2 - mu/2) = 4 -> mu = 4,
-  // x = (1, 3).
-  const ToyGnep toy;
-  const auto result = solve_shared_price_gnep(toy.oracle(), ToyGnep::usage(),
-                                              4.0, {{0.0}, {0.0}});
-  ASSERT_TRUE(result.converged);
-  EXPECT_TRUE(result.cap_active);
-  EXPECT_NEAR(result.surcharge, 4.0, 1e-5);
-  EXPECT_NEAR(result.profile[0][0], 1.0, 1e-5);
-  EXPECT_NEAR(result.profile[1][0], 3.0, 1e-5);
-  EXPECT_NEAR(result.shared_usage, 4.0, 1e-6);
-}
-
-TEST(SharedPriceGnep, CapTighterThanOnePlayersDemand) {
-  // cap = 1: mu = (3 + 5 - 1) ... with both interior mu solves 8 - mu = 1,
-  // mu = 7 -> x1 = max(3 - 3.5, 0) = 0, x2 = 5 - 3.5 = 1.5 > cap. The true
-  // variational point has x1 = 0, x2 = 1, mu = 8.
-  const ToyGnep toy;
-  const auto result = solve_shared_price_gnep(toy.oracle(), ToyGnep::usage(),
-                                              1.0, {{0.0}, {0.0}});
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.profile[0][0], 0.0, 1e-5);
-  EXPECT_NEAR(result.profile[1][0], 1.0, 1e-5);
-  EXPECT_NEAR(result.surcharge, 8.0, 1e-4);
-}
-
-TEST(SharedPriceGnep, ValidatesCap) {
-  const ToyGnep toy;
-  EXPECT_THROW((void)solve_shared_price_gnep(toy.oracle(), ToyGnep::usage(),
-                                             -1.0, {{0.0}, {0.0}}),
-               support::PreconditionError);
-}
 
 // Differentiated-price duopoly: V_i = a_i (10 - a_i + 0.5 a_j).
 // Best response a_i = (10 + 0.5 a_j)/2; symmetric NE at a* = 20/3.

@@ -1,9 +1,7 @@
-// Tests for game/nash on games with known closed-form equilibria.
+// Tests for game/nash: the flat profile layout the VI solver uses.
 #include "game/nash.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "support/error.hpp"
 
@@ -22,92 +20,6 @@ TEST(FlattenUnflatten, RoundTrips) {
 
 TEST(FlattenUnflatten, ValidatesSizes) {
   EXPECT_THROW((void)unflatten({1.0, 2.0}, {3}), support::PreconditionError);
-}
-
-// Cournot duopoly: inverse demand P = a - b(q1 + q2), unit cost c.
-// Best response q_i = (a - c - b q_j) / (2b); NE at q_i = (a - c)/(3b).
-struct Cournot {
-  double a = 12.0, b = 1.0, c = 3.0;
-
-  [[nodiscard]] double ne_quantity() const { return (a - c) / (3.0 * b); }
-
-  [[nodiscard]] BestResponseFn best_response() const {
-    return [*this](const Profile& profile, std::size_t player) {
-      const double rival = profile[1 - player][0];
-      return std::vector<double>{
-          std::max(0.0, (a - c - b * rival) / (2.0 * b))};
-    };
-  }
-
-  [[nodiscard]] UtilityFn utility() const {
-    return [*this](const Profile& profile, std::size_t player) {
-      const double total = profile[0][0] + profile[1][0];
-      return profile[player][0] * (a - b * total - c);
-    };
-  }
-};
-
-TEST(BestResponse, GaussSeidelFindsCournotEquilibrium) {
-  const Cournot game;
-  const auto result =
-      solve_best_response(game.best_response(), {{0.0}, {10.0}});
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.profile[0][0], game.ne_quantity(), 1e-7);
-  EXPECT_NEAR(result.profile[1][0], game.ne_quantity(), 1e-7);
-}
-
-TEST(BestResponse, JacobiWithDampingFindsCournotEquilibrium) {
-  const Cournot game;
-  BestResponseOptions options;
-  options.sweep = BestResponseOptions::Sweep::kJacobi;
-  options.damping = 0.6;
-  const auto result =
-      solve_best_response(game.best_response(), {{5.0}, {5.0}}, options);
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.profile[0][0], game.ne_quantity(), 1e-6);
-}
-
-TEST(BestResponse, ConvergesFromManyStarts) {
-  const Cournot game;
-  for (double start : {0.0, 1.0, 4.5, 9.0, 20.0}) {
-    const auto result =
-        solve_best_response(game.best_response(), {{start}, {start}});
-    ASSERT_TRUE(result.converged);
-    EXPECT_NEAR(result.profile[0][0], game.ne_quantity(), 1e-6);
-  }
-}
-
-TEST(BestResponse, ReportsNonConvergenceOnTightBudget) {
-  const Cournot game;
-  BestResponseOptions options;
-  options.max_iterations = 1;
-  options.tolerance = 1e-15;
-  const auto result =
-      solve_best_response(game.best_response(), {{0.0}, {10.0}}, options);
-  EXPECT_FALSE(result.converged);
-  EXPECT_GT(result.residual, 0.0);
-}
-
-TEST(BestResponse, ValidatesInputs) {
-  const Cournot game;
-  EXPECT_THROW((void)solve_best_response(game.best_response(), {}),
-               support::PreconditionError);
-  BestResponseOptions bad;
-  bad.damping = 1.5;
-  EXPECT_THROW(
-      (void)solve_best_response(game.best_response(), {{0.0}, {0.0}}, bad),
-      support::PreconditionError);
-}
-
-TEST(Exploitability, ZeroAtEquilibriumPositiveElsewhere) {
-  const Cournot game;
-  const double q = game.ne_quantity();
-  EXPECT_NEAR(
-      exploitability(game.best_response(), game.utility(), {{q}, {q}}), 0.0,
-      1e-9);
-  EXPECT_GT(
-      exploitability(game.best_response(), game.utility(), {{0.1}, {0.1}}),
-      1.0);
 }
 
 }  // namespace

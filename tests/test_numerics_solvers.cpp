@@ -1,9 +1,8 @@
-// Tests for numerics/fixed_point, numerics/pga and numerics/vi.
+// Tests for numerics/pga and numerics/vi.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "numerics/fixed_point.hpp"
 #include "numerics/pga.hpp"
 #include "numerics/projection.hpp"
 #include "numerics/vi.hpp"
@@ -12,44 +11,6 @@
 
 namespace hecmine::num {
 namespace {
-
-TEST(FixedPoint, SolvesLinearContraction) {
-  // x -> 0.5 x + 1 has fixed point 2.
-  const auto map = [](const std::vector<double>& x) {
-    return std::vector<double>{0.5 * x[0] + 1.0};
-  };
-  const auto result = iterate_fixed_point(map, {0.0});
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.point[0], 2.0, 1e-8);
-}
-
-TEST(FixedPoint, DampingStabilizesOscillation) {
-  // x -> -x + 2 oscillates undamped but converges with damping to x = 1.
-  const auto map = [](const std::vector<double>& x) {
-    return std::vector<double>{-x[0] + 2.0};
-  };
-  FixedPointOptions undamped;
-  undamped.max_iterations = 50;
-  EXPECT_FALSE(iterate_fixed_point(map, {0.0}, undamped).converged);
-  FixedPointOptions damped;
-  damped.damping = 0.5;
-  const auto result = iterate_fixed_point(map, {0.0}, damped);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.point[0], 1.0, 1e-8);
-}
-
-TEST(FixedPoint, ValidatesOptionsAndDimensions) {
-  const auto shrinking = [](const std::vector<double>&) {
-    return std::vector<double>{};
-  };
-  EXPECT_THROW((void)iterate_fixed_point(shrinking, {1.0}),
-               support::PreconditionError);
-  FixedPointOptions bad;
-  bad.damping = 0.0;
-  const auto identity = [](const std::vector<double>& x) { return x; };
-  EXPECT_THROW((void)iterate_fixed_point(identity, {1.0}, bad),
-               support::PreconditionError);
-}
 
 TEST(Pga, MaximizesConcaveQuadraticUnconstrained) {
   const auto objective = [](const std::vector<double>& x) {

@@ -51,10 +51,10 @@ TEST(ParallelDeterminism, StackelbergLeaderIterationMatchesSerialBitwise) {
   const std::vector<game::ActionBounds> bounds{{0.1, 8.0}, {0.1, 8.0}};
   game::StackelbergOptions options;
   options.grid_points = 24;
-  options.threads = 1;
+  options.context.threads = 1;
   const auto serial =
       game::solve_stackelberg(payoff, {1.0, 1.0}, bounds, options);
-  options.threads = 4;
+  options.context.threads = 4;
   const auto parallel =
       game::solve_stackelberg(payoff, {1.0, 1.0}, bounds, options);
   ASSERT_TRUE(serial.converged);
@@ -73,7 +73,7 @@ TEST(ParallelDeterminism, StackelbergPayoffsAreReusedFromTheFinalScan) {
   const std::vector<game::ActionBounds> bounds{{0.1, 8.0}, {0.1, 8.0}};
   game::StackelbergOptions options;
   options.grid_points = 24;
-  options.threads = 1;
+  options.context.threads = 1;
   const auto result =
       game::solve_stackelberg(payoff, {1.0, 1.0}, bounds, options);
   ASSERT_TRUE(result.converged);

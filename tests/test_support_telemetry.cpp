@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/equilibrium_cache.hpp"
 #include "core/oracle.hpp"
 #include "core/params.hpp"
 #include "numerics/vi.hpp"
@@ -577,28 +576,6 @@ TEST(InstrumentedOracle, CountsSolvesAndPropagatesTheSinkToDeepLayers) {
   EXPECT_EQ(telemetry.metrics.counter("gnep.solves").value(), 1u);
   EXPECT_EQ(telemetry.metrics.histogram("oracle.iterations", {}).count(), 1u);
   EXPECT_EQ(support::current_telemetry(), nullptr);  // scope restored
-}
-
-TEST(InstrumentedOracle, CacheHitsDoNotInflateSolveCounters) {
-  const core::NetworkParams params = standalone_params();
-  const core::Prices prices{2.2, 1.0};
-  const std::vector<double> budgets{25.0, 35.0, 45.0};
-
-  Telemetry telemetry;
-  core::FollowerEquilibriumCache cache;
-  core::SolveContext context;
-  context.telemetry = &telemetry;
-  context.cache = &cache;
-  const auto oracle = core::make_follower_oracle(
-      params, budgets, core::EdgeMode::kStandalone, context);
-  (void)oracle->solve(prices);
-  (void)oracle->solve(prices);  // cache hit: must not count as a solve
-
-  EXPECT_EQ(telemetry.metrics.counter("oracle.solves").value(), 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  core::record_cache_stats(telemetry, cache.stats());
-  EXPECT_DOUBLE_EQ(telemetry.metrics.gauge("cache.hits").value(), 1.0);
-  EXPECT_DOUBLE_EQ(telemetry.metrics.gauge("cache.hit_rate").value(), 0.5);
 }
 
 TEST(TelemetryScope, PoolWorkersNestScopedSolvesWithoutCrossTalk) {
