@@ -4,8 +4,8 @@
 // The paper's heterogeneous analysis stops at existence/uniqueness; this
 // bench asks the follow-up economic question: holding total budget fixed,
 // what does inequality do to SP prices/profits and to block-production
-// decentralization? Uses the full-profile Stackelberg solver (the
-// heterogeneous path) with the winning-share metrics.
+// decentralization? Uses the general (heterogeneous) leader stage over the
+// class solver, with the winning-share metrics.
 #include <iostream>
 
 #include "bench_util.hpp"

@@ -1,15 +1,17 @@
 // Ablation: solver design choices.
 //
-// (a) GNEP: shared-price decomposition vs extragradient VI — agreement of
-//     the variational equilibria and relative cost;
-// (b) best-response damping: sweeps the damping factor of the connected
-//     NEP solve and reports iterations to convergence (the library
-//     default is 0.5).
+// (a) standalone GNEP: the class solver's shared-surcharge decomposition
+//     vs the extragradient VI reference — agreement of the variational
+//     equilibria and relative cost;
+// (b) damping: sweeps the damping factor of the class fixed point on a
+//     connected pool of distinct budgets and reports sweeps to
+//     convergence (the library default is 0.5).
 #include <chrono>
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/oracle.hpp"
+#include "core/aggregate_oracle.hpp"
+#include "core/equilibrium.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -40,36 +42,36 @@ int main(int argc, char** argv) {
     const std::vector<double> budgets(static_cast<std::size_t>(n), 40.0);
     const double t0 = now_ms();
     const auto decomposition =
-        core::StandaloneGnepOracle(params, budgets).solve(prices);
+        core::ClassAggregateOracle(params, budgets, core::EdgeMode::kStandalone)
+            .solve(prices);
     const double t1 = now_ms();
     core::MinerSolveOptions vi_options;
     vi_options.vi_tolerance = 1e-8;
-    const auto vi = core::StandaloneGnepOracle(params, budgets,
-                                               core::GnepAlgorithm::kVi,
-                                               vi_options)
-                        .solve(prices);
+    const auto vi = core::solve_followers_vi(
+        params, prices, budgets, core::EdgeMode::kStandalone, vi_options);
     const double t2 = now_ms();
     double worst = 0.0;
     for (std::size_t i = 0; i < budgets.size(); ++i) {
-      worst = std::max(worst, std::abs(decomposition.requests[i].edge -
-                                       vi.requests[i].edge));
-      worst = std::max(worst, std::abs(decomposition.requests[i].cloud -
-                                       vi.requests[i].cloud));
+      worst = std::max(worst, std::abs(decomposition.request(i).edge -
+                                       vi.request(i).edge));
+      worst = std::max(worst, std::abs(decomposition.request(i).cloud -
+                                       vi.request(i).cloud));
     }
     gnep_table.add_row({static_cast<double>(n), decomposition.totals.edge,
                         vi.totals.edge, worst, t1 - t0, t2 - t1});
   }
   bench::emit("ablation_gnep_solvers", gnep_table);
 
-  // (b) damping sweep on the connected NEP.
+  // (b) damping sweep on the connected class fixed point.
   support::Table damping_table(
       {"damping", "iterations", "converged", "edge_total"});
   const std::vector<double> budgets{20.0, 30.0, 40.0, 50.0, 60.0};
   for (double damping : {0.2, 0.35, 0.5, 0.7, 0.9, 1.0}) {
     core::MinerSolveOptions options;
     options.damping = damping;
-    const auto eq =
-        core::ConnectedNepOracle(params, budgets, options).solve(prices);
+    const auto eq = core::ClassAggregateOracle(
+                        params, budgets, core::EdgeMode::kConnected, options)
+                        .solve(prices);
     damping_table.add_row({damping, static_cast<double>(eq.iterations),
                            eq.converged ? 1.0 : 0.0, eq.totals.edge});
   }

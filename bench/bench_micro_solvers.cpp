@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: the miner best
-// response, the follower-stage equilibria, the GNEP decomposition, the
-// extragradient VI solver and the PoW race simulator.
+// response, the block response, the follower solver on homogeneous and
+// heterogeneous pools in both modes, the extragradient VI reference and the
+// PoW race simulator.
 //
 // Besides google-benchmark's console report, a collecting reporter mirrors
 // the per-benchmark timings to bench_out/BENCH_micro_solvers.json in the
@@ -13,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "core/aggregate_oracle.hpp"
+#include "core/equilibrium.hpp"
+#include "core/kernels.hpp"
 #include "core/miner.hpp"
-#include "core/oracle.hpp"
 #include "chain/race.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -50,54 +53,64 @@ void BM_MinerBestResponse(benchmark::State& state) {
 }
 BENCHMARK(BM_MinerBestResponse);
 
-void BM_ConnectedNepSolve(benchmark::State& state) {
-  const auto params = bench_params();
-  const core::Prices prices{2.0, 1.0};
-  const std::vector<double> budgets(static_cast<std::size_t>(state.range(0)),
-                                    40.0);
-  const core::ConnectedNepOracle oracle(params, budgets);
+void BM_BlockResponse(benchmark::State& state) {
+  const core::KernelEnv env =
+      core::make_kernel_env(bench_params(), {2.0, 1.0}, 0.9, 0.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.solve(prices));
+    benchmark::DoNotOptimize(
+        core::block_response_kernel(env, 8.0, 50.0, 10.0, 30.0));
   }
 }
-BENCHMARK(BM_ConnectedNepSolve)->Arg(3)->Arg(5)->Arg(10);
+BENCHMARK(BM_BlockResponse);
 
-void BM_SymmetricConnectedClosedForm(benchmark::State& state) {
-  const auto params = bench_params();
-  const core::Prices prices{2.0, 1.0};
-  const core::SymmetricFollowerOracle oracle(params, 40.0, 5,
-                                             core::EdgeMode::kConnected);
+/// Distinct budgets 20, 30, ...: one class per miner (K = N).
+std::vector<double> distinct_budgets(std::int64_t n) {
+  std::vector<double> budgets(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < budgets.size(); ++i)
+    budgets[i] = 20.0 + 10.0 * static_cast<double>(i);
+  return budgets;
+}
+
+void BM_ConnectedFollowerSolve(benchmark::State& state) {
+  const core::ClassAggregateOracle oracle(bench_params(),
+                                          distinct_budgets(state.range(0)),
+                                          core::EdgeMode::kConnected);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.solve(prices));
+    benchmark::DoNotOptimize(oracle.solve({2.0, 1.0}));
   }
 }
-BENCHMARK(BM_SymmetricConnectedClosedForm);
+BENCHMARK(BM_ConnectedFollowerSolve)->Arg(3)->Arg(5)->Arg(10);
 
-void BM_StandaloneGnepSolve(benchmark::State& state) {
-  const auto params = bench_params();
-  const core::Prices prices{2.0, 1.0};
-  const std::vector<double> budgets(static_cast<std::size_t>(state.range(0)),
-                                    40.0);
-  const core::StandaloneGnepOracle oracle(params, budgets);
+void BM_HomogeneousFollowerSolve(benchmark::State& state) {
+  const core::ClassAggregateOracle oracle(bench_params(), 40.0, 5,
+                                          core::EdgeMode::kConnected);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.solve(prices));
+    benchmark::DoNotOptimize(oracle.solve({2.0, 1.0}));
   }
 }
-BENCHMARK(BM_StandaloneGnepSolve)->Arg(3)->Arg(5);
+BENCHMARK(BM_HomogeneousFollowerSolve);
 
-void BM_StandaloneGnepVi(benchmark::State& state) {
-  const auto params = bench_params();
-  const core::Prices prices{2.0, 1.0};
+void BM_StandaloneFollowerSolve(benchmark::State& state) {
+  const core::ClassAggregateOracle oracle(bench_params(),
+                                          distinct_budgets(state.range(0)),
+                                          core::EdgeMode::kStandalone);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.solve({2.0, 1.0}));
+  }
+}
+BENCHMARK(BM_StandaloneFollowerSolve)->Arg(3)->Arg(5);
+
+void BM_StandaloneFollowerVi(benchmark::State& state) {
   const std::vector<double> budgets(3, 40.0);
   core::MinerSolveOptions options;
   options.vi_tolerance = 1e-7;
-  const core::StandaloneGnepOracle oracle(params, budgets,
-                                          core::GnepAlgorithm::kVi, options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.solve(prices));
+    benchmark::DoNotOptimize(core::solve_followers_vi(
+        bench_params(), {2.0, 1.0}, budgets, core::EdgeMode::kStandalone,
+        options));
   }
 }
-BENCHMARK(BM_StandaloneGnepVi);
+BENCHMARK(BM_StandaloneFollowerVi);
 
 void BM_PowRace(benchmark::State& state) {
   support::Rng rng{7};

@@ -6,9 +6,7 @@
 // --n-list, for a homogeneous pool (K = 1), a few-class heterogeneous pool
 // (K = --classes) in connected mode, and the same heterogeneous pool in
 // standalone mode (surcharge bisection against the shared edge capacity).
-// At the smallest pool size (when it is within --dense-limit) the dense
-// ConnectedNepOracle solves the identical game as a parity cross-check and
-// a speedup reference. Every heterogeneous row is audited with the
+// Every heterogeneous row is audited with the
 // EquilibriumAuditor on a sampled miner subset (AuditOptions::
 // max_audited_miners), and the worst certificates across all rows ride in
 // the ledger's audit block so the bench_compare gate can refuse a perf
@@ -16,7 +14,6 @@
 //
 //   --n-list=1000,10000,100000,1000000 --classes=8 --budget=200
 //   --repeat=3 --audit-miners=16 --price-edge=2.0 --price-cloud=1.0
-//   --dense-limit=1000
 //   --perf-sampler (opt-in hardware counters in the telemetry pass)
 //
 // Emits machine-readable JSON (hecmine.bench.v1) to
@@ -126,7 +123,6 @@ struct BenchConfig {
   int audit_miners = 0;
   double price_edge = 0.0;
   double price_cloud = 0.0;
-  int dense_limit = 0;
 };
 
 std::vector<int> parse_n_list(const std::string& spec) {
@@ -159,7 +155,7 @@ std::vector<double> class_budgets(int n, int classes, double budget) {
 void write_json(const std::string& path, int threads,
                 const BenchConfig& config, const std::vector<RunResult>& runs,
                 const std::vector<bench::WorkLedgerEntry>& counters,
-                const core::AuditReport& audit, double speedup_vs_dense,
+                const core::AuditReport& audit,
                 const support::provenance::RunManifest& manifest) {
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path());
@@ -183,7 +179,6 @@ void write_json(const std::string& path, int threads,
   writer.member("audit_miners", config.audit_miners);
   writer.member("price_edge", config.price_edge);
   writer.member("price_cloud", config.price_cloud);
-  writer.member("dense_limit", config.dense_limit);
   writer.end_object();
   writer.key("runs");
   writer.begin_array(support::json::Writer::kBlock);
@@ -216,8 +211,6 @@ void write_json(const std::string& path, int threads,
   writer.member("uniqueness_ok", audit.uniqueness_ok);
   writer.member("converged", audit.converged);
   writer.end_object();
-  if (speedup_vs_dense > 0.0)
-    writer.member("speedup_vs_dense", speedup_vs_dense);
   writer.end_object();
   writer.finish();
   HECMINE_REQUIRE(out.good(), "write failed: " + path);
@@ -235,7 +228,6 @@ int main(int argc, char** argv) {
   const double budget = args.get("budget", defaults.budget);
   const int repeat = args.get("repeat", 3);
   const int audit_miners = args.get("audit-miners", 16);
-  const int dense_limit = args.get("dense-limit", 1000);
   const int threads = support::resolve_thread_count(args.threads());
   HECMINE_REQUIRE(classes >= 1 && classes <= 64,
                   "--classes must be in [1, 64]");
@@ -252,12 +244,8 @@ int main(int argc, char** argv) {
 
   const core::MinerSolveOptions solve_options = core::SolveContext{}.follower;
 
-  // Audit re-solves (the leader-gap certificate) must dispatch to the
-  // aggregate oracle too, or the audit at N = 10^6 would run a dense NEP.
   core::SolveContext audit_context;
   audit_context.threads = threads;
-  audit_context.aggregate.dispatch_threshold = 2;
-  audit_context.aggregate.max_classes = std::max(64, classes);
 
   std::vector<RunResult> runs;
   // Deterministic work accounting: one serial instrumented pass per row,
@@ -275,7 +263,6 @@ int main(int argc, char** argv) {
   worst.min_budget_slack = std::numeric_limits<double>::infinity();
   worst.monotonicity_quotient = std::numeric_limits<double>::infinity();
   bool any_audited = false;
-  double speedup_vs_dense = 0.0;
 
   const auto audit_row = [&](RunResult& row, const std::vector<double>& budgets,
                              core::EdgeMode mode,
@@ -351,43 +338,6 @@ int main(int argc, char** argv) {
             std::isfinite(connected_profile.utility(
                 static_cast<std::size_t>(n) / 2)),
         "lazy per-miner expansion produced a malformed request");
-
-    // Dense parity cross-check at the smallest benched pool: the exact
-    // same game through the per-miner NEP solver must land on the same
-    // equilibrium, and the wall-clock ratio is the bench's headline.
-    if (n == n_list.front() && n <= dense_limit) {
-      const auto build_dense = [&] {
-        return std::make_unique<core::ConnectedNepOracle>(params, budgets,
-                                                          solve_options);
-      };
-      core::EquilibriumProfile dense_profile;
-      runs.push_back(timed_solve("dense/connected/classes" + suffix, 1,
-                                 prices, build_dense, &dense_profile));
-      count_row("dense/connected/classes" + suffix, build_dense);
-      const double scale = std::max(1.0, dense_profile.totals.edge);
-      HECMINE_REQUIRE(
-          std::abs(dense_profile.totals.edge - connected_profile.totals.edge) <
-                  1e-4 * scale &&
-              std::abs(dense_profile.totals.cloud -
-                       connected_profile.totals.cloud) <
-                  1e-4 * std::max(1.0, dense_profile.totals.cloud),
-          "aggregate totals diverged from the dense NEP solve");
-      double max_request_gap = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const auto& dense = dense_profile.request(static_cast<std::size_t>(i));
-        const auto& agg =
-            connected_profile.request(static_cast<std::size_t>(i));
-        max_request_gap = std::max(
-            {max_request_gap, std::abs(dense.edge - agg.edge),
-             std::abs(dense.cloud - agg.cloud)});
-      }
-      HECMINE_REQUIRE(max_request_gap < 1e-4,
-                      "per-miner requests diverged from the dense NEP solve");
-      // Dense row is found two back from the aggregate connected row.
-      const auto& dense_row = runs.back();
-      const auto& aggregate_row = runs[runs.size() - 3];
-      speedup_vs_dense = dense_row.wall_ms / aggregate_row.wall_ms;
-    }
   }
 
   for (const auto& run : runs)
@@ -423,9 +373,8 @@ int main(int argc, char** argv) {
   config.audit_miners = audit_miners;
   config.price_edge = prices.edge;
   config.price_cloud = prices.cloud;
-  config.dense_limit = dense_limit;
   write_json("bench_out/BENCH_perf_scale.json", threads, config, runs,
-             counters, worst, speedup_vs_dense, manifest);
+             counters, worst, manifest);
   std::cout << "[json] bench_out/BENCH_perf_scale.json\n";
 
   // Telemetry/trace pass, separate from the timed runs (those stay
@@ -452,10 +401,8 @@ int main(int argc, char** argv) {
         class_budgets(n_list.back(), classes, budget);
     core::SolveContext context = audit_context;
     context.telemetry = &telemetry;
-    const auto oracle = core::decorate_follower_oracle(
-        core::make_profile_oracle(params, budgets,
-                                  core::EdgeMode::kConnected, context),
-        context);
+    const auto oracle = core::make_follower_oracle(
+        params, budgets, core::EdgeMode::kConnected, context);
     (void)oracle->solve(prices);
     if (!telemetry_path.empty()) {
       support::write_json(telemetry, telemetry_path);
@@ -479,9 +426,6 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "largest pool n=" << n_list.back() << "  worst audit gap "
-            << worst.best_response_gap;
-  if (speedup_vs_dense > 0.0)
-    std::cout << "  aggregate vs dense speedup " << speedup_vs_dense << "x";
-  std::cout << "\n";
+            << worst.best_response_gap << "\n";
   return 0;
 }

@@ -23,11 +23,11 @@ void print_equilibrium(const char* label,
                        const std::vector<double>& budgets,
                        const hecmine::core::Prices& prices) {
   std::printf("%s\n", label);
-  for (std::size_t i = 0; i < eq.requests.size(); ++i) {
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
     std::printf(
         "  miner %zu (B=%5.1f): e=%7.4f c=%7.4f  spend=%7.3f  U=%7.4f\n", i,
-        budgets[i], eq.requests[i].edge, eq.requests[i].cloud,
-        hecmine::core::request_cost(eq.requests[i], prices), eq.utilities[i]);
+        budgets[i], eq.request(i).edge, eq.request(i).cloud,
+        hecmine::core::request_cost(eq.request(i), prices), eq.utility(i));
   }
   std::printf("  totals: E=%.4f C=%.4f  (surcharge mu=%.4f, cap %s)\n\n",
               eq.totals.edge, eq.totals.cloud, eq.surcharge,
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   policy.mode = core::EdgeMode::kStandalone;
   policy.capacity = params.edge_capacity;
   net::MiningNetwork network(params, policy, prices, /*seed=*/11);
-  auto profile = standalone.requests;
+  auto profile = standalone.expanded();
   // Guard the floating-point boundary: at a binding cap the equilibrium sits
   // exactly on E = E_max, where accumulation error in the admission loop
   // could reject the last request.
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
               rounds, network.stats().rejections);
   for (std::size_t i = 0; i < profile.size(); ++i) {
     std::printf("  miner %zu: realized %7.4f  (model %7.4f)\n", i,
-                network.stats().utility[i].mean(), standalone.utilities[i]);
+                network.stats().utility[i].mean(), standalone.utility(i));
   }
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/closed_forms.hpp"
+#include "core/equilibrium.hpp"
 #include "core/oracle.hpp"
 #include "core/winning.hpp"
 #include "net/network.hpp"
@@ -76,9 +77,8 @@ int main(int argc, char** argv) {
   const std::vector<double> budgets{30.0, 45.0, 60.0};
   const auto gnep =
       core::solve_followers(params, prices, budgets, core::EdgeMode::kStandalone);
-  const auto vi = core::StandaloneGnepOracle(params, budgets,
-                                             core::GnepAlgorithm::kVi)
-                      .solve(prices);
+  const auto vi = core::solve_followers_vi(params, prices, budgets,
+                                           core::EdgeMode::kStandalone);
   check("GNEP decomposition vs extragradient VI (total E)",
         gnep.totals.edge, vi.totals.edge, 0.01);
   check("GNEP exploitability at mu*",

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/kernels.hpp"
-#include "core/miner.hpp"
 #include "support/error.hpp"
 #include "support/telemetry.hpp"
 
@@ -48,6 +47,8 @@ ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
       options_(options),
       miner_count_(static_cast<int>(budgets.size())) {
   HECMINE_REQUIRE(!budgets.empty(), "ClassAggregateOracle: no miners");
+  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
+                  "ClassAggregateOracle: damping must be in (0, 1]");
   ClassPartition partition = partition_budget_classes(budgets);
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
   shape->of = std::move(partition.class_of);
@@ -57,41 +58,95 @@ ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
     shape->counts.push_back(cls.count);
     shape->budgets.push_back(cls.budget);
   }
+  // Every miner of a one-class pool maps to class 0: no map needed.
+  if (shape->counts.size() == 1) shape->of = {};
   shape_ = std::move(shape);
 }
 
+ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
+                                           double budget, int n,
+                                           EdgeMode mode,
+                                           MinerSolveOptions options)
+    : params_(params), mode_(mode), options_(options), miner_count_(n) {
+  HECMINE_REQUIRE(n >= 1, "ClassAggregateOracle: no miners");
+  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
+                  "ClassAggregateOracle: damping must be in (0, 1]");
+  HECMINE_REQUIRE(budget >= 0.0, "ClassAggregateOracle: budget must be >= 0");
+  auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
+  shape->counts = {n};
+  shape->budgets = {budget};
+  shape_ = std::move(shape);
+}
+
+EquilibriumProfile ClassAggregateOracle::single_class(
+    const Prices& prices) const {
+  const bool connected = mode_ == EdgeMode::kConnected;
+  const KernelEnv env = make_kernel_env(
+      params_, prices, connected ? params_.edge_success : 1.0, 0.0);
+  const double n = static_cast<double>(miner_count_);
+  const double budget = shape_->budgets.front();
+  // The block is the whole pool, so nothing stays outside it.
+  MinerRequest request = block_response_kernel(env, budget, n, 0.0, 0.0);
+  if (auto* work = support::prof::current_block(); work != nullptr)
+    work->add(support::prof::WorkField::kBestResponseEvals, 1);
+
+  EquilibriumProfile out;
+  if (!connected) {
+    const double cap = params_.edge_capacity;
+    const double tol = 1e-9 * (1.0 + cap);
+    if (n * request.edge > cap + tol) {
+      // The cap binds: e = E_max/n. With no outside aggregates a member's
+      // contest marginals are (n-1)/n^2 times coeff/amount, so c maximizes
+      // the block potential along that e in closed form (the budget
+      // multiplier lambda prices a binding budget), and the shared
+      // surcharge mu is what keeps e stationary (Table II, extended to
+      // binding budgets).
+      const double scale = (n - 1.0) / (n * n);
+      const double e = cap / n;
+      double c = std::max(0.0, scale * env.share_coeff / prices.cloud - e);
+      double lambda = 0.0;
+      if (prices.edge * e + prices.cloud * c > budget) {
+        c = std::max(0.0, (budget - prices.edge * e) / prices.cloud);
+        lambda = std::max(
+            0.0, scale * env.share_coeff / (e + c) / prices.cloud - 1.0);
+      }
+      out.surcharge =
+          std::max(0.0, scale * env.share_coeff / (e + c) +
+                            scale * env.edge_coeff / e -
+                            prices.edge * (1.0 + lambda));
+      request = {e, c};
+    }
+    out.cap_active = n * request.edge >= cap - tol;
+  }
+  out.miner_count = miner_count_;
+  out.classes = shape_;
+  out.requests = {request};
+  out.totals = {n * request.edge, n * request.cloud};
+  const double others_edge = (n - 1.0) * request.edge;
+  out.utilities = {utility_kernel(env, request.edge, request.cloud,
+                                  others_edge,
+                                  others_edge + (n - 1.0) * request.cloud)};
+  out.converged = true;
+  return out;
+}
+
 EquilibriumProfile ClassAggregateOracle::fixed_point(
-    const Prices& prices, double edge_success, double surcharge,
-    std::vector<MinerRequest>& seed) const {
+    const KernelEnv& env, std::vector<MinerRequest>& state) const {
   const std::size_t kn = shape_->counts.size();
-  // Structure-of-arrays class state: the sweep below touches these in
-  // order, and the interior update is a straight sqrt/div chain over them.
   const std::vector<double>& budget = shape_->budgets;
   std::vector<double> count(kn);
   std::vector<double> e(kn);
   std::vector<double> c(kn);
   for (std::size_t k = 0; k < kn; ++k) {
     count[k] = static_cast<double>(shape_->counts[k]);
-    e[k] = seed[k].edge;
-    c[k] = seed[k].cloud;
+    e[k] = state[k].edge;
+    c[k] = state[k].cloud;
   }
+  // Classes are sorted by budget, so the richest is the last.
+  const double richest = budget.back();
 
-  // One env for every per-class solve in this fixed point: prices and the
-  // surcharge are loop-invariant, so construction and validation are
-  // hoisted out of the ~500-iteration boundary search below.
-  const KernelEnv kenv = make_kernel_env(params_, prices, edge_success, surcharge);
-
-  // Interior KKT constants (paper Eq. 14 with lambda = 0; identical to
-  // miner_interior_point, hoisted out of the sweep).
-  const double gap = prices.edge + surcharge - prices.cloud;
-  const double sigma1_sq =
-      gap > 0.0 ? edge_success * params_.fork_rate * params_.reward / gap : 0.0;
-  const double sigma2_sq =
-      (1.0 - params_.fork_rate) * params_.reward / prices.cloud;
-
-  // Same stall-halving schedule as the dense sweep (solve_nep_batch):
-  // aggregative best responses steepen with the (class-weighted) player
-  // count, so a fixed damping can orbit.
+  // Aggregative best responses steepen with the (class-weighted) player
+  // count, so a fixed damping can orbit: halve it when the residual stalls.
   double damping = options_.damping;
   double best_residual = std::numeric_limits<double>::infinity();
   int stalled = 0;
@@ -104,19 +159,8 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
 
   EquilibriumProfile out;
   out.miner_count = miner_count_;
-  out.symmetric = false;
   out.classes = shape_;
-  out.surcharge = surcharge;
-
-  // Interior closed form for a block of `members` miners all moving at
-  // once against the frozen rest-of-pool aggregate `others`: stationarity
-  // T = sqrt(sigma^2 (T - x)) with T = others + members * x is a quadratic
-  // in the block-inclusive total T (positive root taken). members = 1
-  // recovers the single-miner interior point T = sqrt(sigma^2 * others).
-  const auto block_total = [](double sigma_sq, double others, double members) {
-    const double half = (members - 1.0) * sigma_sq / (2.0 * members);
-    return half + std::sqrt(half * half + sigma_sq * others / members);
-  };
+  out.surcharge = env.surcharge;
 
   std::vector<char> in_block(kn);
   double total_e = 0.0;
@@ -130,22 +174,20 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
       total_e += count[k] * e[k];
       total_c += count[k] * c[k];
     }
-    // Joint interior block. Every unconstrained miner plays the SAME
-    // interior request (Eq. 14 with lambda = 0 is budget-independent), so
-    // the whole block is solved at once by the quadratic above with
-    // members = the block's miner count. Solving the block jointly — not
-    // class by class — matters: per-class updates leave a near-degenerate
-    // redistribution mode among interior classes (aggregate fixed, shares
-    // drifting) whose Gauss-Seidel rate degrades as 1 - O(1/count), which
-    // at 10^5+ miners per class never converges. Classes whose budget
-    // cannot afford the common request peel out to the boundary search;
-    // peeling shrinks the block and so raises the per-member request and
-    // its cost, so the loop is monotone and ends within K rounds.
-    double interior_e = 0.0;
-    double interior_c = 0.0;
+    std::uint64_t sweep_br_evals = 0;
+    // Joint block: the richest class's block response, taken over every
+    // class at once, is the common request of all classes that can afford
+    // it while its own budget is slack. Solving the block jointly matters:
+    // class-by-class updates leave a near-degenerate redistribution mode
+    // (aggregate fixed, shares drifting) whose Gauss-Seidel rate degrades
+    // as 1 - O(1/count). Classes that cannot afford the common request
+    // peel out and are settled one by one below; peeling shrinks the block
+    // and raises the common request's cost, so the loop ends within K
+    // rounds. The richest class never peels.
     std::fill(in_block.begin(), in_block.end(), static_cast<char>(1));
-    bool block_ok = gap > 0.0 && sigma1_sq > 0.0;
-    while (block_ok) {
+    MinerRequest common;
+    bool block_ok = true;
+    while (true) {
       double members = 0.0;
       double rest_e = total_e;
       double rest_s = total_e + total_c;
@@ -155,25 +197,17 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
         rest_e -= count[k] * e[k];
         rest_s -= count[k] * (e[k] + c[k]);
       }
-      if (members == 0.0) {
-        block_ok = false;
-        break;
-      }
       rest_e = std::max(0.0, rest_e);
       rest_s = std::max(0.0, rest_s);
-      const double t_e = block_total(sigma1_sq, rest_e, members);
-      const double t_s = block_total(sigma2_sq, rest_s, members);
-      interior_e = t_e - t_e * t_e / sigma1_sq;
-      interior_c = t_s - t_s * t_s / sigma2_sq - interior_e;
-      if (!(t_e > 0.0) || !(t_s > 0.0) || interior_e < 0.0 ||
-          interior_c < 0.0) {
-        // The price regime pins every optimum to a boundary segment; no
-        // interior block exists at these aggregates.
+      common = block_response_kernel(env, richest, members, rest_e, rest_s);
+      ++sweep_br_evals;
+      const double cost =
+          env.price_edge * common.edge + env.price_cloud * common.cloud;
+      if (!(cost < richest)) {
+        // Even the richest budget binds: no common request exists.
         block_ok = false;
         break;
       }
-      const double cost =
-          prices.edge * interior_e + prices.cloud * interior_c;
       bool peeled = false;
       for (std::size_t k = 0; k < kn; ++k) {
         if (in_block[k] != 0 && budget[k] < cost) {
@@ -186,50 +220,15 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
     if (!block_ok) std::fill(in_block.begin(), in_block.end(), 0);
 
     double change = 0.0;
-    std::uint64_t sweep_br_evals = 0;
     for (std::size_t k = 0; k < kn; ++k) {
-      MinerRequest response;
-      if (in_block[k] != 0) {
-        // Feasible interior stationary point => exact global best response
-        // (joint concavity).
-        response = {interior_e, interior_c};
-      } else {
-        // Boundary regime: iterate the representative best response to the
-        // within-class consistent point, with a damping that backs off
-        // when the whole-class move oscillates (the per-member response
-        // steepens with the class count).
+      MinerRequest response = common;
+      if (in_block[k] == 0) {
+        // A class on its own: its exact block response to the rest.
         const double m = count[k];
         const double rest_e = std::max(0.0, total_e - m * e[k]);
-        const double rest_s =
-            std::max(0.0, (total_e + total_c) - m * (e[k] + c[k]));
-        double be = e[k];
-        double bc = c[k];
-        double inner_damping = 1.0;
-        double prev_change = std::numeric_limits<double>::infinity();
-        for (int inner = 0; inner < 500; ++inner) {
-          const double others_e = std::max(0.0, rest_e + (m - 1.0) * be);
-          const double others_s =
-              std::max(0.0, rest_s + (m - 1.0) * (be + bc));
-          const double others_g =
-              others_e + std::max(0.0, others_s - others_e);
-          const MinerRequest br =
-              best_response_kernel(kenv, budget[k], others_e, others_g);
-          ++sweep_br_evals;
-          const double inner_e =
-              (1.0 - inner_damping) * be + inner_damping * br.edge;
-          const double inner_c =
-              (1.0 - inner_damping) * bc + inner_damping * br.cloud;
-          const double inner_change = std::max(std::abs(inner_e - be),
-                                               std::abs(inner_c - bc));
-          be = inner_e;
-          bc = inner_c;
-          if (inner_change < options_.tolerance) break;
-          // A constant-amplitude orbit never strictly grows, so damp on
-          // any non-decreasing step, not just growth.
-          if (inner_change > 0.999 * prev_change) inner_damping *= 0.5;
-          prev_change = inner_change;
-        }
-        response = {be, bc};
+        const double rest_g = rest_e + std::max(0.0, total_c - m * c[k]);
+        response = block_response_kernel(env, budget[k], m, rest_e, rest_g);
+        ++sweep_br_evals;
       }
       const double new_e = (1.0 - damping) * e[k] + damping * response.edge;
       const double new_c = (1.0 - damping) * c[k] + damping * response.cloud;
@@ -244,8 +243,7 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
     if (work != nullptr) {
       work->add(support::prof::WorkField::kSweeps, 1);
       work->add(support::prof::WorkField::kConvergenceChecks, 1);
-      if (sweep_br_evals != 0)
-        work->add(support::prof::WorkField::kBestResponseEvals, sweep_br_evals);
+      work->add(support::prof::WorkField::kBestResponseEvals, sweep_br_evals);
     }
     if (telemetry != nullptr) {
       support::IterationProbe::Record record;
@@ -254,12 +252,12 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
       record.iteration = out.iterations;
       record.residual = change;
       record.tolerance = options_.tolerance;
-      record.price_edge = prices.edge;
-      record.price_cloud = prices.cloud;
+      record.price_edge = env.price_edge;
+      record.price_cloud = env.price_cloud;
       record.total_edge = total_e;
       record.total_cloud = total_c;
-      record.step = surcharge;
-      record.cap_active = surcharge > 0.0;
+      record.step = env.surcharge;
+      record.cap_active = env.surcharge > 0.0;
       telemetry->probe.record(record);
     }
     if (change < options_.tolerance) {
@@ -278,7 +276,7 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
   out.requests.resize(kn);
   for (std::size_t k = 0; k < kn; ++k) {
     out.requests[k] = {e[k], c[k]};
-    seed[k] = out.requests[k];  // warm start for surcharge bisection
+    state[k] = out.requests[k];  // warm start for the surcharge bisection
   }
   out.totals = {total_e, total_c};
 
@@ -291,11 +289,10 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
     for (std::size_t k = 0; k < kn; ++k) {
       const double oe = std::max(0.0, out.totals.edge - e[k]);
       const double og = oe + std::max(0.0, out.totals.cloud - c[k]);
-      const double current =
-          penalized_utility_kernel(kenv, e[k], c[k], oe, og);
-      const MinerRequest br = best_response_kernel(kenv, budget[k], oe, og);
+      const double current = penalized_utility_kernel(env, e[k], c[k], oe, og);
+      const MinerRequest br = best_response_kernel(env, budget[k], oe, og);
       const double best =
-          penalized_utility_kernel(kenv, br.edge, br.cloud, oe, og);
+          penalized_utility_kernel(env, br.edge, br.cloud, oe, og);
       worst = std::max(worst, best - current);
     }
     out.converged = worst <= 1e-7 * params_.reward;
@@ -307,12 +304,12 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
     }
   }
 
-  // True (surcharge-free) utilities, as in the dense finish_equilibrium.
+  // True (surcharge-free) utilities.
   out.utilities.resize(kn);
   for (std::size_t k = 0; k < kn; ++k) {
     const double oe = std::max(0.0, out.totals.edge - e[k]);
     const double og = oe + std::max(0.0, out.totals.cloud - c[k]);
-    out.utilities[k] = utility_kernel(kenv, e[k], c[k], oe, og);
+    out.utilities[k] = utility_kernel(env, e[k], c[k], oe, og);
   }
   if (work != nullptr)
     work->add(support::prof::WorkField::kUtilityEvals,
@@ -321,10 +318,6 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
 }
 
 EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
-  params_.validate();
-  HECMINE_REQUIRE(prices.edge > 0.0 && prices.cloud > 0.0,
-                  "ClassAggregateOracle: prices must be positive");
-
   support::Telemetry* telemetry = support::current_telemetry();
   const support::SolveTrace::Scope span(
       telemetry != nullptr ? &telemetry->trace : nullptr,
@@ -334,6 +327,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
         .set(static_cast<double>(class_count()));
     telemetry->metrics.counter("oracle.aggregate.solves").add();
   }
+  if (class_count() == 1) return single_class(prices);
 
   const std::size_t kn = shape_->counts.size();
   const double dn = static_cast<double>(miner_count_);
@@ -341,14 +335,14 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
                               ? std::numeric_limits<double>::infinity()
                               : params_.edge_capacity;
   // Per-class seeds: positive, away from the degenerate origin, jointly
-  // below capacity in standalone mode, and — unlike the dense
-  // seed_profile's budget-proportional guess — clamped to the interior
+  // below capacity in standalone mode, and clamped to the interior
   // equilibrium scale sigma^2 / n. A budget-scale seed overshoots the
   // aggregate by orders of magnitude at large n; the collapse back to
   // scale burns the stall-halving damping budget before the real
   // contraction even starts.
   const double h =
       mode_ == EdgeMode::kConnected ? params_.edge_success : 1.0;
+  const KernelEnv env = make_kernel_env(params_, prices, h, 0.0);
   const double gap0 = prices.edge - prices.cloud;
   const double e_scale =
       gap0 > 0.0
@@ -367,12 +361,11 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
     seed[k] = {edge_seed, cloud_seed};
   }
 
-  if (mode_ == EdgeMode::kConnected)
-    return fixed_point(prices, params_.edge_success, 0.0, seed);
+  if (mode_ == EdgeMode::kConnected) return fixed_point(env, seed);
 
   // Standalone GNEP (Theorem 5): shared-multiplier decomposition. Solve
   // unconstrained first; when the cap binds, bisect the common surcharge to
-  // complementarity E = E_max, exactly as solve_symmetric_standalone does.
+  // complementarity E = E_max.
   // Every multiplier probe (initial, expansion, halving) counts as one
   // bisection iteration in the work profile.
   const auto count_probe = [] {
@@ -380,7 +373,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
       work->add(support::prof::WorkField::kBisectionIters, 1);
   };
   count_probe();
-  EquilibriumProfile unconstrained = fixed_point(prices, 1.0, 0.0, seed);
+  EquilibriumProfile unconstrained = fixed_point(env, seed);
   int sweeps = unconstrained.iterations;
   const double cap = params_.edge_capacity;
   const double tol = 1e-9 * (1.0 + cap);
@@ -400,7 +393,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
   bool converged = unconstrained.converged;
   for (int expansion = 0; expansion < 80; ++expansion) {
     count_probe();
-    const EquilibriumProfile at_hi = fixed_point(prices, 1.0, hi, seed);
+    const EquilibriumProfile at_hi = fixed_point(with_surcharge(env, hi), seed);
     sweeps += at_hi.iterations;
     converged = converged && at_hi.converged;
     if (at_hi.totals.edge <= cap) break;
@@ -411,7 +404,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
   for (int step = 0; step < 200; ++step) {
     count_probe();
     const double mid = 0.5 * (lo + hi);
-    const EquilibriumProfile at_mid = fixed_point(prices, 1.0, mid, seed);
+    const EquilibriumProfile at_mid = fixed_point(with_surcharge(env, mid), seed);
     sweeps += at_mid.iterations;
     converged = converged && at_mid.converged;
     if (std::abs(at_mid.totals.edge - cap) <= tol) {
@@ -425,30 +418,12 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
     if (hi - lo <= 1e-14 * (1.0 + hi)) break;
   }
   count_probe();
-  EquilibriumProfile last = fixed_point(prices, 1.0, 0.5 * (lo + hi), seed);
+  EquilibriumProfile last = fixed_point(with_surcharge(env, 0.5 * (lo + hi)), seed);
   sweeps += last.iterations;
   last.iterations = sweeps;
   last.cap_active = true;
   last.converged = converged && last.converged;
   return last;
-}
-
-std::unique_ptr<FollowerOracle> make_profile_oracle(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SolveContext& context) {
-  HECMINE_REQUIRE(!budgets.empty(), "make_profile_oracle: no miners");
-  const AggregateOracleOptions& aggregate = context.aggregate;
-  if (aggregate.dispatch_threshold > 0 &&
-      static_cast<int>(budgets.size()) >= aggregate.dispatch_threshold) {
-    auto oracle = std::make_unique<ClassAggregateOracle>(params, budgets, mode,
-                                                         context.follower);
-    if (oracle->class_count() <= aggregate.max_classes) return oracle;
-  }
-  if (mode == EdgeMode::kConnected)
-    return std::make_unique<ConnectedNepOracle>(params, budgets,
-                                                context.follower);
-  return std::make_unique<StandaloneGnepOracle>(
-      params, budgets, GnepAlgorithm::kSharedPrice, context.follower);
 }
 
 }  // namespace hecmine::core

@@ -1,30 +1,32 @@
-// Aggregate-statistics follower solves: the O(K) route to 10^6 miners.
+// The follower solver: one oracle for every fixed pool of miners.
 //
 // Every best response in the follower stage depends on opponents only
 // through the aggregates E_{-i}, S_{-i} (paper Eq. 14), and Theorem 2's
 // uniqueness makes the equilibrium symmetric within any group of miners
 // sharing a budget. So a pool of N miners drawn from K distinct budgets
-// (K << N) has an equilibrium fully described by K class representatives —
-// the ClassAggregateOracle iterates a K-dimensional fixed point over class
-// totals instead of N per-miner sweeps, then expands per-miner requests and
-// utilities lazily through EquilibriumProfile::request(i) (class-shaped
-// profiles; see EquilibriumProfile::ClassShape). Standalone mode reuses the
-// shared-multiplier decomposition of Theorem 5: the class fixed point runs
-// inside a surcharge bisection to complementarity on E <= E_max, exactly
-// mirroring solve_symmetric_standalone.
+// has an equilibrium fully described by K class requests, and one solver
+// over budget classes covers every pool: K = 1 is the homogeneous game of
+// Theorem 3 / Corollary 1 / Table II, K = N the dense game, and K << N the
+// crowd. Profiles are class-shaped (EquilibriumProfile::ClassShape):
+// per-miner requests and utilities expand lazily through the class map.
 //
-// Class state is stored structure-of-arrays so the per-sweep update is a
-// branch-light sqrt/div chain (the exact interior KKT point of Eq. 14 with
-// lambda = 0, which joint concavity makes the exact global best response
-// whenever it is feasible); infeasible classes fall back to the full
-// miner_best_response boundary search, so the class solve is exact, not an
-// approximation.
+// Each class is settled by block_response_kernel (core/kernels.hpp), the
+// exact common request of a class's m miners against the rest of the pool.
+//   * K = 1: one kernel call with no outside aggregates is the exact
+//     symmetric equilibrium; in standalone mode a binding cap pins
+//     e = E_max/n, and c and the shared surcharge follow from the class's
+//     KKT conditions. No iteration, no scratch state.
+//   * K > 1: a damped Gauss-Seidel fixed point over class requests. Each
+//     sweep first solves a joint block — every class that can afford the
+//     common request of the richest class's block response — in one kernel
+//     call, then settles the remaining classes one kernel call each.
+//     Standalone mode bisects the shared surcharge to complementarity on
+//     E <= E_max (Theorem 5's shared-multiplier decomposition).
 //
-// Dispatch is opt-in: make_profile_oracle consults
-// SolveContext::aggregate (AggregateOracleOptions) and picks this oracle
-// only when the pool is large enough and buckets into few enough classes;
-// default options disable it entirely, so existing callers see identical
-// behavior.
+// A result is `converged` when the sweep movement falls below the
+// tolerance, or when no class's miner can gain more than 1e-7 R by a
+// unilateral deviation (the class certificate, computed with
+// best_response_kernel).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,8 @@
 #include "core/oracle.hpp"
 
 namespace hecmine::core {
+
+struct KernelEnv;  // core/kernels.hpp
 
 /// One budget class: the shared budget key and how many miners hold it.
 struct MinerClass {
@@ -54,15 +58,18 @@ struct ClassPartition {
 [[nodiscard]] ClassPartition partition_budget_classes(
     const std::vector<double>& budgets);
 
-/// Follower oracle solving the K-dimensional class-aggregate fixed point.
-/// Returns class-shaped EquilibriumProfiles: requests/utilities hold one
-/// entry per class and per-miner views expand lazily through the shared
-/// ClassShape. Exact at equilibrium (see file comment).
+/// The follower oracle for a fixed pool (see the file comment). Returns
+/// class-shaped EquilibriumProfiles: requests/utilities hold one entry per
+/// class, and a one-class shape carries no miner-to-class map.
 class ClassAggregateOracle final : public FollowerOracle {
  public:
   ClassAggregateOracle(NetworkParams params,
                        const std::vector<double>& budgets, EdgeMode mode,
                        MinerSolveOptions options = {});
+
+  /// One class of n miners of budget `budget`, without a budget vector.
+  ClassAggregateOracle(NetworkParams params, double budget, int n,
+                       EdgeMode mode, MinerSolveOptions options = {});
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
   [[nodiscard]] int miner_count() const override { return miner_count_; }
@@ -74,13 +81,14 @@ class ClassAggregateOracle final : public FollowerOracle {
   }
 
  private:
-  /// Damped Gauss-Seidel fixed point over class representatives at a fixed
-  /// edge surcharge; fills requests (per class) and convergence fields.
-  [[nodiscard]] EquilibriumProfile fixed_point(const Prices& prices,
-                                               double edge_success,
-                                               double surcharge,
-                                               std::vector<MinerRequest>& seed)
-      const;
+  /// K = 1: the exact symmetric equilibrium, no iteration.
+  [[nodiscard]] EquilibriumProfile single_class(const Prices& prices) const;
+
+  /// K > 1: damped Gauss-Seidel fixed point over class requests at the
+  /// surcharge baked into `env`; `state` is the warm start and receives
+  /// the final requests.
+  [[nodiscard]] EquilibriumProfile fixed_point(
+      const KernelEnv& env, std::vector<MinerRequest>& state) const;
 
   NetworkParams params_;
   EdgeMode mode_;
@@ -90,16 +98,5 @@ class ClassAggregateOracle final : public FollowerOracle {
   /// (O(K) profile copies).
   std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
 };
-
-/// Profile-oracle factory with aggregate dispatch: the ClassAggregateOracle
-/// when context.aggregate opts in (dispatch_threshold > 0, pool size >=
-/// threshold, bucketing yields <= max_classes classes), else the dense
-/// ConnectedNepOracle / StandaloneGnepOracle for `mode`. The pool is
-/// bucketed once: the class count is read off the built oracle. Returns
-/// the bare oracle — callers layer decorate_follower_oracle themselves (as
-/// make_follower_oracle and the leader stage do).
-[[nodiscard]] std::unique_ptr<FollowerOracle> make_profile_oracle(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SolveContext& context = {});
 
 }  // namespace hecmine::core

@@ -81,15 +81,10 @@ std::vector<std::vector<double>> sample_cloud(const std::vector<double>& base,
 }
 
 /// Totals recomputed from the profile's own requests (the auditor never
-/// trusts solver-reported aggregates); O(K) for symmetric and class-shaped
-/// profiles, O(N) dense.
+/// trusts solver-reported aggregates); O(K) for class-shaped profiles,
+/// O(N) dense.
 Totals recompute_totals(const EquilibriumProfile& profile) {
   HECMINE_REQUIRE(!profile.requests.empty(), "audit_equilibrium: empty profile");
-  if (profile.symmetric) {
-    const double dn = static_cast<double>(profile.miner_count);
-    return {dn * profile.requests.front().edge,
-            dn * profile.requests.front().cloud};
-  }
   if (profile.class_shaped()) {
     Totals totals;
     for (std::size_t k = 0; k < profile.requests.size(); ++k) {

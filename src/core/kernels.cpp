@@ -6,7 +6,6 @@
 
 #include "core/miner.hpp"
 #include "support/error.hpp"
-#include "support/telemetry.hpp"
 
 namespace hecmine::core {
 
@@ -292,214 +291,113 @@ MinerRequest best_response_kernel(const KernelEnv& env, double budget,
   return best;
 }
 
-/// Sweeps between convergence / probe / stall-damping checkpoints in
-/// solve_nep_batch. Typical solves take tens of sweeps, so checking every
-/// 4th trades at most 3 overshoot sweeps for 4x less bookkeeping.
-constexpr int kConvergenceStride = 4;
-
-BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& binding) {
-  HECMINE_REQUIRE(batch.size() > 0, "solve_nep_batch requires miners");
-  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
-                  "solve_nep_batch: damping must be in (0, 1]");
-  const std::size_t n = batch.size();
-  double* e = batch.edge.data();
-  double* c = batch.cloud.data();
-  const double* budget = batch.budget.data();
-
-  // Best responses steepen with the player count in aggregative games, so
-  // a fixed damping can orbit: halve the step once the residual has not
-  // improved for ~30 sweeps (stall_limit checkpoints).
-  double damping = options.damping;
-  double best_residual = std::numeric_limits<double>::infinity();
-  int stalled = 0;
-  const int stall_limit = std::max(1, 30 / kConvergenceStride);
-
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
-  const std::uint64_t solve_id =
-      telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
-  support::prof::ThreadWorkBlock* work = support::prof::current_block();
-
-  BatchSweepResult result;
-  batch.recompute_totals();
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    result.iterations = iteration;
-    double total_edge = batch.total_edge;
-    double total_cloud = batch.total_cloud;
-    double change = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double oe = std::max(0.0, total_edge - e[i]);
-      const double og = oe + std::max(0.0, total_cloud - c[i]);
-      const MinerRequest response =
-          best_response_kernel(env, budget[i], oe, og);
-      const double new_e = (1.0 - damping) * e[i] + damping * response.edge;
-      const double new_c = (1.0 - damping) * c[i] + damping * response.cloud;
-      const double move =
-          std::max(std::abs(new_e - e[i]), std::abs(new_c - c[i]));
-      change = std::max(change, move);
-      total_edge += new_e - e[i];
-      total_cloud += new_c - c[i];
-      e[i] = new_e;
-      c[i] = new_c;
-    }
-    batch.total_edge = total_edge;
-    batch.total_cloud = total_cloud;
-    result.residual = change;
-    if (work != nullptr) {
-      // One Gauss-Seidel sweep = n best-response kernel evaluations. The
-      // counts are incremented per sweep (not per miner) so the profiled
-      // hot path pays two relaxed adds per n kernel calls.
-      work->add(support::prof::WorkField::kSweeps, 1);
-      work->add(support::prof::WorkField::kBestResponseEvals, n);
-    }
-
-    if (iteration % kConvergenceStride != 0 &&
-        iteration != options.max_iterations)
-      continue;
-    // Checkpoint: exact re-sum bounds incremental-total drift, then the
-    // convergence / probe / stall logic runs on this sweep's change.
-    batch.recompute_totals();
-    if (work != nullptr)
-      work->add(support::prof::WorkField::kConvergenceChecks, 1);
-    if (telemetry != nullptr) {
-      support::IterationProbe::Record record;
-      record.solver = binding.solver;
-      record.solve = solve_id;
-      record.iteration = iteration;
-      record.residual = change;
-      record.tolerance = options.tolerance;
-      record.price_edge = binding.price_edge;
-      record.price_cloud = binding.price_cloud;
-      record.total_edge = batch.total_edge;
-      record.total_cloud = batch.total_cloud;
-      record.step = damping;
-      record.cap_active = env.surcharge > 0.0;
-      telemetry->probe.record(record);
-    }
-    if (change < options.tolerance) {
-      result.converged = true;
-      return result;
-    }
-    if (change < 0.95 * best_residual) {
-      best_residual = change;
-      stalled = 0;
-    } else if (++stalled >= stall_limit && damping > 0.02) {
-      damping *= 0.5;
-      stalled = 0;
-    }
-  }
-  return result;
-}
-
 namespace {
 
-/// Solve-level GNEP telemetry: the gnep.* counters and histogram.
-void record_gnep_solve(const BatchGnepResult& result) {
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry == nullptr) return;
-  telemetry->metrics.counter("gnep.solves").add();
-  if (!result.converged) telemetry->metrics.counter("gnep.nonconverged").add();
-  telemetry->metrics
-      .histogram("gnep.inner_solves", support::geometric_edges(1.0, 2.0, 12))
-      .observe(static_cast<double>(result.inner_solves));
+/// A contest term's marginal for one block member, and its slope.
+struct Marginal {
+  double value = 0.0;
+  double slope = 0.0;
+};
+
+/// Marginal of one block member's contest term when all `members` play
+/// the amount x against an outside total `rest`: with the block-inclusive
+/// total T = rest + m x,
+///   value = coeff (T - x) / T^2,   slope = coeff (2 m x - (m + 1) T) / T^3.
+/// The slope is <= 0 for m >= 1, which is the concavity of the block
+/// potential. At T = 0 the first unit takes the whole term, so the value
+/// is +infinity.
+Marginal block_marginal(double coeff, double rest, double members, double x) {
+  const double total = rest + members * x;
+  if (!(total > 0.0))
+    return {coeff > 0.0 ? std::numeric_limits<double>::infinity() : 0.0, 0.0};
+  return {coeff * (total - x) / (total * total),
+          coeff * (2.0 * members * x - (members + 1.0) * total) /
+              (total * total * total)};
+}
+
+/// Block-inclusive total T at which one contest term is stationary for all
+/// members at once: T = sqrt(sigma^2 (T - x)) with T = rest + m x is a
+/// quadratic in T (positive root taken); the member's amount is then
+/// x = T - T^2 / sigma^2. m = 1 is the single-miner point
+/// T = sqrt(sigma^2 rest).
+double block_total(double sigma_sq, double rest, double members) {
+  const double half = (members - 1.0) * sigma_sq / (2.0 * members);
+  return half + std::sqrt(half * half + sigma_sq * rest / members);
 }
 
 }  // namespace
 
-BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const BatchGnepOptions& gnep,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& inner_binding) {
-  HECMINE_REQUIRE(gnep.cap >= 0.0, "solve_gnep_batch requires cap >= 0");
-  BatchGnepResult result;
+MinerRequest block_response_kernel(const KernelEnv& env, double budget,
+                                   double members, double rest_edge,
+                                   double rest_grand) {
+  if (members <= 1.0)
+    return best_response_kernel(env, budget, rest_edge, rest_grand);
+  if (budget <= 0.0) return {0.0, 0.0};
+  const double m = members;
+  const double max_edge = budget / env.price_edge;
+  const double A = env.share_coeff;
+  const double H = env.edge_coeff;
 
-  support::Telemetry* span_sink = support::current_telemetry();
-  const support::SolveTrace::Scope span(
-      span_sink != nullptr ? &span_sink->trace : nullptr, "gnep.bisection");
+  // 1. Interior: both contest terms stationary at once (Eq. 14 on the
+  // block manifold). The potential is concave, so a feasible stationary
+  // point is the answer.
+  if (env.sigma1_sq > 0.0) {
+    const double t_e = block_total(env.sigma1_sq, rest_edge, m);
+    const double t_s = block_total(env.sigma2_sq, rest_grand, m);
+    MinerRequest interior;
+    interior.edge = t_e - t_e * t_e / env.sigma1_sq;
+    interior.cloud = t_s - t_s * t_s / env.sigma2_sq - interior.edge;
+    if (interior.edge >= 0.0 && interior.cloud >= 0.0 &&
+        env.price_edge * interior.edge + env.price_cloud * interior.cloud <=
+            budget)
+      return interior;
+  }
 
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
-  const std::uint64_t bisection_id =
-      telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
-
-  // The batch iterate IS the warm start: each inner solve refines it in
-  // place, so bisection steps stay cheap.
-  bool inner_ok = true;
-  const auto solve_at = [&](double mu) {
-    // Each surcharge probe (initial, bracket expansion, or halving step)
-    // counts as one bisection iteration.
-    if (auto* work = support::prof::current_block(); work != nullptr)
-      work->add(support::prof::WorkField::kBisectionIters, 1);
-    const KernelEnv penalized = with_surcharge(env, mu);
-    const BatchSweepResult sweep =
-        solve_nep_batch(penalized, batch, options, inner_binding);
-    ++result.inner_solves;
-    inner_ok = inner_ok && sweep.converged;
-    if (telemetry != nullptr) {
-      support::IterationProbe::Record record;
-      record.solver = "gnep.bisection";
-      record.solve = bisection_id;
-      record.iteration = result.inner_solves;
-      record.residual = std::max(0.0, batch.total_edge - gnep.cap);
-      record.tolerance = gnep.complementarity_tol;
-      record.price_edge = inner_binding.price_edge;
-      record.price_cloud = inner_binding.price_cloud;
-      record.total_edge = batch.total_edge;
-      record.step = mu;
-      record.cap_active =
-          batch.total_edge >= gnep.cap - gnep.complementarity_tol;
-      telemetry->probe.record(record);
-    }
-    return batch.total_edge;
+  // 2. Budget line, parametrized by e as in best_response_kernel: the
+  // member total t(e) = e + (B - P_e e)/P_c moves at (P_c - P_e)/P_c.
+  const double t_slope = (env.price_cloud - env.price_edge) / env.price_cloud;
+  const auto line_total = [&](double e) {
+    return e + (budget - env.price_edge * e) / env.price_cloud;
   };
+  const double line_e = concave_newton_argmax(
+      max_edge, [&](double e, double& g, double& h) {
+        const Marginal share = block_marginal(A, rest_grand, m, line_total(e));
+        const Marginal edge = block_marginal(H, rest_edge, m, e);
+        g = share.value * t_slope + edge.value - env.surcharge;
+        h = share.slope * t_slope * t_slope + edge.slope;
+      });
+  // The budget binds iff its multiplier is >= 0: lambda P_c is the cloud
+  // marginal wherever c > 0 on the line, lambda P_e the edge marginal at
+  // the line's edge end (c = 0).
+  const double share_line =
+      block_marginal(A, rest_grand, m, line_total(line_e)).value;
+  const double budget_multiplier =
+      line_e >= max_edge
+          ? share_line + block_marginal(H, rest_edge, m, line_e).value -
+                env.effective_edge_price
+          : share_line - env.price_cloud;
+  if (budget_multiplier >= 0.0)
+    return {line_e, std::max(0.0, (budget - env.price_edge * line_e) /
+                                      env.price_cloud)};
 
-  double usage = solve_at(0.0);
-  if (usage <= gnep.cap + gnep.complementarity_tol) {
-    result.surcharge = 0.0;
-    result.shared_usage = usage;
-    result.cap_active = usage >= gnep.cap - gnep.complementarity_tol;
-    result.converged = inner_ok;
-    record_gnep_solve(result);
-    return result;
-  }
+  // 3. Budget slack and no interior point: the optimum sits on an axis or
+  // at the origin. The edge axis holds it iff the cloud marginal there is
+  // <= 0.
+  const double axis_e = concave_newton_argmax(
+      max_edge, [&](double e, double& g, double& h) {
+        const Marginal share = block_marginal(A, rest_grand, m, e);
+        const Marginal edge = block_marginal(H, rest_edge, m, e);
+        g = share.value + edge.value - env.effective_edge_price;
+        h = share.slope + edge.slope;
+      });
+  if (block_marginal(A, rest_grand, m, axis_e).value <= env.price_cloud)
+    return {axis_e, 0.0};
 
-  // The cap binds: bracket mu* (usage is non-increasing in mu), then bisect.
-  double lo = 0.0;
-  double hi = gnep.surcharge_hi0;
-  for (int expansion = 0; expansion < 80; ++expansion) {
-    if (solve_at(hi) <= gnep.cap) break;
-    lo = hi;
-    hi *= 2.0;
-    HECMINE_REQUIRE(hi < 1e30,
-                    "solve_gnep_batch: surcharge bracket exploded; usage "
-                    "does not fall with the surcharge");
-  }
-  for (int step = 0; step < gnep.max_bisection_steps; ++step) {
-    const double mid = 0.5 * (lo + hi);
-    usage = solve_at(mid);
-    if (std::abs(usage - gnep.cap) <= gnep.complementarity_tol) {
-      lo = hi = mid;
-      break;
-    }
-    if (usage > gnep.cap)
-      lo = mid;
-    else
-      hi = mid;
-    if (hi - lo <= 1e-14 * (1.0 + hi)) break;
-  }
-  const double mu = 0.5 * (lo + hi);
-  result.shared_usage = solve_at(mu);
-  result.surcharge = mu;
-  result.cap_active = true;
-  // Complementarity may sit slightly off cap at the final bisection width;
-  // accept within 10x the requested tolerance.
-  result.converged =
-      inner_ok && std::abs(result.shared_usage - gnep.cap) <=
-                      10.0 * gnep.complementarity_tol;
-  record_gnep_solve(result);
-  return result;
+  // 4. Otherwise the cloud axis (the origin when its stationary point is
+  // negative), in closed form.
+  const double t_s = block_total(env.sigma2_sq, rest_grand, m);
+  return {0.0, std::clamp(t_s - t_s * t_s / env.sigma2_sq, 0.0,
+                          budget / env.price_cloud)};
 }
 
 }  // namespace hecmine::core

@@ -1,4 +1,5 @@
-// Batched follower-solver kernels over the SoA workspace (core/soa.hpp).
+// Follower-solver kernels: the exact best response of one miner, and of a
+// block of identical miners, against fixed opponent aggregates.
 //
 // A KernelEnv hoists everything a best-response evaluation needs that does
 // NOT vary per miner — validated prices, the surcharge, and the Eq. (14)
@@ -8,29 +9,16 @@
 //
 // The scalar kernels are the single source of truth for the closed forms:
 // core/miner.cpp's miner_best_response / miner_utility entry points are
-// thin wrappers over batch-of-one calls here, so scalar and batched paths
-// agree bitwise by construction. The sweep routines (solve_nep_batch /
-// solve_gnep_batch) run damped Gauss-Seidel best-response dynamics over
-// flat double* spans, and the shared-price decomposition of the standalone
-// GNEP on top of them, with:
-//
-//   * opponent aggregates by running-total subtraction (O(n) per sweep
-//     instead of O(n^2)); totals are re-summed exactly at every
-//     convergence checkpoint so rounding drift stays bounded,
-//   * convergence / probe / stall-damping checks every 4th sweep instead
-//     of every sweep,
-//   * boundary segments solved by safeguarded Newton on the exact
-//     derivative (with a golden-section search as the fallback for the
-//     degenerate discontinuous cases).
-//
-// Tolerance-delta policy vs the pre-kernel scalar path: see DESIGN.md §13.
+// thin wrappers over them, so both agree bitwise by construction.
+// block_response_kernel is what the follower solver (ClassAggregateOracle,
+// core/aggregate_oracle.hpp) iterates: one call settles a whole budget
+// class against the rest of the pool. Boundary segments of both kernels
+// are solved by safeguarded Newton on the exact derivative. See DESIGN.md
+// §13 and docs/MATH.md for the block potential.
 #pragma once
 
 #include "core/params.hpp"
-#include "core/soa.hpp"
-#include "core/solve_context.hpp"
 #include "core/types.hpp"
-#include "game/nash.hpp"
 
 namespace hecmine::core {
 
@@ -62,11 +50,11 @@ struct KernelEnv {
 /// Same, from an already-validated MinerEnv (used by the scalar wrappers).
 [[nodiscard]] KernelEnv make_kernel_env(const MinerEnv& env);
 
-/// Re-derives the surcharge-dependent constants at a new mu (used by the
-/// GNEP bisection; everything else is copied).
+/// Re-derives the surcharge-dependent constants at a new mu (everything
+/// else is copied).
 [[nodiscard]] KernelEnv with_surcharge(KernelEnv env, double surcharge);
 
-// --- scalar (batch-of-one) kernels ----------------------------------------
+// --- scalar kernels --------------------------------------------------------
 // All take the opponent aggregates E_{-i} (`others_edge`) and S_{-i}
 // (`others_grand` = E_{-i} + C_{-i}) directly; arithmetic mirrors the
 // legacy core/miner.cpp expressions term for term so the wrappers there
@@ -88,7 +76,7 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
                      double others_edge, double others_grand, double& du_de,
                      double& du_dc);
 
-/// Exact best response over the budget polytope — the batch-of-one kernel
+/// Exact best response over the budget polytope — the kernel
 /// behind miner_best_response (same candidate structure: interior KKT
 /// point, budget line, edge axis, cloud axis, origin; same epsilon-probe
 /// and zero-budget branches).
@@ -97,49 +85,20 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
                                                 double others_edge,
                                                 double others_grand);
 
-// --- sweep drivers ---------------------------------------------------------
-
-/// Outcome of a batched sweep solve.
-struct BatchSweepResult {
-  bool converged = false;
-  int iterations = 0;    ///< sweeps executed
-  double residual = 0.0; ///< max-norm iterate change in the last sweep
-};
-
-/// Damped Gauss-Seidel best-response dynamics on the batch: the damping
-/// halves when the residual stalls, and convergence is checked every 4th
-/// sweep (and on the last). Probe records flow to the thread's telemetry
-/// sink under binding.solver, one per checkpoint.
-BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& binding);
-
-/// Options of the fused GNEP surcharge bisection.
-struct BatchGnepOptions {
-  double cap = 0.0;                   ///< shared edge capacity E_max
-  double surcharge_hi0 = 1.0;         ///< initial upper bracket for mu
-  double complementarity_tol = 1e-7;  ///< |E - E_max| tolerance when mu > 0
-  int max_bisection_steps = 200;
-};
-
-/// Outcome of the fused GNEP solve.
-struct BatchGnepResult {
-  double surcharge = 0.0;
-  double shared_usage = 0.0;  ///< total edge demand at the equilibrium
-  bool cap_active = false;
-  bool converged = false;
-  int inner_solves = 0;
-};
-
-/// Shared-price decomposition of the standalone GNEP (Theorem 5): charges
-/// every miner a common surcharge mu on edge units, solves the mu-penalized
-/// decoupled NEP on the batch (warm-started in place across bisection
-/// steps) and bisects mu to complementarity on E <= cap. Usage must fall
-/// with mu, which holds because edge units are a normal good. Telemetry:
-/// gnep.bisection trace span and probe records, gnep.* counters.
-BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const BatchGnepOptions& gnep,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& inner_binding);
+/// Exact common request of `members` identical miners of budget `budget`
+/// that all play alike against fixed outside aggregates: `rest_edge` is the
+/// edge total and `rest_grand` the grand total (edge + cloud) of every miner
+/// outside the block. The request is the block's symmetric equilibrium: on
+/// the block's symmetric manifold the first-order system has a symmetric
+/// Jacobian, so the request maximizes a concave potential over the budget
+/// polytope (docs/MATH.md), found face by face (interior, budget line, edge
+/// axis, cloud axis) and selected by the signs of the budget multiplier and
+/// of the off-axis marginal. members = 1 is best_response_kernel itself;
+/// zero outside aggregates give the homogeneous closed forms (Theorem 3,
+/// Corollary 1, the edge-only NE).
+[[nodiscard]] MinerRequest block_response_kernel(const KernelEnv& env,
+                                                 double budget, double members,
+                                                 double rest_edge,
+                                                 double rest_grand);
 
 }  // namespace hecmine::core

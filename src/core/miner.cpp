@@ -22,7 +22,7 @@ void MinerEnv::validate() const {
                   "MinerEnv: opponent totals must be non-negative");
 }
 
-// The scalar entry points below are thin wrappers over the batch-of-one
+// The scalar entry points below are thin wrappers over the scalar
 // kernels in core/kernels.cpp; the kernels mirror the historical
 // expressions term for term, so these wrappers are bitwise-identical to
 // the pre-kernel implementations on the smooth paths.

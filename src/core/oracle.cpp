@@ -6,8 +6,7 @@
 #include <utility>
 
 #include "core/aggregate_oracle.hpp"
-#include "core/kernels.hpp"
-#include "core/miner.hpp"
+#include "core/equilibrium.hpp"
 #include "core/scenario.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -16,142 +15,34 @@
 
 namespace hecmine::core {
 
+namespace {
+
+/// Index of miner i's entry in a profile's requests/utilities.
+std::size_t entry_of(const EquilibriumProfile& profile, std::size_t i) {
+  HECMINE_REQUIRE(i < static_cast<std::size_t>(profile.miner_count),
+                  "EquilibriumProfile: miner index out of range");
+  if (profile.classes == nullptr) return i;
+  return profile.classes->of.empty() ? 0 : profile.classes->of[i];
+}
+
+}  // namespace
+
 const MinerRequest& EquilibriumProfile::request(std::size_t i) const {
   HECMINE_REQUIRE(!requests.empty(), "EquilibriumProfile: empty profile");
-  if (symmetric) return requests.front();
-  if (classes != nullptr) {
-    HECMINE_REQUIRE(i < classes->of.size(),
-                    "EquilibriumProfile: miner index out of range");
-    return requests[classes->of[i]];
-  }
-  HECMINE_REQUIRE(i < requests.size(),
-                  "EquilibriumProfile: miner index out of range");
-  return requests[i];
+  return requests[entry_of(*this, i)];
 }
 
 double EquilibriumProfile::utility(std::size_t i) const {
   HECMINE_REQUIRE(!utilities.empty(), "EquilibriumProfile: empty profile");
-  if (symmetric) return utilities.front();
-  if (classes != nullptr) {
-    HECMINE_REQUIRE(i < classes->of.size(),
-                    "EquilibriumProfile: miner index out of range");
-    return utilities[classes->of[i]];
-  }
-  HECMINE_REQUIRE(i < utilities.size(),
-                  "EquilibriumProfile: miner index out of range");
-  return utilities[i];
+  return utilities[entry_of(*this, i)];
 }
 
 std::vector<MinerRequest> EquilibriumProfile::expanded() const {
-  if (symmetric) {
-    HECMINE_REQUIRE(!requests.empty(), "EquilibriumProfile: empty profile");
-    return std::vector<MinerRequest>(static_cast<std::size_t>(miner_count),
-                                     requests.front());
-  }
-  if (classes != nullptr) {
-    std::vector<MinerRequest> out;
-    out.reserve(classes->of.size());
-    for (std::uint32_t k : classes->of) out.push_back(requests[k]);
-    return out;
-  }
-  return requests;
-}
-
-EquilibriumProfile to_profile(const MinerEquilibrium& eq) {
-  EquilibriumProfile profile;
-  profile.miner_count = static_cast<int>(eq.requests.size());
-  profile.symmetric = false;
-  profile.requests = eq.requests;
-  profile.totals = eq.totals;
-  profile.utilities = eq.utilities;
-  profile.surcharge = eq.surcharge;
-  profile.cap_active = eq.cap_active;
-  profile.converged = eq.converged;
-  profile.iterations = eq.iterations;
-  profile.residual = eq.residual;
-  return profile;
-}
-
-EquilibriumProfile to_profile(const SymmetricEquilibrium& eq,
-                              const NetworkParams& params, const Prices& prices,
-                              [[maybe_unused]] double budget, int n,
-                              EdgeMode mode) {
-  HECMINE_REQUIRE(n >= 1, "to_profile: miner count must be >= 1");
-  EquilibriumProfile profile;
-  profile.miner_count = n;
-  profile.symmetric = true;
-  profile.requests = {eq.request};
-  const double dn = static_cast<double>(n);
-  profile.totals = {dn * eq.request.edge, dn * eq.request.cloud};
-  // True (surcharge-free) utility at the symmetric point, as in the profile
-  // solvers; one kernel env replaces the per-call MinerEnv construction.
-  const double edge_success =
-      mode == EdgeMode::kConnected ? params.edge_success : 1.0;
-  const KernelEnv env = make_kernel_env(params, prices, edge_success, 0.0);
-  const double others_edge = (dn - 1.0) * eq.request.edge;
-  const double others_grand = others_edge + (dn - 1.0) * eq.request.cloud;
-  profile.utilities = {utility_kernel(env, eq.request.edge, eq.request.cloud,
-                                      others_edge, others_grand)};
-  profile.surcharge = eq.surcharge;
-  profile.cap_active = eq.cap_active;
-  profile.converged = eq.converged;
-  profile.iterations = eq.iterations;
-  profile.residual = 0.0;
-  return profile;
-}
-
-ConnectedNepOracle::ConnectedNepOracle(NetworkParams params,
-                                       std::vector<double> budgets,
-                                       MinerSolveOptions options)
-    : params_(params), budgets_(std::move(budgets)), options_(options) {
-  HECMINE_REQUIRE(!budgets_.empty(), "ConnectedNepOracle: no miners");
-}
-
-EquilibriumProfile ConnectedNepOracle::solve(const Prices& prices) const {
-  return to_profile(solve_connected_nep(params_, prices, budgets_, options_));
-}
-
-int ConnectedNepOracle::miner_count() const {
-  return static_cast<int>(budgets_.size());
-}
-
-StandaloneGnepOracle::StandaloneGnepOracle(NetworkParams params,
-                                           std::vector<double> budgets,
-                                           GnepAlgorithm algorithm,
-                                           MinerSolveOptions options)
-    : params_(params),
-      budgets_(std::move(budgets)),
-      algorithm_(algorithm),
-      options_(options) {
-  HECMINE_REQUIRE(!budgets_.empty(), "StandaloneGnepOracle: no miners");
-}
-
-EquilibriumProfile StandaloneGnepOracle::solve(const Prices& prices) const {
-  const MinerEquilibrium eq =
-      algorithm_ == GnepAlgorithm::kSharedPrice
-          ? solve_standalone_gnep(params_, prices, budgets_, options_)
-          : solve_standalone_gnep_vi(params_, prices, budgets_, options_);
-  return to_profile(eq);
-}
-
-int StandaloneGnepOracle::miner_count() const {
-  return static_cast<int>(budgets_.size());
-}
-
-SymmetricFollowerOracle::SymmetricFollowerOracle(NetworkParams params,
-                                                 double budget, int n,
-                                                 EdgeMode mode,
-                                                 MinerSolveOptions options)
-    : params_(params), budget_(budget), n_(n), mode_(mode), options_(options) {
-  HECMINE_REQUIRE(n >= 2, "SymmetricFollowerOracle: n >= 2 required");
-}
-
-EquilibriumProfile SymmetricFollowerOracle::solve(const Prices& prices) const {
-  const SymmetricEquilibrium eq =
-      mode_ == EdgeMode::kConnected
-          ? solve_symmetric_connected(params_, prices, budget_, n_, options_)
-          : solve_symmetric_standalone(params_, prices, budget_, n_, options_);
-  return to_profile(eq, params_, prices, budget_, n_, mode_);
+  const auto n = static_cast<std::size_t>(miner_count);
+  std::vector<MinerRequest> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(request(i));
+  return out;
 }
 
 InstrumentedFollowerOracle::InstrumentedFollowerOracle(
@@ -226,19 +117,13 @@ EquilibriumProfile PopulationExpectationOracle::solve(
   const auto solved = support::parallel_map(
       counts.size(),
       [&](std::size_t i) {
-        const int n = counts[i].first;
-        const SymmetricEquilibrium eq =
-            mode_ == EdgeMode::kConnected
-                ? solve_symmetric_connected(params_, prices, budget_, n,
-                                            context_.follower)
-                : solve_symmetric_standalone(params_, prices, budget_, n,
-                                             context_.follower);
-        return to_profile(eq, params_, prices, budget_, n, mode_);
+        return ClassAggregateOracle(params_, budget_, counts[i].first, mode_,
+                                    context_.follower)
+            .solve(prices);
       },
       context_.threads);
 
   EquilibriumProfile result;
-  result.symmetric = true;
   result.converged = true;
   MinerRequest request;
   double utility = 0.0;
@@ -262,6 +147,10 @@ EquilibriumProfile PopulationExpectationOracle::solve(
   result.utilities = {utility};
   result.miner_count =
       std::max(2, static_cast<int>(std::lround(expected_count)));
+  auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
+  shape->counts = {result.miner_count};
+  shape->budgets = {budget_};
+  result.classes = std::move(shape);
   return result;
 }
 
@@ -272,25 +161,10 @@ int PopulationExpectationOracle::miner_count() const {
 std::unique_ptr<FollowerOracle> make_follower_oracle(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SolveContext& context) {
-  HECMINE_REQUIRE(!budgets.empty(), "make_follower_oracle: no miners");
-  // The symmetric fast path needs a strictly positive budget; degenerate
-  // all-zero pools fall through to the profile oracles, which return the
-  // empty equilibrium instead of rejecting the input.
-  const bool homogeneous =
-      budgets.size() >= 2 && budgets.front() > 0.0 &&
-      std::all_of(budgets.begin(), budgets.end(),
-                  [&](double b) { return b == budgets.front(); });
-  std::unique_ptr<FollowerOracle> oracle;
-  if (homogeneous) {
-    oracle = std::make_unique<SymmetricFollowerOracle>(
-        params, budgets.front(), static_cast<int>(budgets.size()), mode,
-        context.follower);
-  } else {
-    // Heterogeneous pools route through the profile-oracle factory, which
-    // honors context.aggregate's opt-in class-aggregate dispatch.
-    oracle = make_profile_oracle(params, budgets, mode, context);
-  }
-  return decorate_follower_oracle(std::move(oracle), context);
+  return decorate_follower_oracle(
+      std::make_unique<ClassAggregateOracle>(params, budgets, mode,
+                                             context.follower),
+      context);
 }
 
 std::unique_ptr<FollowerOracle> make_follower_oracle(const Scenario& scenario,
@@ -329,10 +203,11 @@ EquilibriumProfile solve_followers_symmetric(const NetworkParams& params,
                                              double budget, int n,
                                              EdgeMode mode,
                                              const SolveContext& context) {
-  std::unique_ptr<FollowerOracle> oracle =
-      std::make_unique<SymmetricFollowerOracle>(params, budget, n, mode,
-                                                context.follower);
-  return decorate_follower_oracle(std::move(oracle), context)->solve(prices);
+  return decorate_follower_oracle(
+             std::make_unique<ClassAggregateOracle>(params, budget, n, mode,
+                                                    context.follower),
+             context)
+      ->solve(prices);
 }
 
 double miner_exploitability(const NetworkParams& params, const Prices& prices,
@@ -340,7 +215,7 @@ double miner_exploitability(const NetworkParams& params, const Prices& prices,
                             const EquilibriumProfile& profile, EdgeMode mode) {
   const auto n = static_cast<std::size_t>(profile.miner_count);
   std::vector<double> per_miner;
-  if (profile.symmetric && budgets.size() == 1) {
+  if (budgets.size() == 1 && profile.requests.size() == 1) {
     per_miner.assign(n, budgets.front());
   } else {
     HECMINE_REQUIRE(budgets.size() == n,

@@ -11,7 +11,7 @@
 //   * rng_root  — substream root seed for Monte-Carlo decorators (e.g. the
 //                 population-expectation oracle),
 //   * follower  — tolerances of the embedded miner solves,
-//   * aggregate — opt-in class-aggregate dispatch,
+//   * aggregate — a retired dispatch knob that selects nothing,
 //   * telemetry — optional instrumentation sink.
 //
 // The struct is header-only and intentionally tiny so that layers below
@@ -34,19 +34,14 @@ struct MinerSolveOptions {
   double vi_tolerance = 1e-8; ///< natural-residual target of the VI solver
 };
 
-/// Dispatch knobs of the ClassAggregateOracle (core/aggregate_oracle.hpp).
-/// Aggregation is opt-in: the oracle factories pick the aggregate oracle
-/// only when dispatch_threshold is positive, the pool holds at least that
-/// many miners, and bucketing the budgets yields at most max_classes
-/// classes; otherwise they fall back to the dense NEP/GNEP oracles
-/// unchanged.
+/// Former dispatch knobs of the ClassAggregateOracle
+/// (core/aggregate_oracle.hpp), which is now the follower solver for every
+/// pool. Nothing reads them.
 struct AggregateOracleOptions {
-  /// Minimum miner count before auto-dispatch considers the aggregate
-  /// oracle; 0 (the default) disables auto-dispatch entirely.
+  /// Selects nothing. Kept only because the benchmark workloads
+  /// (perfbench/src/crowd.cpp, campaign.cpp) still set it; it goes when the
+  /// benchmark next changes.
   int dispatch_threshold = 0;
-  /// Largest class count the aggregate path accepts; pools that bucket
-  /// into more classes than this stay on the dense oracles.
-  int max_classes = 64;
 };
 
 /// One bundle of cross-cutting solver resources, passed down every layer
@@ -60,7 +55,7 @@ struct SolveContext {
   std::uint64_t rng_root = 0x9e3779b97f4a7c15ULL;
   /// Tolerances of the embedded miner solves.
   MinerSolveOptions follower;
-  /// Aggregate-oracle dispatch knobs (off by default; see
+  /// Retired dispatch knobs; nothing reads them (see
   /// AggregateOracleOptions).
   AggregateOracleOptions aggregate;
   /// Optional telemetry sink (not owned). When set, oracle factories wrap

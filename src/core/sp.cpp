@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/aggregate_oracle.hpp"
 #include "core/closed_forms.hpp"
 #include "game/stackelberg.hpp"
 #include "numerics/optimize.hpp"
@@ -98,48 +97,34 @@ class StageTelemetryScope {
   std::optional<support::TelemetryScope> scope_;
 };
 
-/// Symmetric fast-path oracle for n identical miners. `scan` caps the inner
-/// iteration budget: closed forms handle the common price regions
-/// instantly, and an approximate demand in an exotic price corner is fine
-/// for locating the leader optimum; the finishing solve runs uncapped.
+/// The follower oracle for n identical miners of budget B (one class).
 std::unique_ptr<FollowerOracle> homogeneous_oracle(const NetworkParams& params,
                                                    double budget, int n,
                                                    EdgeMode mode,
-                                                   const SolveContext& context,
-                                                   bool scan) {
-  MinerSolveOptions follower = context.follower;
-  if (scan) follower.max_iterations = std::min(follower.max_iterations, 600);
-  return decorate_follower_oracle(
-      std::make_unique<SymmetricFollowerOracle>(params, budget, n, mode,
-                                                follower),
+                                                   const SolveContext& context) {
+  return make_follower_oracle(
+      params, std::vector<double>(static_cast<std::size_t>(n), budget), mode,
       context);
 }
 
-/// Full-profile follower oracle (NEP / shared-price GNEP) for arbitrary
-/// budgets.
-std::unique_ptr<FollowerOracle> profile_oracle(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SolveContext& context) {
-  // The factory honors context.aggregate, so large few-class pools run the
-  // leader stage over the O(K) class-aggregate follower solve.
-  return decorate_follower_oracle(
-      make_profile_oracle(params, budgets, mode, context), context);
-}
-
-/// Finishes a leader-stage result from final prices with the given
-/// (uncapped) follower oracle.
+/// Finishes a leader-stage result from final prices. The result is
+/// converged only when the leader step is (`leader_converged`: the price
+/// scan converged, or the sequential construction ran) and the finishing
+/// follower solve converged or passed its certificate.
 LeaderStageResult finish_leader_stage(const NetworkParams& params,
                                       const FollowerOracle& oracle,
-                                      const Prices& prices) {
+                                      const Prices& prices,
+                                      bool leader_converged) {
   LeaderStageResult result;
   result.prices = prices;
   result.followers = oracle.solve(prices);
   result.profits = sp_profits(params, prices, result.followers.totals);
+  result.converged = leader_converged && result.followers.converged;
   return result;
 }
 
 /// Shared Algorithm 1/2 driver: asynchronous leader best response over
-/// prices with the scan-time follower oracle embedded in the payoff.
+/// prices with the follower oracle embedded in the payoff.
 game::StackelbergResult run_leader_best_response(const NetworkParams& params,
                                                  const FollowerOracle& oracle,
                                                  const PriceBox& box,
@@ -191,14 +176,14 @@ double csp_reaction_with_oracle(const NetworkParams& params,
 }
 
 /// CSP reaction P_c*(P_e) for n identical miners of budget B against the
-/// homogeneous scan oracle. Takes the closed form where one applies:
+/// homogeneous oracle. Takes the closed form where one applies:
 /// Theorem 3 / Corollary 1 in connected mode (one root for every budget),
 /// the Table II regions in standalone mode (two candidates, one per side of
 /// the edge-cap kink, scored through the same oracle so the closed form
 /// only proposes and V_c decides). Falls back to the numeric scan when the
 /// root leaves the price box, no candidate exists, or the standalone budget
 /// can bind. Shared by csp_reaction_homogeneous and the sequential leader
-/// solver, which reuses ONE scan oracle across its whole composite scan.
+/// solver, which reuses ONE oracle across its whole composite scan.
 double homogeneous_csp_reaction(const NetworkParams& params, double budget,
                                 int n, EdgeMode mode,
                                 const FollowerOracle& oracle,
@@ -224,15 +209,13 @@ double homogeneous_csp_reaction(const NetworkParams& params, double budget,
 
 /// Theorem 4's sequential construction: substitute the CSP reaction curve
 /// P_c*(P_e) into V_e (the re-written Eq. 22), maximize the
-/// one-dimensional composite over P_e with the `scan` follower oracle, and
-/// finish at the optimum with `finish`. solve_leader_stage_sequential
-/// passes the homogeneous reaction (closed forms where they apply);
-/// solve_leader_stage's full-profile cycle fallback passes the numeric
-/// reaction against its oracle.
+/// one-dimensional composite over P_e, and finish at the optimum.
+/// solve_leader_stage_sequential passes the homogeneous reaction (closed
+/// forms where they apply); solve_leader_stage's heterogeneous cycle
+/// fallback passes the numeric reaction against its oracle.
 template <typename Reaction>
 LeaderStageResult sequential_construction(const NetworkParams& params,
-                                          const FollowerOracle& scan,
-                                          const FollowerOracle& finish,
+                                          const FollowerOracle& oracle,
                                           const Reaction& reaction,
                                           const PriceBox& box,
                                           const SpSolveOptions& options,
@@ -249,7 +232,7 @@ LeaderStageResult sequential_construction(const NetworkParams& params,
   const auto composite = [&](double price_edge) {
     count_leader_eval();
     const Prices prices{price_edge, reaction(price_edge)};
-    return sp_profits(params, prices, scan.solve(prices).totals).edge;
+    return sp_profits(params, prices, oracle.solve(prices).totals).edge;
   };
   const auto best = num::maximize_scan_parallel(composite, box.edge.lo,
                                                 box.edge.hi, composite_scan,
@@ -257,9 +240,8 @@ LeaderStageResult sequential_construction(const NetworkParams& params,
   Prices prices;
   prices.edge = best.argmax;
   prices.cloud = reaction(prices.edge);
-  auto result = finish_leader_stage(params, finish, prices);
+  auto result = finish_leader_stage(params, oracle, prices, true);
   result.method = SpSolveMethod::kSequential;
-  result.converged = true;
   result.rounds = 1;
   return result;
 }
@@ -279,22 +261,20 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.homogeneous");
   const PriceBox box = price_box(params, options);
-  const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
+  const auto oracle = homogeneous_oracle(params, budget, n, mode, context);
   game::StackelbergResult leader;
   {
     const support::SolveTrace::Scope phase(trace_of(context), "best_response");
-    leader = run_leader_best_response(params, *scan, box, options, context);
+    leader = run_leader_best_response(params, *oracle, box, options, context);
   }
   count_best_response_rounds(context, leader.rounds);
 
   if (leader.converged || !options.sequential_fallback) {
     const support::SolveTrace::Scope phase(trace_of(context), "finish");
-    const auto full =
-        homogeneous_oracle(params, budget, n, mode, context, false);
-    auto result = finish_leader_stage(params, *full,
-                                      {leader.actions[0], leader.actions[1]});
+    auto result = finish_leader_stage(params, *oracle,
+                                      {leader.actions[0], leader.actions[1]},
+                                      leader.converged);
     result.method = SpSolveMethod::kBestResponse;
-    result.converged = leader.converged;
     result.rounds = leader.rounds;
     return result;
   }
@@ -314,8 +294,8 @@ double csp_reaction_homogeneous(const NetworkParams& params, double budget,
   HECMINE_REQUIRE(price_edge > 0.0, "csp_reaction: price_edge must be > 0");
   const SolveContext& context = options.context;
   const PriceBox box = price_box(params, options);
-  const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
-  return homogeneous_csp_reaction(params, budget, n, mode, *scan, box,
+  const auto oracle = homogeneous_oracle(params, budget, n, mode, context);
+  return homogeneous_csp_reaction(params, budget, n, mode, *oracle, box,
                                   price_edge, options);
 }
 
@@ -329,16 +309,14 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.sequential");
   const PriceBox box = price_box(params, options);
-  // The reaction shares the composite's scan oracle: rebuilding it per
-  // composite point would re-validate params and redo the oracle setup a
-  // few hundred times.
-  const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
-  const auto full = homogeneous_oracle(params, budget, n, mode, context, false);
+  // The reaction shares the composite's oracle: rebuilding it per
+  // composite point would redo the oracle setup a few hundred times.
+  const auto oracle = homogeneous_oracle(params, budget, n, mode, context);
   const auto reaction = [&](double price_edge) {
-    return homogeneous_csp_reaction(params, budget, n, mode, *scan, box,
+    return homogeneous_csp_reaction(params, budget, n, mode, *oracle, box,
                                     price_edge, options);
   };
-  return sequential_construction(params, *scan, *full, reaction, box, options,
+  return sequential_construction(params, *oracle, reaction, box, options,
                                  context);
 }
 
@@ -356,12 +334,11 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   const PriceBox box = price_box(params, options);
 
   // Unconstrained (cap-free) standalone edge demand at the given prices:
-  // the h = 1 connected game through a scan oracle.
+  // the h = 1 connected game.
   NetworkParams uncapped = params;
   uncapped.edge_success = 1.0;
-  const auto demand_oracle = homogeneous_oracle(uncapped, budget, n,
-                                                EdgeMode::kConnected, context,
-                                                true);
+  const auto demand_oracle =
+      homogeneous_oracle(uncapped, budget, n, EdgeMode::kConnected, context);
   const auto edge_demand = [&](const Prices& prices) {
     return demand_oracle->solve(prices).totals.edge;
   };
@@ -380,15 +357,15 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   };
 
   // CSP profit under the sell-out constraint.
-  const auto scan_oracle = homogeneous_oracle(
-      params, budget, n, EdgeMode::kStandalone, context, true);
+  const auto oracle =
+      homogeneous_oracle(params, budget, n, EdgeMode::kStandalone, context);
   num::Maximize1DOptions scan;
   scan.grid_points = options.grid_points;
   scan.tolerance = 1e-7;
   const auto csp_profit = [&](double price_cloud) {
     count_leader_eval();
     const Prices prices{sellout_price(price_cloud), price_cloud};
-    const EquilibriumProfile eq = scan_oracle->solve(prices);
+    const EquilibriumProfile eq = oracle->solve(prices);
     return (price_cloud - params.cost_cloud) * eq.totals.cloud;
   };
   // Each point runs a sell-out root-find plus a GNEP solve; independent
@@ -399,11 +376,8 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   Prices prices;
   prices.cloud = best_cloud.argmax;
   prices.edge = sellout_price(prices.cloud);
-  const auto full = homogeneous_oracle(params, budget, n,
-                                       EdgeMode::kStandalone, context, false);
-  auto result = finish_leader_stage(params, *full, prices);
+  auto result = finish_leader_stage(params, *oracle, prices, true);
   result.method = SpSolveMethod::kSequential;
-  result.converged = true;
   result.rounds = 1;
   if (result.followers.totals.edge < params.edge_capacity * (1.0 - 0.05)) {
     throw support::ConvergenceError(
@@ -426,8 +400,8 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
       std::all_of(budgets.begin(), budgets.end(),
                   [&](double b) { return b == budgets.front(); });
   if (homogeneous) {
-    // Symmetric fast path: identical budgets make the follower stage an
-    // n-fold copy of one miner, so the O(n) symmetric oracle applies.
+    // Identical budgets: the homogeneous stage, whose CSP reaction has
+    // closed forms (Theorem 4 / Table II).
     return solve_leader_stage_homogeneous(params, budgets.front(),
                                           static_cast<int>(budgets.size()),
                                           mode, options);
@@ -438,7 +412,7 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.profile");
   const PriceBox box = price_box(params, options);
-  const auto oracle = profile_oracle(params, budgets, mode, context);
+  const auto oracle = make_follower_oracle(params, budgets, mode, context);
   game::StackelbergResult leader;
   {
     const support::SolveTrace::Scope phase(trace_of(context), "best_response");
@@ -448,9 +422,9 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
   if (leader.converged || !options.sequential_fallback) {
     const support::SolveTrace::Scope phase(trace_of(context), "finish");
     auto result = finish_leader_stage(params, *oracle,
-                                      {leader.actions[0], leader.actions[1]});
+                                      {leader.actions[0], leader.actions[1]},
+                                      leader.converged);
     result.method = SpSolveMethod::kBestResponse;
-    result.converged = leader.converged;
     result.rounds = leader.rounds;
     return result;
   }
@@ -461,8 +435,8 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
   const auto reaction = [&](double price_edge) {
     return csp_reaction_with_oracle(params, *oracle, box, price_edge, options);
   };
-  auto result = sequential_construction(params, *oracle, *oracle, reaction,
-                                        box, options, context);
+  auto result = sequential_construction(params, *oracle, reaction, box,
+                                        options, context);
   result.rounds += leader.rounds;
   return result;
 }

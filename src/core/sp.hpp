@@ -43,9 +43,9 @@ struct SpSolveOptions {
   /// miner-solve tolerances and the telemetry sink, owned once
   /// (core/solve_context.hpp).
   SolveContext context;
-  /// Test hook: force the full-profile oracle even when every budget is
-  /// equal (solve_leader_stage normally auto-dispatches the symmetric fast
-  /// path; parity tests pin both paths against each other).
+  /// Test hook: run the general (numeric CSP reaction) leader stage even
+  /// when every budget is equal (solve_leader_stage normally dispatches to
+  /// the homogeneous stage; parity tests pin both paths against each other).
   bool force_profile_oracle = false;
   /// When the asynchronous price best response cycles (the simultaneous
   /// leader game can lack a pure NE — exactly the case Theorem 4
@@ -65,13 +65,15 @@ enum class SpSolveMethod {
 };
 
 /// Unified leader-stage result: prices, profits, the follower equilibrium
-/// as an EquilibriumProfile (symmetric or full-profile shape, depending on
-/// which oracle the solve dispatched to), and solve metadata.
+/// as a class-shaped EquilibriumProfile, and solve metadata.
 struct LeaderStageResult {
   Prices prices;                ///< leader prices (P_e*, P_c*)
   SpProfits profits;            ///< V_e*, V_c*
   EquilibriumProfile followers; ///< follower equilibrium at those prices
   SpSolveMethod method = SpSolveMethod::kBestResponse;
+  /// The leader step converged (or the sequential construction ran) AND
+  /// followers.converged holds (the finishing follower solve converged or
+  /// passed its class certificate).
   bool converged = false;
   /// Price best-response rounds actually run (the scan stops at its first
   /// exact cycle), plus 1 when the sequential construction ran.
@@ -84,8 +86,8 @@ struct LeaderStageResult {
 /// pure NE exactly as Theorem 4 anticipates — it stops at the first exact
 /// repeat of the prices, falls back to the sequential construction of
 /// solve_leader_stage_sequential and reports method = kSequential. The
-/// follower stage is the symmetric fast-path oracle, making price sweeps
-/// cheap.
+/// follower stage is the one-class solve, exact without iteration, making
+/// price sweeps cheap.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});
@@ -121,9 +123,8 @@ struct LeaderStageResult {
 
 /// General leader-stage solve over arbitrary budgets. Auto-dispatches: when
 /// every budget is equal (and n >= 2, and the force_profile_oracle hook is
-/// off) this is solve_leader_stage_homogeneous on the symmetric fast path;
-/// otherwise the follower stage is the full-profile NEP/GNEP oracle
-/// (slower — intended for small n). Both paths share the Theorem 4
+/// off) this is solve_leader_stage_homogeneous; otherwise the CSP reaction
+/// is a numeric scan over the class solver. Both paths share the Theorem 4
 /// sequential fallback when the price best response cycles, so the
 /// dispatch choice changes the cost of the solve, never its meaning.
 [[nodiscard]] LeaderStageResult solve_leader_stage(

@@ -61,8 +61,8 @@ struct WelfareReport {
                                        const Prices& prices,
                                        const std::vector<MinerRequest>& requests);
 
-/// Oracle-layer convenience: aggregate utility of a unified profile
-/// (expands symmetric shapes to the full per-miner request vector).
+/// Oracle-layer convenience: aggregate utility of a unified profile, O(K)
+/// over a class-shaped profile's budget classes.
 [[nodiscard]] double aggregate_utility(const NetworkParams& params,
                                        const Prices& prices,
                                        const EquilibriumProfile& profile);

@@ -92,8 +92,8 @@ struct EquilibriumCampaignResult {
 };
 
 /// Solves the follower stage at config.prices through the oracle layer
-/// (mode taken from config.policy.mode; symmetric fast path when all
-/// budgets are equal) and runs the campaign with every miner playing its
+/// (mode taken from config.policy.mode; one budget class, solved without
+/// iteration, when all budgets are equal) and runs the campaign with every miner playing its
 /// equilibrium request. `context` carries the follower tolerances.
 [[nodiscard]] EquilibriumCampaignResult run_campaign_at_equilibrium(
     const CampaignConfig& config, const std::vector<double>& budgets,

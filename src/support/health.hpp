@@ -1,8 +1,8 @@
 // Solver health monitoring: streaming convergence analytics + watchdogs.
 //
 // The IterationProbe (PR 4) already sees one record per iteration of every
-// solver loop — best-response sweeps, GNEP bisections, VI extragradient
-// steps, leader rounds, RL pricing, the aggregate/symmetric fixed points.
+// solver loop — the class fixed point (one solve per surcharge probe in
+// standalone mode), VI extragradient steps, leader rounds, RL pricing.
 // This layer turns that stream into *live* diagnostics instead of post-hoc
 // log analysis:
 //

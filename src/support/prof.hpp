@@ -4,8 +4,9 @@
 // Wall-clock numbers do not transfer across hosts — the bench ledgers are
 // gated at 2x slack precisely because timings are machine- and
 // noise-dependent. What *does* transfer is the amount of algorithmic work
-// a solve performs: best-response kernel evaluations, Gauss-Seidel sweeps,
-// bisection iterations, bytes staged through the SoA workspace. This header makes that work first-class:
+// a solve performs: best- and block-response kernel evaluations,
+// Gauss-Seidel sweeps, bisection iterations. This header makes that work
+// first-class:
 //
 //   * WorkCounters — a plain snapshot of the counter taxonomy (uint64 per
 //     field). Deltas of monotone counts subtract field-wise; totals add.
@@ -30,8 +31,8 @@
 //     a ledger always says whether hardware sampling was live.
 //
 // The header is deliberately standalone (no telemetry/json includes) so
-// the SoA and kernel layers can include it without pulling the full
-// telemetry stack into their translation units.
+// the solver layers can include it without pulling the full telemetry
+// stack into their translation units.
 #pragma once
 
 #include <array>
@@ -59,7 +60,7 @@ enum class WorkField : std::size_t {
   kCacheHits,             ///< retired follower-cache hits (always 0; kept
                           ///< so committed ledgers keep their columns)
   kCacheMisses,           ///< retired follower-cache misses (always 0)
-  kSoaBytesMoved,         ///< bytes staged through AoS<->SoA converters
+  kSoaBytesMoved,         ///< retired with the SoA workspace; always 0
 };
 
 inline constexpr std::size_t kWorkFieldCount = 10;

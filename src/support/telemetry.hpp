@@ -27,7 +27,7 @@
 //   * to_json / write_json / print_summary — machine-readable export and a
 //     human-readable summary built on support::Table.
 //
-// Deep layers (the VI extragradient loop, the shared-price GNEP bisection)
+// Deep layers (the VI extragradient loop, the class solver's fixed point)
 // cannot see a SolveContext, so the sink also propagates through a
 // thread-local: TelemetryScope installs a sink for the current thread and
 // current_telemetry() reads it back. The instrumented follower oracle sets
@@ -359,7 +359,7 @@ class IterationProbe {
   /// loop cannot see (e.g. prices inside the price-agnostic best-response
   /// kernel) are bound by the caller and default to 0.
   struct Record {
-    std::string solver;        ///< loop label, e.g. "nep.best_response"
+    std::string solver;        ///< loop label, e.g. "aggregate.fixed_point"
     std::uint64_t solve = 0;   ///< per-probe solve sequence id
     int iteration = 0;         ///< 1-based iteration index
     double residual = 0.0;     ///< the loop's own stopping metric

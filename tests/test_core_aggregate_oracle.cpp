@@ -1,9 +1,9 @@
 // Tests for the ClassAggregateOracle (core/aggregate_oracle.hpp): the
 // K-dimensional class fixed point must land on the same equilibrium as the
-// dense per-miner solvers (Theorem 2's uniqueness makes the NE symmetric
-// within budget classes), lazy per-miner expansion must be transparent to
-// every consumer, and make_profile_oracle must honor the opt-in dispatch
-// rules. Registered under the `aggregate` ctest label.
+// dense per-miner VI reference (Theorem 2's uniqueness makes the NE
+// symmetric within budget classes), lazy per-miner expansion must be
+// transparent to every consumer, and make_follower_oracle must build it
+// for every pool. Registered under the `aggregate` ctest label.
 #include "core/aggregate_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/audit.hpp"
+#include "core/closed_forms.hpp"
+#include "core/equilibrium.hpp"
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "core/sp.hpp"
@@ -21,8 +23,8 @@
 namespace hecmine::core {
 namespace {
 
-// Documented parity tolerance between the aggregate and dense solvers: both
-// iterate to a 1e-9 movement tolerance around the unique equilibrium, so
+// Documented parity tolerance between the aggregate solver and the dense
+// VI reference: both stop within ~1e-9 of the unique equilibrium, so
 // per-miner requests agree to ~1e-6 resource units at reward scale 100.
 constexpr double kParityTol = 1e-5;
 
@@ -62,7 +64,8 @@ TEST(ClassAggregateOracleParity, ConnectedMatchesDenseNepPerMiner) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets = few_class_budgets();
-  const auto dense = ConnectedNepOracle(params, budgets).solve(prices);
+  const auto dense =
+      solve_followers_vi(params, prices, budgets, EdgeMode::kConnected);
   const auto aggregate =
       ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
           .solve(prices);
@@ -86,8 +89,7 @@ TEST(ClassAggregateOracleParity, StandaloneMatchesDenseGnepWithActiveCap) {
   const Prices prices{1.5, 1.0};
   const std::vector<double> budgets = few_class_budgets();
   const auto dense =
-      StandaloneGnepOracle(params, budgets, GnepAlgorithm::kSharedPrice)
-          .solve(prices);
+      solve_followers_vi(params, prices, budgets, EdgeMode::kStandalone);
   const auto aggregate =
       ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
           .solve(prices);
@@ -107,9 +109,8 @@ TEST(ClassAggregateOracleParity, HomogeneousPoolMatchesSymmetricOracle) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets(6, 40.0);
-  const auto symmetric =
-      SymmetricFollowerOracle(params, 40.0, 6, EdgeMode::kConnected)
-          .solve(prices);
+  const auto symmetric = solve_followers_symmetric(params, prices, 40.0, 6,
+                                                   EdgeMode::kConnected);
   const auto aggregate =
       ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
           .solve(prices);
@@ -120,6 +121,11 @@ TEST(ClassAggregateOracleParity, HomogeneousPoolMatchesSymmetricOracle) {
   EXPECT_NEAR(aggregate.request(0).edge, symmetric.request().edge, kParityTol);
   EXPECT_NEAR(aggregate.request(0).cloud, symmetric.request().cloud,
               kParityTol);
+  // Both are Corollary 1 / Theorem 3's closed form.
+  const MinerRequest closed =
+      homogeneous_connected_request(params, prices, 40.0, 6);
+  EXPECT_NEAR(aggregate.request(0).edge, closed.edge, kParityTol);
+  EXPECT_NEAR(aggregate.request(0).cloud, closed.cloud, kParityTol);
 }
 
 TEST(ClassAggregateOracle, ExpansionIsExactlyClassSymmetric) {
@@ -167,52 +173,12 @@ TEST(ClassAggregateOracle, SolveIsBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ProfileOracleDispatch, DefaultContextNeverPicksTheAggregateOracle) {
-  const NetworkParams params = default_params();
-  const auto oracle = make_profile_oracle(params, few_class_budgets(),
-                                          EdgeMode::kConnected, {});
-  EXPECT_EQ(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
-  EXPECT_NE(dynamic_cast<const ConnectedNepOracle*>(oracle.get()), nullptr);
-}
-
-TEST(ProfileOracleDispatch, ThresholdAndClassCapGateTheAggregateOracle) {
-  const NetworkParams params = default_params();
-  const std::vector<double> budgets = few_class_budgets();
-  SolveContext context;
-  context.aggregate.dispatch_threshold = 4;
-  // Pool size 5 >= threshold 4 and K = 3 <= max_classes: aggregate.
-  auto oracle =
-      make_profile_oracle(params, budgets, EdgeMode::kConnected, context);
-  EXPECT_NE(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
-  // Pool smaller than the threshold: dense.
-  context.aggregate.dispatch_threshold = 6;
-  oracle = make_profile_oracle(params, budgets, EdgeMode::kConnected, context);
-  EXPECT_EQ(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
-  // Too many classes for the cap: dense.
-  context.aggregate.dispatch_threshold = 4;
-  context.aggregate.max_classes = 2;
-  oracle = make_profile_oracle(params, budgets, EdgeMode::kConnected, context);
-  EXPECT_EQ(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
-  // Standalone pools dispatch identically.
-  context.aggregate.max_classes = 64;
-  oracle = make_profile_oracle(params, budgets, EdgeMode::kStandalone, context);
-  EXPECT_NE(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
-}
-
 TEST(ProfileOracleDispatch, MakeFollowerOracleRoutesHeterogeneousPools) {
   const NetworkParams params = default_params();
-  SolveContext context;
-  context.aggregate.dispatch_threshold = 2;
   // No telemetry: the factory returns the bare aggregate oracle.
   const auto oracle = make_follower_oracle(params, few_class_budgets(),
-                                           EdgeMode::kConnected, context);
+                                           EdgeMode::kConnected, {});
   EXPECT_NE(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
-  // Homogeneous pools keep the symmetric fast path regardless of the
-  // aggregate opt-in.
-  const auto homogeneous = make_follower_oracle(
-      params, std::vector<double>(8, 40.0), EdgeMode::kConnected, context);
-  EXPECT_EQ(dynamic_cast<const ClassAggregateOracle*>(homogeneous.get()),
-            nullptr);
 }
 
 TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {
@@ -220,7 +186,6 @@ TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets = few_class_budgets();
   SolveContext context;
-  context.aggregate.dispatch_threshold = 2;
   const auto profile =
       make_follower_oracle(params, budgets, EdgeMode::kConnected, context)
           ->solve(prices);
@@ -249,31 +214,6 @@ TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {
                                                 audit_options);
   EXPECT_EQ(sampled.budget_slack.size(), 3u);
   EXPECT_LE(sampled.best_response_gap, full.best_response_gap + 1e-12);
-}
-
-TEST(ClassAggregateOracle, LeaderStagePricesMatchDenseWithAggregateDispatch) {
-  const NetworkParams params = default_params();
-  const std::vector<double> budgets{50.0, 50.0, 120.0};
-  SpSolveOptions options;
-  options.grid_points = 6;
-  options.max_rounds = 4;
-  options.tolerance = 1e-2;
-  // Scan-grade follower tolerances (the symmetric leader path caps scan
-  // solves the same way); exploitability certification keeps the returned
-  // equilibria honest, and both runs share the settings.
-  options.context.follower.max_iterations = 600;
-  options.context.follower.tolerance = 1e-7;
-  const LeaderStageResult dense =
-      solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
-  options.context.aggregate.dispatch_threshold = 2;
-  const LeaderStageResult aggregate =
-      solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
-  // Follower parity makes the leader profit surfaces match, so the scans
-  // land on the same prices up to the leader tolerance.
-  EXPECT_NEAR(aggregate.prices.edge, dense.prices.edge, 1e-2);
-  EXPECT_NEAR(aggregate.prices.cloud, dense.prices.cloud, 1e-2);
-  EXPECT_NEAR(aggregate.followers.totals.edge, dense.followers.totals.edge,
-              1e-2);
 }
 
 }  // namespace

@@ -84,12 +84,13 @@ TEST(Theorem3, MatchesSymmetricSolver) {
   const Prices prices{2.0, 1.0};
   const double budget = 8.0;
   const int n = 5;
-  const auto numeric = solve_symmetric_connected(params, prices, budget, n);
+  const auto numeric = solve_followers_symmetric(params, prices, budget, n,
+                                                 EdgeMode::kConnected);
   ASSERT_TRUE(numeric.converged);
   const MinerRequest closed =
       homogeneous_binding_request(params, prices, budget, n);
-  EXPECT_NEAR(numeric.request.edge, closed.edge, 1e-6);
-  EXPECT_NEAR(numeric.request.cloud, closed.cloud, 1e-6);
+  EXPECT_NEAR(numeric.request().edge, closed.edge, 1e-6);
+  EXPECT_NEAR(numeric.request().cloud, closed.cloud, 1e-6);
 }
 
 TEST(Theorem3, RequiresMixedPriceCondition) {
@@ -125,11 +126,12 @@ TEST(Corollary1, MatchesSymmetricSolverWithLargeBudget) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const int n = 5;
-  const auto numeric = solve_symmetric_connected(params, prices, 1e5, n);
+  const auto numeric = solve_followers_symmetric(params, prices, 1e5, n,
+                                                 EdgeMode::kConnected);
   ASSERT_TRUE(numeric.converged);
   const MinerRequest closed = homogeneous_sufficient_request(params, prices, n);
-  EXPECT_NEAR(numeric.request.edge, closed.edge, 1e-5);
-  EXPECT_NEAR(numeric.request.cloud, closed.cloud, 1e-5);
+  EXPECT_NEAR(numeric.request().edge, closed.edge, 1e-5);
+  EXPECT_NEAR(numeric.request().cloud, closed.cloud, 1e-5);
 }
 
 TEST(Corollary1, PaperPrintedFormIsTheHEqualOneCase) {
@@ -198,10 +200,11 @@ TEST(StandaloneClosedForm, BindingCapMatchesGnepSolver) {
   const int n = 5;
   const auto closed = standalone_sufficient_request(params, prices, n);
   ASSERT_TRUE(closed.cap_active);
-  const auto numeric = solve_symmetric_standalone(params, prices, 1e5, n);
+  const auto numeric = solve_followers_symmetric(params, prices, 1e5, n,
+                                                 EdgeMode::kStandalone);
   ASSERT_TRUE(numeric.converged);
-  EXPECT_NEAR(closed.request.edge, numeric.request.edge, 1e-4);
-  EXPECT_NEAR(closed.request.cloud, numeric.request.cloud, 1e-3);
+  EXPECT_NEAR(closed.request.edge, numeric.request().edge, 1e-4);
+  EXPECT_NEAR(closed.request.cloud, numeric.request().cloud, 1e-3);
   EXPECT_NEAR(closed.surcharge, numeric.surcharge, 1e-3);
   // Total edge demand hits the cap exactly.
   EXPECT_NEAR(5.0 * closed.request.edge, params.edge_capacity, 1e-10);

@@ -129,9 +129,9 @@ TEST(Invariance, MinerPermutationLeavesEquilibriumSetUnchanged) {
   ASSERT_TRUE(eq_a.converged);
   ASSERT_TRUE(eq_b.converged);
   // Same budgets -> same requests, wherever they sit in the vector.
-  EXPECT_NEAR(eq_a.requests[0].edge, eq_b.requests[1].edge, 1e-6);
-  EXPECT_NEAR(eq_a.requests[1].cloud, eq_b.requests[2].cloud, 1e-6);
-  EXPECT_NEAR(eq_a.requests[2].total(), eq_b.requests[0].total(), 1e-6);
+  EXPECT_NEAR(eq_a.request(0).edge, eq_b.request(1).edge, 1e-6);
+  EXPECT_NEAR(eq_a.request(1).cloud, eq_b.request(2).cloud, 1e-6);
+  EXPECT_NEAR(eq_a.request(2).total(), eq_b.request(0).total(), 1e-6);
 }
 
 TEST(Extremes, TinyCapacityStillYieldsAValidGnep) {

@@ -1,7 +1,8 @@
-// Tests for the SoA kernel layer (core/soa.hpp + core/kernels.hpp):
-// AoS <-> SoA round-trip exactness, batch-of-one vs scalar bitwise parity,
-// and parity of the batched sweeps with the class-aggregate solver on
-// heterogeneous NEP/GNEP fixtures.
+// Tests for the kernel layer (core/kernels.hpp): scalar-wrapper bitwise
+// parity, the block-response kernel (one member is the best response, no
+// outside aggregates give the homogeneous closed forms, and the block's
+// request is a best response to its own copies), and parity of the class
+// solver with the VI reference on heterogeneous NEP/GNEP fixtures.
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -11,9 +12,9 @@
 #include <vector>
 
 #include "core/aggregate_oracle.hpp"
+#include "core/closed_forms.hpp"
 #include "core/equilibrium.hpp"
 #include "core/miner.hpp"
-#include "core/soa.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -43,49 +44,6 @@ MinerEnv scalar_env(const NetworkParams& params, const Prices& prices,
   env.budget = budget;
   env.others = others;
   return env;
-}
-
-TEST(MinerBatchSoA, RoundTripIsBitwiseExact) {
-  support::Rng rng{7};
-  std::vector<double> budgets(17);
-  std::vector<MinerRequest> requests(17);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    budgets[i] = rng.uniform(0.0, 100.0);
-    // Irrational-ish coordinates so any recomputation would show.
-    requests[i] = {rng.uniform(0.0, 10.0) * std::sqrt(2.0),
-                   rng.uniform(0.0, 10.0) * std::sqrt(3.0)};
-  }
-  const MinerBatch batch = make_miner_batch(budgets, requests);
-  const std::vector<MinerRequest> back = extract_requests(batch);
-  ASSERT_EQ(back.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(back[i].edge, requests[i].edge);    // bitwise, not approx
-    EXPECT_EQ(back[i].cloud, requests[i].cloud);
-    EXPECT_EQ(batch.budget[i], budgets[i]);
-  }
-}
-
-TEST(MinerBatchSoA, TotalsMatchAggregateExactly) {
-  support::Rng rng{11};
-  std::vector<double> budgets(9, 10.0);
-  std::vector<MinerRequest> requests(9);
-  for (auto& request : requests)
-    request = {rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)};
-  const MinerBatch batch = make_miner_batch(budgets, requests);
-  const Totals totals = aggregate(requests);
-  // Same index-order summation: bitwise equality, not just closeness.
-  EXPECT_EQ(batch.total_edge, totals.edge);
-  EXPECT_EQ(batch.total_cloud, totals.cloud);
-}
-
-TEST(MinerBatchSoA, LoadRequestsRefreshesTotals) {
-  MinerBatch batch = make_miner_batch({10.0, 20.0});
-  EXPECT_EQ(batch.total_edge, 0.0);
-  load_requests(batch, {{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_EQ(batch.total_edge, 1.0 + 3.0);
-  EXPECT_EQ(batch.total_cloud, 2.0 + 4.0);
-  EXPECT_THROW(load_requests(batch, {{1.0, 2.0}}),
-               support::PreconditionError);
 }
 
 TEST(ScalarKernels, BitwiseMatchMinerEntryPoints) {
@@ -130,89 +88,187 @@ TEST(ScalarKernels, BitwiseMatchMinerEntryPoints) {
   }
 }
 
+TEST(BlockKernel, OneMemberIsBitwiseTheBestResponse) {
+  const NetworkParams params = default_params();
+  support::Rng rng{29};
+  for (int trial = 0; trial < 200; ++trial) {
+    const Prices prices{rng.uniform(0.5, 4.0), rng.uniform(0.2, 2.0)};
+    const double mu = trial % 3 == 0 ? rng.uniform(0.0, 1.0) : 0.0;
+    const KernelEnv env =
+        make_kernel_env(params, prices, rng.uniform(0.1, 1.0), mu);
+    const double budget = trial % 7 == 0 ? 0.0 : rng.uniform(1.0, 80.0);
+    Totals rest{rng.uniform(0.0, 30.0), rng.uniform(0.0, 50.0)};
+    if (trial % 5 == 0) rest.edge = 0.0;
+    if (trial % 11 == 0) rest = {0.0, 0.0};
+    const MinerRequest block =
+        block_response_kernel(env, budget, 1.0, rest.edge, rest.grand());
+    const MinerRequest single =
+        best_response_kernel(env, budget, rest.edge, rest.grand());
+    EXPECT_EQ(block.edge, single.edge);
+    EXPECT_EQ(block.cloud, single.cloud);
+  }
+}
+
+TEST(BlockKernel, ZeroOutsideAggregatesGiveTheHomogeneousClosedForms) {
+  // The whole pool as one block: Corollary 1 (sufficient budget),
+  // Theorem 3 (binding budget) and the edge-only NE (cloud priced out).
+  const NetworkParams params = default_params();
+  const double h = params.edge_success;
+  for (const int n : {2, 3, 5, 10, 50}) {
+    const double m = static_cast<double>(n);
+    const Prices mixed{2.0, 1.0};
+    const KernelEnv env = make_kernel_env(params, mixed, h, 0.0);
+    const auto expect_close = [&](const MinerRequest& got,
+                                  const MinerRequest& want) {
+      const double scale = 1.0 + want.total();
+      EXPECT_NEAR(got.edge, want.edge, 1e-10 * scale) << "n=" << n;
+      EXPECT_NEAR(got.cloud, want.cloud, 1e-10 * scale) << "n=" << n;
+    };
+    expect_close(block_response_kernel(env, 1e6, m, 0.0, 0.0),
+                 homogeneous_sufficient_request(params, mixed, n));
+    const double tight = 0.5 * homogeneous_budget_threshold(params, n);
+    expect_close(block_response_kernel(env, tight, m, 0.0, 0.0),
+                 homogeneous_binding_request(params, mixed, tight, n));
+    const Prices edge_only{
+        2.0, 1.5 * mixed_strategy_cloud_price_bound(params, 2.0)};
+    const KernelEnv edge_env = make_kernel_env(params, edge_only, h, 0.0);
+    for (const double budget : {1e6, 0.2}) {
+      expect_close(block_response_kernel(edge_env, budget, m, 0.0, 0.0),
+                   homogeneous_edge_only_request(params, edge_only, budget, n));
+    }
+  }
+}
+
+TEST(BlockKernel, IsTheBestResponseToItsOwnCopies) {
+  // Every member of the block faces the outside aggregates plus m - 1
+  // copies of the block's request; the single-miner best response to that
+  // must be the request itself. Seeded over price regimes (P_e < P_c
+  // included), surcharges, binding and slack budgets, and outside
+  // aggregates from none to dominant.
+  const NetworkParams params = default_params();
+  support::Rng rng{31};
+  int binding = 0;
+  int edge_cheaper = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Prices prices{rng.uniform(0.5, 6.0), rng.uniform(0.3, 3.0)};
+    const double mu = trial % 4 == 0 ? rng.uniform(0.0, 2.0) : 0.0;
+    const KernelEnv env =
+        make_kernel_env(params, prices, rng.uniform(0.2, 1.0), mu);
+    const double members =
+        trial % 2 == 0 ? std::floor(rng.uniform(2.0, 12.0))
+                       : std::floor(rng.uniform(2.0, 5000.0));
+    const double budget = trial % 3 == 0 ? rng.uniform(0.05, 2.0)
+                                         : rng.uniform(2.0, 200.0);
+    Totals rest{rng.uniform(0.0, 40.0), rng.uniform(0.0, 60.0)};
+    if (trial % 5 == 0) rest = {0.0, 0.0};
+    if (trial % 7 == 0) rest.edge = 0.0;
+    const MinerRequest block =
+        block_response_kernel(env, budget, members, rest.edge, rest.grand());
+    ASSERT_GE(block.edge, 0.0);
+    ASSERT_GE(block.cloud, 0.0);
+    ASSERT_LE(prices.edge * block.edge + prices.cloud * block.cloud,
+              budget * (1.0 + 1e-12));
+    const double copies = members - 1.0;
+    const double others_edge = rest.edge + copies * block.edge;
+    const double others_grand =
+        rest.grand() + copies * (block.edge + block.cloud);
+    const MinerRequest response =
+        best_response_kernel(env, budget, others_edge, others_grand);
+    const double scale = 1.0 + block.total();
+    EXPECT_NEAR(response.edge, block.edge, 1e-7 * scale) << "trial " << trial;
+    EXPECT_NEAR(response.cloud, block.cloud, 1e-7 * scale)
+        << "trial " << trial;
+    if (prices.edge * block.edge + prices.cloud * block.cloud >
+        budget * (1.0 - 1e-9))
+      ++binding;
+    if (prices.edge < prices.cloud) ++edge_cheaper;
+  }
+  // The sweep really visits binding budgets and the P_e < P_c regime.
+  EXPECT_GT(binding, 40);
+  EXPECT_GT(edge_cheaper, 40);
+}
+
 TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
-  // Theorem 2 uniqueness: the batched Gauss-Seidel sweep and the
-  // class-aggregate solver (one class per miner here) must land on the
-  // same equilibrium.
+  // Theorem 2 uniqueness: the class solver (one class per miner here) and
+  // the independent VI reference must land on the same equilibrium.
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{5.0, 12.5, 20.0, 35.0, 60.0, 90.0};
-  const auto eq_batched = solve_connected_nep(params, prices, budgets);
+  MinerSolveOptions vi_options;
+  vi_options.vi_tolerance = 1e-11;
+  const auto eq_vi = solve_followers_vi(params, prices, budgets,
+                                        EdgeMode::kConnected, vi_options);
   const auto eq_classes =
       ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
           .solve(prices);
-  ASSERT_TRUE(eq_batched.converged);
+  ASSERT_TRUE(eq_vi.converged);
   ASSERT_TRUE(eq_classes.converged);
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, eq_classes.request(i).edge, 1e-6);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_classes.request(i).cloud,
-                1e-6);
-    EXPECT_NEAR(eq_batched.utilities[i], eq_classes.utility(i), 1e-4);
+    EXPECT_NEAR(eq_vi.request(i).edge, eq_classes.request(i).edge, 1e-6);
+    EXPECT_NEAR(eq_vi.request(i).cloud, eq_classes.request(i).cloud, 1e-6);
+    EXPECT_NEAR(eq_vi.utility(i), eq_classes.utility(i), 1e-4);
   }
   EXPECT_NEAR(miner_exploitability(params, prices, budgets,
-                                   eq_batched.requests, true),
+                                   eq_classes.expanded(), true),
               0.0, 1e-5);
 }
 
 TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
-  // Tight capacity so the surcharge bisection actually runs in both the
-  // batched decomposition and the class-aggregate solver.
+  // Tight capacity so the surcharge bisection actually runs in the class
+  // solver and the shared cap binds in the VI reference.
   NetworkParams params = default_params();
   params.edge_capacity = 4.0;
   const Prices prices{1.6, 1.0};
   const std::vector<double> budgets{8.0, 15.0, 30.0, 55.0};
-  const auto eq_batched = solve_standalone_gnep(params, prices, budgets);
+  MinerSolveOptions vi_options;
+  vi_options.vi_tolerance = 1e-11;
+  const auto eq_vi = solve_followers_vi(params, prices, budgets,
+                                        EdgeMode::kStandalone, vi_options);
   const auto eq_classes =
       ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
           .solve(prices);
-  ASSERT_TRUE(eq_batched.converged);
+  ASSERT_TRUE(eq_vi.converged);
   ASSERT_TRUE(eq_classes.converged);
-  EXPECT_EQ(eq_batched.cap_active, eq_classes.cap_active);
-  EXPECT_NEAR(eq_batched.surcharge, eq_classes.surcharge,
+  EXPECT_EQ(eq_vi.cap_active, eq_classes.cap_active);
+  EXPECT_NEAR(eq_vi.surcharge, eq_classes.surcharge,
               1e-4 * (1.0 + eq_classes.surcharge));
-  EXPECT_NEAR(eq_batched.totals.edge, eq_classes.totals.edge, 1e-5);
-  EXPECT_LE(eq_batched.totals.edge, params.edge_capacity * (1.0 + 1e-6));
+  EXPECT_NEAR(eq_vi.totals.edge, eq_classes.totals.edge, 1e-5);
+  EXPECT_LE(eq_classes.totals.edge, params.edge_capacity * (1.0 + 1e-6));
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, eq_classes.request(i).edge,
-                1e-4);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_classes.request(i).cloud,
-                1e-4);
+    EXPECT_NEAR(eq_vi.request(i).edge, eq_classes.request(i).edge, 1e-4);
+    EXPECT_NEAR(eq_vi.request(i).cloud, eq_classes.request(i).cloud, 1e-4);
   }
 }
 
 TEST(BatchSweeps, InvalidOptionsThrow) {
   const NetworkParams params = default_params();
-  const KernelEnv env = make_kernel_env(params, {2.0, 1.0}, 0.9, 0.0);
-  MinerBatch batch = make_miner_batch({10.0, 20.0});
   MinerSolveOptions options;
   options.damping = 0.0;
-  EXPECT_THROW(solve_nep_batch(env, batch, options, {"t", 2.0, 1.0}),
+  EXPECT_THROW(ClassAggregateOracle(params, {10.0, 20.0},
+                                    EdgeMode::kConnected, options),
                support::PreconditionError);
 }
 
 TEST(BatchSweeps, ConcurrentBatchSolvesAgree) {
-  // The drivers share no mutable state across batches; concurrent solves
+  // The solver shares no mutable state across solves; concurrent solves
   // (as the leader-stage price scans issue) must be race-free and
   // deterministic. Run under TSan via the `tsan` label.
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{10.0, 20.0, 30.0, 40.0};
-  const MinerSolveOptions options;
-  const auto solve_once = [&] {
-    return solve_connected_nep(params, prices, budgets, options);
-  };
-  const MinerEquilibrium reference = solve_once();
-  std::vector<MinerEquilibrium> results(4);
+  const ClassAggregateOracle oracle(params, budgets, EdgeMode::kConnected);
+  const EquilibriumProfile reference = oracle.solve(prices);
+  std::vector<EquilibriumProfile> results(4);
   std::vector<std::thread> workers;
   workers.reserve(results.size());
   for (auto& slot : results)
-    workers.emplace_back([&, out = &slot] { *out = solve_once(); });
+    workers.emplace_back([&, out = &slot] { *out = oracle.solve(prices); });
   for (auto& worker : workers) worker.join();
-  for (const MinerEquilibrium& eq : results) {
+  for (const EquilibriumProfile& eq : results) {
     ASSERT_EQ(eq.requests.size(), reference.requests.size());
-    for (std::size_t i = 0; i < eq.requests.size(); ++i) {
-      EXPECT_EQ(eq.requests[i].edge, reference.requests[i].edge);
-      EXPECT_EQ(eq.requests[i].cloud, reference.requests[i].cloud);
+    for (std::size_t k = 0; k < eq.requests.size(); ++k) {
+      EXPECT_EQ(eq.requests[k].edge, reference.requests[k].edge);
+      EXPECT_EQ(eq.requests[k].cloud, reference.requests[k].cloud);
     }
   }
 }

@@ -1,6 +1,6 @@
-// Tests for the FollowerOracle layer (core/oracle.hpp): every oracle must
-// agree with its underlying solver, and the dispatch helpers must pick the
-// documented fast paths. Registered
+// Tests for the FollowerOracle layer (core/oracle.hpp): the one follower
+// solver must agree with the VI reference, and the factories must build it
+// for every pool. Registered
 // under the `oracle` ctest label so `ctest -L oracle` runs exactly the
 // equivalence suite.
 #include "core/oracle.hpp"
@@ -11,6 +11,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/aggregate_oracle.hpp"
+#include "core/equilibrium.hpp"
 #include "core/sp.hpp"
 #include "support/error.hpp"
 
@@ -38,11 +40,10 @@ SpSolveOptions fast_options() {
 
 TEST(EquilibriumProfileShape, SymmetricAccessorsMapEveryIndexToTheFront) {
   const NetworkParams params = default_params();
-  const auto eq = SymmetricFollowerOracle(params, 40.0, 5,
-                                          EdgeMode::kConnected)
+  const auto eq = ClassAggregateOracle(params, 40.0, 5, EdgeMode::kConnected)
                       .solve({2.0, 1.0});
   ASSERT_TRUE(eq.converged);
-  EXPECT_TRUE(eq.symmetric);
+  EXPECT_TRUE(eq.class_shaped());
   EXPECT_EQ(eq.miner_count, 5);
   ASSERT_EQ(eq.requests.size(), 1u);
   // Any miner index resolves to the shared entry.
@@ -59,9 +60,9 @@ TEST(EquilibriumProfileShape, SymmetricAccessorsMapEveryIndexToTheFront) {
 TEST(EquilibriumProfileShape, HeterogeneousAccessorsIndexPerMiner) {
   const NetworkParams params = default_params();
   const std::vector<double> budgets{20.0, 30.0, 40.0};
-  const auto eq = ConnectedNepOracle(params, budgets).solve({2.0, 1.0});
+  const auto eq = ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+                      .solve({2.0, 1.0});
   ASSERT_TRUE(eq.converged);
-  EXPECT_FALSE(eq.symmetric);
   ASSERT_EQ(eq.requests.size(), 3u);
   ASSERT_EQ(eq.utilities.size(), 3u);
   EXPECT_EQ(eq.expanded().size(), 3u);
@@ -71,15 +72,15 @@ TEST(EquilibriumProfileShape, HeterogeneousAccessorsIndexPerMiner) {
 }
 
 TEST(OracleParity, SymmetricFastPathMatchesTheFullProfileNep) {
-  // Homogeneous budgets: the O(1) symmetric fixed point and the O(n)
-  // best-response NEP must land on the same equilibrium.
+  // Homogeneous budgets: the O(1) one-class solve and the O(n) VI
+  // reference must land on the same equilibrium.
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets(5, 40.0);
-  const auto fast =
-      SymmetricFollowerOracle(params, 40.0, 5, EdgeMode::kConnected)
-          .solve(prices);
-  const auto full = ConnectedNepOracle(params, budgets).solve(prices);
+  const auto fast = ClassAggregateOracle(params, 40.0, 5, EdgeMode::kConnected)
+                        .solve(prices);
+  const auto full =
+      solve_followers_vi(params, prices, budgets, EdgeMode::kConnected);
   ASSERT_TRUE(fast.converged);
   ASSERT_TRUE(full.converged);
   for (std::size_t i = 0; i < 5; ++i) {
@@ -92,16 +93,16 @@ TEST(OracleParity, SymmetricFastPathMatchesTheFullProfileNep) {
 }
 
 TEST(OracleParity, GnepSharedPriceAndViAgree) {
-  // The two standalone algorithms are independent routes to the same
-  // variational equilibrium (Theorem 5).
+  // The class solver's shared-surcharge decomposition and the VI are
+  // independent routes to the same variational equilibrium (Theorem 5).
   const NetworkParams params = default_params();
   const Prices prices{2.2, 1.0};
   const std::vector<double> budgets{25.0, 35.0, 45.0};
   const auto shared =
-      StandaloneGnepOracle(params, budgets, GnepAlgorithm::kSharedPrice)
+      ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
           .solve(prices);
   const auto vi =
-      StandaloneGnepOracle(params, budgets, GnepAlgorithm::kVi).solve(prices);
+      solve_followers_vi(params, prices, budgets, EdgeMode::kStandalone);
   ASSERT_TRUE(shared.converged);
   ASSERT_TRUE(vi.converged);
   EXPECT_EQ(shared.cap_active, vi.cap_active);
@@ -115,22 +116,25 @@ TEST(OracleParity, GnepSharedPriceAndViAgree) {
 
 TEST(MakeFollowerOracle, DispatchesTheDocumentedFastPaths) {
   const NetworkParams params = default_params();
-  // Equal budgets: symmetric fast path.
-  EXPECT_TRUE(dynamic_cast<SymmetricFollowerOracle*>(
-      make_follower_oracle(params, {40.0, 40.0, 40.0}, EdgeMode::kConnected)
-          .get()));
-  // Heterogeneous: the mode picks the profile oracle.
-  EXPECT_TRUE(dynamic_cast<ConnectedNepOracle*>(
-      make_follower_oracle(params, {20.0, 30.0}, EdgeMode::kConnected).get()));
-  EXPECT_TRUE(dynamic_cast<StandaloneGnepOracle*>(
-      make_follower_oracle(params, {20.0, 30.0}, EdgeMode::kStandalone)
-          .get()));
-  // A single miner cannot play the symmetric game.
-  EXPECT_TRUE(dynamic_cast<ConnectedNepOracle*>(
-      make_follower_oracle(params, {40.0}, EdgeMode::kConnected).get()));
-  // Degenerate zero budgets skip the fast path (it needs budget > 0).
-  EXPECT_TRUE(dynamic_cast<ConnectedNepOracle*>(
-      make_follower_oracle(params, {0.0, 0.0}, EdgeMode::kConnected).get()));
+  // One solver for every pool: equal budgets (one class), heterogeneous
+  // pools in both modes, a single miner and degenerate zero budgets.
+  const auto class_count = [&](const std::vector<double>& budgets,
+                               EdgeMode mode) {
+    const auto oracle = make_follower_oracle(params, budgets, mode);
+    const auto* solver = dynamic_cast<const ClassAggregateOracle*>(oracle.get());
+    return solver == nullptr ? -1 : solver->class_count();
+  };
+  EXPECT_EQ(class_count({40.0, 40.0, 40.0}, EdgeMode::kConnected), 1);
+  EXPECT_EQ(class_count({20.0, 30.0}, EdgeMode::kConnected), 2);
+  EXPECT_EQ(class_count({20.0, 30.0}, EdgeMode::kStandalone), 2);
+  EXPECT_EQ(class_count({40.0}, EdgeMode::kConnected), 1);
+  EXPECT_EQ(class_count({0.0, 0.0}, EdgeMode::kConnected), 1);
+  // The degenerate pools still solve: the lone miner plays the epsilon
+  // probe, zero budgets buy nothing.
+  const auto zero = solve_followers(params, {2.0, 1.0}, {0.0, 0.0},
+                                    EdgeMode::kConnected);
+  EXPECT_TRUE(zero.converged);
+  EXPECT_EQ(zero.totals.grand(), 0.0);
 }
 
 TEST(SolveFollowers, AutoDispatchMatchesTheExplicitSymmetricCall) {
@@ -141,16 +145,16 @@ TEST(SolveFollowers, AutoDispatchMatchesTheExplicitSymmetricCall) {
                       EdgeMode::kConnected);
   const auto explicit_symmetric =
       solve_followers_symmetric(params, prices, 40.0, 5, EdgeMode::kConnected);
-  EXPECT_TRUE(dispatched.symmetric);
+  EXPECT_EQ(dispatched.requests.size(), 1u);
   EXPECT_EQ(dispatched.request().edge, explicit_symmetric.request().edge);
   EXPECT_EQ(dispatched.request().cloud, explicit_symmetric.request().cloud);
   EXPECT_EQ(dispatched.totals.edge, explicit_symmetric.totals.edge);
 }
 
 TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
-  // solve_leader_stage on equal budgets takes the symmetric fast path; the
-  // force_profile_oracle hook pins the full NEP. Both must find the same
-  // leader equilibrium (this is the refactor's core parity claim).
+  // solve_leader_stage on equal budgets takes the homogeneous stage (closed
+  // form CSP reactions); the force_profile_oracle hook pins the general
+  // stage (numeric reactions). Both must find the same leader equilibrium.
   const NetworkParams params = default_params();
   const std::vector<double> budgets(3, 30.0);
   SpSolveOptions options = fast_options();
@@ -169,8 +173,8 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
   ASSERT_TRUE(fast.converged);
   ASSERT_TRUE(full.converged);
   EXPECT_EQ(fast.method, full.method);
-  EXPECT_TRUE(fast.followers.symmetric);
-  EXPECT_FALSE(full.followers.symmetric);
+  EXPECT_EQ(fast.followers.requests.size(), 1u);
+  EXPECT_EQ(full.followers.requests.size(), 1u);
   EXPECT_NEAR(full.prices.edge, fast.prices.edge,
               0.05 * fast.prices.edge + 1e-3);
   EXPECT_NEAR(full.prices.cloud, fast.prices.cloud,
@@ -186,15 +190,17 @@ TEST(Exploitability, ProfileOverloadCertifiesOracleEquilibria) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{25.0, 35.0, 45.0};
-  const auto connected = ConnectedNepOracle(params, budgets).solve(prices);
+  const auto connected =
+      solve_followers(params, prices, budgets, EdgeMode::kConnected);
   EXPECT_LT(miner_exploitability(params, prices, budgets, connected,
                                  EdgeMode::kConnected),
             1e-4);
-  const auto standalone = StandaloneGnepOracle(params, budgets).solve(prices);
+  const auto standalone =
+      solve_followers(params, prices, budgets, EdgeMode::kStandalone);
   EXPECT_LT(miner_exploitability(params, prices, budgets, standalone,
                                  EdgeMode::kStandalone),
             1e-3);
-  // The symmetric shape accepts a single shared budget entry.
+  // The one-class shape accepts a single shared budget entry.
   const auto symmetric =
       solve_followers_symmetric(params, prices, 40.0, 5, EdgeMode::kConnected);
   EXPECT_LT(miner_exploitability(params, prices, {40.0}, symmetric,
@@ -214,7 +220,7 @@ TEST(PopulationOracle, IsDeterministicInTheContextRngRoot) {
   EXPECT_EQ(first.request().edge, second.request().edge);  // bitwise
   EXPECT_EQ(first.totals.edge, second.totals.edge);
   EXPECT_EQ(first.utility(), second.utility());
-  EXPECT_TRUE(first.symmetric);
+  EXPECT_EQ(first.requests.size(), 1u);
   EXPECT_GE(oracle.miner_count(), 2);
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/dynamic.hpp"
+#include "core/miner.hpp"
 #include "core/oracle.hpp"
 #include "core/population.hpp"
 #include "support/error.hpp"

@@ -259,6 +259,46 @@ TEST(FullProfileStackelberg, HeterogeneousBudgetsSolve) {
             result.followers.request(0).total() - 1e-6);
 }
 
+TEST(LeaderStage, BindingStandaloneBudgetsMatchTheForcedProfileRun) {
+  // n = 10 miners of budget 5 in standalone mode: every budget binds. The
+  // homogeneous stage (closed-form CSP reactions) and the general stage
+  // (numeric reactions) must agree, on an exact follower equilibrium.
+  const NetworkParams params;
+  const std::vector<double> budgets(10, 5.0);
+  SpSolveOptions options;
+  options.context.threads = 1;
+  const auto homogeneous =
+      solve_leader_stage(params, budgets, EdgeMode::kStandalone, options);
+  options.force_profile_oracle = true;
+  const auto forced =
+      solve_leader_stage(params, budgets, EdgeMode::kStandalone, options);
+  for (const LeaderStageResult* result : {&homogeneous, &forced}) {
+    EXPECT_TRUE(result->converged);
+    EXPECT_TRUE(result->followers.converged);
+    EXPECT_NEAR(result->profits.edge, 12.79518, 1e-6);
+  }
+  EXPECT_NEAR(homogeneous.profits.edge, forced.profits.edge, 1e-6);
+  EXPECT_NEAR(homogeneous.prices.edge, forced.prices.edge, 1e-6);
+  EXPECT_NEAR(homogeneous.prices.cloud, forced.prices.cloud, 1e-6);
+}
+
+TEST(LeaderStage, UnconvergedFollowersMakeTheResultUnconverged) {
+  // A three-class pool whose follower fixed point gets two sweeps: neither
+  // the sweep movement nor the class certificate can pass, so the leader
+  // stage must not call its answer converged, whichever leader step ran.
+  const NetworkParams params = default_params();
+  SpSolveOptions options = fast_options();
+  options.grid_points = 8;
+  options.max_rounds = 4;
+  options.context.follower.max_iterations = 2;
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    const auto result =
+        solve_leader_stage(params, {50.0, 120.0, 200.0}, mode, options);
+    EXPECT_FALSE(result.followers.converged);
+    EXPECT_FALSE(result.converged);
+  }
+}
+
 TEST(SpSolve, ValidatesInputs) {
   const NetworkParams params = default_params();
   EXPECT_THROW((void)solve_leader_stage_homogeneous(

@@ -97,8 +97,10 @@ TEST(Welfare, SocialWelfareHigherWhenCapacityRestrainsCompetition) {
   const NetworkParams params = default_params();  // E_max = 8 binds below
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{40.0, 40.0, 40.0, 40.0, 40.0};
-  const auto connected = ConnectedNepOracle(params, budgets).solve(prices);
-  const auto standalone = StandaloneGnepOracle(params, budgets).solve(prices);
+  const auto connected =
+      solve_followers(params, prices, budgets, EdgeMode::kConnected);
+  const auto standalone =
+      solve_followers(params, prices, budgets, EdgeMode::kStandalone);
   ASSERT_TRUE(standalone.cap_active);
   const auto report_connected = welfare_report(params, prices, connected);
   const auto report_standalone = welfare_report(params, prices, standalone);

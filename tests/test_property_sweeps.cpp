@@ -59,11 +59,12 @@ TEST_P(EquilibriumSweep, ConnectedNepInvariants) {
   const NetworkParams params = params_of(c);
   const Prices prices{c.price_edge, c.price_cloud};
   const std::vector<double> budgets(static_cast<std::size_t>(c.n), c.budget);
-  const auto eq = ConnectedNepOracle(params, budgets).solve(prices);
+  const auto eq =
+      solve_followers(params, prices, budgets, EdgeMode::kConnected);
   ASSERT_TRUE(eq.converged) << "beta=" << c.beta << " h=" << c.h;
 
   // (1) feasibility: budgets and non-negativity.
-  for (const auto& request : eq.requests) {
+  for (const auto& request : eq.expanded()) {
     EXPECT_GE(request.edge, -1e-12);
     EXPECT_GE(request.cloud, -1e-12);
     EXPECT_LE(request_cost(request, prices), c.budget + 1e-6);
@@ -73,24 +74,25 @@ TEST_P(EquilibriumSweep, ConnectedNepInvariants) {
       miner_exploitability(params, prices, budgets, eq, EdgeMode::kConnected),
       0.0, 2e-4);
   // (3) symmetry: homogeneous miners play identically (unique NE).
-  for (const auto& request : eq.requests) {
-    EXPECT_NEAR(request.edge, eq.requests[0].edge, 1e-5);
-    EXPECT_NEAR(request.cloud, eq.requests[0].cloud, 1e-5);
+  for (const auto& request : eq.expanded()) {
+    EXPECT_NEAR(request.edge, eq.request(0).edge, 1e-5);
+    EXPECT_NEAR(request.cloud, eq.request(0).cloud, 1e-5);
   }
   // (4) individual rationality.
-  for (double u : eq.utilities) EXPECT_GE(u, -1e-7);
+  for (std::size_t i = 0; i < budgets.size(); ++i)
+    EXPECT_GE(eq.utility(i), -1e-7);
   // (5) welfare identity at h = 1 (no conditional-model leak).
   if (c.h == 1.0) {
     double sum = 0.0;
-    for (double u : eq.utilities) sum += u;
+    for (std::size_t i = 0; i < budgets.size(); ++i) sum += eq.utility(i);
     const auto report = welfare_report(params, prices, eq.totals);
     EXPECT_NEAR(sum, report.miner_surplus, 1e-5);
   }
-  // (6) the symmetric fast oracle agrees with the profile oracle.
+  // (6) the one-class entry point agrees with the budget-vector oracle.
   const auto symmetric = solve_followers_symmetric(params, prices, c.budget,
                                                    c.n, EdgeMode::kConnected);
-  EXPECT_NEAR(symmetric.request().edge, eq.requests[0].edge, 2e-4);
-  EXPECT_NEAR(symmetric.request().cloud, eq.requests[0].cloud, 2e-3);
+  EXPECT_NEAR(symmetric.request().edge, eq.request(0).edge, 2e-4);
+  EXPECT_NEAR(symmetric.request().cloud, eq.request(0).cloud, 2e-3);
 }
 
 TEST_P(EquilibriumSweep, StandaloneGnepInvariants) {
@@ -98,7 +100,8 @@ TEST_P(EquilibriumSweep, StandaloneGnepInvariants) {
   const NetworkParams params = params_of(c);
   const Prices prices{c.price_edge, c.price_cloud};
   const std::vector<double> budgets(static_cast<std::size_t>(c.n), c.budget);
-  const auto eq = StandaloneGnepOracle(params, budgets).solve(prices);
+  const auto eq =
+      solve_followers(params, prices, budgets, EdgeMode::kStandalone);
   ASSERT_TRUE(eq.converged) << "beta=" << c.beta << " h=" << c.h;
 
   // (1) the shared constraint holds with complementary surcharge.
@@ -109,7 +112,7 @@ TEST_P(EquilibriumSweep, StandaloneGnepInvariants) {
   }
   EXPECT_GE(eq.surcharge, 0.0);
   // (2) feasibility.
-  for (const auto& request : eq.requests) {
+  for (const auto& request : eq.expanded()) {
     EXPECT_GE(request.edge, -1e-12);
     EXPECT_GE(request.cloud, -1e-12);
     EXPECT_LE(request_cost(request, prices), c.budget + 1e-6);
@@ -125,9 +128,10 @@ TEST_P(EquilibriumSweep, WinningProbabilitiesSumToOneAtEquilibrium) {
   const NetworkParams params = params_of(c);
   const Prices prices{c.price_edge, c.price_cloud};
   const std::vector<double> budgets(static_cast<std::size_t>(c.n), c.budget);
-  const auto eq = ConnectedNepOracle(params, budgets).solve(prices);
+  const auto eq =
+      solve_followers(params, prices, budgets, EdgeMode::kConnected);
   if (eq.totals.grand() <= 0.0) GTEST_SKIP();
-  EXPECT_NEAR(total_win_probability(eq.requests, params.fork_rate), 1.0,
+  EXPECT_NEAR(total_win_probability(eq.expanded(), params.fork_rate), 1.0,
               1e-9);
 }
 

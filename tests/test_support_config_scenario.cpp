@@ -52,17 +52,22 @@ TEST(Config, BooleansAndLists) {
 }
 
 TEST(Config, LoadsFromFile) {
-  const std::string path = "test_out/config_load.conf";
-  std::filesystem::create_directories("test_out");
+  // A directory of its own, so parallel test processes never remove each
+  // other's files.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "hecmine_config_load";
+  const std::string path = (dir / "config_load.conf").string();
+  std::filesystem::create_directories(dir);
   {
     std::ofstream out{path};
     out << "reward = 250\n";
   }
   const auto config = support::Config::load(path);
   EXPECT_DOUBLE_EQ(config.get("reward", 0.0), 250.0);
-  EXPECT_THROW((void)support::Config::load("test_out/nonexistent.conf"),
-               std::runtime_error);
-  std::filesystem::remove_all("test_out");
+  EXPECT_THROW(
+      (void)support::Config::load((dir / "nonexistent.conf").string()),
+      std::runtime_error);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Scenario, ParsesFullScenario) {

@@ -41,8 +41,15 @@ TEST(Table, PrintsAlignedHeaderAndRows) {
   EXPECT_NE(text.find("|-"), std::string::npos);
 }
 
+// Each file-writing test owns its directory, so parallel test processes
+// never remove each other's files.
+std::filesystem::path test_dir(const std::string& name) {
+  return std::filesystem::path(testing::TempDir()) / ("hecmine_" + name);
+}
+
 TEST(Table, WritesCsvRoundTrip) {
-  const std::string path = "test_out/table_roundtrip.csv";
+  const std::filesystem::path dir = test_dir("table_roundtrip");
+  const std::string path = (dir / "table_roundtrip.csv").string();
   Table table({"alpha", "beta"});
   table.add_row({0.125, -7.5});
   table.write_csv(path);
@@ -53,16 +60,18 @@ TEST(Table, WritesCsvRoundTrip) {
   std::getline(in, row);
   EXPECT_EQ(header, "alpha,beta");
   EXPECT_EQ(row, "0.125,-7.5");
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Table, CreatesParentDirectories) {
-  const std::string path = "test_out/nested/dir/t.csv";
+  const std::filesystem::path dir = test_dir("table_nested");
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "nested" / "dir" / "t.csv").string();
   Table table({"a"});
   table.add_row({1.0});
   table.write_csv(path);
   EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PrintSection, EmitsBanner) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/equilibrium.hpp"
 #include "core/oracle.hpp"
 #include "core/params.hpp"
 #include "numerics/vi.hpp"
@@ -529,12 +530,14 @@ TEST(ConvergenceReport, ProfileViAndGnepAgreeOnTheVocabulary) {
   const core::Prices prices{2.2, 1.0};
   const std::vector<double> budgets{25.0, 35.0, 45.0};
 
-  // Same game through both GNEP algorithms; each result's report() must
-  // mirror the struct's own fields, and both must converge.
-  for (const auto algorithm :
-       {core::GnepAlgorithm::kSharedPrice, core::GnepAlgorithm::kVi}) {
-    const core::StandaloneGnepOracle oracle(params, budgets, algorithm);
-    const core::EquilibriumProfile profile = oracle.solve(prices);
+  // Same game through the class solver's shared-surcharge decomposition
+  // and the VI reference; each result's report() must mirror the struct's
+  // own fields, and both must converge.
+  for (const core::EquilibriumProfile& profile :
+       {core::solve_followers(params, prices, budgets,
+                              core::EdgeMode::kStandalone),
+        core::solve_followers_vi(params, prices, budgets,
+                                 core::EdgeMode::kStandalone)}) {
     const support::ConvergenceReport report = profile.report();
     EXPECT_TRUE(report.converged);
     EXPECT_EQ(report.converged, profile.converged);
@@ -571,9 +574,9 @@ TEST(InstrumentedOracle, CountsSolvesAndPropagatesTheSinkToDeepLayers) {
   (void)oracle->solve(prices);
 
   EXPECT_EQ(telemetry.metrics.counter("oracle.solves").value(), 1u);
-  // The shared-price GNEP runs under the TLS scope, so its counters land
-  // in the same sink without any plumbing through MinerSolveOptions.
-  EXPECT_EQ(telemetry.metrics.counter("gnep.solves").value(), 1u);
+  // The class solver runs under the TLS scope, so its counters land in
+  // the same sink without any plumbing through MinerSolveOptions.
+  EXPECT_EQ(telemetry.metrics.counter("oracle.aggregate.solves").value(), 1u);
   EXPECT_EQ(telemetry.metrics.histogram("oracle.iterations", {}).count(), 1u);
   EXPECT_EQ(support::current_telemetry(), nullptr);  // scope restored
 }
@@ -609,7 +612,9 @@ TEST(TelemetryScope, PoolWorkersNestScopedSolvesWithoutCrossTalk) {
     EXPECT_EQ(restored[i], 1) << "worker " << i;
     // The solve's counters landed in the nested sink, not the worker's.
     EXPECT_EQ(solve_sinks[i].metrics.counter("oracle.solves").value(), 1u);
-    EXPECT_EQ(solve_sinks[i].metrics.counter("gnep.solves").value(), 1u);
+    EXPECT_EQ(
+        solve_sinks[i].metrics.counter("oracle.aggregate.solves").value(),
+        1u);
     EXPECT_EQ(worker_sinks[i].metrics.counter("oracle.solves").value(), 0u);
     EXPECT_EQ(worker_sinks[i].metrics.counter("worker.tick").value(), 1u);
   }
