@@ -9,6 +9,7 @@
 #include "chain/blocklog.hpp"
 #include "rl/trainer.hpp"
 #include "support/provenance.hpp"
+#include "support/run_dir.hpp"
 
 int main(int argc, char** argv) {
   using namespace hecmine;
@@ -64,14 +65,16 @@ int main(int argc, char** argv) {
   }
   bench::emit("ablation_rl_learners", table);
 
-  // --block-log: one extra epsilon-greedy pass under realized feedback
-  // (the only mode that runs PoW races, hence the only one with blocks to
-  // log) streaming every training round as hecmine.blocklog.v1.
-  const std::string block_log_path = args.block_log();
-  if (!block_log_path.empty()) {
-    const support::provenance::RunManifest manifest =
-        support::provenance::collect();
-    chain::BlockLogWriter block_log(block_log_path, &manifest);
+  // --run-dir: one extra epsilon-greedy pass under realized feedback (the
+  // only mode that runs PoW races, hence the only one with blocks to log)
+  // streaming every training round to the bundle's block log, with the
+  // trainer's telemetry in the rest of the bundle.
+  if (const std::string run_dir_path = args.run_dir(); !run_dir_path.empty()) {
+    support::Telemetry telemetry;
+    telemetry.manifest = support::provenance::collect(1, 4242, argc, argv);
+    support::RunDir run_dir(run_dir_path, telemetry);
+    chain::BlockLogWriter block_log(run_dir.path(support::RunDir::kBlockLog),
+                                    &telemetry.manifest);
     rl::TrainerConfig config;
     config.blocks = blocks;
     config.edge_steps = 13;
@@ -79,9 +82,9 @@ int main(int argc, char** argv) {
     config.feedback = rl::FeedbackMode::kRealized;
     config.edge_success = params.edge_success;
     config.block_log = &block_log;
+    config.telemetry = &telemetry;
     (void)rl::train_miners(params, prices, budget, fixed, config, 4242);
-    std::cout << "[block-log] " << block_log_path << " ("
-              << block_log.records() << " records)\n";
+    run_dir.finish(std::cout);
   }
 
   std::cout << "Expected: every learner's distance to the NE shrinks with "

@@ -13,21 +13,20 @@
 // A Monte-Carlo column drawn from the chain simulator's fork decisions
 // cross-checks the analytic curve.
 //
-// Observability: --block-log streams the hecmine.blocklog.v1 record of an
-// instrumented simulator pass at --delay (default 10 s, the paper's
-// effective propagation scale); --metrics-out / --trace-out export the
-// fig2.* gauges and the sim-time fork-rate timeline of that same pass.
+// Observability: --run-dir writes the run bundle of an instrumented
+// simulator pass at --delay (default 10 s, the paper's effective
+// propagation scale): its hecmine.blocklog.v1 record stream, the fig2.*
+// gauges and the sim-time fork-rate timeline.
 #include <iostream>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "chain/blocklog.hpp"
 #include "chain/race.hpp"
 #include "chain/simulator.hpp"
 #include "core/params.hpp"
-#include "support/openmetrics.hpp"
 #include "support/provenance.hpp"
 #include "support/rng.hpp"
+#include "support/run_dir.hpp"
 
 namespace {
 
@@ -75,22 +74,18 @@ int main(int argc, char** argv) {
   // Instrumented pass: replay one delay point through the ledger-backed
   // simulator with the block log and telemetry sinks attached. Kept
   // separate from the sweep above so the table rows stay sink-free.
-  const std::string block_log_path = args.block_log();
-  const std::string metrics_path = args.metrics_out();
-  const std::string trace_path = args.trace_out();
-  if (!block_log_path.empty() || !metrics_path.empty() ||
-      !trace_path.empty()) {
+  if (const std::string run_dir_path = args.run_dir(); !run_dir_path.empty()) {
     const double delay = args.positive_double("delay", 10.0);
     const double beta = model.fork_rate(delay);
     support::Telemetry telemetry;
-    telemetry.manifest = support::provenance::collect();
-    std::optional<chain::BlockLogWriter> block_log;
-    if (!block_log_path.empty())
-      block_log.emplace(block_log_path, &telemetry.manifest);
+    telemetry.manifest = support::provenance::collect(1, 2026, argc, argv);
+    support::RunDir run_dir(run_dir_path, telemetry);
+    chain::BlockLogWriter block_log(run_dir.path(support::RunDir::kBlockLog),
+                                    &telemetry.manifest);
     chain::RaceConfig config;
     config.fork_rate = beta;
     chain::MiningSimulator simulator(config, 2026);
-    if (block_log) simulator.set_block_log(&*block_log);
+    simulator.set_block_log(&block_log);
     const std::vector<chain::Allocation> allocations{{1.0, 0.0}, {0.0, 1.0}};
     std::size_t mc_forks = 0;
     double fork_ewma = beta;  // seeded at the model value
@@ -111,18 +106,7 @@ int main(int argc, char** argv) {
         .set(2.0 * static_cast<double>(mc_forks) /
              static_cast<double>(rounds));
     metrics.gauge("fig2.rounds").set(static_cast<double>(rounds));
-    if (block_log) {
-      std::cout << "[block-log] " << block_log_path << " ("
-                << block_log->records() << " records)\n";
-    }
-    if (!metrics_path.empty()) {
-      support::write_openmetrics(telemetry, metrics_path);
-      std::cout << "[metrics] " << metrics_path << "\n";
-    }
-    if (!trace_path.empty()) {
-      support::write_chrome_trace(telemetry, trace_path);
-      std::cout << "[trace] " << trace_path << "\n";
-    }
+    run_dir.finish(std::cout);
   }
 
   std::cout << "\nShape check: beta(D) is monotone and ~linear for D << tau="

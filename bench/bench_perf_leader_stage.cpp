@@ -10,7 +10,8 @@
 //
 //   --miners=N --budget=B --grid=G --threads=T (0 = auto) --repeat=R
 //   --hetero-miners=H --max-rounds=M
-//   --perf-sampler (opt-in hardware counters in the telemetry pass)
+//   --run-dir=DIR (an instrumented pass writes the run bundle to DIR)
+//   --perf-sampler (opt-in hardware counters in the instrumented pass)
 //
 // Thread speedup scales with the host's cores (a 1-core CI box reports
 // ~1x); the answers and work counters do not depend on the host.
@@ -30,7 +31,7 @@
 #include "support/error.hpp"
 #include "support/health.hpp"
 #include "support/json.hpp"
-#include "support/openmetrics.hpp"
+#include "support/run_dir.hpp"
 #include "support/parallel.hpp"
 #include "support/provenance.hpp"
 #include "support/telemetry.hpp"
@@ -299,52 +300,30 @@ int main(int argc, char** argv) {
              counters, audit, manifest);
   std::cout << "[json] bench_out/BENCH_leader_stage.json\n";
 
-  // Telemetry/trace pass: deliberately separate from the timed runs above
+  // Instrumented pass: deliberately separate from the timed runs above
   // (those stay sink-free so the tracked numbers measure the solver, not
-  // the instrumentation). One extra parallel solve with the sink attached
-  // produces the machine-readable profile, the per-iteration log
-  // and health gauges, and, when requested, the Chrome Trace Event
-  // timeline and OpenMetrics snapshot.
-  const std::string telemetry_path = args.telemetry_out();
-  const std::string trace_path = args.trace_out();
-  const std::string iteration_log_path = args.iteration_log();
-  const std::string metrics_path = args.metrics_out();
-  if (!telemetry_path.empty() || !trace_path.empty() ||
-      !iteration_log_path.empty() || !metrics_path.empty()) {
+  // the instrumentation). With --run-dir, one extra parallel solve with
+  // the sink attached writes the run bundle: telemetry, trace timeline,
+  // iteration log, health gauges and OpenMetrics snapshot.
+  if (const std::string run_dir_path = args.run_dir(); !run_dir_path.empty()) {
     support::Telemetry telemetry;
     telemetry.manifest = manifest;
     if (perf_sampler.live()) telemetry.trace.set_perf_sampler(&perf_sampler);
-    if (!iteration_log_path.empty())
-      telemetry.probe.stream_to(iteration_log_path, &telemetry.manifest);
     // The health watchdog rides the instrumented pass (observe-only: a
     // bench gathers evidence, it should not abort or spam warnings).
     support::health::HealthOptions health_options;
     health_options.action = support::health::WatchdogAction::kObserve;
     support::health::HealthMonitor health_monitor(telemetry, health_options);
+    support::RunDir run_dir(run_dir_path, telemetry);
+    run_dir.set_event_drain(
+        [&health_monitor] { return health_monitor.drain_event_lines(); });
     core::SpSolveOptions options = base;
     options.context.threads = threads;
     options.context.telemetry = &telemetry;
     (void)core::solve_leader_stage_homogeneous(
         params, budget, n, core::EdgeMode::kConnected, options);
-    if (!telemetry_path.empty()) {
-      support::write_json(telemetry, telemetry_path);
-      support::print_summary(std::cout, telemetry);
-      std::cout << "[telemetry] " << telemetry_path << "\n";
-    }
-    if (!trace_path.empty()) {
-      support::write_chrome_trace(telemetry, trace_path);
-      std::cout << "[trace] " << trace_path << " ("
-                << telemetry.trace.thread_count() << " tracks)\n";
-    }
-    if (!iteration_log_path.empty()) {
-      std::cout << "[iteration-log] " << iteration_log_path << " ("
-                << telemetry.probe.total() << " records)\n";
-    }
     std::cout << "[health] " << health_monitor.incidents() << " incidents\n";
-    if (!metrics_path.empty()) {
-      support::write_openmetrics(telemetry, metrics_path);
-      std::cout << "[metrics] " << metrics_path << "\n";
-    }
+    run_dir.finish(std::cout);
   }
   std::cout << "threads=" << threads << "  parallel speedup "
             << runs[0].wall_ms / runs[1].wall_ms << "x (homogeneous), "

@@ -14,7 +14,8 @@
 //
 //   --n-list=1000,10000,100000,1000000 --classes=8 --budget=200
 //   --repeat=3 --audit-miners=16 --price-edge=2.0 --price-cloud=1.0
-//   --perf-sampler (opt-in hardware counters in the telemetry pass)
+//   --run-dir=DIR (an instrumented pass writes the run bundle to DIR)
+//   --perf-sampler (opt-in hardware counters in the instrumented pass)
 //
 // Emits machine-readable JSON (hecmine.bench.v1) to
 // bench_out/BENCH_perf_scale.json.
@@ -39,7 +40,7 @@
 #include "support/error.hpp"
 #include "support/health.hpp"
 #include "support/json.hpp"
-#include "support/openmetrics.hpp"
+#include "support/run_dir.hpp"
 #include "support/parallel.hpp"
 #include "support/provenance.hpp"
 #include "support/telemetry.hpp"
@@ -377,26 +378,22 @@ int main(int argc, char** argv) {
              counters, worst, manifest);
   std::cout << "[json] bench_out/BENCH_perf_scale.json\n";
 
-  // Telemetry/trace pass, separate from the timed runs (those stay
-  // sink-free): one solve of the largest heterogeneous pool with the sink
-  // attached exports the oracle.aggregate.* spans and metrics, and the
-  // Chrome Trace Event timeline when requested.
-  const std::string telemetry_path = args.telemetry_out();
-  const std::string trace_path = args.trace_out();
-  const std::string iteration_log_path = args.iteration_log();
-  const std::string metrics_path = args.metrics_out();
-  if (!telemetry_path.empty() || !trace_path.empty() ||
-      !iteration_log_path.empty() || !metrics_path.empty()) {
+  // Instrumented pass, separate from the timed runs (those stay
+  // sink-free): with --run-dir, one solve of the largest heterogeneous
+  // pool with the sink attached writes the run bundle with the
+  // oracle.aggregate.* spans and metrics.
+  if (const std::string run_dir_path = args.run_dir(); !run_dir_path.empty()) {
     support::Telemetry telemetry;
     telemetry.manifest = manifest;
     if (perf_sampler.live()) telemetry.trace.set_perf_sampler(&perf_sampler);
-    if (!iteration_log_path.empty())
-      telemetry.probe.stream_to(iteration_log_path, &telemetry.manifest);
     // Observe-only health watchdog on the instrumented pass: the bench
     // gathers evidence without warnings or aborts.
     support::health::HealthOptions health_options;
     health_options.action = support::health::WatchdogAction::kObserve;
     support::health::HealthMonitor health_monitor(telemetry, health_options);
+    support::RunDir run_dir(run_dir_path, telemetry);
+    run_dir.set_event_drain(
+        [&health_monitor] { return health_monitor.drain_event_lines(); });
     const std::vector<double> budgets =
         class_budgets(n_list.back(), classes, budget);
     core::SolveContext context = audit_context;
@@ -404,25 +401,8 @@ int main(int argc, char** argv) {
     const auto oracle = core::make_follower_oracle(
         params, budgets, core::EdgeMode::kConnected, context);
     (void)oracle->solve(prices);
-    if (!telemetry_path.empty()) {
-      support::write_json(telemetry, telemetry_path);
-      support::print_summary(std::cout, telemetry);
-      std::cout << "[telemetry] " << telemetry_path << "\n";
-    }
-    if (!trace_path.empty()) {
-      support::write_chrome_trace(telemetry, trace_path);
-      std::cout << "[trace] " << trace_path << " ("
-                << telemetry.trace.thread_count() << " tracks)\n";
-    }
-    if (!iteration_log_path.empty()) {
-      std::cout << "[iteration-log] " << iteration_log_path << " ("
-                << telemetry.probe.total() << " records)\n";
-    }
     std::cout << "[health] " << health_monitor.incidents() << " incidents\n";
-    if (!metrics_path.empty()) {
-      support::write_openmetrics(telemetry, metrics_path);
-      std::cout << "[metrics] " << metrics_path << "\n";
-    }
+    run_dir.finish(std::cout);
   }
 
   std::cout << "largest pool n=" << n_list.back() << "  worst audit gap "

@@ -47,8 +47,8 @@ void compare_manifests(const Value& baseline, const Value& current,
     // Pre-manifest ledgers: nothing to compare.
     return;
   }
-  // "isa" catches -march=native (HECMINE_NATIVE) ledgers measured against
-  // generic-ISA baselines — a vectorization mismatch, not a regression.
+  // "isa" is "generic" for every current build; older ledgers may carry
+  // an -march=native string, a vectorization mismatch, not a regression.
   for (const char* key :
        {"git_sha", "build_type", "sanitizer", "compiler", "isa"}) {
     const Value* base_field = base->find(key);

@@ -11,7 +11,6 @@
 // --threads=N (or the HECMINE_THREADS environment variable) controls how
 // many threads the SP-stage price scans use; 0 (the default) picks the
 // hardware concurrency. Results are bitwise identical across thread counts.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -33,9 +32,9 @@
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/health.hpp"
-#include "support/openmetrics.hpp"
 #include "support/parallel.hpp"
 #include "support/provenance.hpp"
+#include "support/run_dir.hpp"
 #include "support/telemetry.hpp"
 
 namespace {
@@ -295,10 +294,7 @@ int usage() {
       stderr,
       "usage: hecmine_cli <solve|simulate|dynamic|campaign> <scenario-file> "
       "[--rounds=N] [--blocks=N] [--threads=N] [--log-level=L]\n"
-      "                   [--telemetry-out=FILE] [--iteration-log=FILE]\n"
-      "                   [--trace-out=FILE] [--metrics-out=FILE]\n"
-      "                   [--flight-out=FILE] [--flight-interval-ms=N]\n"
-      "                   [--block-log=FILE] [--block-log-stride=N]\n"
+      "                   [--run-dir=DIR] [--block-log-stride=N]\n"
       "                   [--drift-z=Z] [--misprice-edge=F]\n"
       "                   [--health=off|observe|warn|abort]\n"
       "                   [--audit] [--audit-tol=T]\n"
@@ -311,39 +307,21 @@ int usage() {
       "  --log-level=L        debug|info|warn|error (default info); the\n"
       "                       HECMINE_LOG_LEVEL environment variable is the\n"
       "                       fallback when the flag is absent.\n"
-      "  --telemetry-out=F    write a JSON telemetry profile (solver\n"
-      "                       counters, gauges, solve trace) to F and\n"
-      "                       print the summary tables; HECMINE_TELEMETRY is\n"
-      "                       the fallback. Empty/absent = telemetry off.\n"
-      "  --iteration-log=F    stream one JSONL record per solver iteration\n"
-      "                       (schema hecmine.iterlog.v1: residual, prices,\n"
-      "                       aggregates, step, constraint flags) to F;\n"
-      "                       HECMINE_ITERLOG is the fallback.\n"
-      "  --trace-out=F        write the solve timeline as Chrome Trace Event\n"
-      "                       JSON (schema hecmine.trace.v1, loadable in\n"
-      "                       Perfetto / chrome://tracing) to F;\n"
-      "                       HECMINE_TRACE_OUT is the fallback.\n"
-      "  --flight-out=F       flight recorder: snapshot all counters/gauges/\n"
-      "                       histograms to a rotating JSONL stream at F\n"
-      "                       every --flight-interval-ms (default 500) while\n"
-      "                       the run is in progress; HECMINE_FLIGHT_OUT /\n"
-      "                       HECMINE_FLIGHT_INTERVAL_MS are the fallbacks.\n"
-      "  --metrics-out=F      write the metrics registry + work counters +\n"
-      "                       health gauges as an OpenMetrics/Prometheus\n"
-      "                       text snapshot to F; HECMINE_METRICS_OUT is the\n"
-      "                       fallback. Empty/absent = metrics export off.\n"
+      "  --run-dir=DIR        write the run bundle to DIR: manifest.json,\n"
+      "                       telemetry.json, trace.json (Perfetto),\n"
+      "                       iterlog.jsonl (per-iteration solver records),\n"
+      "                       flight.jsonl (live snapshots every 500 ms),\n"
+      "                       metrics.om (OpenMetrics) and, for the\n"
+      "                       campaign command, blocklog.jsonl (one record\n"
+      "                       per simulated block); HECMINE_RUN_DIR is the\n"
+      "                       fallback. Read it with hecmine_report DIR.\n"
       "  --health=A           solver health watchdog policy when a telemetry\n"
       "                       sink is attached: off, observe (gauges/events\n"
       "                       only), warn (default; log each incident), or\n"
       "                       abort (throw a typed error on divergence);\n"
       "                       HECMINE_HEALTH is the fallback.\n"
-      "  --block-log=F        stream one hecmine.blocklog.v1 JSONL record\n"
-      "                       per simulated block (winner, fork outcome,\n"
-      "                       difficulty, interval, hash shares) to F\n"
-      "                       during the campaign command; HECMINE_BLOCK_LOG\n"
-      "                       is the fallback. Replay with\n"
-      "                       hecmine_campaign_report.\n"
-      "  --block-log-stride=N log every N-th block only (default 1).\n"
+      "  --block-log-stride=N log every N-th block to blocklog.jsonl\n"
+      "                       (default 1).\n"
       "  --drift-z=Z          campaign drift threshold in standard\n"
       "                       deviations (default 4): the campaign monitor\n"
       "                       raises a hecmine.health.v1 incident when an\n"
@@ -381,38 +359,26 @@ int main(int argc, char** argv) {
   try {
     args.apply_log_level();
     const core::Scenario scenario = core::load_scenario(path);
-    const std::string telemetry_path = args.telemetry_out();
-    const std::string iteration_log_path = args.iteration_log();
-    const std::string trace_path = args.trace_out();
-    const std::string flight_path = args.flight_out();
-    const std::string metrics_path = args.metrics_out();
-    const std::string block_log_path = args.block_log();
+    const std::string run_dir_path = args.run_dir();
     const std::string health_policy = args.health();
     const bool audit = args.has("audit");
     const double audit_tol = args.get("audit-tol", 1e-6);
     support::Telemetry telemetry;
     core::SolveContext context;
     context.threads = args.threads();
-    // A sink is attached whenever any consumer needs it: a telemetry JSON
-    // path, a streaming iteration log, a trace timeline, a flight
-    // recorder, an OpenMetrics snapshot, a block log, or audit gauges.
-    context.telemetry = telemetry_path.empty() && iteration_log_path.empty() &&
-                                trace_path.empty() && flight_path.empty() &&
-                                metrics_path.empty() &&
-                                block_log_path.empty() && !audit
-                            ? nullptr
-                            : &telemetry;
+    // A sink is attached whenever a consumer needs it: a run bundle or the
+    // audit gauges.
+    context.telemetry =
+        run_dir_path.empty() && !audit ? nullptr : &telemetry;
     // Stamp the run half of the provenance manifest before any export or
     // stream header embeds it.
     telemetry.manifest = support::provenance::collect(
         support::resolve_thread_count(context.threads), context.rng_root,
         argc, argv);
-    if (!iteration_log_path.empty())
-      telemetry.probe.stream_to(iteration_log_path, &telemetry.manifest);
     // Health monitoring is on by default whenever a sink is attached
-    // (--health=off disables it). Declared before the flusher so the
-    // flusher — whose event drain reads the monitor — is destroyed first
-    // on every path, including typed-error unwinds.
+    // (--health=off disables it). The monitors are declared before the run
+    // bundle so its flight recorder — whose event drain reads them — is
+    // destroyed first on every path, including typed-error unwinds.
     std::optional<support::health::HealthMonitor> health_monitor;
     if (context.telemetry != nullptr && health_policy != "off") {
       support::health::HealthOptions health_options;
@@ -425,13 +391,6 @@ int main(int argc, char** argv) {
     // demotes the watchdog to observe (gauges and retained events only);
     // any other policy escalates drift incidents exactly like solver
     // divergence, so --health=abort exits 5 on a mis-converged campaign.
-    std::optional<chain::BlockLogWriter> block_log;
-    if (command == "campaign" && !block_log_path.empty()) {
-      chain::BlockLogWriter::Options log_options;
-      log_options.stride =
-          static_cast<std::size_t>(args.positive_int("block-log-stride", 1));
-      block_log.emplace(block_log_path, &telemetry.manifest, log_options);
-    }
     std::optional<net::CampaignMonitor> campaign_monitor;
     if (command == "campaign") {
       net::CampaignMonitorOptions monitor_options;
@@ -442,21 +401,26 @@ int main(int argc, char** argv) {
               : support::health::parse_watchdog_action(health_policy);
       campaign_monitor.emplace(telemetry, monitor_options);
     }
-    std::optional<support::TelemetryFlusher> flusher;
-    if (!flight_path.empty()) {
-      support::TelemetryFlusher::Options options;
-      options.interval = std::chrono::milliseconds(args.flight_interval_ms());
-      flusher.emplace(telemetry, flight_path, options);
-      if (health_monitor || campaign_monitor)
-        flusher->set_event_drain([&health_monitor, &campaign_monitor] {
-          std::vector<std::string> lines;
-          if (health_monitor) lines = health_monitor->drain_event_lines();
-          if (campaign_monitor) {
-            auto extra = campaign_monitor->drain_event_lines();
-            for (auto& line : extra) lines.push_back(std::move(line));
-          }
-          return lines;
-        });
+    std::optional<support::RunDir> run_dir;
+    std::optional<chain::BlockLogWriter> block_log;
+    if (!run_dir_path.empty()) {
+      run_dir.emplace(run_dir_path, telemetry);
+      run_dir->set_event_drain([&health_monitor, &campaign_monitor] {
+        std::vector<std::string> lines;
+        if (health_monitor) lines = health_monitor->drain_event_lines();
+        if (campaign_monitor) {
+          auto extra = campaign_monitor->drain_event_lines();
+          for (auto& line : extra) lines.push_back(std::move(line));
+        }
+        return lines;
+      });
+      if (command == "campaign") {
+        chain::BlockLogWriter::Options log_options;
+        log_options.stride =
+            static_cast<std::size_t>(args.positive_int("block-log-stride", 1));
+        block_log.emplace(run_dir->path(support::RunDir::kBlockLog),
+                          &telemetry.manifest, log_options);
+      }
     }
 
     int status = 2;
@@ -480,39 +444,6 @@ int main(int argc, char** argv) {
       return usage();
     }
 
-    // Stop the flight recorder first so its final line reflects the
-    // finished run.
-    if (flusher) {
-      flusher->stop();
-      std::printf("[flight] %s (%llu snapshots, %llu rotations)\n",
-                  flight_path.c_str(),
-                  static_cast<unsigned long long>(flusher->flushes()),
-                  static_cast<unsigned long long>(flusher->rotations()));
-    }
-
-    // End-of-run observability: the full telemetry summary + JSON profile
-    // are emitted when a sink was set.
-    if (command != "dynamic") {
-      if (context.telemetry != nullptr && !telemetry_path.empty()) {
-        support::print_summary(std::cout, telemetry);
-        support::write_json(telemetry, telemetry_path);
-        std::printf("[telemetry] %s\n", telemetry_path.c_str());
-      }
-      if (!iteration_log_path.empty()) {
-        std::printf("[iteration-log] %s (%llu records)\n",
-                    iteration_log_path.c_str(),
-                    static_cast<unsigned long long>(telemetry.probe.total()));
-      }
-      if (!trace_path.empty()) {
-        support::write_chrome_trace(telemetry, trace_path);
-        std::printf("[trace] %s (%d tracks)\n", trace_path.c_str(),
-                    telemetry.trace.thread_count());
-      }
-      if (block_log) {
-        std::printf("[block-log] %s (%llu records)\n", block_log_path.c_str(),
-                    static_cast<unsigned long long>(block_log->records()));
-      }
-    }
     if (health_monitor) {
       std::uint64_t stalls = 0, oscillations = 0, divergences = 0;
       for (const auto& [label, stats] : health_monitor->loop_stats()) {
@@ -527,16 +458,11 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(oscillations),
                   static_cast<unsigned long long>(divergences));
     }
-    // The OpenMetrics snapshot is written last so it includes every gauge
-    // the run produced (audit, health).
-    if (!metrics_path.empty()) {
-      support::write_openmetrics(telemetry, metrics_path);
-      std::printf("[metrics] %s\n", metrics_path.c_str());
-    }
+    if (run_dir) run_dir->finish(std::cout);
     return status;
   } catch (const support::health::SolverHealthError& error) {
-    // The watchdog abort path: the flight recorder (destroyed during this
-    // unwind) has already flushed the hecmine.health.v1 event.
+    // The watchdog abort path: the bundle's flight recorder (destroyed
+    // during this unwind) has already flushed the hecmine.health.v1 event.
     std::fprintf(stderr, "error: %s\n", error.what());
     return 5;
   } catch (const std::exception& error) {

@@ -20,8 +20,9 @@
 //                     convergence aggregates, so logs whose records were
 //                     strided or share-capped still support drift checks
 //
-// hecmine_campaign_report replays a log into a convergence table; the
-// net::CampaignMonitor folds the same records into live campaign.* gauges.
+// `hecmine_report campaign` replays a log through a net::CampaignMonitor
+// into a convergence table; live, the monitor folds the same records into
+// campaign.* gauges.
 #pragma once
 
 #include <cstdint>

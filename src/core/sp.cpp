@@ -269,7 +269,7 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
   }
   count_best_response_rounds(context, leader.rounds);
 
-  if (leader.converged || !options.sequential_fallback) {
+  if (leader.converged) {
     const support::SolveTrace::Scope phase(trace_of(context), "finish");
     auto result = finish_leader_stage(params, *oracle,
                                       {leader.actions[0], leader.actions[1]},
@@ -419,7 +419,7 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
     leader = run_leader_best_response(params, *oracle, box, options, context);
   }
   count_best_response_rounds(context, leader.rounds);
-  if (leader.converged || !options.sequential_fallback) {
+  if (leader.converged) {
     const support::SolveTrace::Scope phase(trace_of(context), "finish");
     auto result = finish_leader_stage(params, *oracle,
                                       {leader.actions[0], leader.actions[1]},

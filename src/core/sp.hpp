@@ -47,15 +47,6 @@ struct SpSolveOptions {
   /// when every budget is equal (solve_leader_stage normally dispatches to
   /// the homogeneous stage; parity tests pin both paths against each other).
   bool force_profile_oracle = false;
-  /// When the asynchronous price best response cycles (the simultaneous
-  /// leader game can lack a pure NE — exactly the case Theorem 4
-  /// analyzes), fall back to the sequential leader construction instead of
-  /// returning the non-converged last iterate. On for every caller that
-  /// wants an answer. Off, the caller gets the scan's state when it
-  /// stopped: at the first exact repeat of an earlier round's prices (see
-  /// game::StackelbergResult::cycle_period), else after max_rounds, with
-  /// converged = false.
-  bool sequential_fallback = true;
 };
 
 /// How the leader-stage solution was obtained.

@@ -79,10 +79,24 @@ void CampaignMonitor::ensure_miners(std::size_t count) {
     miners_[i].sums.miner = static_cast<std::uint64_t>(i);
 }
 
-double CampaignMonitor::drift_score(double wins, double expected,
-                                    double variance) {
+double drift_score(double hits, double expected, double variance) {
   if (variance < 1e-12) return 0.0;
-  return (wins - expected) / std::sqrt(variance);
+  return (hits - expected) / std::sqrt(variance);
+}
+
+DriftTest drift_test(std::uint64_t hits, std::uint64_t rounds,
+                     double expected, double variance,
+                     const CampaignMonitorOptions& options) {
+  DriftTest test;
+  test.z = drift_score(static_cast<double>(hits), expected, variance);
+  const double trials = std::max(1.0, static_cast<double>(rounds));
+  test.empirical = static_cast<double>(hits) / trials;
+  test.expected = expected / trials;
+  test.gap = std::abs(test.empirical - test.expected);
+  test.slack = options.min_rel_gap * std::max(test.expected, 1e-12);
+  test.drifted = rounds >= options.min_rounds &&
+                 std::abs(test.z) > options.drift_z && test.gap > test.slack;
+  return test;
 }
 
 void CampaignMonitor::raise(const std::string& solver, std::uint64_t solve,
@@ -125,23 +139,17 @@ void CampaignMonitor::scan(std::uint64_t round, bool final_scan) {
     win_shares.push_back(static_cast<double>(m.wins));
     any_wins = any_wins || m.wins > 0;
     if (m.rounds < options_.min_rounds) continue;
-    const double rounds = static_cast<double>(m.rounds);
     const double sampler_z =
         drift_score(static_cast<double>(m.wins), m.expected, m.variance);
     sampler_max = std::max(sampler_max, std::abs(sampler_z));
     if (reference_.empty()) continue;
-    const double z = drift_score(static_cast<double>(m.wins), m.expected_ref,
-                                 m.variance_ref);
-    drift_max = std::max(drift_max, std::abs(z));
-    if (slot.fired || std::abs(z) <= options_.drift_z) continue;
-    const double empirical = static_cast<double>(m.wins) / rounds;
-    const double expected = m.expected_ref / rounds;
-    const double gap = std::abs(empirical - expected);
-    const double slack = options_.min_rel_gap * std::max(expected, 1e-12);
-    if (gap <= slack) continue;
+    const DriftTest test = drift_test(m.wins, m.rounds, m.expected_ref,
+                                      m.variance_ref, options_);
+    drift_max = std::max(drift_max, std::abs(test.z));
+    if (slot.fired || !test.drifted) continue;
     slot.fired = true;
-    raise("campaign.win_rate", m.miner, round, z, gap, slack, empirical,
-          expected);
+    raise("campaign.win_rate", m.miner, round, test.z, test.gap, test.slack,
+          test.empirical, test.expected);
   }
   max_sampler_z_ = std::max(max_sampler_z_, sampler_max);
   max_drift_z_ = std::max(max_drift_z_, drift_max);
@@ -150,20 +158,13 @@ void CampaignMonitor::scan(std::uint64_t round, bool final_scan) {
 
   // Fork-rate drift against the beta(D) model.
   if (rounds_ >= options_.min_rounds) {
-    const double fz = drift_score(static_cast<double>(forks_), fork_expected_,
-                                  fork_variance_);
-    sink_.metrics.gauge("campaign.fork_z").set(fz);
-    if (!fork_fired_ && std::abs(fz) > options_.drift_z) {
-      const double blocks = std::max(1.0, static_cast<double>(blocks_));
-      const double empirical = static_cast<double>(forks_) / blocks;
-      const double expected = fork_expected_ / blocks;
-      const double gap = std::abs(empirical - expected);
-      const double slack = options_.min_rel_gap * std::max(expected, 1e-12);
-      if (gap > slack) {
-        fork_fired_ = true;
-        raise("campaign.fork_rate", 0, round, fz, gap, slack, empirical,
-              expected);
-      }
+    const DriftTest test = drift_test(forks_, blocks_, fork_expected_,
+                                      fork_variance_, options_);
+    sink_.metrics.gauge("campaign.fork_z").set(test.z);
+    if (!fork_fired_ && test.drifted) {
+      fork_fired_ = true;
+      raise("campaign.fork_rate", 0, round, test.z, test.gap, test.slack,
+            test.empirical, test.expected);
     }
   }
 

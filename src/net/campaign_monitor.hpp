@@ -77,6 +77,31 @@ struct CampaignMonitorOptions {
   std::size_t max_events = 64;
 };
 
+/// CLT drift score (hits - expected) / sqrt(variance) of a count against
+/// its expectation sums; 0 while the variance is too small to normalize.
+[[nodiscard]] double drift_score(double hits, double expected,
+                                 double variance);
+
+/// One application of the drift rule to a CLT pair: a miner's wins against
+/// its reference win-probability sums, or the fork count against the
+/// beta(D) sums.
+struct DriftTest {
+  double z = 0.0;          ///< drift_score(hits, expected sum, variance sum)
+  double empirical = 0.0;  ///< hits / rounds
+  double expected = 0.0;   ///< expected sum / rounds
+  double gap = 0.0;        ///< |empirical - expected|
+  double slack = 0.0;      ///< the gap the thresholds allow
+  /// rounds >= min_rounds, |z| > drift_z, and gap > min_rel_gap * expected.
+  bool drifted = false;
+};
+
+/// The drift rule. CampaignMonitor's scans and the offline block-log
+/// replay (`hecmine_report campaign`) both judge drift with it, so the two
+/// cannot disagree.
+[[nodiscard]] DriftTest drift_test(std::uint64_t hits, std::uint64_t rounds,
+                                   double expected, double variance,
+                                   const CampaignMonitorOptions& options);
+
 /// Live campaign statistics monitor. One instance per campaign run; feed
 /// it every round via observe_block() (the campaign loop does this when
 /// CampaignConfig::monitor is set) and call finalize() at end of run.
@@ -151,9 +176,6 @@ class CampaignMonitor {
   };
 
   void ensure_miners(std::size_t count);
-  /// |z| of (wins, m, v); 0 while v is too small to normalize.
-  [[nodiscard]] static double drift_score(double wins, double expected,
-                                          double variance);
   /// Raises one incident: retains the event, queues its JSON line,
   /// bumps gauges, and warns/throws per the watchdog action. The caller
   /// holds the mutex; a throw leaves the monitor consistent.

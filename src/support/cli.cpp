@@ -1,7 +1,6 @@
 #include "support/cli.hpp"
 
 #include <cstdlib>
-#include <stdexcept>
 
 #include "support/error.hpp"
 
@@ -89,43 +88,8 @@ LogLevel CliArgs::log_level() const {
 
 void CliArgs::apply_log_level() const { set_log_level(log_level()); }
 
-std::string CliArgs::telemetry_out() const {
-  return flag_or_env("telemetry-out", "HECMINE_TELEMETRY");
-}
-
-std::string CliArgs::iteration_log() const {
-  return flag_or_env("iteration-log", "HECMINE_ITERLOG");
-}
-
-std::string CliArgs::trace_out() const {
-  return flag_or_env("trace-out", "HECMINE_TRACE_OUT");
-}
-
-std::string CliArgs::flight_out() const {
-  return flag_or_env("flight-out", "HECMINE_FLIGHT_OUT");
-}
-
-int CliArgs::flight_interval_ms() const {
-  const std::string raw =
-      flag_or_env("flight-interval-ms", "HECMINE_FLIGHT_INTERVAL_MS", "500");
-  try {
-    const int interval = std::stoi(raw);
-    HECMINE_REQUIRE(interval > 0,
-                    "--flight-interval-ms must be a positive integer");
-    return interval;
-  } catch (const PreconditionError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw PreconditionError("malformed --flight-interval-ms value: " + raw);
-  }
-}
-
-std::string CliArgs::block_log() const {
-  return flag_or_env("block-log", "HECMINE_BLOCK_LOG");
-}
-
-std::string CliArgs::metrics_out() const {
-  return flag_or_env("metrics-out", "HECMINE_METRICS_OUT");
+std::string CliArgs::run_dir() const {
+  return flag_or_env("run-dir", "HECMINE_RUN_DIR");
 }
 
 int CliArgs::positive_int(const std::string& name, int fallback) const {

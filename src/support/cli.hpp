@@ -28,33 +28,10 @@ class CliArgs {
   [[nodiscard]] LogLevel log_level() const;
   /// Applies log_level() to the process-wide logger (set_log_level).
   void apply_log_level() const;
-  /// `--telemetry-out` flag (a JSON output path) with the HECMINE_TELEMETRY
-  /// environment variable as the fallback; empty = telemetry off.
-  [[nodiscard]] std::string telemetry_out() const;
-  /// `--iteration-log` flag (a JSONL output path for per-iteration solver
-  /// records) with the HECMINE_ITERLOG environment variable as the
-  /// fallback; empty = iteration logging off.
-  [[nodiscard]] std::string iteration_log() const;
-  /// `--trace-out` flag (a Chrome Trace Event JSON output path, loadable in
-  /// Perfetto / chrome://tracing) with the HECMINE_TRACE_OUT environment
-  /// variable as the fallback; empty = trace export off.
-  [[nodiscard]] std::string trace_out() const;
-  /// `--flight-out` flag (a JSONL flight-recorder path, see
-  /// support::TelemetryFlusher) with the HECMINE_FLIGHT_OUT environment
-  /// variable as the fallback; empty = flight recorder off.
-  [[nodiscard]] std::string flight_out() const;
-  /// `--flight-interval-ms` flag with the HECMINE_FLIGHT_INTERVAL_MS
-  /// environment variable as the fallback; defaults to 500.
-  [[nodiscard]] int flight_interval_ms() const;
-  /// `--block-log` flag (a hecmine.blocklog.v1 JSONL path, one record per
-  /// simulated block — see chain::BlockLogWriter) with the
-  /// HECMINE_BLOCK_LOG environment variable as the fallback; empty =
-  /// block logging off.
-  [[nodiscard]] std::string block_log() const;
-  /// `--metrics-out` flag (an OpenMetrics text snapshot path, see
-  /// support::render_openmetrics) with the HECMINE_METRICS_OUT environment
-  /// variable as the fallback; empty = metrics export off.
-  [[nodiscard]] std::string metrics_out() const;
+  /// `--run-dir` flag (the directory one run's bundle is written to, see
+  /// support::RunDir) with the HECMINE_RUN_DIR environment variable as the
+  /// fallback; empty = no bundle.
+  [[nodiscard]] std::string run_dir() const;
   /// `--health` flag (off|observe|warn|abort — the solver health watchdog
   /// policy, see support::health) with the HECMINE_HEALTH environment
   /// variable as the fallback; defaults to "warn".
@@ -62,9 +39,8 @@ class CliArgs {
   /// Flag-beats-environment resolution shared by every flag/env pair: the
   /// flag's value when present (even when empty), the environment variable
   /// otherwise, `fallback` when neither is set. All such pairs (threads,
-  /// log-level, telemetry-out, iteration-log, trace-out, flight-out)
-  /// resolve through this one helper so precedence cannot drift between
-  /// them.
+  /// log-level, run-dir, health) resolve through this one helper so
+  /// precedence cannot drift between them.
   [[nodiscard]] std::string flag_or_env(const std::string& name,
                                         const char* env_var,
                                         const std::string& fallback = {}) const;

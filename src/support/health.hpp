@@ -136,7 +136,8 @@ class SolverHealthError : public std::runtime_error {
 };
 
 /// Online convergence estimator for one residual stream. Reusable outside
-/// the monitor — hecmine_health feeds it offline from an iterlog file.
+/// the monitor — `hecmine_report health` feeds it offline from an iterlog
+/// file.
 class ConvergenceEstimator {
  public:
   explicit ConvergenceEstimator(const HealthOptions& options = {});

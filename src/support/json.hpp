@@ -2,7 +2,7 @@
 // artifacts.
 //
 // hecmine emits JSON in several places (telemetry sinks, BENCH_*.json
-// ledger entries, --iteration-log JSONL, trace timelines, run manifests)
+// ledger entries, iteration-log JSONL, trace timelines, run manifests)
 // and the repo deliberately carries no third-party JSON dependency.
 // bench_compare and the audit tests must parse those artifacts, so this
 // header provides a small recursive-descent parser producing an immutable

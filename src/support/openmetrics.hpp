@@ -8,8 +8,8 @@
 //
 //   # TYPE hecmine_oracle_solves counter
 //   hecmine_oracle_solves_total 42
-//   # TYPE hecmine_health_incidents gauge
-//   hecmine_health_incidents 0
+//   # TYPE hecmine_campaign_incidents gauge
+//   hecmine_campaign_incidents 0
 //   # TYPE hecmine_solve_ms histogram
 //   hecmine_solve_ms_bucket{le="1"} 3
 //   ...
@@ -20,8 +20,8 @@
 // as a `hecmine_build` info metric. The document is deterministic for a
 // fixed registry state (instruments sorted by name), so a snapshot file
 // can be diffed or golden-tested. This file is what a later `hecmined`
-// daemon will serve verbatim from /metrics; until then --metrics-out /
-// HECMINE_METRICS_OUT drops it next to the other run artifacts, where
+// daemon will serve verbatim from /metrics; until then a --run-dir bundle
+// carries it as metrics.om next to the other run artifacts, where
 // node_exporter's textfile collector (or `promtool check metrics`) can
 // pick it up.
 //

@@ -45,6 +45,9 @@ Report build_report(const json::Value& trace) {
     const json::Value* phase = event.find("ph");
     if (phase == nullptr || !phase->is_string() || phase->as_string() != "X")
       continue;
+    // Only pid 1 carries wall-clock spans; the pid 2 campaign track is
+    // stamped in simulated time and would swamp the table.
+    if (event.number_or("pid", 1.0) != 1.0) continue;
     TraceSpan span;
     span.name = event.at("name").as_string();
     span.duration_ms = event.number_or("dur", 0.0) * 1e-3;
@@ -111,7 +114,9 @@ Report build_report(const json::Value& trace) {
 }
 
 void print_report(std::ostream& os, const Report& report) {
-  print_section(os, "hecmine_prof: hot path (exclusive self-cost per span name)");
+  print_section(os,
+                "hecmine_report prof: hot path (exclusive self-cost per span "
+                "name)");
   Table table("span", {"spans", "incl_ms", "excl_ms", "excl_%", "evals",
                        "evals/s", "evals/span"});
   const double total_excl = [&] {

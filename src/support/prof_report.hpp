@@ -1,4 +1,4 @@
-// "Where did the work go": the hecmine_prof hot-path report.
+// "Where did the work go": the `hecmine_report prof` hot-path report.
 //
 // A hecmine.trace.v1 timeline records, for every span, its wall time and
 // the work-counter deltas its own thread performed while it was open
@@ -59,8 +59,9 @@ struct Report {
 };
 
 /// Folds a parsed hecmine.trace.v1 document (the to_chrome_trace output)
-/// into the hot-path report. Throws support errors on a document without
-/// a traceEvents array.
+/// into the hot-path report. Only the wall-clock spans (pid 1) count; the
+/// sim-time campaign track (pid 2) is skipped. Throws support errors on a
+/// document without a traceEvents array.
 [[nodiscard]] Report build_report(const json::Value& trace);
 
 /// Renders the report as an aligned table plus a totals footer.

@@ -56,8 +56,8 @@ struct RunManifest {
   std::string build_type;  ///< CMAKE_BUILD_TYPE
   std::string compiler;    ///< compiler id + __VERSION__
   std::string sanitizer;   ///< HECMINE_SANITIZE ("" = none)
-  std::string isa;         ///< ISA flag string ("generic", or
-                           ///< "-march=native" under HECMINE_NATIVE)
+  std::string isa;         ///< target ISA ("generic"; older ledgers may
+                           ///< carry other strings)
   /// Hardware perf sampler state of the run: "off" (default), "on", or
   /// "unavailable: <reason>" (prof::PerfSampler::status()). Sampling adds
   /// per-span read overhead, so ledgers record whether it was live.

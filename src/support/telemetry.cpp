@@ -400,6 +400,11 @@ void IterationProbe::set_observer(Observer* observer) noexcept {
   if (observer != nullptr) arm();
 }
 
+void IterationProbe::flush() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (stream_ != nullptr) stream_->flush();
+}
+
 void IterationProbe::record(const Record& record) {
   if (!armed()) return;
   total_.fetch_add(1, std::memory_order_relaxed);
@@ -592,8 +597,8 @@ std::string to_chrome_trace(const Telemetry& telemetry) {
   }
   // One complete ("X") event per span; ts/dur are microseconds on the
   // trace's monotonic clock, the Trace Event format's native unit. Spans
-  // that recorded work carry the deltas in args (hecmine_prof reads them
-  // back for the hot-path table).
+  // that recorded work carry the deltas in args (`hecmine_report prof`
+  // reads them back for the hot-path table).
   for (const SolveTrace::Span& span : spans) {
     writer.begin_object();
     writer.member("ph", "X");

@@ -403,6 +403,9 @@ class IterationProbe {
   /// it.
   void stream_to(const std::string& path,
                  const provenance::RunManifest* manifest = nullptr);
+  /// Pushes the streamed lines to the OS (no-op without a stream), so the
+  /// file is complete while the probe lives on.
+  void flush();
 
   /// Installs `observer` as the probe's streaming consumer (null detaches).
   /// A non-null observer arms the probe, so solver loops start feeding

@@ -1,0 +1,88 @@
+# End-to-end checks of `hecmine_cli --run-dir` and `hecmine_report`, one
+# case per ctest entry (see tests/CMakeLists.txt). Run as
+#
+#   cmake -DCASE=<case> -DCLI=<hecmine_cli> -DREPORT=<hecmine_report>
+#         -DSCENARIO=<consortium.conf> -DWORK=<scratch dir> -P report_cli.cmake
+#
+# Each case owns WORK, so cases can run in parallel.
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+
+# Runs a command and fails unless it exits with `expected`.
+function(expect_exit expected)
+  execute_process(COMMAND ${ARGN}
+    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code STREQUAL "${expected}")
+    message(FATAL_ERROR
+      "expected exit ${expected}, got ${code}: ${ARGN}\n${out}\n${err}")
+  endif()
+endfunction()
+
+if(CASE STREQUAL "CleanBundle")
+  # A healthy campaign writes the whole bundle, and every report over it
+  # is clean with both gates on.
+  expect_exit(0 "${CLI}" campaign "${SCENARIO}" --blocks=2000
+    "--run-dir=${WORK}/bundle")
+  foreach(name manifest.json telemetry.json trace.json iterlog.jsonl
+          flight.jsonl metrics.om blocklog.jsonl)
+    if(NOT EXISTS "${WORK}/bundle/${name}")
+      message(FATAL_ERROR "bundle lacks ${name}")
+    endif()
+  endforeach()
+  expect_exit(0 "${REPORT}" "${WORK}/bundle" --fail-on-drift
+    --fail-on-divergence)
+  expect_exit(0 "${REPORT}" campaign "${WORK}/bundle/blocklog.jsonl"
+    --fail-on-drift "--json=${WORK}/campaign.json")
+  expect_exit(0 "${REPORT}" health "${WORK}/bundle/iterlog.jsonl"
+    --fail-on-divergence "--json=${WORK}/health.json")
+  foreach(name campaign.json health.json)
+    if(NOT EXISTS "${WORK}/${name}")
+      message(FATAL_ERROR "no ${name} report written")
+    endif()
+  endforeach()
+elseif(CASE STREQUAL "StridedBlockLog")
+  # Every 10th round is logged with its shares while the summary line
+  # covers all rounds: the replay must take the summary, not call the log
+  # corrupt.
+  expect_exit(0 "${CLI}" campaign "${SCENARIO}" --blocks=2000
+    --block-log-stride=10 "--run-dir=${WORK}/bundle")
+  expect_exit(0 "${REPORT}" campaign "${WORK}/bundle/blocklog.jsonl"
+    --fail-on-drift)
+elseif(CASE STREQUAL "MalformedInput")
+  file(WRITE "${WORK}/bad.jsonl" "{\"schema\"\n")
+  foreach(command prof health campaign)
+    expect_exit(2 "${REPORT}" ${command} "${WORK}/bad.jsonl")
+  endforeach()
+  expect_exit(2 "${REPORT}" health "${WORK}/missing.jsonl")
+  expect_exit(2 "${REPORT}" campaign "${WORK}/bad.jsonl" --z=4)
+  file(WRITE "${WORK}/bad_id.jsonl"
+    "{\"schema\": \"hecmine.blocklog.v1\"}\n"
+    "{\"round\": 0, \"winner\": 0, \"shares\": [[1e300, 1, 1]]}\n")
+  expect_exit(2 "${REPORT}" campaign "${WORK}/bad_id.jsonl")
+elseif(CASE STREQUAL "LintFinding")
+  file(WRITE "${WORK}/bad.om" "hecmine_orphan_total 1\n")
+  expect_exit(1 "${REPORT}" lint "${WORK}/bad.om")
+elseif(CASE STREQUAL "MissingGateInput")
+  # A solve writes no block log, so a drift gate over its bundle cannot
+  # pass, not even when the solve reuses a campaign's bundle directory.
+  expect_exit(0 "${CLI}" campaign "${SCENARIO}" --blocks=300
+    "--run-dir=${WORK}/bundle")
+  expect_exit(0 "${CLI}" solve "${SCENARIO}" "--run-dir=${WORK}/bundle")
+  expect_exit(0 "${REPORT}" "${WORK}/bundle" --fail-on-divergence)
+  expect_exit(2 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
+elseif(CASE STREQUAL "FireDrill")
+  # A campaign playing the wrong equilibrium aborts under --health=abort;
+  # the bundle's flight stream still holds the watchdog event, and the
+  # replay of its block log trips the drift gate.
+  expect_exit(5 "${CLI}" campaign "${SCENARIO}" --misprice-edge=0.5
+    --health=abort --blocks=10000 "--run-dir=${WORK}/bundle")
+  file(READ "${WORK}/bundle/flight.jsonl" flight)
+  string(FIND "${flight}" "hecmine.health.v1" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "flight.jsonl holds no hecmine.health.v1 event")
+  endif()
+  expect_exit(3 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
+else()
+  message(FATAL_ERROR "unknown CASE: ${CASE}")
+endif()

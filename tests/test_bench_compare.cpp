@@ -187,8 +187,8 @@ TEST(BenchCompare, ManifestMismatchWarnsWithoutFailing) {
 }
 
 TEST(BenchCompare, IsaMismatchWarnsWithoutFailing) {
-  // A -march=native (HECMINE_NATIVE) ledger compared against a generic-ISA
-  // baseline is a vectorization mismatch: warn, never gate.
+  // A ledger from an older -march=native build compared against a
+  // generic-ISA baseline is a vectorization mismatch: warn, never gate.
   const std::string base = ledger(100.0, 50.0, 0.0, 0.0);
   const auto with_isa = [&](const std::string& isa) {
     std::string text = base;

@@ -20,7 +20,11 @@
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "core/sp.hpp"
+#include "net/campaign.hpp"
+#include "net/campaign_monitor.hpp"
+#include "rl/trainer.hpp"
 #include "support/error.hpp"
+#include "support/health.hpp"
 #include "support/json.hpp"
 #include "support/telemetry.hpp"
 
@@ -308,6 +312,28 @@ const std::vector<std::string> kMetricCatalog = {
     "sp.sequential_fallbacks",
 };
 
+/// Every metric name `telemetry` holds must be in `catalog` and the other
+/// way round.
+void expect_catalog(const support::Telemetry& telemetry,
+                    const std::vector<std::string>& catalog) {
+  const support::MetricsSnapshot snapshot = telemetry.metrics.snapshot();
+  std::set<std::string> emitted;
+  for (const auto& counter : snapshot.counters) emitted.insert(counter.name);
+  for (const auto& gauge : snapshot.gauges) emitted.insert(gauge.name);
+  for (const auto& histogram : snapshot.histograms)
+    emitted.insert(histogram.name);
+  const std::set<std::string> expected(catalog.begin(), catalog.end());
+  std::string appeared;
+  std::string vanished;
+  for (const std::string& name : emitted)
+    if (expected.count(name) == 0) appeared += " " + name;
+  for (const std::string& name : expected)
+    if (emitted.count(name) == 0) vanished += " " + name;
+  EXPECT_TRUE(appeared.empty() && vanished.empty())
+      << "metrics not in the catalog:" << appeared
+      << "\ncatalog metrics not emitted:" << vanished;
+}
+
 TEST(MetricCatalog, CanonicalRunEmitsTheCheckedInNames) {
   support::Telemetry telemetry;
   SpSolveOptions options;
@@ -327,24 +353,90 @@ TEST(MetricCatalog, CanonicalRunEmitsTheCheckedInNames) {
                                      audit_options));
     }
   }
+  expect_catalog(telemetry, kMetricCatalog);
+}
 
-  const support::MetricsSnapshot snapshot = telemetry.metrics.snapshot();
-  std::set<std::string> emitted;
-  for (const auto& counter : snapshot.counters) emitted.insert(counter.name);
-  for (const auto& gauge : snapshot.gauges) emitted.insert(gauge.name);
-  for (const auto& histogram : snapshot.histograms)
-    emitted.insert(histogram.name);
-  const std::set<std::string> expected(kMetricCatalog.begin(),
-                                       kMetricCatalog.end());
-  std::string appeared;
-  std::string vanished;
-  for (const std::string& name : emitted)
-    if (expected.count(name) == 0) appeared += " " + name;
-  for (const std::string& name : expected)
-    if (emitted.count(name) == 0) vanished += " " + name;
-  EXPECT_TRUE(appeared.empty() && vanished.empty())
-      << "metrics not in the catalog:" << appeared
-      << "\ncatalog metrics not emitted:" << vanished;
+// The metric names of a short campaign as `hecmine_cli campaign --run-dir`
+// runs one: the follower solve and the campaign loop on the sink, with the
+// solver health watchdog and the campaign monitor (wall clock off, so the
+// one wall-clock gauge stays out) attached.
+const std::vector<std::string> kCampaignMetricCatalog = {
+    "campaign.block",
+    "campaign.blocks",
+    "campaign.difficulty",
+    "campaign.drift_z_max",
+    "campaign.effective_miners",
+    "campaign.fork_ewma",
+    "campaign.fork_model_ewma",
+    "campaign.fork_z",
+    "campaign.forks",
+    "campaign.hhi",
+    "campaign.nakamoto",
+    "campaign.rejections",
+    "campaign.rounds",
+    "campaign.sampler_z_max",
+    "campaign.sim_time",
+    "campaign.transfers",
+    "campaign.unit_rate",
+    "health.aggregate.fixed_point.divergences",
+    "health.aggregate.fixed_point.oscillations",
+    "health.aggregate.fixed_point.predicted_iters_max",
+    "health.aggregate.fixed_point.records",
+    "health.aggregate.fixed_point.rho_worst",
+    "health.aggregate.fixed_point.solves",
+    "health.aggregate.fixed_point.stalls",
+    "health.incidents",
+    "oracle.aggregate.classes",
+    "oracle.aggregate.solves",
+    "oracle.iterations",
+    "oracle.nonconverged",
+    "oracle.solve_ms",
+    "oracle.solves",
+};
+
+TEST(MetricCatalog, CampaignRunEmitsTheCheckedInNames) {
+  support::Telemetry telemetry;
+  support::health::HealthMonitor health_monitor(telemetry, {});
+  net::CampaignMonitorOptions monitor_options;
+  monitor_options.wall_clock = false;
+  net::CampaignMonitor campaign_monitor(telemetry, monitor_options);
+  SolveContext context;
+  context.threads = 1;
+  context.telemetry = &telemetry;
+  net::CampaignConfig config;
+  config.params = default_params();
+  config.policy.mode = EdgeMode::kStandalone;
+  config.policy.capacity = config.params.edge_capacity;
+  config.prices = {2.0, 1.0};
+  config.blocks = 300;
+  config.telemetry = &telemetry;
+  config.monitor = &campaign_monitor;
+  (void)net::run_campaign_at_equilibrium(config, {10.0, 20.0, 30.0}, 97,
+                                         context);
+  expect_catalog(telemetry, kCampaignMetricCatalog);
+}
+
+// The metric names of a short Q-learning run with its telemetry sink set.
+const std::vector<std::string> kRlMetricCatalog = {
+    "rl.block",
+    "rl.block_mean_reward",
+    "rl.blocks",
+    "rl.mean_greedy_cloud",
+    "rl.mean_greedy_edge",
+    "rl.training_periods",
+};
+
+TEST(MetricCatalog, RlTrainingEmitsTheCheckedInNames) {
+  support::Telemetry telemetry;
+  rl::TrainerConfig config;
+  config.blocks = 200;
+  config.edge_steps = 5;
+  config.cloud_steps = 5;
+  config.telemetry = &telemetry;
+  const PopulationModel fixed(4.0, 0.0, 1, 4);
+  (void)rl::train_miners(default_params(), {2.0, 1.0}, 12.0, fixed, config,
+                         4242);
+  expect_catalog(telemetry, kRlMetricCatalog);
 }
 
 }  // namespace

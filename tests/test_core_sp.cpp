@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/closed_forms.hpp"
+#include "game/stackelberg.hpp"
 #include "support/error.hpp"
 
 namespace hecmine::core {
@@ -240,6 +242,55 @@ TEST(SequentialSolve, AgreesWithSimultaneousOnProfits) {
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
   EXPECT_NEAR(sequential.profits.edge, simultaneous.profits.edge,
               0.1 * std::abs(simultaneous.profits.edge) + 0.5);
+}
+
+TEST(HomogeneousStackelberg, SpPriceBestResponseCyclesAsDocumented) {
+  // Algorithm 1's simultaneous price dynamics on the sufficient-budget
+  // homogeneous game: each SP best-responds to the other's last price. The
+  // scan must not settle (the simultaneous game lacks a pure NE here); it
+  // stops at an exact cycle, and the leader stage falls back to Theorem 4's
+  // sequential construction.
+  NetworkParams params;
+  params.reward = 100.0;
+  params.fork_rate = 0.2;
+  params.edge_success = 0.9;
+  params.edge_capacity = 8.0;
+  const std::vector<double> budgets(5, 40.0);
+  const SpSolveOptions options;
+  const auto oracle = make_follower_oracle(params, budgets,
+                                           EdgeMode::kConnected,
+                                           options.context);
+  const game::LeaderPayoffFn payoff = [&](const std::vector<double>& actions,
+                                          std::size_t leader) {
+    const Prices prices{actions[0], actions[1]};
+    const SpProfits profits =
+        sp_profits(params, prices, oracle->solve(prices).totals);
+    return leader == 0 ? profits.edge : profits.cloud;
+  };
+  // The price box and start of the leader stage (core/sp.cpp).
+  const double ceiling =
+      2.0 * std::max(params.cost_edge, params.cost_cloud) +
+      0.5 * params.reward;
+  const std::vector<game::ActionBounds> box{
+      {params.cost_edge * (1.0 + options.price_margin) + 1e-9, ceiling},
+      {params.cost_cloud * (1.0 + options.price_margin) + 1e-9, ceiling}};
+  game::StackelbergOptions driver;
+  driver.tolerance = options.tolerance;
+  driver.max_rounds = options.max_rounds;
+  driver.grid_points = options.grid_points;
+  driver.context = options.context;
+  const game::StackelbergResult scan = game::solve_stackelberg(
+      payoff,
+      {std::min(ceiling, 2.0 * params.cost_edge + 1.0),
+       std::min(ceiling, 2.0 * params.cost_cloud + 0.5)},
+      box, driver);
+  EXPECT_FALSE(scan.converged);
+  EXPECT_GE(scan.cycle_period, 2);
+
+  const LeaderStageResult result =
+      solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
+  EXPECT_EQ(result.method, SpSolveMethod::kSequential);
+  EXPECT_EQ(result.rounds, scan.rounds + 1);
 }
 
 TEST(FullProfileStackelberg, HeterogeneousBudgetsSolve) {

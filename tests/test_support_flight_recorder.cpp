@@ -9,11 +9,13 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "support/json.hpp"
+#include "support/run_dir.hpp"
 #include "support/telemetry.hpp"
 
 namespace {
@@ -145,6 +147,119 @@ TEST(FlightRecorder, StopIsIdempotentAndDisablesFlushNow) {
   flusher.flush_now();  // no-op once the stream is closed
   EXPECT_EQ(flusher.flushes(), after_stop);
   std::remove(path.c_str());
+}
+
+/// Structural equality of two parsed JSON values.
+bool same(const Value& a, const Value& b) {
+  if (a.is_object() && b.is_object()) {
+    const Value::Object& x = a.as_object();
+    const Value::Object& y = b.as_object();
+    if (x.size() != y.size()) return false;
+    for (const auto& [key, value] : x)
+      if (!b.contains(key) || !same(value, b.at(key))) return false;
+    return true;
+  }
+  if (a.is_array() && b.is_array()) {
+    const Value::Array& x = a.as_array();
+    const Value::Array& y = b.as_array();
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      if (!same(x[i], y[i])) return false;
+    return true;
+  }
+  if (a.is_string() && b.is_string()) return a.as_string() == b.as_string();
+  if (a.is_number() && b.is_number()) return a.as_number() == b.as_number();
+  if (a.is_bool() && b.is_bool()) return a.as_bool() == b.as_bool();
+  return a.is_null() && b.is_null();
+}
+
+TEST(RunDir, WritesEveryFileUnderOneManifest) {
+  support::Telemetry telemetry;
+  const char* argv[] = {"bench", "--run-dir=bundle"};
+  telemetry.manifest = support::provenance::collect(3, 42, 2, argv);
+  const std::string dir = testing::TempDir() + "/hecmine_run_dir_files";
+  std::filesystem::remove_all(dir);
+  std::ostringstream out;
+  {
+    support::RunDir run_dir(dir, telemetry);
+    telemetry.metrics.counter("test.solves").add();
+    telemetry.probe.record({"test.loop", 1, 1, 0.5});
+    { const support::SolveTrace::Scope span(&telemetry.trace, "test.span"); }
+    run_dir.finish(out);
+  }
+  EXPECT_NE(out.str().find("[run-dir] " + dir +
+                           ": flight.jsonl iterlog.jsonl manifest.json "
+                           "metrics.om telemetry.json trace.json"),
+            std::string::npos)
+      << out.str();
+
+  const Value manifest = support::json::parse(slurp(dir + "/manifest.json"));
+  EXPECT_EQ(manifest.at("schema").as_string(), "hecmine.manifest.v1");
+  EXPECT_DOUBLE_EQ(manifest.at("seed").as_number(), 42.0);
+  const auto header = [&](const char* name) {
+    return support::json::parse_lines(slurp(dir + "/" + name)).front();
+  };
+  EXPECT_EQ(header("iterlog.jsonl").at("schema").as_string(),
+            "hecmine.iterlog.v1");
+  EXPECT_EQ(header("flight.jsonl").at("schema").as_string(),
+            "hecmine.flight.v1");
+  for (const Value& embedded :
+       {support::json::parse(slurp(dir + "/telemetry.json")).at("manifest"),
+        support::json::parse(slurp(dir + "/trace.json")).at("manifest"),
+        header("iterlog.jsonl").at("manifest"),
+        header("flight.jsonl").at("manifest")}) {
+    EXPECT_TRUE(same(embedded, manifest));
+  }
+  const std::string metrics = slurp(dir + "/metrics.om");
+  EXPECT_NE(metrics.find("hecmine_test_solves_total 1"), std::string::npos);
+  EXPECT_NE(metrics.find("# EOF"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunDir, ReplacesTheFilesOfAnEarlierRun) {
+  // A campaign bundle rerun as a solve must not keep the campaign's block
+  // log (a drift gate would pass on it), nor an earlier run's end-of-run
+  // files; files outside the bundle's names stay.
+  const std::string dir = testing::TempDir() + "/hecmine_run_dir_rerun";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const char* name : {"blocklog.jsonl", "metrics.om", "flight.jsonl.1",
+                           "notes.txt"})
+    std::ofstream(dir + "/" + name) << "stale\n";
+  support::Telemetry telemetry;
+  {
+    const support::RunDir run_dir(dir, telemetry);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/blocklog.jsonl"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/flight.jsonl.1"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/manifest.json"));
+  }
+  EXPECT_EQ(slurp(dir + "/notes.txt"), "stale\n");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunDir, UnwindStillFlushesTheMonitorEvents) {
+  // The watchdog abort path leaves the scope by an exception, without
+  // finish(): the flight recorder's final flush must still drain.
+  support::Telemetry telemetry;
+  const std::string dir = testing::TempDir() + "/hecmine_run_dir_unwind";
+  std::filesystem::remove_all(dir);
+  bool drained = false;
+  try {
+    support::RunDir run_dir(dir, telemetry);
+    run_dir.set_event_drain([&drained] {
+      std::vector<std::string> lines;
+      if (!drained) lines.push_back(R"({"schema": "hecmine.health.v1"})");
+      drained = true;
+      return lines;
+    });
+    throw std::runtime_error("abort");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_NE(slurp(dir + "/flight.jsonl").find("hecmine.health.v1"),
+            std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

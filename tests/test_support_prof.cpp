@@ -241,6 +241,26 @@ TEST(ProfReport, BuildsExclusiveCostsFromSyntheticTrace) {
   EXPECT_NE(out.str().find("total work:"), std::string::npos);
 }
 
+TEST(ProfReport, SkipsTheSimTimeCampaignTrack) {
+  // One 2 ms wall-clock span (pid 1) next to a campaign block span on the
+  // pid 2 track, whose duration is simulated time: only the wall span may
+  // reach the table and the wall total.
+  const std::string trace = R"({
+    "schema": "hecmine.trace.v1",
+    "traceEvents": [
+      {"name": "oracle.solve", "ph": "X", "ts": 0.0, "dur": 2000.0,
+       "pid": 1, "tid": 0, "args": {"id": 0, "depth": 0}},
+      {"name": "campaign.block", "ph": "X", "ts": 0.0, "dur": 600000000.0,
+       "pid": 2, "tid": 0, "args": {"index": 1, "owner": 0}}
+    ]})";
+  const prof::Report report =
+      prof::build_report(support::json::parse(trace));
+  ASSERT_EQ(report.rows.size(), 1u);
+  EXPECT_EQ(report.rows[0].name, "oracle.solve");
+  EXPECT_EQ(report.spans, 1u);
+  EXPECT_DOUBLE_EQ(report.total_ms, 2.0);
+}
+
 TEST(ProfReport, EmptyTraceYieldsEmptyReport) {
   const prof::Report report = prof::build_report(
       support::json::parse(R"({"traceEvents": []})"));

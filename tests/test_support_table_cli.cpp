@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -119,6 +121,17 @@ TEST(Cli, TracksUnknownFlags) {
   const auto unknown = args.unknown_flags();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "stray");
+}
+
+TEST(Cli, RunDirFlagBeatsTheEnvironment) {
+  const char* saved = std::getenv("HECMINE_RUN_DIR");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ::setenv("HECMINE_RUN_DIR", "env_bundle", 1);
+  EXPECT_EQ(make_args({}).run_dir(), "env_bundle");
+  EXPECT_EQ(make_args({"--run-dir=flag_bundle"}).run_dir(), "flag_bundle");
+  ::unsetenv("HECMINE_RUN_DIR");
+  EXPECT_EQ(make_args({}).run_dir(), "");
+  if (saved != nullptr) ::setenv("HECMINE_RUN_DIR", restore.c_str(), 1);
 }
 
 }  // namespace
