@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/aggregate_oracle.hpp"
 #include "core/equilibrium.hpp"
+#include "core/oracle.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const std::vector<double> budgets(static_cast<std::size_t>(n), 40.0);
     const double t0 = now_ms();
     const auto decomposition =
-        core::ClassAggregateOracle(params, budgets, core::EdgeMode::kStandalone)
+        core::FollowerOracle(params, budgets, core::EdgeMode::kStandalone)
             .solve(prices);
     const double t1 = now_ms();
     core::MinerSolveOptions vi_options;
@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
       {"damping", "iterations", "converged", "edge_total"});
   const std::vector<double> budgets{20.0, 30.0, 40.0, 50.0, 60.0};
   for (double damping : {0.2, 0.35, 0.5, 0.7, 0.9, 1.0}) {
-    core::MinerSolveOptions options;
-    options.damping = damping;
-    const auto eq = core::ClassAggregateOracle(
-                        params, budgets, core::EdgeMode::kConnected, options)
+    core::SolveContext context;
+    context.follower.damping = damping;
+    const auto eq = core::FollowerOracle(params, budgets,
+                                         core::EdgeMode::kConnected, context)
                         .solve(prices);
     damping_table.add_row({damping, static_cast<double>(eq.iterations),
                            eq.converged ? 1.0 : 0.0, eq.totals.edge});

@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregate_oracle.hpp"
 #include "core/equilibrium.hpp"
 #include "core/kernels.hpp"
 #include "core/miner.hpp"
+#include "core/oracle.hpp"
 #include "chain/race.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -72,9 +72,9 @@ std::vector<double> distinct_budgets(std::int64_t n) {
 }
 
 void BM_ConnectedFollowerSolve(benchmark::State& state) {
-  const core::ClassAggregateOracle oracle(bench_params(),
-                                          distinct_budgets(state.range(0)),
-                                          core::EdgeMode::kConnected);
+  const core::FollowerOracle oracle(bench_params(),
+                                    distinct_budgets(state.range(0)),
+                                    core::EdgeMode::kConnected);
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle.solve({2.0, 1.0}));
   }
@@ -82,8 +82,8 @@ void BM_ConnectedFollowerSolve(benchmark::State& state) {
 BENCHMARK(BM_ConnectedFollowerSolve)->Arg(3)->Arg(5)->Arg(10);
 
 void BM_HomogeneousFollowerSolve(benchmark::State& state) {
-  const core::ClassAggregateOracle oracle(bench_params(), 40.0, 5,
-                                          core::EdgeMode::kConnected);
+  const core::FollowerOracle oracle(bench_params(), 40.0, 5,
+                                    core::EdgeMode::kConnected);
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle.solve({2.0, 1.0}));
   }
@@ -91,9 +91,9 @@ void BM_HomogeneousFollowerSolve(benchmark::State& state) {
 BENCHMARK(BM_HomogeneousFollowerSolve);
 
 void BM_StandaloneFollowerSolve(benchmark::State& state) {
-  const core::ClassAggregateOracle oracle(bench_params(),
-                                          distinct_budgets(state.range(0)),
-                                          core::EdgeMode::kStandalone);
+  const core::FollowerOracle oracle(bench_params(),
+                                    distinct_budgets(state.range(0)),
+                                    core::EdgeMode::kStandalone);
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle.solve({2.0, 1.0}));
   }

@@ -12,6 +12,7 @@
 //   --hetero-miners=H --max-rounds=M
 //   --run-dir=DIR (an instrumented pass writes the run bundle to DIR)
 //   --perf-sampler (opt-in hardware counters in the instrumented pass)
+// Any other flag is an error (exit 2).
 //
 // Thread speedup scales with the host's cores (a 1-core CI box reports
 // ~1x); the answers and work counters do not depend on the host.
@@ -163,6 +164,11 @@ void write_json(const std::string& path, int threads,
 
 int main(int argc, char** argv) {
   const support::CliArgs args(argc, argv);
+  if (args.reject_unknown_flags(
+          {"miners", "budget", "repeat", "threads", "grid", "max-rounds",
+           "hetero-miners", "perf-sampler", "run-dir", "log-level"},
+          "bench_perf_leader_stage"))
+    return 2;
   args.apply_log_level();
   bench::BenchDefaults defaults;
   const int n = args.get("miners", defaults.miners);

@@ -1,5 +1,5 @@
-// Follower-stage N-scaling bench: the ClassAggregateOracle from 10^3 to
-// 10^6 miners.
+// Follower-stage N-scaling bench: the FollowerOracle from 10^3 to 10^6
+// miners.
 //
 // Times an end-to-end follower solve (oracle construction — the O(N)
 // bucketing pass — plus the O(K) class fixed point) at each pool size in
@@ -16,6 +16,7 @@
 //   --repeat=3 --audit-miners=16 --price-edge=2.0 --price-cloud=1.0
 //   --run-dir=DIR (an instrumented pass writes the run bundle to DIR)
 //   --perf-sampler (opt-in hardware counters in the instrumented pass)
+// Any other flag is an error (exit 2).
 //
 // Emits machine-readable JSON (hecmine.bench.v1) to
 // bench_out/BENCH_perf_scale.json.
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/aggregate_oracle.hpp"
 #include "core/audit.hpp"
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
@@ -221,6 +221,12 @@ void write_json(const std::string& path, int threads,
 
 int main(int argc, char** argv) {
   const support::CliArgs args(argc, argv);
+  if (args.reject_unknown_flags(
+          {"n-list", "classes", "budget", "repeat", "audit-miners", "threads",
+           "price-edge", "price-cloud", "perf-sampler", "run-dir",
+           "log-level"},
+          "bench_perf_scale"))
+    return 2;
   args.apply_log_level();
   bench::BenchDefaults defaults;
   const std::vector<int> n_list =
@@ -243,7 +249,7 @@ int main(int argc, char** argv) {
   const core::Prices prices{args.get("price-edge", 2.0),
                             args.get("price-cloud", 1.0)};
 
-  const core::MinerSolveOptions solve_options = core::SolveContext{}.follower;
+  const core::SolveContext solve_context;
 
   core::SolveContext audit_context;
   audit_context.threads = threads;
@@ -299,8 +305,8 @@ int main(int argc, char** argv) {
     // class count isolates the bucketing overhead from the fixed point.
     const std::vector<double> uniform(static_cast<std::size_t>(n), budget);
     const auto build_uniform = [&] {
-      return std::make_unique<core::ClassAggregateOracle>(
-          params, uniform, core::EdgeMode::kConnected, solve_options);
+      return std::make_unique<core::FollowerOracle>(
+          params, uniform, core::EdgeMode::kConnected, solve_context);
     };
     runs.push_back(timed_solve("connected/uniform" + suffix, repeat, prices,
                                build_uniform));
@@ -310,8 +316,8 @@ int main(int argc, char** argv) {
     // last repetition feeds the sampled audit.
     const std::vector<double> budgets = class_budgets(n, classes, budget);
     const auto build_connected = [&] {
-      return std::make_unique<core::ClassAggregateOracle>(
-          params, budgets, core::EdgeMode::kConnected, solve_options);
+      return std::make_unique<core::FollowerOracle>(
+          params, budgets, core::EdgeMode::kConnected, solve_context);
     };
     core::EquilibriumProfile connected_profile;
     runs.push_back(timed_solve("connected/classes" + suffix, repeat, prices,
@@ -321,8 +327,8 @@ int main(int argc, char** argv) {
               connected_profile);
 
     const auto build_standalone = [&] {
-      return std::make_unique<core::ClassAggregateOracle>(
-          params, budgets, core::EdgeMode::kStandalone, solve_options);
+      return std::make_unique<core::FollowerOracle>(
+          params, budgets, core::EdgeMode::kStandalone, solve_context);
     };
     core::EquilibriumProfile standalone_profile;
     runs.push_back(timed_solve("standalone/classes" + suffix, repeat, prices,

@@ -710,16 +710,7 @@ int run(const support::CliArgs& args) {
                            drift_z);
     };
   }
-  std::vector<std::string> stray = args.unknown_flags();
-  for (const char* name :
-       {"json", "fail-on-divergence", "fail-on-drift", "drift-z"}) {
-    if (args.has(name) &&
-        std::find(allowed.begin(), allowed.end(), name) == allowed.end())
-      stray.emplace_back(name);
-  }
-  if (!report || !stray.empty()) {
-    for (const std::string& name : stray)
-      std::cerr << "hecmine_report: unexpected flag --" << name << "\n";
+  if (args.reject_unknown_flags(allowed, "hecmine_report") || !report) {
     print_usage(std::cerr);
     return kBadInput;
   }

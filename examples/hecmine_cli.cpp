@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "chain/blocklog.hpp"
 #include "core/audit.hpp"
@@ -289,6 +290,17 @@ int cmd_version() {
   return 0;
 }
 
+/// The flags `command` reads besides the ones every command reads
+/// (--threads, --log-level, --run-dir, --health).
+std::vector<std::string> command_flags(const std::string& command) {
+  if (command == "solve") return {"audit", "audit-tol"};
+  if (command == "simulate") return {"rounds"};
+  if (command == "campaign")
+    return {"blocks", "campaign-seed", "misprice-edge", "drift-z",
+            "block-log-stride"};
+  return {};
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -299,6 +311,7 @@ int usage() {
       "                   [--health=off|observe|warn|abort]\n"
       "                   [--audit] [--audit-tol=T]\n"
       "       hecmine_cli --version\n"
+      "  A flag the command does not read is an error (exit 2).\n"
       "  --threads=N          threads for the SP-stage price scans; 0 (the\n"
       "                       default) uses all hardware threads. The\n"
       "                       HECMINE_THREADS environment variable provides\n"
@@ -356,6 +369,10 @@ int main(int argc, char** argv) {
   if (args.positional().size() < 2) return usage();
   const std::string command = args.positional()[0];
   const std::string path = args.positional()[1];
+  std::vector<std::string> accepted = command_flags(command);
+  accepted.insert(accepted.end(),
+                  {"threads", "log-level", "run-dir", "health"});
+  if (args.reject_unknown_flags(accepted, "hecmine_cli")) return 2;
   try {
     args.apply_log_level();
     const core::Scenario scenario = core::load_scenario(path);

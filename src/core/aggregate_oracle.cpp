@@ -38,17 +38,16 @@ ClassPartition partition_budget_classes(const std::vector<double>& budgets) {
   return partition;
 }
 
-ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
-                                           const std::vector<double>& budgets,
-                                           EdgeMode mode,
-                                           MinerSolveOptions options)
+FollowerOracle::FollowerOracle(NetworkParams params,
+                               const std::vector<double>& budgets,
+                               EdgeMode mode, const SolveContext& context)
     : params_(params),
       mode_(mode),
-      options_(options),
+      options_(context.follower),
       miner_count_(static_cast<int>(budgets.size())) {
-  HECMINE_REQUIRE(!budgets.empty(), "ClassAggregateOracle: no miners");
-  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
-                  "ClassAggregateOracle: damping must be in (0, 1]");
+  HECMINE_REQUIRE(!budgets.empty(), "FollowerOracle: no miners");
+  HECMINE_REQUIRE(options_.damping > 0.0 && options_.damping <= 1.0,
+                  "FollowerOracle: damping must be in (0, 1]");
   ClassPartition partition = partition_budget_classes(budgets);
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
   shape->of = std::move(partition.class_of);
@@ -61,24 +60,27 @@ ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
   // Every miner of a one-class pool maps to class 0: no map needed.
   if (shape->counts.size() == 1) shape->of = {};
   shape_ = std::move(shape);
+  instrument(context.telemetry);
 }
 
-ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
-                                           double budget, int n,
-                                           EdgeMode mode,
-                                           MinerSolveOptions options)
-    : params_(params), mode_(mode), options_(options), miner_count_(n) {
-  HECMINE_REQUIRE(n >= 1, "ClassAggregateOracle: no miners");
-  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
-                  "ClassAggregateOracle: damping must be in (0, 1]");
-  HECMINE_REQUIRE(budget >= 0.0, "ClassAggregateOracle: budget must be >= 0");
+FollowerOracle::FollowerOracle(NetworkParams params, double budget, int n,
+                               EdgeMode mode, const SolveContext& context)
+    : params_(params),
+      mode_(mode),
+      options_(context.follower),
+      miner_count_(n) {
+  HECMINE_REQUIRE(n >= 1, "FollowerOracle: no miners");
+  HECMINE_REQUIRE(options_.damping > 0.0 && options_.damping <= 1.0,
+                  "FollowerOracle: damping must be in (0, 1]");
+  HECMINE_REQUIRE(budget >= 0.0, "FollowerOracle: budget must be >= 0");
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
   shape->counts = {n};
   shape->budgets = {budget};
   shape_ = std::move(shape);
+  instrument(context.telemetry);
 }
 
-EquilibriumProfile ClassAggregateOracle::single_class(
+EquilibriumProfile FollowerOracle::single_class(
     const Prices& prices) const {
   const bool connected = mode_ == EdgeMode::kConnected;
   const KernelEnv env = make_kernel_env(
@@ -130,7 +132,7 @@ EquilibriumProfile ClassAggregateOracle::single_class(
   return out;
 }
 
-EquilibriumProfile ClassAggregateOracle::fixed_point(
+EquilibriumProfile FollowerOracle::fixed_point(
     const KernelEnv& env, std::vector<MinerRequest>& state) const {
   const std::size_t kn = shape_->counts.size();
   const std::vector<double>& budget = shape_->budgets;
@@ -317,7 +319,7 @@ EquilibriumProfile ClassAggregateOracle::fixed_point(
   return out;
 }
 
-EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
+EquilibriumProfile FollowerOracle::solve_classes(const Prices& prices) const {
   support::Telemetry* telemetry = support::current_telemetry();
   const support::SolveTrace::Scope span(
       telemetry != nullptr ? &telemetry->trace : nullptr,
@@ -399,7 +401,7 @@ EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
     if (at_hi.totals.edge <= cap) break;
     lo = hi;
     hi *= 2.0;
-    HECMINE_REQUIRE(hi < 1e30, "ClassAggregateOracle: surcharge blowup");
+    HECMINE_REQUIRE(hi < 1e30, "FollowerOracle: surcharge blowup");
   }
   for (int step = 0; step < 200; ++step) {
     count_probe();

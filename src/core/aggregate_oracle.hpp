@@ -1,4 +1,6 @@
-// The follower solver: one oracle for every fixed pool of miners.
+// The class solver: how core::FollowerOracle (core/oracle.hpp) solves
+// every fixed pool of miners. This header holds the budget partition; the
+// solver is the oracle's own implementation (aggregate_oracle.cpp).
 //
 // Every best response in the follower stage depends on opponents only
 // through the aggregates E_{-i}, S_{-i} (paper Eq. 14), and Theorem 2's
@@ -26,18 +28,18 @@
 // A result is `converged` when the sweep movement falls below the
 // tolerance, or when no class's miner can gain more than 1e-7 R by a
 // unilateral deviation (the class certificate, computed with
-// best_response_kernel).
+// best_response_kernel). The oracle's instrumentation (oracle.cpp) wraps
+// the solve; the solver itself records work counters, iteration-probe
+// records and the `oracle.aggregate.*` instruments into whatever sink is
+// installed on its thread.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/oracle.hpp"
 
 namespace hecmine::core {
-
-struct KernelEnv;  // core/kernels.hpp
 
 /// One budget class: the shared budget key and how many miners hold it.
 struct MinerClass {
@@ -57,46 +59,5 @@ struct ClassPartition {
 /// iteration order.
 [[nodiscard]] ClassPartition partition_budget_classes(
     const std::vector<double>& budgets);
-
-/// The follower oracle for a fixed pool (see the file comment). Returns
-/// class-shaped EquilibriumProfiles: requests/utilities hold one entry per
-/// class, and a one-class shape carries no miner-to-class map.
-class ClassAggregateOracle final : public FollowerOracle {
- public:
-  ClassAggregateOracle(NetworkParams params,
-                       const std::vector<double>& budgets, EdgeMode mode,
-                       MinerSolveOptions options = {});
-
-  /// One class of n miners of budget `budget`, without a budget vector.
-  ClassAggregateOracle(NetworkParams params, double budget, int n,
-                       EdgeMode mode, MinerSolveOptions options = {});
-
-  [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] int miner_count() const override { return miner_count_; }
-  [[nodiscard]] EdgeMode mode() const override { return mode_; }
-
-  /// Number of budget classes (K).
-  [[nodiscard]] int class_count() const noexcept {
-    return static_cast<int>(shape_->counts.size());
-  }
-
- private:
-  /// K = 1: the exact symmetric equilibrium, no iteration.
-  [[nodiscard]] EquilibriumProfile single_class(const Prices& prices) const;
-
-  /// K > 1: damped Gauss-Seidel fixed point over class requests at the
-  /// surcharge baked into `env`; `state` is the warm start and receives
-  /// the final requests.
-  [[nodiscard]] EquilibriumProfile fixed_point(
-      const KernelEnv& env, std::vector<MinerRequest>& state) const;
-
-  NetworkParams params_;
-  EdgeMode mode_;
-  MinerSolveOptions options_;
-  int miner_count_;
-  /// The budget partition, shared with every profile this oracle returns
-  /// (O(K) profile copies).
-  std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
-};
 
 }  // namespace hecmine::core

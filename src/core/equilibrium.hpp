@@ -1,6 +1,7 @@
 // The follower stage's independent numeric reference and its certificate.
 //
-// The production solver is ClassAggregateOracle (core/aggregate_oracle.hpp).
+// The production solver is FollowerOracle (core/oracle.hpp), the class
+// solver of core/aggregate_oracle.hpp.
 // This header keeps what checks it from outside: the extragradient method
 // on the equivalent variational inequality (numerics/vi.hpp), which solves
 // either edge mode from the miners' utility gradients alone — connected

@@ -10,11 +10,11 @@
 // The scalar kernels are the single source of truth for the closed forms:
 // core/miner.cpp's miner_best_response / miner_utility entry points are
 // thin wrappers over them, so both agree bitwise by construction.
-// block_response_kernel is what the follower solver (ClassAggregateOracle,
-// core/aggregate_oracle.hpp) iterates: one call settles a whole budget
-// class against the rest of the pool. Boundary segments of both kernels
-// are solved by safeguarded Newton on the exact derivative. See DESIGN.md
-// §13 and docs/MATH.md for the block potential.
+// block_response_kernel is what the follower solver (FollowerOracle's
+// class solver, core/aggregate_oracle.hpp) iterates: one call settles a
+// whole budget class against the rest of the pool. Boundary segments of
+// both kernels are solved by safeguarded Newton on the exact derivative.
+// See DESIGN.md §13 and docs/MATH.md for the block potential.
 #pragma once
 
 #include "core/params.hpp"

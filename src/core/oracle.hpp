@@ -1,23 +1,20 @@
-// The FollowerOracle layer: one interface for every follower-stage solve.
+// The follower oracle: the one follower-stage solve every layer uses.
 //
-// Upper layers — the SP leader stage, the dynamic-population game, RL
-// references, sweeps and benches — only ever need "equilibrium at these
-// prices", so the follower stage sits behind a single abstract oracle:
+// Upper layers — the SP leader stage, the audit, sweeps and benches — only
+// ever need "equilibrium at these prices" for a fixed pool of miners, so
+// the follower stage is one concrete type:
 //
-//   FollowerOracle
+//   FollowerOracle(params, budgets, mode, context)
 //     solve(prices) -> EquilibriumProfile    (the one result type)
 //
-// One solver backs every fixed pool: ClassAggregateOracle
-// (core/aggregate_oracle.hpp), which covers the homogeneous game (K = 1
-// budget class, Thm 3 / Cor 1 / Table II), the dense game (K = N) and
-// everything in between, in both edge modes. Decorators add
-// instrumentation (InstrumentedFollowerOracle) and population uncertainty
-// (PopulationExpectationOracle, Sec. V's random miner count by
-// deterministic Monte-Carlo). make_follower_oracle builds the class oracle
-// and layers the instrumentation when the SolveContext carries a telemetry
-// sink, so a new workload is a constructor call — not a new solver family.
-// The extragradient VI solver (core/equilibrium.hpp) is the independent
-// numeric reference.
+// It is the class solver (core/aggregate_oracle.hpp): a pool of N miners
+// drawn from K distinct budgets is solved over K budget classes, which
+// covers the homogeneous game (K = 1, Thm 3 / Cor 1 / Table II), the dense
+// game (K = N) and everything in between, in both edge modes. When the
+// SolveContext carries a telemetry sink the oracle instruments its own
+// solves (see FollowerOracle::solve); without one it reads no clock and
+// resolves no instrument. The extragradient VI solver
+// (core/equilibrium.hpp) is the independent numeric reference.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "core/params.hpp"
-#include "core/population.hpp"
 #include "core/solve_context.hpp"
 #include "core/types.hpp"
 #include "support/convergence.hpp"
@@ -39,9 +35,7 @@ class Telemetry;
 
 namespace hecmine::core {
 
-struct Scenario;  // core/scenario.hpp
-
-/// Follower-stage equilibrium: the one result type every oracle returns.
+/// Follower-stage equilibrium: the one result type of every follower solve.
 /// Oracle solves are class-shaped (`classes` set): requests/utilities hold
 /// one entry per budget class. The VI reference returns a dense profile
 /// (`classes` null, one entry per miner). The accessors hide the
@@ -89,103 +83,89 @@ struct EquilibriumProfile {
   }
 };
 
-/// Abstract follower-equilibrium oracle: everything but the prices is
-/// fixed at construction, so upper layers treat the follower stage as a
-/// pure function of prices.
-class FollowerOracle {
+struct KernelEnv;  // core/kernels.hpp
+
+/// The follower oracle for a fixed pool: everything but the prices is fixed
+/// at construction, so upper layers treat the follower stage as a pure
+/// function of prices. Solves are class-shaped: requests/utilities hold one
+/// entry per budget class, and a one-class shape carries no miner-to-class
+/// map. The solver is described in core/aggregate_oracle.hpp.
+class FollowerOracle final {
  public:
-  virtual ~FollowerOracle() = default;
+  /// One miner per entry of `budgets`. Reads only context.follower (the
+  /// solve tolerances) and context.telemetry (the instrumentation sink).
+  FollowerOracle(NetworkParams params, const std::vector<double>& budgets,
+                 EdgeMode mode, const SolveContext& context = {});
 
-  /// Equilibrium of the wrapped follower game at `prices`.
-  [[nodiscard]] virtual EquilibriumProfile solve(const Prices& prices) const = 0;
+  /// One class of n miners of budget `budget`, without a budget vector.
+  FollowerOracle(NetworkParams params, double budget, int n, EdgeMode mode,
+                 const SolveContext& context = {});
 
-  /// Number of followers the oracle represents (the expected count for
-  /// population oracles).
-  [[nodiscard]] virtual int miner_count() const = 0;
+  /// Equilibrium of the pool at `prices`. With a telemetry sink the solve
+  /// runs with the sink installed as the thread's telemetry
+  /// (support::TelemetryScope) — on whichever pool worker runs it, so the
+  /// class solver's work counters and probe records land in the sink —
+  /// inside an `oracle.solve` span, and records `oracle.solves`,
+  /// `oracle.nonconverged`, `oracle.solve_ms` and `oracle.iterations`.
+  [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const;
 
-  /// Edge operation mode of the wrapped game.
-  [[nodiscard]] virtual EdgeMode mode() const = 0;
-};
+  /// Number of followers in the pool (n).
+  [[nodiscard]] int miner_count() const noexcept { return miner_count_; }
 
-/// Observability decorator: counts solves and non-converged results and
-/// histograms per-solve wall time and iteration counts into a
-/// support::Telemetry sink (metric names `oracle.solves`,
-/// `oracle.nonconverged`, `oracle.solve_ms`, `oracle.iterations`). It also
-/// installs the sink as the thread-local telemetry for the duration of each
-/// solve — on whichever pool worker runs it — so the deep numeric layers
-/// (the class fixed point, the VI extragradient) can record through
-/// support::current_telemetry() without signature changes.
-class InstrumentedFollowerOracle final : public FollowerOracle {
- public:
-  InstrumentedFollowerOracle(std::unique_ptr<FollowerOracle> inner,
-                             support::Telemetry& telemetry);
+  /// Edge operation mode of the pool.
+  [[nodiscard]] EdgeMode mode() const noexcept { return mode_; }
 
-  [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  [[nodiscard]] int miner_count() const override;
-  [[nodiscard]] EdgeMode mode() const override;
-  [[nodiscard]] const FollowerOracle& inner() const noexcept { return *inner_; }
+  /// Number of budget classes (K).
+  [[nodiscard]] int class_count() const noexcept {
+    return static_cast<int>(shape_->counts.size());
+  }
+
+  /// The budget partition: class budgets (ascending) and class sizes.
+  [[nodiscard]] const EquilibriumProfile::ClassShape& classes() const noexcept {
+    return *shape_;
+  }
 
  private:
-  std::unique_ptr<FollowerOracle> inner_;
-  support::Telemetry* telemetry_;
+  /// Resolves the instruments when `telemetry` is set (both constructors).
+  void instrument(support::Telemetry* telemetry);
+
+  /// The class solve itself, without instrumentation.
+  [[nodiscard]] EquilibriumProfile solve_classes(const Prices& prices) const;
+
+  /// K = 1: the exact symmetric equilibrium, no iteration.
+  [[nodiscard]] EquilibriumProfile single_class(const Prices& prices) const;
+
+  /// K > 1: damped Gauss-Seidel fixed point over class requests at the
+  /// surcharge baked into `env`; `state` is the warm start and receives
+  /// the final requests.
+  [[nodiscard]] EquilibriumProfile fixed_point(
+      const KernelEnv& env, std::vector<MinerRequest>& state) const;
+
+  NetworkParams params_;
+  EdgeMode mode_;
+  MinerSolveOptions options_;
+  int miner_count_;
+  /// The budget partition, shared with every profile this oracle returns
+  /// (O(K) profile copies).
+  std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
   // Instruments are resolved once at construction; registry handles are
   // stable for the sink's lifetime, so solves never touch a stripe mutex.
-  support::Counter& solves_;
-  support::Counter& nonconverged_;
-  support::HistogramMetric& solve_ms_;
-  support::HistogramMetric& iterations_;
+  // All null without a sink.
+  support::Telemetry* telemetry_ = nullptr;
+  support::Counter* solves_ = nullptr;
+  support::Counter* nonconverged_ = nullptr;
+  support::HistogramMetric* solve_ms_ = nullptr;
+  support::HistogramMetric* iterations_ = nullptr;
 };
 
-/// Applies the context's cross-cutting decorator to a bare oracle:
-/// instrumentation when context.telemetry is set, else the oracle itself.
-/// Both factories and the leader stage funnel through this helper.
-[[nodiscard]] std::unique_ptr<FollowerOracle> decorate_follower_oracle(
-    std::unique_ptr<FollowerOracle> oracle, const SolveContext& context);
-
-/// Population-uncertainty decorator (paper Sec. V): the miner count is a
-/// random variable, so the oracle reports the Monte-Carlo expectation of
-/// the symmetric (K = 1) equilibrium over sampled counts. Draws are a
-/// function of context.rng_root alone (one fixed stream, counts histogrammed before
-/// solving), distinct counts are solved concurrently via context.threads,
-/// and the mixture is accumulated in count order — bitwise deterministic
-/// for every thread setting. Sampled counts are clamped to >= 2 (the
-/// symmetric game needs an opponent). totals hold E[N * request]; the
-/// one-class profile's request/utility hold the expectation over counts.
-class PopulationExpectationOracle final : public FollowerOracle {
- public:
-  PopulationExpectationOracle(NetworkParams params, double budget,
-                              PopulationModel population, EdgeMode mode,
-                              int samples, SolveContext context = {});
-
-  [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
-  /// Expected miner count (rounded truncated-law mean, clamped to >= 2).
-  [[nodiscard]] int miner_count() const override;
-  [[nodiscard]] EdgeMode mode() const override { return mode_; }
-
- private:
-  NetworkParams params_;
-  double budget_;
-  PopulationModel population_;
-  EdgeMode mode_;
-  int samples_;
-  SolveContext context_;
-};
-
-/// Builds the oracle for a follower game: the ClassAggregateOracle over
-/// `budgets` in `mode`, instrumented when context.telemetry is set.
-/// Tolerances come from context.follower.
+/// Builds the oracle for a follower game over `budgets` in `mode`
+/// (tolerances from context.follower, instrumented when context.telemetry
+/// is set).
 [[nodiscard]] std::unique_ptr<FollowerOracle> make_follower_oracle(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SolveContext& context = {});
 
-/// Scenario convenience: a PopulationExpectationOracle when the scenario
-/// carries a population model (`population_samples` Monte-Carlo draws),
-/// else the oracle above.
-[[nodiscard]] std::unique_ptr<FollowerOracle> make_follower_oracle(
-    const Scenario& scenario, const SolveContext& context = {},
-    int population_samples = 256);
-
-/// One-shot: equilibrium at `prices` through make_follower_oracle.
+/// One-shot: equilibrium at `prices` of the pool over `budgets`.
 [[nodiscard]] EquilibriumProfile solve_followers(
     const NetworkParams& params, const Prices& prices,
     const std::vector<double>& budgets, EdgeMode mode,

@@ -1,5 +1,5 @@
-// Shared solver context: the "who owns the knobs" half of the
-// FollowerOracle layer (core/oracle.hpp).
+// Shared solver context: the knobs of the follower oracle
+// (core/oracle.hpp) and of every layer that embeds it.
 //
 // The thread count, the follower tolerances and the telemetry sink are
 // needed by every layer that embeds follower solves, so a SolveContext
@@ -8,8 +8,8 @@
 //   * threads   — fan-out for price scans / Monte-Carlo blocks (0 = auto via
 //                 HECMINE_THREADS else hardware concurrency, 1 = serial);
 //                 results are bitwise identical for every setting,
-//   * rng_root  — substream root seed for Monte-Carlo decorators (e.g. the
-//                 population-expectation oracle),
+//   * rng_root  — root seed of deterministic sampling (the audit's
+//                 monotonicity samples; recorded in the run manifest),
 //   * follower  — tolerances of the embedded miner solves,
 //   * aggregate — a retired dispatch knob that selects nothing,
 //   * telemetry — optional instrumentation sink.
@@ -34,9 +34,8 @@ struct MinerSolveOptions {
   double vi_tolerance = 1e-8; ///< natural-residual target of the VI solver
 };
 
-/// Former dispatch knobs of the ClassAggregateOracle
-/// (core/aggregate_oracle.hpp), which is now the follower solver for every
-/// pool. Nothing reads them.
+/// Former dispatch knobs of the class solver (core/aggregate_oracle.hpp),
+/// which is now the follower solver for every pool. Nothing reads them.
 struct AggregateOracleOptions {
   /// Selects nothing. Kept only because the benchmark workloads
   /// (perfbench/src/crowd.cpp, campaign.cpp) still set it; it goes when the
@@ -51,15 +50,16 @@ struct AggregateOracleOptions {
 struct SolveContext {
   /// Concurrent payoff/follower evaluations (0 = auto, 1 = serial).
   int threads = 0;
-  /// Root seed for Rng substreams drawn by Monte-Carlo decorators.
+  /// Root seed for deterministic sampling (the audit's monotonicity
+  /// samples).
   std::uint64_t rng_root = 0x9e3779b97f4a7c15ULL;
   /// Tolerances of the embedded miner solves.
   MinerSolveOptions follower;
   /// Retired dispatch knobs; nothing reads them (see
   /// AggregateOracleOptions).
   AggregateOracleOptions aggregate;
-  /// Optional telemetry sink (not owned). When set, oracle factories wrap
-  /// solves in instrumentation and leader loops record phase spans; when
+  /// Optional telemetry sink (not owned). When set, follower oracles
+  /// instrument their solves and leader loops record phase spans; when
   /// null every instrumentation site reduces to one pointer test.
   support::Telemetry* telemetry = nullptr;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 
 #include "core/closed_forms.hpp"
@@ -97,16 +96,6 @@ class StageTelemetryScope {
   std::optional<support::TelemetryScope> scope_;
 };
 
-/// The follower oracle for n identical miners of budget B (one class).
-std::unique_ptr<FollowerOracle> homogeneous_oracle(const NetworkParams& params,
-                                                   double budget, int n,
-                                                   EdgeMode mode,
-                                                   const SolveContext& context) {
-  return make_follower_oracle(
-      params, std::vector<double>(static_cast<std::size_t>(n), budget), mode,
-      context);
-}
-
 /// Finishes a leader-stage result from final prices. The result is
 /// converged only when the leader step is (`leader_converged`: the price
 /// scan converged, or the sequential construction ran) and the finishing
@@ -123,7 +112,7 @@ LeaderStageResult finish_leader_stage(const NetworkParams& params,
   return result;
 }
 
-/// Shared Algorithm 1/2 driver: asynchronous leader best response over
+/// Algorithm 1/2's price scan: asynchronous leader best response over
 /// prices with the follower oracle embedded in the payoff.
 game::StackelbergResult run_leader_best_response(const NetworkParams& params,
                                                  const FollowerOracle& oracle,
@@ -157,9 +146,9 @@ double cloud_profit(const NetworkParams& params, const FollowerOracle& oracle,
 }
 
 /// Numeric CSP reaction P_c*(P_e) against a given follower oracle over a
-/// given price box: a 1-D scan of V_c. The heterogeneous sequential
-/// construction uses it directly; the homogeneous one only where no closed
-/// form applies (homogeneous_csp_reaction).
+/// given price box: a 1-D scan of V_c. The leader stage uses it directly
+/// for every pool but one budget class of n >= 2 miners;
+/// homogeneous_csp_reaction falls back to it where no closed form applies.
 double csp_reaction_with_oracle(const NetworkParams& params,
                                 const FollowerOracle& oracle,
                                 const PriceBox& box, double price_edge,
@@ -182,8 +171,9 @@ double csp_reaction_with_oracle(const NetworkParams& params,
 /// the edge-cap kink, scored through the same oracle so the closed form
 /// only proposes and V_c decides). Falls back to the numeric scan when the
 /// root leaves the price box, no candidate exists, or the standalone budget
-/// can bind. Shared by csp_reaction_homogeneous and the sequential leader
-/// solver, which reuses ONE oracle across its whole composite scan.
+/// can bind. Shared by csp_reaction_homogeneous, the sequential solver and
+/// the leader stage, which reuse ONE oracle across the whole composite
+/// scan.
 double homogeneous_csp_reaction(const NetworkParams& params, double budget,
                                 int n, EdgeMode mode,
                                 const FollowerOracle& oracle,
@@ -211,8 +201,8 @@ double homogeneous_csp_reaction(const NetworkParams& params, double budget,
 /// P_c*(P_e) into V_e (the re-written Eq. 22), maximize the
 /// one-dimensional composite over P_e, and finish at the optimum.
 /// solve_leader_stage_sequential passes the homogeneous reaction (closed
-/// forms where they apply); solve_leader_stage's heterogeneous cycle
-/// fallback passes the numeric reaction against its oracle.
+/// forms where they apply); the leader stage's cycle fallback passes the
+/// reaction it picked for its oracle.
 template <typename Reaction>
 LeaderStageResult sequential_construction(const NetworkParams& params,
                                           const FollowerOracle& oracle,
@@ -246,6 +236,56 @@ LeaderStageResult sequential_construction(const NetworkParams& params,
   return result;
 }
 
+/// The leader stage over one follower oracle: Algorithm 1 (connected) /
+/// Algorithm 2 (standalone) asynchronous price best response. When that
+/// cycles — the simultaneous-move leader game can lack a pure NE exactly as
+/// Theorem 4 anticipates — the scan stops at the first exact repeat of the
+/// prices and the stage falls back to Theorem 4's sequential construction
+/// on the same oracle. The CSP reaction is picked once, from the oracle:
+/// the closed forms of homogeneous_csp_reaction for one class of n >= 2
+/// miners with a positive budget, the numeric V_c scan for every other
+/// pool.
+LeaderStageResult leader_stage(const NetworkParams& params,
+                               const FollowerOracle& oracle,
+                               const SpSolveOptions& options) {
+  const SolveContext& context = options.context;
+  count_leader_solve(context);
+  const StageTelemetryScope telemetry_scope(context);
+  const support::SolveTrace::Scope stage(trace_of(context), "leader_stage");
+  const PriceBox box = price_box(params, options);
+  game::StackelbergResult leader;
+  {
+    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
+    leader = run_leader_best_response(params, oracle, box, options, context);
+  }
+  count_best_response_rounds(context, leader.rounds);
+  if (leader.converged) {
+    const support::SolveTrace::Scope phase(trace_of(context), "finish");
+    auto result = finish_leader_stage(params, oracle,
+                                      {leader.actions[0], leader.actions[1]},
+                                      leader.converged);
+    result.method = SpSolveMethod::kBestResponse;
+    result.rounds = leader.rounds;
+    return result;
+  }
+  count_sequential_fallback(context);
+  const support::SolveTrace::Scope phase(trace_of(context), "sequential");
+  const double budget = oracle.classes().budgets.front();
+  const int n = oracle.miner_count();
+  const bool closed_forms = oracle.class_count() == 1 && n >= 2 && budget > 0.0;
+  const auto reaction = [&](double price_edge) {
+    return closed_forms
+               ? homogeneous_csp_reaction(params, budget, n, oracle.mode(),
+                                          oracle, box, price_edge, options)
+               : csp_reaction_with_oracle(params, oracle, box, price_edge,
+                                          options);
+  };
+  auto result = sequential_construction(params, oracle, reaction, box,
+                                        options, context);
+  result.rounds += leader.rounds;
+  return result;
+}
+
 }  // namespace
 
 LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
@@ -255,36 +295,9 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
   params.validate();
   HECMINE_REQUIRE(budget > 0.0, "SP solve: budget must be positive");
   HECMINE_REQUIRE(n >= 2, "SP solve: n >= 2 required");
-  const SolveContext& context = options.context;
-  count_leader_solve(context);
-  const StageTelemetryScope telemetry_scope(context);
-  const support::SolveTrace::Scope stage(trace_of(context),
-                                         "leader_stage.homogeneous");
-  const PriceBox box = price_box(params, options);
-  const auto oracle = homogeneous_oracle(params, budget, n, mode, context);
-  game::StackelbergResult leader;
-  {
-    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
-    leader = run_leader_best_response(params, *oracle, box, options, context);
-  }
-  count_best_response_rounds(context, leader.rounds);
-
-  if (leader.converged) {
-    const support::SolveTrace::Scope phase(trace_of(context), "finish");
-    auto result = finish_leader_stage(params, *oracle,
-                                      {leader.actions[0], leader.actions[1]},
-                                      leader.converged);
-    result.method = SpSolveMethod::kBestResponse;
-    result.rounds = leader.rounds;
-    return result;
-  }
-  // The simultaneous price game cycles (no pure NE): fall back to the
-  // sequential construction that Theorem 4 analyzes.
-  count_sequential_fallback(context);
-  auto result =
-      solve_leader_stage_sequential(params, budget, n, mode, options);
-  result.rounds += leader.rounds;
-  return result;
+  return leader_stage(params,
+                      FollowerOracle(params, budget, n, mode, options.context),
+                      options);
 }
 
 double csp_reaction_homogeneous(const NetworkParams& params, double budget,
@@ -292,10 +305,9 @@ double csp_reaction_homogeneous(const NetworkParams& params, double budget,
                                 const SpSolveOptions& options) {
   params.validate();
   HECMINE_REQUIRE(price_edge > 0.0, "csp_reaction: price_edge must be > 0");
-  const SolveContext& context = options.context;
   const PriceBox box = price_box(params, options);
-  const auto oracle = homogeneous_oracle(params, budget, n, mode, context);
-  return homogeneous_csp_reaction(params, budget, n, mode, *oracle, box,
+  const FollowerOracle oracle(params, budget, n, mode, options.context);
+  return homogeneous_csp_reaction(params, budget, n, mode, oracle, box,
                                   price_edge, options);
 }
 
@@ -311,12 +323,12 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
   const PriceBox box = price_box(params, options);
   // The reaction shares the composite's oracle: rebuilding it per
   // composite point would redo the oracle setup a few hundred times.
-  const auto oracle = homogeneous_oracle(params, budget, n, mode, context);
+  const FollowerOracle oracle(params, budget, n, mode, context);
   const auto reaction = [&](double price_edge) {
-    return homogeneous_csp_reaction(params, budget, n, mode, *oracle, box,
+    return homogeneous_csp_reaction(params, budget, n, mode, oracle, box,
                                     price_edge, options);
   };
-  return sequential_construction(params, *oracle, reaction, box, options,
+  return sequential_construction(params, oracle, reaction, box, options,
                                  context);
 }
 
@@ -337,10 +349,10 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   // the h = 1 connected game.
   NetworkParams uncapped = params;
   uncapped.edge_success = 1.0;
-  const auto demand_oracle =
-      homogeneous_oracle(uncapped, budget, n, EdgeMode::kConnected, context);
+  const FollowerOracle demand_oracle(uncapped, budget, n,
+                                     EdgeMode::kConnected, context);
   const auto edge_demand = [&](const Prices& prices) {
-    return demand_oracle->solve(prices).totals.edge;
+    return demand_oracle.solve(prices).totals.edge;
   };
 
   // Sell-out price: demand is decreasing in P_e; find the crossing with
@@ -357,15 +369,15 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   };
 
   // CSP profit under the sell-out constraint.
-  const auto oracle =
-      homogeneous_oracle(params, budget, n, EdgeMode::kStandalone, context);
+  const FollowerOracle oracle(params, budget, n, EdgeMode::kStandalone,
+                              context);
   num::Maximize1DOptions scan;
   scan.grid_points = options.grid_points;
   scan.tolerance = 1e-7;
   const auto csp_profit = [&](double price_cloud) {
     count_leader_eval();
     const Prices prices{sellout_price(price_cloud), price_cloud};
-    const EquilibriumProfile eq = oracle->solve(prices);
+    const EquilibriumProfile eq = oracle.solve(prices);
     return (price_cloud - params.cost_cloud) * eq.totals.cloud;
   };
   // Each point runs a sell-out root-find plus a GNEP solve; independent
@@ -376,7 +388,7 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   Prices prices;
   prices.cloud = best_cloud.argmax;
   prices.edge = sellout_price(prices.cloud);
-  auto result = finish_leader_stage(params, *oracle, prices, true);
+  auto result = finish_leader_stage(params, oracle, prices, true);
   result.method = SpSolveMethod::kSequential;
   result.rounds = 1;
   if (result.followers.totals.edge < params.edge_capacity * (1.0 - 0.05)) {
@@ -394,51 +406,9 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
                                      const SpSolveOptions& options) {
   params.validate();
   HECMINE_REQUIRE(!budgets.empty(), "SP solve: no miners");
-  const bool homogeneous =
-      !options.force_profile_oracle && budgets.size() >= 2 &&
-      budgets.front() > 0.0 &&
-      std::all_of(budgets.begin(), budgets.end(),
-                  [&](double b) { return b == budgets.front(); });
-  if (homogeneous) {
-    // Identical budgets: the homogeneous stage, whose CSP reaction has
-    // closed forms (Theorem 4 / Table II).
-    return solve_leader_stage_homogeneous(params, budgets.front(),
-                                          static_cast<int>(budgets.size()),
-                                          mode, options);
-  }
-  const SolveContext& context = options.context;
-  count_leader_solve(context);
-  const StageTelemetryScope telemetry_scope(context);
-  const support::SolveTrace::Scope stage(trace_of(context),
-                                         "leader_stage.profile");
-  const PriceBox box = price_box(params, options);
-  const auto oracle = make_follower_oracle(params, budgets, mode, context);
-  game::StackelbergResult leader;
-  {
-    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
-    leader = run_leader_best_response(params, *oracle, box, options, context);
-  }
-  count_best_response_rounds(context, leader.rounds);
-  if (leader.converged) {
-    const support::SolveTrace::Scope phase(trace_of(context), "finish");
-    auto result = finish_leader_stage(params, *oracle,
-                                      {leader.actions[0], leader.actions[1]},
-                                      leader.converged);
-    result.method = SpSolveMethod::kBestResponse;
-    result.rounds = leader.rounds;
-    return result;
-  }
-  // Same cycle fallback as the homogeneous path (Theorem 4's sequential
-  // construction), so auto-dispatch never changes the equilibrium concept.
-  count_sequential_fallback(context);
-  const support::SolveTrace::Scope phase(trace_of(context), "sequential");
-  const auto reaction = [&](double price_edge) {
-    return csp_reaction_with_oracle(params, *oracle, box, price_edge, options);
-  };
-  auto result = sequential_construction(params, *oracle, reaction, box,
-                                        options, context);
-  result.rounds += leader.rounds;
-  return result;
+  return leader_stage(params,
+                      FollowerOracle(params, budgets, mode, options.context),
+                      options);
 }
 
 }  // namespace hecmine::core

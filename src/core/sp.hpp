@@ -7,7 +7,9 @@
 // over prices (Algorithm 1; with the standalone oracle this is exactly
 // Algorithm 2's price bargaining). A sequential variant reproduces the
 // structure of Theorem 4: the CSP's reaction curve P_c*(P_e) is computed
-// first and the ESP maximizes over it.
+// first and the ESP maximizes over it. One internal driver runs the price
+// scan and the sequential fallback for every pool; only the CSP reaction
+// it plugs in depends on the pool (closed forms for one budget class).
 //
 // All entry points return one unified LeaderStageResult.
 #pragma once
@@ -43,10 +45,6 @@ struct SpSolveOptions {
   /// miner-solve tolerances and the telemetry sink, owned once
   /// (core/solve_context.hpp).
   SolveContext context;
-  /// Test hook: run the general (numeric CSP reaction) leader stage even
-  /// when every budget is equal (solve_leader_stage normally dispatches to
-  /// the homogeneous stage; parity tests pin both paths against each other).
-  bool force_profile_oracle = false;
 };
 
 /// How the leader-stage solution was obtained.
@@ -71,14 +69,11 @@ struct LeaderStageResult {
   int rounds = 0;
 };
 
-/// Leader-stage solve with n identical miners of budget B. Runs Algorithm 1
-/// (connected) / Algorithm 2 (standalone) asynchronous price best response
-/// first; when that cycles — the simultaneous-move leader game can lack a
-/// pure NE exactly as Theorem 4 anticipates — it stops at the first exact
-/// repeat of the prices, falls back to the sequential construction of
-/// solve_leader_stage_sequential and reports method = kSequential. The
-/// follower stage is the one-class solve, exact without iteration, making
-/// price sweeps cheap.
+/// Leader-stage solve with n identical miners of budget B: solve_leader_stage
+/// on the one-class pool, without building a budget vector. The follower
+/// stage is the one-class solve, exact without iteration, making price
+/// sweeps cheap, and the fallback's CSP reaction takes the closed forms of
+/// csp_reaction_homogeneous.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});
@@ -112,12 +107,16 @@ struct LeaderStageResult {
     const NetworkParams& params, double budget, int n,
     const SpSolveOptions& options = {});
 
-/// General leader-stage solve over arbitrary budgets. Auto-dispatches: when
-/// every budget is equal (and n >= 2, and the force_profile_oracle hook is
-/// off) this is solve_leader_stage_homogeneous; otherwise the CSP reaction
-/// is a numeric scan over the class solver. Both paths share the Theorem 4
-/// sequential fallback when the price best response cycles, so the
-/// dispatch choice changes the cost of the solve, never its meaning.
+/// Leader-stage solve over arbitrary budgets, against one FollowerOracle
+/// built from them. Runs Algorithm 1 (connected) / Algorithm 2
+/// (standalone) asynchronous price best response first; when that cycles —
+/// the simultaneous-move leader game can lack a pure NE exactly as
+/// Theorem 4 anticipates — it stops at the first exact repeat of the
+/// prices, falls back to Theorem 4's sequential construction on the same
+/// oracle and reports method = kSequential. The fallback's CSP reaction is
+/// csp_reaction_homogeneous's (closed forms where they apply) when the pool
+/// is one class of n >= 2 miners with a positive budget, and a numeric scan
+/// of V_c otherwise.
 [[nodiscard]] LeaderStageResult solve_leader_stage(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SpSolveOptions& options = {});

@@ -4,12 +4,6 @@
 
 namespace hecmine::num {
 
-double central_derivative(const std::function<double(double)>& f, double x,
-                          double step) {
-  HECMINE_REQUIRE(step > 0.0, "central_derivative requires step > 0");
-  return (f(x + step) - f(x - step)) / (2.0 * step);
-}
-
 std::vector<double> central_gradient(
     const std::function<double(const std::vector<double>&)>& f,
     const std::vector<double>& point, double step) {
@@ -25,12 +19,6 @@ std::vector<double> central_gradient(
     gradient[i] = (f_plus - f_minus) / (2.0 * step);
   }
   return gradient;
-}
-
-double central_second_derivative(const std::function<double(double)>& f,
-                                 double x, double step) {
-  HECMINE_REQUIRE(step > 0.0, "central_second_derivative requires step > 0");
-  return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step);
 }
 
 }  // namespace hecmine::num

@@ -1,5 +1,5 @@
-// Finite-difference derivatives, used to cross-check analytic gradients and
-// to drive the generic projected-gradient and VI solvers.
+// Finite-difference gradients, used by the generic projected-gradient
+// solver (numerics/pga.hpp).
 #pragma once
 
 #include <functional>
@@ -7,17 +7,9 @@
 
 namespace hecmine::num {
 
-/// Central-difference derivative of a scalar function at x.
-[[nodiscard]] double central_derivative(const std::function<double(double)>& f,
-                                        double x, double step = 1e-6);
-
 /// Central-difference gradient of f at `point`.
 [[nodiscard]] std::vector<double> central_gradient(
     const std::function<double(const std::vector<double>&)>& f,
     const std::vector<double>& point, double step = 1e-6);
-
-/// Central-difference second derivative of a scalar function at x.
-[[nodiscard]] double central_second_derivative(
-    const std::function<double(double)>& f, double x, double step = 1e-4);
 
 }  // namespace hecmine::num

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -44,36 +46,35 @@ Maximize1DResult golden_section_maximize(
   return result;
 }
 
-Maximize1DResult maximize_scan(const std::function<double(double)>& f,
-                               double lo, double hi,
-                               const Maximize1DOptions& options) {
-  return maximize_scan_batched(f, nullptr, nullptr, lo, hi, options);
-}
+namespace {
 
-Maximize1DResult maximize_scan_batched(const std::function<double(double)>& f,
-                                       const BatchEvaluateFn& batch,
-                                       const RefineRunnerFn& refine, double lo,
-                                       double hi,
-                                       const Maximize1DOptions& options) {
+/// maximize_scan on `executors` concurrent executors: the coarse grid and
+/// the top-cell refinements fan out over the shared pool when executors > 1
+/// and run inline otherwise (a serial scan never starts the pool). Both
+/// stages compute exactly the serial values, so the result is bitwise
+/// identical for every executor count.
+Maximize1DResult scan(const std::function<double(double)>& f, double lo,
+                      double hi, const Maximize1DOptions& options,
+                      int executors) {
   HECMINE_REQUIRE(lo < hi, "maximize_scan requires lo < hi");
   HECMINE_REQUIRE(options.grid_points >= 2,
                   "maximize_scan requires at least two grid points");
+  // fn(0), ..., fn(count - 1) in index order.
+  const auto map = [executors](std::size_t count, const auto& fn) {
+    if (executors > 1) return support::parallel_map(count, fn, executors);
+    std::vector<decltype(fn(std::size_t{}))> out;
+    out.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) out.push_back(fn(i));
+    return out;
+  };
   const int n = options.grid_points;
   std::vector<double> xs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     xs[static_cast<std::size_t>(i)] =
         lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n - 1);
   }
-  std::vector<double> fs;
-  if (batch) {
-    fs = batch(xs);
-    HECMINE_REQUIRE(fs.size() == xs.size(),
-                    "maximize_scan: batch evaluator returned a short vector");
-  } else {
-    fs.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      fs[static_cast<std::size_t>(i)] = f(xs[static_cast<std::size_t>(i)]);
-  }
+  const std::vector<double> fs =
+      map(xs.size(), [&](std::size_t i) { return f(xs[i]); });
   // Refine around the top-K grid cells: a single-cell refine can miss a
   // narrow peak (or a kink) hiding between two mediocre grid points next to
   // a slightly better far-away cell.
@@ -87,51 +88,37 @@ Maximize1DResult maximize_scan_batched(const std::function<double(double)>& f,
   const double step = (hi - lo) / static_cast<double>(n - 1);
   Maximize1DResult best{xs[static_cast<std::size_t>(order[0])],
                         fs[static_cast<std::size_t>(order[0])]};
-  std::vector<RefineInterval> intervals;
+  std::vector<std::pair<double, double>> intervals;
   for (int rank = 0; rank < std::min(n, 3); ++rank) {
     const double center = xs[static_cast<std::size_t>(order[static_cast<std::size_t>(rank)])];
     const double refine_lo = std::max(lo, center - step);
     const double refine_hi = std::min(hi, center + step);
     if (refine_hi <= refine_lo) continue;
-    intervals.push_back({refine_lo, refine_hi});
+    intervals.emplace_back(refine_lo, refine_hi);
   }
-  std::vector<Maximize1DResult> refined;
-  if (refine) {
-    refined = refine(intervals);
-    HECMINE_REQUIRE(refined.size() == intervals.size(),
-                    "maximize_scan: refine runner returned a short vector");
-  } else {
-    refined.reserve(intervals.size());
-    for (const auto& interval : intervals)
-      refined.push_back(
-          golden_section_maximize(f, interval.lo, interval.hi, options));
-  }
+  const std::vector<Maximize1DResult> refined =
+      map(intervals.size(), [&](std::size_t i) {
+        return golden_section_maximize(f, intervals[i].first,
+                                       intervals[i].second, options);
+      });
   for (const auto& candidate : refined)
     if (candidate.value > best.value) best = candidate;
   return best;
+}
+
+}  // namespace
+
+Maximize1DResult maximize_scan(const std::function<double(double)>& f,
+                               double lo, double hi,
+                               const Maximize1DOptions& options) {
+  return scan(f, lo, hi, options, 1);
 }
 
 Maximize1DResult maximize_scan_parallel(const std::function<double(double)>& f,
                                         double lo, double hi,
                                         const Maximize1DOptions& options,
                                         int threads) {
-  const int executors = support::resolve_thread_count(threads);
-  if (executors <= 1) return maximize_scan(f, lo, hi, options);
-  const BatchEvaluateFn batch = [&](const std::vector<double>& xs) {
-    return support::parallel_map(
-        xs.size(), [&](std::size_t i) { return f(xs[i]); }, executors);
-  };
-  const RefineRunnerFn refine =
-      [&](const std::vector<RefineInterval>& intervals) {
-        return support::parallel_map(
-            intervals.size(),
-            [&](std::size_t i) {
-              return golden_section_maximize(f, intervals[i].lo,
-                                             intervals[i].hi, options);
-            },
-            executors);
-      };
-  return maximize_scan_batched(f, batch, refine, lo, hi, options);
+  return scan(f, lo, hi, options, support::resolve_thread_count(threads));
 }
 
 }  // namespace hecmine::num

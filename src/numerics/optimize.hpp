@@ -26,44 +26,18 @@ struct Maximize1DResult {
     const Maximize1DOptions& options = {});
 
 /// Robust maximizer for possibly multi-modal `f` on [lo, hi]: evaluates a
-/// uniform grid, then refines around the best grid cell with golden-section.
-/// Requires lo < hi.
+/// uniform grid, then refines around the best grid cells with
+/// golden-section. Requires lo < hi. Runs on the calling thread only.
 [[nodiscard]] Maximize1DResult maximize_scan(
     const std::function<double(double)>& f, double lo, double hi,
-    const Maximize1DOptions& options = {});
-
-/// Evaluates `f` at every abscissa, in order. A parallel implementation
-/// must return exactly the pointwise values {f(xs[0]), f(xs[1]), ...} so
-/// the batched scan is bitwise identical to the serial one.
-using BatchEvaluateFn =
-    std::function<std::vector<double>(const std::vector<double>& xs)>;
-
-/// One golden-section refinement interval chosen by the coarse scan.
-struct RefineInterval {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Runs every refinement interval (each a golden_section_maximize over `f`
-/// with the scan options) and returns one result per interval, in order.
-using RefineRunnerFn = std::function<std::vector<Maximize1DResult>(
-    const std::vector<RefineInterval>& intervals)>;
-
-/// maximize_scan with the two embarrassingly parallel stages exposed: the
-/// coarse grid goes through `batch` and the top-cell refinements through
-/// `refine` (pass nullptr for either to run serially via `f`). Used by the
-/// Stackelberg driver to fan follower-equilibrium solves out over a thread
-/// pool; equals maximize_scan(f, lo, hi, options) for conforming hooks.
-[[nodiscard]] Maximize1DResult maximize_scan_batched(
-    const std::function<double(double)>& f, const BatchEvaluateFn& batch,
-    const RefineRunnerFn& refine, double lo, double hi,
     const Maximize1DOptions& options = {});
 
 /// maximize_scan with the grid and the refinements fanned out over the
 /// shared thread pool (support::parallel_map), using up to `threads`
 /// concurrent executors (0 = auto via support::resolve_thread_count, 1 =
-/// plain maximize_scan). `f` must be safe for concurrent invocation.
-/// Bitwise identical to maximize_scan for every thread count.
+/// plain maximize_scan). `f` must be safe for concurrent invocation. Used
+/// by the Stackelberg driver and the leader stage to fan follower solves
+/// out; bitwise identical to maximize_scan for every thread count.
 [[nodiscard]] Maximize1DResult maximize_scan_parallel(
     const std::function<double(double)>& f, double lo, double hi,
     const Maximize1DOptions& options = {}, int threads = 0);

@@ -5,21 +5,6 @@
 
 namespace hecmine::num {
 
-namespace {
-
-/// Two Newton polish steps on p(x) = a x^3 + b x^2 + c x + d.
-double polish_cubic(double a, double b, double c, double d, double x) {
-  for (int step = 0; step < 2; ++step) {
-    const double p = ((a * x + b) * x + c) * x + d;
-    const double dp = (3.0 * a * x + 2.0 * b) * x + c;
-    if (dp == 0.0) break;
-    x -= p / dp;
-  }
-  return x;
-}
-
-}  // namespace
-
 std::vector<double> solve_quadratic(double a, double b, double c) {
   if (a == 0.0) {
     if (b == 0.0) return {};  // constant: no roots (or all x if c == 0)
@@ -33,48 +18,6 @@ std::vector<double> solve_quadratic(double a, double b, double c) {
       -0.5 * (b + std::copysign(std::sqrt(discriminant), b));
   std::vector<double> roots{q / a, c / q};
   std::sort(roots.begin(), roots.end());
-  return roots;
-}
-
-std::vector<double> solve_cubic(double a, double b, double c, double d) {
-  if (a == 0.0) return solve_quadratic(b, c, d);
-  // Depressed cubic t^3 + p t + q with x = t - b/(3a).
-  const double inv_a = 1.0 / a;
-  const double b1 = b * inv_a, c1 = c * inv_a, d1 = d * inv_a;
-  const double shift = b1 / 3.0;
-  const double p = c1 - b1 * b1 / 3.0;
-  const double q = 2.0 * b1 * b1 * b1 / 27.0 - b1 * c1 / 3.0 + d1;
-  const double discriminant = q * q / 4.0 + p * p * p / 27.0;
-
-  std::vector<double> roots;
-  if (discriminant > 1e-14 * (std::abs(q) + std::abs(p) + 1.0)) {
-    // One real root (Cardano).
-    const double s = std::sqrt(discriminant);
-    const double u = std::cbrt(-q / 2.0 + s);
-    const double v = std::cbrt(-q / 2.0 - s);
-    roots.push_back(u + v - shift);
-  } else if (std::abs(p) < 1e-14) {
-    roots.push_back(std::cbrt(-q) - shift);  // triple root
-  } else {
-    // Three real roots (trigonometric method); p < 0 here.
-    const double m = 2.0 * std::sqrt(-p / 3.0);
-    const double argument =
-        std::clamp(3.0 * q / (p * m), -1.0, 1.0);
-    const double theta = std::acos(argument) / 3.0;
-    for (int k = 0; k < 3; ++k) {
-      roots.push_back(
-          m * std::cos(theta - 2.0 * M_PI * static_cast<double>(k) / 3.0) -
-          shift);
-    }
-  }
-  for (double& root : roots) root = polish_cubic(a, b, c, d, root);
-  std::sort(roots.begin(), roots.end());
-  roots.erase(std::unique(roots.begin(), roots.end(),
-                          [](double x, double y) {
-                            return std::abs(x - y) <
-                                   1e-9 * (1.0 + std::abs(x));
-                          }),
-              roots.end());
   return roots;
 }
 

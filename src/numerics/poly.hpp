@@ -1,7 +1,8 @@
-// Real roots of low-degree polynomials (closed form).
+// Real roots of a quadratic (closed form).
 //
 // Used by the closed-form reaction curves: the CSP's first-order condition
-// in the sufficient-budget connected game is a cubic in P_c.
+// in the sufficient-budget connected game is a quadratic in P_c (the cubic
+// terms cancel; core/closed_forms.cpp).
 #pragma once
 
 #include <vector>
@@ -12,11 +13,5 @@ namespace hecmine::num {
 /// linear case (a == 0). A double root is returned once.
 [[nodiscard]] std::vector<double> solve_quadratic(double a, double b,
                                                   double c);
-
-/// Real roots of a x^3 + b x^2 + c x + d = 0, ascending, via the
-/// trigonometric/Cardano method; degenerates to solve_quadratic when
-/// a == 0. Roots are polished with two Newton steps for accuracy.
-[[nodiscard]] std::vector<double> solve_cubic(double a, double b, double c,
-                                              double d);
 
 }  // namespace hecmine::num

@@ -12,8 +12,8 @@ namespace hecmine::num {
 namespace {
 
 /// Records one finished extragradient solve into the thread's telemetry
-/// sink (installed upstream by InstrumentedFollowerOracle); a null sink
-/// costs one thread-local read.
+/// sink (installed upstream by the caller's support::TelemetryScope); a
+/// null sink costs one thread-local read.
 void record_vi_solve(const VIResult& result, std::uint64_t backtracks) {
   support::Telemetry* telemetry = support::current_telemetry();
   if (telemetry == nullptr) return;

@@ -1,6 +1,8 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 
 #include "support/error.hpp"
 
@@ -26,19 +28,16 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 }
 
 bool CliArgs::has(const std::string& name) const {
-  queried_[name] = true;
   return flags_.count(name) > 0;
 }
 
 std::string CliArgs::get(const std::string& name,
                          const std::string& fallback) const {
-  queried_[name] = true;
   const auto it = flags_.find(name);
   return it == flags_.end() ? fallback : it->second;
 }
 
 double CliArgs::get(const std::string& name, double fallback) const {
-  queried_[name] = true;
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
@@ -137,12 +136,16 @@ int env_thread_override() {
   return parse_thread_count(raw, "HECMINE_THREADS");
 }
 
-std::vector<std::string> CliArgs::unknown_flags() const {
-  std::vector<std::string> unknown;
+bool CliArgs::reject_unknown_flags(const std::vector<std::string>& accepted,
+                                   const std::string& program) const {
+  bool rejected = false;
   for (const auto& [name, _] : flags_) {
-    if (queried_.find(name) == queried_.end()) unknown.push_back(name);
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end())
+      continue;
+    std::cerr << program << ": unknown flag --" << name << "\n";
+    rejected = true;
   }
-  return unknown;
+  return rejected;
 }
 
 }  // namespace hecmine::support

@@ -1,8 +1,8 @@
 // Minimal command-line flag parsing for the examples and bench binaries.
 //
 // Supported syntax: --name=value and --name value; everything else is a
-// positional argument. Unknown flags are kept and can be rejected by the
-// caller via unknown_flags().
+// positional argument. A program rejects the flags it does not read with
+// reject_unknown_flags() before doing any work.
 #pragma once
 
 #include <map>
@@ -59,15 +59,20 @@ class CliArgs {
   /// scale factors that must stay > 0).
   [[nodiscard]] double positive_double(const std::string& name,
                                        double fallback) const;
-  /// Flags seen but never queried through any accessor.
-  [[nodiscard]] std::vector<std::string> unknown_flags() const;
+  /// Usage check: prints "<program>: unknown flag --name" to stderr for
+  /// every flag given that is not in `accepted`, and returns whether there
+  /// was one. Programs call it before any work with every flag the chosen
+  /// command reads and exit 2 when it returns true, so a retired or
+  /// misspelled flag is an error rather than a silent no-op.
+  [[nodiscard]] bool reject_unknown_flags(
+      const std::vector<std::string>& accepted,
+      const std::string& program) const;
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
 
  private:
   std::map<std::string, std::string> flags_;
-  mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
 

@@ -88,6 +88,10 @@ Report build_report(const json::Value& trace) {
   }
 
   Report report;
+  // The trace is outside input: only a plausible count converts.
+  const double dropped = trace.number_or("dropped", 0.0);
+  if (dropped >= 1.0 && dropped < 1e18)
+    report.dropped = static_cast<std::uint64_t>(dropped);
   std::map<std::string, ReportRow> rows;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const TraceSpan& span = spans[i];
@@ -135,6 +139,10 @@ void print_report(std::ostream& os, const Report& report) {
   table.print(os, 2);
   os << "spans: " << report.spans << "  wall (roots): " << report.total_ms
      << " ms\n";
+  if (report.dropped > 0)
+    os << "warning: " << report.dropped
+       << " spans were dropped at the trace's capacity; this table covers "
+          "only part of the run\n";
   os << "total work:";
   bool any = false;
   for (std::size_t i = 0; i < kWorkFieldCount; ++i) {

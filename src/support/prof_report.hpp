@@ -54,6 +54,7 @@ struct ReportRow {
 struct Report {
   std::vector<ReportRow> rows;
   std::uint64_t spans = 0;      ///< closed spans consumed
+  std::uint64_t dropped = 0;    ///< spans the recording trace dropped
   double total_ms = 0.0;        ///< summed root-span durations
   WorkCounters total_work;      ///< summed exclusive work (= total work)
 };
@@ -64,7 +65,8 @@ struct Report {
 /// document without a traceEvents array.
 [[nodiscard]] Report build_report(const json::Value& trace);
 
-/// Renders the report as an aligned table plus a totals footer.
+/// Renders the report as an aligned table plus a totals footer, which says
+/// so when the trace dropped spans (the table then covers part of the run).
 void print_report(std::ostream& os, const Report& report);
 
 }  // namespace hecmine::support::prof

@@ -1,5 +1,6 @@
-# End-to-end checks of `hecmine_cli --run-dir` and `hecmine_report`, one
-# case per ctest entry (see tests/CMakeLists.txt). Run as
+# End-to-end checks of `hecmine_cli` (its run bundle and its flag check)
+# and `hecmine_report`, one case per ctest entry (see tests/CMakeLists.txt).
+# Run as
 #
 #   cmake -DCASE=<case> -DCLI=<hecmine_cli> -DREPORT=<hecmine_report>
 #         -DSCENARIO=<consortium.conf> -DWORK=<scratch dir> -P report_cli.cmake
@@ -16,6 +17,18 @@ function(expect_exit expected)
   if(NOT code STREQUAL "${expected}")
     message(FATAL_ERROR
       "expected exit ${expected}, got ${code}: ${ARGN}\n${out}\n${err}")
+  endif()
+endfunction()
+
+# Runs a command and fails unless it is rejected before any work: exit 2,
+# nothing on stdout, and stderr naming `flag` as unknown.
+function(expect_unknown_flag flag)
+  execute_process(COMMAND ${ARGN}
+    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "unknown flag ${flag}" at)
+  if(NOT code STREQUAL "2" OR at EQUAL -1 OR NOT out STREQUAL "")
+    message(FATAL_ERROR
+      "expected exit 2 naming ${flag}, got ${code}: ${ARGN}\n${out}\n${err}")
   endif()
 endfunction()
 
@@ -83,6 +96,14 @@ elseif(CASE STREQUAL "FireDrill")
     message(FATAL_ERROR "flight.jsonl holds no hecmine.health.v1 event")
   endif()
   expect_exit(3 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
+elseif(CASE STREQUAL "UnknownFlags")
+  # A retired export flag and a misspelled one are usage errors, not
+  # silently ignored settings.
+  get_filename_component(scenarios "${SCENARIO}" DIRECTORY)
+  expect_unknown_flag(--block-log "${CLI}" campaign "${SCENARIO}"
+    --blocks=100 --block-log=x)
+  expect_unknown_flag(--threds "${CLI}" solve "${scenarios}/sp_pricing.conf"
+    --threds=4)
 else()
   message(FATAL_ERROR "unknown CASE: ${CASE}")
 endif()

@@ -1,9 +1,9 @@
-// Tests for the ClassAggregateOracle (core/aggregate_oracle.hpp): the
+// Tests for FollowerOracle's class solver (core/aggregate_oracle.hpp): the
 // K-dimensional class fixed point must land on the same equilibrium as the
 // dense per-miner VI reference (Theorem 2's uniqueness makes the NE
 // symmetric within budget classes), lazy per-miner expansion must be
-// transparent to every consumer, and make_follower_oracle must build it
-// for every pool. Registered under the `aggregate` ctest label.
+// transparent to every consumer, and make_follower_oracle must bucket
+// every pool. Registered under the `aggregate` ctest label.
 #include "core/aggregate_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -67,7 +67,7 @@ TEST(ClassAggregateOracleParity, ConnectedMatchesDenseNepPerMiner) {
   const auto dense =
       solve_followers_vi(params, prices, budgets, EdgeMode::kConnected);
   const auto aggregate =
-      ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+      FollowerOracle(params, budgets, EdgeMode::kConnected)
           .solve(prices);
   ASSERT_TRUE(dense.converged);
   ASSERT_TRUE(aggregate.converged);
@@ -91,7 +91,7 @@ TEST(ClassAggregateOracleParity, StandaloneMatchesDenseGnepWithActiveCap) {
   const auto dense =
       solve_followers_vi(params, prices, budgets, EdgeMode::kStandalone);
   const auto aggregate =
-      ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
+      FollowerOracle(params, budgets, EdgeMode::kStandalone)
           .solve(prices);
   ASSERT_TRUE(dense.converged);
   ASSERT_TRUE(aggregate.converged);
@@ -112,10 +112,10 @@ TEST(ClassAggregateOracleParity, HomogeneousPoolMatchesSymmetricOracle) {
   const auto symmetric = solve_followers_symmetric(params, prices, 40.0, 6,
                                                    EdgeMode::kConnected);
   const auto aggregate =
-      ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+      FollowerOracle(params, budgets, EdgeMode::kConnected)
           .solve(prices);
   ASSERT_TRUE(aggregate.converged);
-  EXPECT_EQ(ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+  EXPECT_EQ(FollowerOracle(params, budgets, EdgeMode::kConnected)
                 .class_count(),
             1);
   EXPECT_NEAR(aggregate.request(0).edge, symmetric.request().edge, kParityTol);
@@ -131,7 +131,7 @@ TEST(ClassAggregateOracleParity, HomogeneousPoolMatchesSymmetricOracle) {
 TEST(ClassAggregateOracle, ExpansionIsExactlyClassSymmetric) {
   const NetworkParams params = default_params();
   const auto profile =
-      ClassAggregateOracle(params, few_class_budgets(), EdgeMode::kConnected)
+      FollowerOracle(params, few_class_budgets(), EdgeMode::kConnected)
           .solve({2.0, 1.0});
   // Miners 1 and 3 share budget 50, miners 0 and 2 share budget 120: their
   // lazily expanded requests are the same object, hence bitwise equal.
@@ -156,12 +156,10 @@ TEST(ClassAggregateOracle, SolveIsBitwiseIdenticalAcrossThreadCounts) {
     serial.threads = 1;
     SolveContext parallel;
     parallel.threads = 4;
-    const auto a = ClassAggregateOracle(params, budgets, mode,
-                                        serial.follower)
-                       .solve({2.0, 1.0});
-    const auto b = ClassAggregateOracle(params, budgets, mode,
-                                        parallel.follower)
-                       .solve({2.0, 1.0});
+    const auto a =
+        FollowerOracle(params, budgets, mode, serial).solve({2.0, 1.0});
+    const auto b =
+        FollowerOracle(params, budgets, mode, parallel).solve({2.0, 1.0});
     ASSERT_EQ(a.requests.size(), b.requests.size());
     for (std::size_t k = 0; k < a.requests.size(); ++k) {
       EXPECT_EQ(a.requests[k].edge, b.requests[k].edge);
@@ -175,10 +173,11 @@ TEST(ClassAggregateOracle, SolveIsBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(ProfileOracleDispatch, MakeFollowerOracleRoutesHeterogeneousPools) {
   const NetworkParams params = default_params();
-  // No telemetry: the factory returns the bare aggregate oracle.
+  // The factory buckets the pool: three budget classes over five miners.
   const auto oracle = make_follower_oracle(params, few_class_budgets(),
                                            EdgeMode::kConnected, {});
-  EXPECT_NE(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
+  EXPECT_EQ(oracle->class_count(), 3);
+  EXPECT_EQ(oracle->miner_count(), 5);
 }
 
 TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {

@@ -8,9 +8,9 @@
 
 #include <cmath>
 
-#include "core/aggregate_oracle.hpp"
 #include "core/audit.hpp"
 #include "core/closed_forms.hpp"
+#include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "support/error.hpp"
 
@@ -371,7 +371,7 @@ TEST(FollowerStress, BindingPoolsWithCheapEdgePassTheSampledAudit) {
       SCOPED_TRACE(testing::Message()
                    << "K=" << classes << " standalone="
                    << (mode == EdgeMode::kStandalone));
-      const ClassAggregateOracle oracle(params, budgets, mode);
+      const FollowerOracle oracle(params, budgets, mode);
       ASSERT_EQ(oracle.class_count(), classes);
       const auto eq = oracle.solve(prices);
       EXPECT_TRUE(eq.converged);

@@ -11,10 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/aggregate_oracle.hpp"
 #include "core/closed_forms.hpp"
 #include "core/equilibrium.hpp"
 #include "core/miner.hpp"
+#include "core/oracle.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -199,7 +199,7 @@ TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
   const auto eq_vi = solve_followers_vi(params, prices, budgets,
                                         EdgeMode::kConnected, vi_options);
   const auto eq_classes =
-      ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+      FollowerOracle(params, budgets, EdgeMode::kConnected)
           .solve(prices);
   ASSERT_TRUE(eq_vi.converged);
   ASSERT_TRUE(eq_classes.converged);
@@ -225,7 +225,7 @@ TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
   const auto eq_vi = solve_followers_vi(params, prices, budgets,
                                         EdgeMode::kStandalone, vi_options);
   const auto eq_classes =
-      ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
+      FollowerOracle(params, budgets, EdgeMode::kStandalone)
           .solve(prices);
   ASSERT_TRUE(eq_vi.converged);
   ASSERT_TRUE(eq_classes.converged);
@@ -242,10 +242,10 @@ TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
 
 TEST(BatchSweeps, InvalidOptionsThrow) {
   const NetworkParams params = default_params();
-  MinerSolveOptions options;
-  options.damping = 0.0;
-  EXPECT_THROW(ClassAggregateOracle(params, {10.0, 20.0},
-                                    EdgeMode::kConnected, options),
+  SolveContext context;
+  context.follower.damping = 0.0;
+  EXPECT_THROW(FollowerOracle(params, {10.0, 20.0}, EdgeMode::kConnected,
+                              context),
                support::PreconditionError);
 }
 
@@ -256,7 +256,7 @@ TEST(BatchSweeps, ConcurrentBatchSolvesAgree) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{10.0, 20.0, 30.0, 40.0};
-  const ClassAggregateOracle oracle(params, budgets, EdgeMode::kConnected);
+  const FollowerOracle oracle(params, budgets, EdgeMode::kConnected);
   const EquilibriumProfile reference = oracle.solve(prices);
   std::vector<EquilibriumProfile> results(4);
   std::vector<std::thread> workers;

@@ -1,19 +1,18 @@
-// Tests for the FollowerOracle layer (core/oracle.hpp): the one follower
-// solver must agree with the VI reference, and the factories must build it
-// for every pool. Registered
-// under the `oracle` ctest label so `ctest -L oracle` runs exactly the
-// equivalence suite.
+// Tests for the follower oracle (core/oracle.hpp): the one follower solver
+// must agree with the VI reference, and the factory must build it for
+// every pool. Registered under the `oracle` ctest label so
+// `ctest -L oracle` runs exactly the equivalence suite.
 #include "core/oracle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "core/aggregate_oracle.hpp"
 #include "core/equilibrium.hpp"
 #include "core/sp.hpp"
+#include "numerics/optimize.hpp"
 #include "support/error.hpp"
 
 namespace hecmine::core {
@@ -40,7 +39,7 @@ SpSolveOptions fast_options() {
 
 TEST(EquilibriumProfileShape, SymmetricAccessorsMapEveryIndexToTheFront) {
   const NetworkParams params = default_params();
-  const auto eq = ClassAggregateOracle(params, 40.0, 5, EdgeMode::kConnected)
+  const auto eq = FollowerOracle(params, 40.0, 5, EdgeMode::kConnected)
                       .solve({2.0, 1.0});
   ASSERT_TRUE(eq.converged);
   EXPECT_TRUE(eq.class_shaped());
@@ -60,7 +59,7 @@ TEST(EquilibriumProfileShape, SymmetricAccessorsMapEveryIndexToTheFront) {
 TEST(EquilibriumProfileShape, HeterogeneousAccessorsIndexPerMiner) {
   const NetworkParams params = default_params();
   const std::vector<double> budgets{20.0, 30.0, 40.0};
-  const auto eq = ClassAggregateOracle(params, budgets, EdgeMode::kConnected)
+  const auto eq = FollowerOracle(params, budgets, EdgeMode::kConnected)
                       .solve({2.0, 1.0});
   ASSERT_TRUE(eq.converged);
   ASSERT_EQ(eq.requests.size(), 3u);
@@ -77,7 +76,7 @@ TEST(OracleParity, SymmetricFastPathMatchesTheFullProfileNep) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets(5, 40.0);
-  const auto fast = ClassAggregateOracle(params, 40.0, 5, EdgeMode::kConnected)
+  const auto fast = FollowerOracle(params, 40.0, 5, EdgeMode::kConnected)
                         .solve(prices);
   const auto full =
       solve_followers_vi(params, prices, budgets, EdgeMode::kConnected);
@@ -99,7 +98,7 @@ TEST(OracleParity, GnepSharedPriceAndViAgree) {
   const Prices prices{2.2, 1.0};
   const std::vector<double> budgets{25.0, 35.0, 45.0};
   const auto shared =
-      ClassAggregateOracle(params, budgets, EdgeMode::kStandalone)
+      FollowerOracle(params, budgets, EdgeMode::kStandalone)
           .solve(prices);
   const auto vi =
       solve_followers_vi(params, prices, budgets, EdgeMode::kStandalone);
@@ -120,9 +119,7 @@ TEST(MakeFollowerOracle, DispatchesTheDocumentedFastPaths) {
   // pools in both modes, a single miner and degenerate zero budgets.
   const auto class_count = [&](const std::vector<double>& budgets,
                                EdgeMode mode) {
-    const auto oracle = make_follower_oracle(params, budgets, mode);
-    const auto* solver = dynamic_cast<const ClassAggregateOracle*>(oracle.get());
-    return solver == nullptr ? -1 : solver->class_count();
+    return make_follower_oracle(params, budgets, mode)->class_count();
   };
   EXPECT_EQ(class_count({40.0, 40.0, 40.0}, EdgeMode::kConnected), 1);
   EXPECT_EQ(class_count({20.0, 30.0}, EdgeMode::kConnected), 2);
@@ -152,37 +149,75 @@ TEST(SolveFollowers, AutoDispatchMatchesTheExplicitSymmetricCall) {
 }
 
 TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
-  // solve_leader_stage on equal budgets takes the homogeneous stage (closed
-  // form CSP reactions); the force_profile_oracle hook pins the general
-  // stage (numeric reactions). Both must find the same leader equilibrium.
+  // solve_leader_stage on equal budgets takes the closed-form CSP
+  // reaction. The reference here is built from scratch: Theorem 4's
+  // sequential construction with a numeric reaction, i.e. a scan over P_e
+  // of V_e whose CSP reaction is a scan over P_c of V_c, both through the
+  // one-class follower solve. Both must find the same leader equilibrium.
   const NetworkParams params = default_params();
   const std::vector<double> budgets(3, 30.0);
   SpSolveOptions options = fast_options();
   // The parity claim is about the equilibrium, not the last digit of the
-  // follower fixed point; a loose inner tolerance keeps the profile-oracle
-  // reaction scans affordable.
+  // follower fixed point; a loose inner tolerance keeps the reference's
+  // nested scans affordable.
   options.context.follower.tolerance = 1e-6;
   options.context.follower.max_iterations = 800;
   const auto fast =
       solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
-  options.force_profile_oracle = true;
-  const auto full =
-      solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
-  // Both paths must converge — here via the shared Theorem 4 sequential
-  // fallback, because this price game cycles under simultaneous moves.
+
+  // The leader stage's price box and scan settings (core/sp.cpp).
+  const double ceiling =
+      2.0 * std::max(params.cost_edge, params.cost_cloud) +
+      0.5 * params.reward;
+  const double edge_lo =
+      params.cost_edge * (1.0 + options.price_margin) + 1e-9;
+  const double cloud_lo =
+      params.cost_cloud * (1.0 + options.price_margin) + 1e-9;
+  const auto followers = [&](const Prices& prices) {
+    return solve_followers_symmetric(params, prices, 30.0, 3,
+                                     EdgeMode::kConnected, options.context);
+  };
+  num::Maximize1DOptions reaction_scan;
+  reaction_scan.grid_points = options.grid_points;
+  reaction_scan.tolerance = 1e-8;
+  const auto reaction = [&](double price_edge) {
+    return num::maximize_scan(
+               [&](double price_cloud) {
+                 const Prices prices{price_edge, price_cloud};
+                 return sp_profits(params, prices, followers(prices).totals)
+                     .cloud;
+               },
+               cloud_lo, ceiling, reaction_scan)
+        .argmax;
+  };
+  num::Maximize1DOptions composite_scan;
+  composite_scan.grid_points = std::max(4 * options.grid_points, 160);
+  composite_scan.tolerance = 1e-7;
+  const double price_edge =
+      num::maximize_scan(
+          [&](double pe) {
+            const Prices prices{pe, reaction(pe)};
+            return sp_profits(params, prices, followers(prices).totals).edge;
+          },
+          edge_lo, ceiling, composite_scan)
+          .argmax;
+  const Prices prices{price_edge, reaction(price_edge)};
+  const EquilibriumProfile reference = followers(prices);
+  const SpProfits profits = sp_profits(params, prices, reference.totals);
+
+  // The price game cycles under simultaneous moves, so the leader stage
+  // must converge through Theorem 4's sequential construction.
   ASSERT_TRUE(fast.converged);
-  ASSERT_TRUE(full.converged);
-  EXPECT_EQ(fast.method, full.method);
+  ASSERT_TRUE(reference.converged);
+  EXPECT_EQ(fast.method, SpSolveMethod::kSequential);
   EXPECT_EQ(fast.followers.requests.size(), 1u);
-  EXPECT_EQ(full.followers.requests.size(), 1u);
-  EXPECT_NEAR(full.prices.edge, fast.prices.edge,
-              0.05 * fast.prices.edge + 1e-3);
-  EXPECT_NEAR(full.prices.cloud, fast.prices.cloud,
+  EXPECT_NEAR(prices.edge, fast.prices.edge, 0.05 * fast.prices.edge + 1e-3);
+  EXPECT_NEAR(prices.cloud, fast.prices.cloud,
               0.05 * fast.prices.cloud + 1e-3);
   const double fast_welfare = fast.profits.edge + fast.profits.cloud;
-  const double full_welfare = full.profits.edge + full.profits.cloud;
-  EXPECT_NEAR(full_welfare, fast_welfare, 0.03 * std::abs(fast_welfare));
-  EXPECT_NEAR(full.followers.totals.grand(), fast.followers.totals.grand(),
+  EXPECT_NEAR(profits.edge + profits.cloud, fast_welfare,
+              0.03 * std::abs(fast_welfare));
+  EXPECT_NEAR(reference.totals.grand(), fast.followers.totals.grand(),
               0.05 * fast.followers.totals.grand());
 }
 
@@ -206,22 +241,6 @@ TEST(Exploitability, ProfileOverloadCertifiesOracleEquilibria) {
   EXPECT_LT(miner_exploitability(params, prices, {40.0}, symmetric,
                                  EdgeMode::kConnected),
             1e-4);
-}
-
-TEST(PopulationOracle, IsDeterministicInTheContextRngRoot) {
-  const NetworkParams params = default_params();
-  const PopulationModel population = PopulationModel::around(10.0, 2.0);
-  SolveContext context;
-  context.rng_root = 42;
-  const PopulationExpectationOracle oracle(params, 12.0, population,
-                                           EdgeMode::kConnected, 64, context);
-  const auto first = oracle.solve({2.0, 1.0});
-  const auto second = oracle.solve({2.0, 1.0});
-  EXPECT_EQ(first.request().edge, second.request().edge);  // bitwise
-  EXPECT_EQ(first.totals.edge, second.totals.edge);
-  EXPECT_EQ(first.utility(), second.utility());
-  EXPECT_EQ(first.requests.size(), 1u);
-  EXPECT_GE(oracle.miner_count(), 2);
 }
 
 }  // namespace

@@ -311,26 +311,41 @@ TEST(FullProfileStackelberg, HeterogeneousBudgetsSolve) {
 }
 
 TEST(LeaderStage, BindingStandaloneBudgetsMatchTheForcedProfileRun) {
-  // n = 10 miners of budget 5 in standalone mode: every budget binds. The
-  // homogeneous stage (closed-form CSP reactions) and the general stage
-  // (numeric reactions) must agree, on an exact follower equilibrium.
+  // n = 10 miners of budget 5 in standalone mode: every budget binds.
+  // Table II's candidates need B >= R(n-1)/n^2 = 9, so even this one-class
+  // pool takes the numeric CSP reaction. The leader stage must land on the
+  // pinned V_e, on an exact (converged) follower equilibrium.
   const NetworkParams params;
   const std::vector<double> budgets(10, 5.0);
   SpSolveOptions options;
   options.context.threads = 1;
-  const auto homogeneous =
+  const auto result =
       solve_leader_stage(params, budgets, EdgeMode::kStandalone, options);
-  options.force_profile_oracle = true;
-  const auto forced =
-      solve_leader_stage(params, budgets, EdgeMode::kStandalone, options);
-  for (const LeaderStageResult* result : {&homogeneous, &forced}) {
-    EXPECT_TRUE(result->converged);
-    EXPECT_TRUE(result->followers.converged);
-    EXPECT_NEAR(result->profits.edge, 12.79518, 1e-6);
+  EXPECT_TRUE(result.converged);
+  EXPECT_TRUE(result.followers.converged);
+  EXPECT_NEAR(result.profits.edge, 12.79518, 1e-6);
+}
+
+TEST(LeaderStage, EqualBudgetsMatchTheHomogeneousEntryBitwise) {
+  // solve_leader_stage builds its oracle from the budget vector,
+  // solve_leader_stage_homogeneous from (B, n); both run the one driver
+  // with the closed-form CSP reaction, so the answers are bitwise equal.
+  const NetworkParams params = default_params();
+  SpSolveOptions options = fast_options();
+  options.grid_points = 16;
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    const auto general =
+        solve_leader_stage(params, std::vector<double>(4, 35.0), mode, options);
+    const auto homogeneous =
+        solve_leader_stage_homogeneous(params, 35.0, 4, mode, options);
+    EXPECT_EQ(general.prices.edge, homogeneous.prices.edge);
+    EXPECT_EQ(general.prices.cloud, homogeneous.prices.cloud);
+    EXPECT_EQ(general.profits.edge, homogeneous.profits.edge);
+    EXPECT_EQ(general.profits.cloud, homogeneous.profits.cloud);
+    EXPECT_EQ(general.rounds, homogeneous.rounds);
+    EXPECT_EQ(general.method, homogeneous.method);
+    EXPECT_EQ(general.converged, homogeneous.converged);
   }
-  EXPECT_NEAR(homogeneous.profits.edge, forced.profits.edge, 1e-6);
-  EXPECT_NEAR(homogeneous.prices.edge, forced.prices.edge, 1e-6);
-  EXPECT_NEAR(homogeneous.prices.cloud, forced.prices.cloud, 1e-6);
 }
 
 TEST(LeaderStage, UnconvergedFollowersMakeTheResultUnconverged) {

@@ -64,13 +64,6 @@ TEST(MaximizeScan, RespectsGridOption) {
   EXPECT_NEAR(result.argmax, 1.0, 1e-6);
 }
 
-TEST(CentralDerivative, MatchesAnalytic) {
-  const auto f = [](double x) { return std::sin(x); };
-  EXPECT_NEAR(central_derivative(f, 0.7), std::cos(0.7), 1e-8);
-  EXPECT_THROW((void)central_derivative(f, 0.0, 0.0),
-               support::PreconditionError);
-}
-
 TEST(CentralGradient, MatchesAnalyticIn3D) {
   const auto f = [](const std::vector<double>& x) {
     return x[0] * x[0] + 3.0 * x[1] + x[2] * x[1];
@@ -79,11 +72,6 @@ TEST(CentralGradient, MatchesAnalyticIn3D) {
   EXPECT_NEAR(grad[0], 2.0, 1e-7);
   EXPECT_NEAR(grad[1], 6.0, 1e-7);
   EXPECT_NEAR(grad[2], 2.0, 1e-7);
-}
-
-TEST(CentralSecondDerivative, MatchesAnalytic) {
-  const auto f = [](double x) { return x * x * x; };
-  EXPECT_NEAR(central_second_derivative(f, 2.0), 12.0, 1e-4);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "core/closed_forms.hpp"
 #include "core/sp.hpp"
-#include "support/rng.hpp"
 
 namespace hecmine::num {
 namespace {
@@ -38,47 +37,6 @@ TEST(Quadratic, NumericallyStableForSmallLeadingRoot) {
   ASSERT_EQ(roots.size(), 2u);
   EXPECT_NEAR(roots[0], 1e-8, 1e-14);
   EXPECT_NEAR(roots[1], 1e8, 1.0);
-}
-
-TEST(Cubic, ThreeRealRoots) {
-  // (x-1)(x-2)(x-4) = x^3 - 7x^2 + 14x - 8.
-  const auto roots = solve_cubic(1.0, -7.0, 14.0, -8.0);
-  ASSERT_EQ(roots.size(), 3u);
-  EXPECT_NEAR(roots[0], 1.0, 1e-9);
-  EXPECT_NEAR(roots[1], 2.0, 1e-9);
-  EXPECT_NEAR(roots[2], 4.0, 1e-9);
-}
-
-TEST(Cubic, OneRealRoot) {
-  // x^3 + x + 10 has the single real root x = -2.
-  const auto roots = solve_cubic(1.0, 0.0, 1.0, 10.0);
-  ASSERT_EQ(roots.size(), 1u);
-  EXPECT_NEAR(roots[0], -2.0, 1e-9);
-}
-
-TEST(Cubic, TripleRootAndQuadraticDegeneration) {
-  const auto triple = solve_cubic(1.0, -6.0, 12.0, -8.0);  // (x-2)^3
-  ASSERT_EQ(triple.size(), 1u);
-  EXPECT_NEAR(triple[0], 2.0, 1e-6);
-  const auto quadratic = solve_cubic(0.0, 1.0, -5.0, 6.0);
-  ASSERT_EQ(quadratic.size(), 2u);
-}
-
-TEST(Cubic, RandomPolynomialsRootsVerify) {
-  support::Rng rng{71};
-  for (int trial = 0; trial < 200; ++trial) {
-    const double a = rng.uniform(-3.0, 3.0);
-    const double b = rng.uniform(-3.0, 3.0);
-    const double c = rng.uniform(-3.0, 3.0);
-    const double d = rng.uniform(-3.0, 3.0);
-    if (std::abs(a) < 0.05) continue;
-    const auto roots = solve_cubic(a, b, c, d);
-    ASSERT_FALSE(roots.empty());  // odd degree: at least one real root
-    for (double x : roots) {
-      const double value = ((a * x + b) * x + c) * x + d;
-      EXPECT_NEAR(value, 0.0, 1e-6 * (1.0 + std::abs(x * x * x)));
-    }
-  }
 }
 
 TEST(CspReactionClosedForm, MatchesTheNumericReaction) {

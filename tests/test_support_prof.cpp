@@ -261,6 +261,27 @@ TEST(ProfReport, SkipsTheSimTimeCampaignTrack) {
   EXPECT_DOUBLE_EQ(report.total_ms, 2.0);
 }
 
+TEST(ProfReport, FooterSaysWhenTheTraceDroppedSpans) {
+  // A trace that hit its span capacity covers only part of the run, and
+  // the footer must say so; a complete trace prints no such line.
+  const auto footer = [](const char* dropped) {
+    const std::string trace = std::string(R"({"dropped": )") + dropped +
+                              R"(, "traceEvents": [
+      {"name": "oracle.solve", "ph": "X", "ts": 0.0, "dur": 2000.0,
+       "pid": 1, "tid": 0, "args": {"id": 0, "depth": 0}}]})";
+    const prof::Report report =
+        prof::build_report(support::json::parse(trace));
+    std::ostringstream out;
+    prof::print_report(out, report);
+    return out.str();
+  };
+  const std::string partial = footer("181");
+  EXPECT_NE(partial.find("181 spans were dropped"), std::string::npos)
+      << partial;
+  EXPECT_NE(partial.find("only part of the run"), std::string::npos);
+  EXPECT_EQ(footer("0").find("dropped"), std::string::npos);
+}
+
 TEST(ProfReport, EmptyTraceYieldsEmptyReport) {
   const prof::Report report = prof::build_report(
       support::json::parse(R"({"traceEvents": []})"));

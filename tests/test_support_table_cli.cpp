@@ -117,10 +117,12 @@ TEST(Cli, RejectsMalformedNumbers) {
 
 TEST(Cli, TracksUnknownFlags) {
   const auto args = make_args({"--used=1", "--stray=2"});
-  (void)args.get("used", 0.0);
-  const auto unknown = args.unknown_flags();
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "stray");
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(args.reject_unknown_flags({"used"}, "prog"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: unknown flag --stray\n");
+  EXPECT_FALSE(args.reject_unknown_flags({"used", "stray"}, "prog"));
+  EXPECT_FALSE(make_args({"positional"}).reject_unknown_flags({}, "prog"));
 }
 
 TEST(Cli, RunDirFlagBeatsTheEnvironment) {
