@@ -1,9 +1,10 @@
 #include "core/aggregate_oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "core/kernels.hpp"
@@ -12,73 +13,169 @@
 
 namespace hecmine::core {
 
-ClassPartition partition_budget_classes(const std::vector<double>& budgets) {
-  // An ordered map assigns dense class indices in ascending budget order,
-  // so the partition is a pure function of the budget multiset (plus the
-  // per-miner map of the original order).
-  std::map<double, std::uint32_t> index_of;
-  for (double budget : budgets) {
-    HECMINE_REQUIRE(budget >= 0.0,
-                    "partition_budget_classes: budgets must be >= 0");
-    index_of.emplace(budget, 0);
-  }
-  std::uint32_t next = 0;
-  for (auto& [key, index] : index_of) index = next++;
+namespace {
 
-  ClassPartition partition;
-  partition.classes.resize(index_of.size());
-  for (const auto& [key, index] : index_of)
-    partition.classes[index].budget = key;
-  partition.class_of.resize(budgets.size());
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    const std::uint32_t k = index_of.at(budgets[i]);
-    partition.class_of[i] = k;
-    ++partition.classes[k].count;
-  }
-  return partition;
+constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
+
+/// The partition table's load bound. Below kSparseSlots slots the table
+/// stays in cache and runs at load <= 1/8, so nearly every lookup hits on
+/// its first probe; larger tables run at load <= 1/2, which bounds the
+/// table to four slots per key when K approaches N.
+constexpr std::size_t kSparseSlots = 4096;
+bool over_loaded(std::size_t keys, std::size_t slots) {
+  return keys * (slots < kSparseSlots ? 8 : 2) > slots;
 }
 
-FollowerOracle::FollowerOracle(NetworkParams params,
-                               const std::vector<double>& budgets,
-                               EdgeMode mode, const SolveContext& context)
-    : params_(params),
-      mode_(mode),
-      options_(context.follower),
-      miner_count_(static_cast<int>(budgets.size())) {
-  HECMINE_REQUIRE(!budgets.empty(), "FollowerOracle: no miners");
-  HECMINE_REQUIRE(options_.damping > 0.0 && options_.damping <= 1.0,
-                  "FollowerOracle: damping must be in (0, 1]");
+/// Slot hash of a budget key. Keys compare with ==, so +0.0 and -0.0 must
+/// share a slot; the mixer is murmur3's 64-bit finalizer.
+std::size_t key_hash(double budget) {
+  std::uint64_t h = budget == 0.0 ? 0 : std::bit_cast<std::uint64_t>(budget);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
+}
+
+/// Doubles the open-addressing table and re-slots the keys seen so far.
+void grow(std::vector<std::uint32_t>& slots,
+          const std::vector<MinerClass>& keys) {
+  slots.assign(2 * slots.size(), kEmptySlot);
+  const std::size_t mask = slots.size() - 1;
+  for (std::uint32_t k = 0; k < keys.size(); ++k) {
+    std::size_t slot = key_hash(keys[k].budget) & mask;
+    while (slots[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    slots[slot] = k;
+  }
+}
+
+/// The class shape of a budget vector.
+std::shared_ptr<const EquilibriumProfile::ClassShape> shape_of(
+    const std::vector<double>& budgets) {
   ClassPartition partition = partition_budget_classes(budgets);
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
-  shape->of = std::move(partition.class_of);
+  // Every miner of a one-class pool maps to class 0: no map needed.
+  if (partition.classes.size() > 1) shape->of = std::move(partition.class_of);
   shape->counts.reserve(partition.classes.size());
   shape->budgets.reserve(partition.classes.size());
   for (const MinerClass& cls : partition.classes) {
     shape->counts.push_back(cls.count);
     shape->budgets.push_back(cls.budget);
   }
-  // Every miner of a one-class pool maps to class 0: no map needed.
-  if (shape->counts.size() == 1) shape->of = {};
-  shape_ = std::move(shape);
-  instrument(context.telemetry);
+  return shape;
 }
 
-FollowerOracle::FollowerOracle(NetworkParams params, double budget, int n,
-                               EdgeMode mode, const SolveContext& context)
+}  // namespace
+
+ClassPartition partition_budget_classes(const std::vector<double>& budgets) {
+  // One pass numbers the classes in first-seen order through an
+  // open-addressing table over the distinct keys (O(K) memory; an equal
+  // key keeps its first-seen value, as an ordered map's emplace does).
+  // Ranking the K keys then renumbers class_of in place, so the partition
+  // is the ascending-key one: a pure function of the budget multiset, plus
+  // the per-miner map of the original order.
+  ClassPartition partition;
+  std::vector<MinerClass>& seen = partition.classes;
+  std::vector<std::uint32_t>& class_of = partition.class_of;
+  class_of.resize(budgets.size());
+  std::vector<std::uint32_t> slots(64, kEmptySlot);
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const double budget = budgets[i];
+    HECMINE_REQUIRE(budget >= 0.0,
+                    "partition_budget_classes: budgets must be >= 0");
+    const std::size_t mask = slots.size() - 1;
+    std::size_t slot = key_hash(budget) & mask;
+    while (slots[slot] != kEmptySlot && seen[slots[slot]].budget != budget)
+      slot = (slot + 1) & mask;
+    std::uint32_t id = slots[slot];
+    if (id == kEmptySlot) {
+      id = static_cast<std::uint32_t>(seen.size());
+      slots[slot] = id;
+      seen.push_back({budget, 0});
+      if (over_loaded(seen.size(), slots.size())) grow(slots, seen);
+    }
+    class_of[i] = id;
+    ++seen[id].count;
+  }
+
+  const std::size_t kn = seen.size();
+  std::vector<std::uint32_t> order(kn);
+  for (std::uint32_t k = 0; k < kn; ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return seen[a].budget < seen[b].budget;
+  });
+  std::vector<std::uint32_t> rank(kn);
+  std::vector<MinerClass> ascending(kn);
+  bool renumber = false;
+  for (std::uint32_t r = 0; r < kn; ++r) {
+    rank[order[r]] = r;
+    ascending[r] = seen[order[r]];
+    renumber = renumber || order[r] != r;
+  }
+  seen = std::move(ascending);
+  if (renumber)
+    for (std::uint32_t& k : class_of) k = rank[k];
+  return partition;
+}
+
+FollowerOracle::FollowerOracle(
+    NetworkParams params,
+    std::shared_ptr<const EquilibriumProfile::ClassShape> shape,
+    EdgeMode mode, const SolveContext& context)
     : params_(params),
       mode_(mode),
       options_(context.follower),
-      miner_count_(n) {
-  HECMINE_REQUIRE(n >= 1, "FollowerOracle: no miners");
+      miner_count_(0),
+      shape_(std::move(shape)) {
+  HECMINE_REQUIRE(shape_ != nullptr, "FollowerOracle: no class shape");
+  const std::vector<int>& counts = shape_->counts;
+  const std::vector<double>& keys = shape_->budgets;
+  const std::size_t kn = counts.size();
+  HECMINE_REQUIRE(kn >= 1, "FollowerOracle: no miners");
+  HECMINE_REQUIRE(keys.size() == kn,
+                  "FollowerOracle: class shape needs one budget per class");
+  HECMINE_REQUIRE(keys.front() >= 0.0, "FollowerOracle: budget must be >= 0");
+  std::int64_t n = 0;
+  for (std::size_t k = 0; k < kn; ++k) {
+    HECMINE_REQUIRE(counts[k] >= 1, "FollowerOracle: empty budget class");
+    HECMINE_REQUIRE(k == 0 || keys[k - 1] < keys[k],
+                    "FollowerOracle: class budgets must ascend strictly");
+    n += counts[k];
+  }
+  HECMINE_REQUIRE(n <= std::numeric_limits<int>::max(),
+                  "FollowerOracle: too many miners");
+  miner_count_ = static_cast<int>(n);
+  if (kn == 1) {
+    HECMINE_REQUIRE(shape_->of.empty(),
+                    "FollowerOracle: a one-class shape carries no class map");
+  } else {
+    HECMINE_REQUIRE(shape_->of.size() == static_cast<std::size_t>(n),
+                    "FollowerOracle: class map needs one entry per miner");
+    std::vector<int> members(kn, 0);
+    for (const std::uint32_t k : shape_->of) {
+      HECMINE_REQUIRE(k < kn, "FollowerOracle: class index out of range");
+      ++members[k];
+    }
+    HECMINE_REQUIRE(members == counts,
+                    "FollowerOracle: class map disagrees with class counts");
+  }
   HECMINE_REQUIRE(options_.damping > 0.0 && options_.damping <= 1.0,
                   "FollowerOracle: damping must be in (0, 1]");
-  HECMINE_REQUIRE(budget >= 0.0, "FollowerOracle: budget must be >= 0");
-  auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
-  shape->counts = {n};
-  shape->budgets = {budget};
-  shape_ = std::move(shape);
   instrument(context.telemetry);
 }
+
+FollowerOracle::FollowerOracle(NetworkParams params,
+                               const std::vector<double>& budgets,
+                               EdgeMode mode, const SolveContext& context)
+    : FollowerOracle(params, shape_of(budgets), mode, context) {}
+
+FollowerOracle::FollowerOracle(NetworkParams params, double budget, int n,
+                               EdgeMode mode, const SolveContext& context)
+    : FollowerOracle(params,
+                     std::make_shared<const EquilibriumProfile::ClassShape>(
+                         EquilibriumProfile::ClassShape{{}, {n}, {budget}}),
+                     mode, context) {}
 
 EquilibriumProfile FollowerOracle::single_class(
     const Prices& prices) const {
@@ -189,6 +286,7 @@ EquilibriumProfile FollowerOracle::fixed_point(
     std::fill(in_block.begin(), in_block.end(), static_cast<char>(1));
     MinerRequest common;
     bool block_ok = true;
+    bool peeled_any = false;
     while (true) {
       double members = 0.0;
       double rest_e = total_e;
@@ -218,8 +316,14 @@ EquilibriumProfile FollowerOracle::fixed_point(
         }
       }
       if (!peeled) break;
+      peeled_any = true;
     }
     if (!block_ok) std::fill(in_block.begin(), in_block.end(), 0);
+    // An all-slack block (no class peeled) is the equilibrium itself: with
+    // every class inside it nothing stays outside, so `common` does not
+    // depend on the iterate, and every class affords it. Take it undamped;
+    // the next sweep returns the same request and passes the tolerance.
+    const double step = block_ok && !peeled_any ? 1.0 : damping;
 
     double change = 0.0;
     for (std::size_t k = 0; k < kn; ++k) {
@@ -232,8 +336,8 @@ EquilibriumProfile FollowerOracle::fixed_point(
         response = block_response_kernel(env, budget[k], m, rest_e, rest_g);
         ++sweep_br_evals;
       }
-      const double new_e = (1.0 - damping) * e[k] + damping * response.edge;
-      const double new_c = (1.0 - damping) * c[k] + damping * response.cloud;
+      const double new_e = (1.0 - step) * e[k] + step * response.edge;
+      const double new_c = (1.0 - step) * c[k] + step * response.cloud;
       change = std::max(change, std::abs(new_e - e[k]));
       change = std::max(change, std::abs(new_c - c[k]));
       total_e += count[k] * (new_e - e[k]);

@@ -12,6 +12,12 @@
 // crowd. Profiles are class-shaped (EquilibriumProfile::ClassShape):
 // per-miner requests and utilities expand lazily through the class map.
 //
+// The partition is one O(N) hash pass over the budgets (provisional class
+// ids in first-seen order), then a sort of the K distinct keys that
+// renumbers the class map in place. The oracle buckets a budget vector
+// once; a solved profile's shape rebuilds an oracle without bucketing
+// again (the audit's leader-gap re-solves do this).
+//
 // Each class is settled by block_response_kernel (core/kernels.hpp), the
 // exact common request of a class's m miners against the rest of the pool.
 //   * K = 1: one kernel call with no outside aggregates is the exact
@@ -21,7 +27,12 @@
 //   * K > 1: a damped Gauss-Seidel fixed point over class requests. Each
 //     sweep first solves a joint block — every class that can afford the
 //     common request of the richest class's block response — in one kernel
-//     call, then settles the remaining classes one kernel call each.
+//     call, then settles the remaining classes one kernel call each. When
+//     no class peels, the block is the whole pool with nothing outside it:
+//     its response is the symmetric equilibrium of all N miners, which
+//     every budget affords, so by Theorem 2's uniqueness it is the
+//     equilibrium. That sweep takes it undamped and the next one confirms
+//     it, so an all-slack pool settles within two sweeps.
 //     Standalone mode bisects the shared surcharge to complementarity on
 //     E <= E_max (Theorem 5's shared-multiplier decomposition).
 //
@@ -54,9 +65,11 @@ struct ClassPartition {
   std::vector<std::uint32_t> class_of;
 };
 
-/// Buckets `budgets` into classes keyed by exact budget value. The result
-/// is a pure function of the inputs, independent of thread count or
-/// iteration order.
+/// Buckets `budgets` into classes keyed by exact budget value, in one pass
+/// over the budgets; the only O(N) allocation is the class map. Keys
+/// ascend, an equal key keeps its first-seen value (+0.0 and -0.0 are one
+/// class), and a negative or NaN budget throws. The result is a pure
+/// function of the inputs, independent of thread count.
 [[nodiscard]] ClassPartition partition_budget_classes(
     const std::vector<double>& budgets);
 

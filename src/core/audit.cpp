@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <ostream>
 
 #include "core/closed_forms.hpp"
@@ -95,6 +96,27 @@ Totals recompute_totals(const EquilibriumProfile& profile) {
     return totals;
   }
   return aggregate(profile.requests);
+}
+
+/// True when `shape` buckets `budgets` exactly: miner i's class budget is
+/// budgets[i] for every i (one O(N) read). Then the profile's own shape is
+/// the partition of `budgets`, and the leader-gap oracle can share it.
+bool shape_buckets(const EquilibriumProfile::ClassShape& shape,
+                   const std::vector<double>& budgets) {
+  const std::size_t kn = shape.budgets.size();
+  if (kn == 0 || shape.counts.size() != kn) return false;
+  if (shape.of.empty())
+    return kn == 1 &&
+           static_cast<std::size_t>(shape.counts.front()) == budgets.size() &&
+           std::all_of(budgets.begin(), budgets.end(), [&](double budget) {
+             return budget == shape.budgets.front();
+           });
+  if (shape.of.size() != budgets.size()) return false;
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const std::uint32_t k = shape.of[i];
+    if (k >= kn || budgets[i] != shape.budgets[k]) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -203,9 +225,16 @@ AuditReport audit_equilibrium(const Scenario& scenario, const Prices& prices,
 
   // Leader optimality gap: each SP scales its own price by (1 +/- step)
   // and the followers re-solve; any profit improvement bounds how far the
-  // prices sit from a leader-stage best response at this scale.
-  const auto oracle = make_follower_oracle(params, scenario.budgets,
-                                           scenario.mode, options.context);
+  // prices sit from a leader-stage best response at this scale. The
+  // re-solves run on the scenario's budgets: through the profile's class
+  // shape when it buckets them exactly, else bucketed afresh.
+  const auto oracle =
+      profile.class_shaped() &&
+              shape_buckets(*profile.classes, scenario.budgets)
+          ? std::make_unique<FollowerOracle>(params, profile.classes,
+                                             scenario.mode, options.context)
+          : make_follower_oracle(params, scenario.budgets, scenario.mode,
+                                 options.context);
   const SpProfits base = sp_profits(params, prices, totals);
   const auto profit_at = [&](const Prices& candidate) {
     return sp_profits(params, candidate, oracle->solve(candidate).totals);

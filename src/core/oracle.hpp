@@ -92,8 +92,19 @@ struct KernelEnv;  // core/kernels.hpp
 /// map. The solver is described in core/aggregate_oracle.hpp.
 class FollowerOracle final {
  public:
-  /// One miner per entry of `budgets`. Reads only context.follower (the
-  /// solve tolerances) and context.telemetry (the instrumentation sink).
+  /// The pool a class shape describes, sharing the shape (a solved
+  /// profile's `classes` rebuilds its own oracle without bucketing again).
+  /// The shape must be a partition: one budget and a positive count per
+  /// class, budgets strictly ascending and >= 0, and a class map whose
+  /// entries are class indices matching the counts (empty when K = 1).
+  /// Reads only context.follower (the solve tolerances) and
+  /// context.telemetry (the instrumentation sink).
+  FollowerOracle(NetworkParams params,
+                 std::shared_ptr<const EquilibriumProfile::ClassShape> shape,
+                 EdgeMode mode, const SolveContext& context = {});
+
+  /// One miner per entry of `budgets`, bucketed by
+  /// partition_budget_classes (core/aggregate_oracle.hpp).
   FollowerOracle(NetworkParams params, const std::vector<double>& budgets,
                  EdgeMode mode, const SolveContext& context = {});
 

@@ -9,8 +9,12 @@
 #include <sys/utsname.h>
 #endif
 
-// Baked in by src/support/CMakeLists.txt; fall back so non-CMake builds
-// (and IDE previews) still compile.
+// The sha header is stamped at build time and the other macros are baked
+// in as definitions, both by src/support/CMakeLists.txt; fall back so
+// non-CMake builds (and IDE previews) still compile.
+#if __has_include("hecmine_git_sha.hpp")
+#include "hecmine_git_sha.hpp"
+#endif
 #ifndef HECMINE_GIT_SHA
 #define HECMINE_GIT_SHA "unknown"
 #endif

@@ -51,8 +51,8 @@ struct SchemaVersion {
 /// The provenance record. Build/host fields come from collect(); the run
 /// fields default to "unset" values the caller overrides.
 struct RunManifest {
-  std::string git_sha;     ///< configure-time sha (stale after new commits
-                           ///< until reconfigure; "unknown" outside git)
+  std::string git_sha;     ///< sha of the commit last built ("unknown"
+                           ///< outside git)
   std::string build_type;  ///< CMAKE_BUILD_TYPE
   std::string compiler;    ///< compiler id + __VERSION__
   std::string sanitizer;   ///< HECMINE_SANITIZE ("" = none)

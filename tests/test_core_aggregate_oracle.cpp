@@ -8,7 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -19,6 +26,9 @@
 #include "core/sp.hpp"
 #include "core/welfare.hpp"
 #include "support/error.hpp"
+#include "support/prof.hpp"
+#include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace hecmine::core {
 namespace {
@@ -58,6 +68,71 @@ TEST(ClassPartition, ExactKeysBucketDuplicatesAndSortAscending) {
 TEST(ClassPartition, RejectsNegativeInputs) {
   EXPECT_THROW((void)partition_budget_classes({-1.0}),
                support::PreconditionError);
+  EXPECT_THROW((void)partition_budget_classes(
+                   {3.0, std::numeric_limits<double>::quiet_NaN()}),
+               support::PreconditionError);
+}
+
+// The ordered-map bucketing the partition must reproduce bit for bit:
+// ascending keys, dense indices, and the first-seen key of equal values.
+ClassPartition ordered_map_partition(const std::vector<double>& budgets) {
+  std::map<double, std::uint32_t> index_of;
+  for (double budget : budgets) index_of.emplace(budget, 0);
+  std::uint32_t next = 0;
+  for (auto& [key, index] : index_of) index = next++;
+  ClassPartition partition;
+  partition.classes.resize(index_of.size());
+  for (const auto& [key, index] : index_of)
+    partition.classes[index].budget = key;
+  partition.class_of.resize(budgets.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const std::uint32_t k = index_of.at(budgets[i]);
+    partition.class_of[i] = k;
+    ++partition.classes[k].count;
+  }
+  return partition;
+}
+
+void expect_same_partition(const ClassPartition& got,
+                           const ClassPartition& want) {
+  ASSERT_EQ(got.classes.size(), want.classes.size());
+  for (std::size_t k = 0; k < want.classes.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.classes[k].budget),
+              std::bit_cast<std::uint64_t>(want.classes[k].budget))
+        << "class " << k;
+    EXPECT_EQ(got.classes[k].count, want.classes[k].count) << "class " << k;
+  }
+  EXPECT_EQ(got.class_of, want.class_of);
+}
+
+TEST(ClassPartition, MatchesAnOrderedMapReference) {
+  constexpr std::size_t kMiners = 100000;
+  support::Rng rng(0x70617274ULL);
+  for (const std::size_t classes : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{64}, kMiners}) {
+    // One key per stratum of [5, 500), so the K keys are distinct; every
+    // key appears, and the pool is shuffled.
+    std::vector<double> keys(classes);
+    for (std::size_t k = 0; k < classes; ++k)
+      keys[k] = 5.0 + 495.0 * (static_cast<double>(k) + rng.uniform()) /
+                          static_cast<double>(classes);
+    std::vector<double> budgets(kMiners);
+    for (std::size_t i = 0; i < kMiners; ++i) budgets[i] = keys[i % classes];
+    for (std::size_t i = kMiners - 1; i > 0; --i)
+      std::swap(budgets[i], budgets[rng.uniform_index(i + 1)]);
+    const ClassPartition partition = partition_budget_classes(budgets);
+    EXPECT_EQ(partition.classes.size(), classes);
+    expect_same_partition(partition, ordered_map_partition(budgets));
+  }
+  // Signed zeros are one key, kept as first seen.
+  for (const std::vector<double>& budgets :
+       {std::vector<double>{0.0, -0.0, 3.0, -0.0, 0.0, 3.0},
+        std::vector<double>{-0.0, 3.0, 0.0, 1.0, -0.0}}) {
+    const ClassPartition partition = partition_budget_classes(budgets);
+    expect_same_partition(partition, ordered_map_partition(budgets));
+    EXPECT_EQ(std::signbit(partition.classes.front().budget),
+              std::signbit(budgets.front()));
+  }
 }
 
 TEST(ClassAggregateOracleParity, ConnectedMatchesDenseNepPerMiner) {
@@ -213,6 +288,200 @@ TEST(ClassAggregateOracle, LeaderStageAndConsumersAcceptClassProfiles) {
                                                 audit_options);
   EXPECT_EQ(sampled.budget_slack.size(), 3u);
   EXPECT_LE(sampled.best_response_gap, full.best_response_gap + 1e-12);
+}
+
+
+TEST(ClassShapeOracle, SharesAValidShapeAndRejectsMalformedOnes) {
+  const NetworkParams params = default_params();
+  const std::vector<double> budgets = few_class_budgets();
+  const FollowerOracle bucketed(params, budgets, EdgeMode::kConnected);
+  const auto shape =
+      std::make_shared<const EquilibriumProfile::ClassShape>(
+          bucketed.classes());
+  const FollowerOracle shared(params, shape, EdgeMode::kConnected);
+  EXPECT_EQ(shared.miner_count(), 5);
+  EXPECT_EQ(shared.class_count(), 3);
+  const auto a = bucketed.solve({2.0, 1.0});
+  const auto b = shared.solve({2.0, 1.0});
+  ASSERT_EQ(a.requests.size(), b.requests.size());
+  for (std::size_t k = 0; k < a.requests.size(); ++k) {
+    EXPECT_EQ(a.requests[k].edge, b.requests[k].edge);
+    EXPECT_EQ(a.requests[k].cloud, b.requests[k].cloud);
+  }
+  EXPECT_EQ(b.classes, shape);  // profiles share the caller's shape
+
+  using Shape = EquilibriumProfile::ClassShape;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Shape> malformed = {
+      {{}, {}, {}},                          // no classes
+      {{0, 1}, {1, 1}, {50.0}},              // one budget for two classes
+      {{0, 1}, {1, 1}, {120.0, 50.0}},       // keys descend
+      {{0, 1}, {1, 1}, {50.0, 50.0}},        // repeated key
+      {{}, {2}, {-1.0}},                     // negative budget
+      {{0, 1}, {1, 1}, {nan, 50.0}},         // NaN budget
+      {{0, 0}, {2, 0}, {50.0, 120.0}},       // empty class
+      {{0, 1, 1}, {1, 1}, {50.0, 120.0}},    // map longer than the pool
+      {{0, 2}, {1, 1}, {50.0, 120.0}},       // class index out of range
+      {{0, 0, 1}, {1, 2}, {50.0, 120.0}},    // map disagrees with counts
+      {{0, 0}, {2}, {50.0}},                 // one class with a map
+  };
+  for (std::size_t j = 0; j < malformed.size(); ++j)
+    EXPECT_THROW(FollowerOracle(params,
+                                std::make_shared<const Shape>(malformed[j]),
+                                EdgeMode::kConnected),
+                 support::PreconditionError)
+        << "shape " << j;
+  EXPECT_THROW(FollowerOracle(params, nullptr, EdgeMode::kConnected),
+               support::PreconditionError);
+}
+
+TEST(ClassAggregateOracle, AllSlackPoolSettlesInTwoSweepsPerFixedPoint) {
+  // Every class affords the richest class's common request, so the joint
+  // block keeps every class: its response is the symmetric equilibrium of
+  // the whole pool, taken undamped and confirmed by one more sweep. At
+  // P_e < P_c the standalone cap binds; the surcharge bisection stops at
+  // |E - E_max| <= 1e-9 (1 + E_max), which bounds the agreement there.
+  NetworkParams params = default_params();
+  params.edge_capacity = 40.0;
+  std::vector<double> budgets;
+  for (int i = 0; i < 30; ++i) budgets.push_back(60.0 + 70.0 * (i % 3));
+  const int n = static_cast<int>(budgets.size());
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    for (const Prices prices : {Prices{2.0, 1.0}, Prices{6.5, 2.2},
+                                Prices{9.5, 1.0}, Prices{1.5, 2.2}}) {
+      support::Telemetry telemetry;
+      SolveContext context;
+      context.telemetry = &telemetry;
+      const auto profile = FollowerOracle(params, budgets, mode, context)
+                               .solve(prices);
+      ASSERT_TRUE(profile.converged);
+      ASSERT_EQ(profile.requests.size(), 3u);
+      const support::prof::WorkCounters work = telemetry.work.total();
+      // One fixed point in connected mode; one per surcharge probe else.
+      const std::uint64_t fixed_points = std::max<std::uint64_t>(
+          1, work[support::prof::WorkField::kBisectionIters]);
+      EXPECT_LE(work[support::prof::WorkField::kSweeps], 2 * fixed_points)
+          << "P_e=" << prices.edge << " P_c=" << prices.cloud;
+      const auto symmetric =
+          solve_followers_symmetric(params, prices, budgets.back(), n, mode);
+      EXPECT_EQ(profile.cap_active, symmetric.cap_active);
+      const double tol = symmetric.cap_active ? 1e-9 : 1e-12;
+      for (const MinerRequest& request : profile.requests) {
+        EXPECT_NEAR(request.edge, symmetric.request().edge,
+                    tol * symmetric.request().edge);
+        EXPECT_NEAR(request.cloud, symmetric.request().cloud,
+                    tol * symmetric.request().cloud);
+      }
+    }
+  }
+}
+
+// The profile with its class shape dropped: one request and utility per
+// miner, as the VI reference returns.
+EquilibriumProfile dense_expansion(const EquilibriumProfile& profile) {
+  EquilibriumProfile dense = profile;
+  dense.requests = profile.expanded();
+  dense.utilities.clear();
+  for (std::size_t i = 0; i < dense.requests.size(); ++i)
+    dense.utilities.push_back(profile.utility(i));
+  dense.classes.reset();
+  return dense;
+}
+
+// `a` and `b` agree to 1e-12 relative to `scale` (the quantity's natural
+// size: R for utility gaps, the budget for slacks).
+void expect_close(double a, double b, double scale, const char* what) {
+  EXPECT_NEAR(a, b, 1e-12 * std::max({std::abs(a), std::abs(b), scale}))
+      << what;
+}
+
+void expect_same_audit(const AuditReport& a, const AuditReport& b,
+                       double reward) {
+  expect_close(a.best_response_gap, b.best_response_gap, reward,
+               "best_response_gap");
+  expect_close(a.min_budget_slack, b.min_budget_slack, 1.0,
+               "min_budget_slack");
+  ASSERT_EQ(a.budget_slack.size(), b.budget_slack.size());
+  for (std::size_t j = 0; j < a.budget_slack.size(); ++j)
+    expect_close(a.budget_slack[j], b.budget_slack[j], 1.0, "budget_slack");
+  expect_close(a.capacity_violation, b.capacity_violation, 1.0,
+               "capacity_violation");
+  expect_close(a.monotonicity_quotient, b.monotonicity_quotient, 0.0,
+               "monotonicity_quotient");
+  expect_close(a.leader_gap_edge, b.leader_gap_edge, reward,
+               "leader_gap_edge");
+  expect_close(a.leader_gap_cloud, b.leader_gap_cloud, reward,
+               "leader_gap_cloud");
+}
+
+// A shuffled 400-miner pool of four budget classes. A miner of a slack
+// class spends about R/400 = 0.25, so the two poorest classes bind.
+std::vector<double> shuffled_pool() {
+  const double keys[4] = {0.05, 0.2, 1.0, 3.0};
+  std::vector<double> budgets(400);
+  for (std::size_t i = 0; i < budgets.size(); ++i) budgets[i] = keys[i % 4];
+  support::Rng rng(0x61756469ULL);
+  for (std::size_t i = budgets.size() - 1; i > 0; --i)
+    std::swap(budgets[i], budgets[rng.uniform_index(i + 1)]);
+  return budgets;
+}
+
+TEST(ClassShapedAudit, MatchesTheAuditOfItsDenseExpansion) {
+  const NetworkParams params = default_params();
+  Scenario scenario;
+  scenario.params = params;
+  scenario.budgets = shuffled_pool();
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    scenario.mode = mode;
+    for (const Prices prices : {Prices{3.0, 1.0}, Prices{6.5, 2.2}}) {
+      const auto profile =
+          FollowerOracle(params, scenario.budgets, mode).solve(prices);
+      ASSERT_TRUE(profile.class_shaped());
+      for (const int audited : {0, 16}) {
+        AuditOptions options;
+        options.max_audited_miners = audited;
+        expect_same_audit(
+            audit_equilibrium(scenario, prices, profile, options),
+            audit_equilibrium(scenario, prices, dense_expansion(profile),
+                              options),
+            params.reward);
+      }
+    }
+  }
+}
+
+TEST(ClassShapedAudit, AShapeThatDisagreesWithTheBudgetsIsNotTrusted) {
+  // The profile is solved for one pool and audited against another of the
+  // same size: the leader-gap re-solves must run on the audited budgets,
+  // as they do for a dense profile, not on the profile's class shape.
+  const NetworkParams params = default_params();
+  const Prices prices{3.0, 1.0};
+  const std::vector<double> solved_for = shuffled_pool();
+  Scenario scenario;
+  scenario.params = params;
+  scenario.budgets = solved_for;
+  for (double& budget : scenario.budgets) budget *= 0.1;  // now binding
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    scenario.mode = mode;
+    const auto profile =
+        FollowerOracle(params, solved_for, mode).solve(prices);
+    AuditOptions options;
+    options.max_audited_miners = 16;
+    const AuditReport shaped =
+        audit_equilibrium(scenario, prices, profile, options);
+    expect_same_audit(shaped,
+                      audit_equilibrium(scenario, prices,
+                                        dense_expansion(profile), options),
+                      params.reward);
+    // Re-solving on the profile's own pool would give other leader gaps.
+    Scenario own = scenario;
+    own.budgets = solved_for;
+    const AuditReport trusted =
+        audit_equilibrium(own, prices, profile, options);
+    EXPECT_GT(std::abs(shaped.leader_gap_edge - trusted.leader_gap_edge) +
+                  std::abs(shaped.leader_gap_cloud - trusted.leader_gap_cloud),
+              1e-6);
+  }
 }
 
 }  // namespace
