@@ -53,10 +53,21 @@ void grow(std::vector<std::uint32_t>& slots,
 /// The class shape of a budget vector.
 std::shared_ptr<const EquilibriumProfile::ClassShape> shape_of(
     const std::vector<double>& budgets) {
-  ClassPartition partition = partition_budget_classes(budgets);
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
-  // Every miner of a one-class pool maps to class 0: no map needed.
-  if (partition.classes.size() > 1) shape->of = std::move(partition.class_of);
+  // Every miner of a one-class pool maps to class 0: a read pass that stops
+  // at the first differing budget spares it the N-entry class map. N = 1
+  // compares nothing, so the budget is checked on its own.
+  if (!budgets.empty() &&
+      std::all_of(budgets.begin() + 1, budgets.end(),
+                  [&](double budget) { return budget == budgets[0]; })) {
+    HECMINE_REQUIRE(budgets[0] >= 0.0,
+                    "partition_budget_classes: budgets must be >= 0");
+    shape->counts.push_back(static_cast<int>(budgets.size()));
+    shape->budgets.push_back(budgets[0]);
+    return shape;
+  }
+  ClassPartition partition = partition_budget_classes(budgets);
+  shape->of = std::move(partition.class_of);
   shape->counts.reserve(partition.classes.size());
   shape->budgets.reserve(partition.classes.size());
   for (const MinerClass& cls : partition.classes) {

@@ -46,6 +46,11 @@ CampaignResult run_campaign_impl(
 
   std::vector<std::size_t> order(strategies.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+  // Per-block buffers, reused across blocks (at most one entry per miner).
+  std::vector<std::size_t> active;
+  std::vector<core::MinerRequest> requests;
+  std::vector<chain::Allocation> allocations;
+  std::vector<double> payouts;
 
   for (std::size_t block = 0; block < config.blocks; ++block) {
     // Population churn: which miners show up for this block.
@@ -56,16 +61,16 @@ CampaignResult run_campaign_impl(
           strategies.size());
     }
     std::shuffle(order.begin(), order.end(), rng.engine());
-    std::vector<std::size_t> active(order.begin(),
-                                    order.begin() + static_cast<std::ptrdiff_t>(active_count));
+    active.assign(order.begin(),
+                  order.begin() + static_cast<std::ptrdiff_t>(active_count));
 
-    std::vector<core::MinerRequest> requests(active.size());
+    requests.resize(active.size());
     for (std::size_t a = 0; a < active.size(); ++a)
       requests[a] = strategies[active[a]];
 
     const auto records =
         admit_requests(requests, config.policy, config.prices, rng);
-    std::vector<chain::Allocation> allocations(records.size());
+    allocations.resize(records.size());
     for (std::size_t a = 0; a < records.size(); ++a) {
       allocations[a] = records[a].granted;
       if (records[a].edge_status == ServiceStatus::kTransferred)
@@ -84,7 +89,7 @@ CampaignResult run_campaign_impl(
 
     // Reward flow: solo winners keep the block reward; a pooled winner's
     // reward is split pro rata over the pool's active units this round.
-    std::vector<double> payouts(active.size(), 0.0);
+    payouts.assign(active.size(), 0.0);
     if (outcome) {
       const std::size_t winner_global = active[outcome->winner];
       const int winner_pool =

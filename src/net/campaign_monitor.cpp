@@ -1,8 +1,11 @@
 #include "net/campaign_monitor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "core/decentralization.hpp"
 #include "core/winning.hpp"
@@ -52,16 +55,27 @@ void CampaignMonitor::set_reference(std::vector<core::MinerRequest> requests,
   const std::lock_guard<std::mutex> lock(mutex_);
   HECMINE_REQUIRE(rounds_ == 0,
                   "CampaignMonitor: set the reference before observing");
-  reference_ = std::move(requests);
+  reference_group_.assign(requests.size(), 0);
+  groups_.clear();
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> group_of;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto key =
+        std::make_pair(std::bit_cast<std::uint64_t>(requests[i].edge),
+                       std::bit_cast<std::uint64_t>(requests[i].cloud));
+    const auto [it, fresh] =
+        group_of.emplace(key, static_cast<std::uint32_t>(groups_.size()));
+    if (fresh) groups_.push_back({requests[i], 0, 0.0});
+    reference_group_[i] = it->second;
+  }
   reference_mode_ = mode;
   reference_fork_rate_ = fork_rate;
   reference_edge_success_ = edge_success;
-  ensure_miners(reference_.size());
+  ensure_miners(requests.size());
 }
 
 bool CampaignMonitor::has_reference() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return !reference_.empty();
+  return !reference_group_.empty();
 }
 
 void CampaignMonitor::begin_campaign(std::size_t expected_blocks) {
@@ -142,7 +156,7 @@ void CampaignMonitor::scan(std::uint64_t round, bool final_scan) {
     const double sampler_z =
         drift_score(static_cast<double>(m.wins), m.expected, m.variance);
     sampler_max = std::max(sampler_max, std::abs(sampler_z));
-    if (reference_.empty()) continue;
+    if (reference_group_.empty()) continue;
     const DriftTest test = drift_test(m.wins, m.rounds, m.expected_ref,
                                       m.variance_ref, options_);
     drift_max = std::max(drift_max, std::abs(test.z));
@@ -205,14 +219,16 @@ void CampaignMonitor::observe_block(
     // Sampler expectation: exact per-round win probability of each active
     // miner under the granted allocations (Eq. 6 on granted units).
     const double total = record.edge_units + record.cloud_units;
+    const std::size_t referenced = reference_group_.size();
     core::Totals reference_totals;
-    if (!reference_.empty()) {
-      for (const std::size_t id : active_ids) {
-        if (id >= reference_.size()) continue;
-        reference_totals.edge += reference_[id].edge;
-        reference_totals.cloud += reference_[id].cloud;
-      }
+    for (const std::size_t id : active_ids) {
+      if (id >= referenced) continue;
+      const core::MinerRequest& request =
+          groups_[reference_group_[id]].request;
+      reference_totals.edge += request.edge;
+      reference_totals.cloud += request.cloud;
     }
+    ++group_stamp_;
     for (std::size_t a = 0; a < active_ids.size(); ++a) {
       MinerSlot& slot = miners_[active_ids[a]];
       chain::BlockLogMinerSummary& m = slot.sums;
@@ -228,17 +244,20 @@ void CampaignMonitor::observe_block(
         m.expected += p;
         m.variance += p * (1.0 - p);
       }
-      if (!reference_.empty() && active_ids[a] < reference_.size()) {
-        const core::MinerRequest& request = reference_[active_ids[a]];
-        const double p_ref =
-            reference_mode_ == core::EdgeMode::kConnected
-                ? core::win_prob_connected(request, reference_totals,
-                                           reference_fork_rate_,
-                                           reference_edge_success_)
-                : core::win_prob_full(request, reference_totals,
-                                      reference_fork_rate_);
-        m.expected_ref += p_ref;
-        m.variance_ref += p_ref * (1.0 - p_ref);
+      if (active_ids[a] < referenced) {
+        RequestGroup& group = groups_[reference_group_[active_ids[a]]];
+        if (group.stamp != group_stamp_) {
+          group.p_ref =
+              reference_mode_ == core::EdgeMode::kConnected
+                  ? core::win_prob_connected(group.request, reference_totals,
+                                             reference_fork_rate_,
+                                             reference_edge_success_)
+                  : core::win_prob_full(group.request, reference_totals,
+                                        reference_fork_rate_);
+          group.stamp = group_stamp_;
+        }
+        m.expected_ref += group.p_ref;
+        m.variance_ref += group.p_ref * (1.0 - group.p_ref);
       }
     }
 
@@ -262,13 +281,21 @@ void CampaignMonitor::observe_block(
     }
 
     // Scalar gauges every round; O(n) scans on the stride.
-    support::MetricsRegistry& metrics = sink_.metrics;
-    metrics.gauge("campaign.rounds").set(static_cast<double>(rounds_));
-    metrics.gauge("campaign.sim_time").set(sim_time_);
-    metrics.gauge("campaign.difficulty").set(record.difficulty);
-    metrics.gauge("campaign.unit_rate").set(record.unit_rate);
-    metrics.gauge("campaign.fork_ewma").set(fork_ewma_);
-    metrics.gauge("campaign.fork_model_ewma").set(fork_model_ewma_);
+    if (gauges_.rounds == nullptr) {
+      support::MetricsRegistry& metrics = sink_.metrics;
+      gauges_.rounds = &metrics.gauge("campaign.rounds");
+      gauges_.sim_time = &metrics.gauge("campaign.sim_time");
+      gauges_.difficulty = &metrics.gauge("campaign.difficulty");
+      gauges_.unit_rate = &metrics.gauge("campaign.unit_rate");
+      gauges_.fork_ewma = &metrics.gauge("campaign.fork_ewma");
+      gauges_.fork_model_ewma = &metrics.gauge("campaign.fork_model_ewma");
+    }
+    gauges_.rounds->set(static_cast<double>(rounds_));
+    gauges_.sim_time->set(sim_time_);
+    gauges_.difficulty->set(record.difficulty);
+    gauges_.unit_rate->set(record.unit_rate);
+    gauges_.fork_ewma->set(fork_ewma_);
+    gauges_.fork_model_ewma->set(fork_model_ewma_);
 
     // Sim-time Perfetto feed, decimated to the timeline stride.
     if (record.round % timeline_stride_ == 0) {
@@ -343,7 +370,7 @@ void CampaignMonitor::finalize(chain::BlockLogWriter* log) {
       summary.forks = forks_;
       summary.fork_expected = fork_expected_;
       summary.fork_variance = fork_variance_;
-      summary.has_reference = !reference_.empty();
+      summary.has_reference = !reference_group_.empty();
       summary.miners.reserve(miners_.size());
       for (const MinerSlot& slot : miners_) summary.miners.push_back(slot.sums);
       log->write_summary(summary);
@@ -398,7 +425,7 @@ chain::BlockLogSummary CampaignMonitor::summary() const {
   summary.forks = forks_;
   summary.fork_expected = fork_expected_;
   summary.fork_variance = fork_variance_;
-  summary.has_reference = !reference_.empty();
+  summary.has_reference = !reference_group_.empty();
   summary.miners.reserve(miners_.size());
   for (const MinerSlot& slot : miners_) summary.miners.push_back(slot.sums);
   return summary;

@@ -114,7 +114,9 @@ class CampaignMonitor {
   /// request global miner i is expected to play. Per observed round the
   /// monitor recomputes the active subset's W_i under these requests
   /// (standalone: Eq. 6; connected: Eq. 9 with `edge_success`) and
-  /// accumulates the CLT pair against realized wins.
+  /// accumulates the CLT pair against realized wins. Miners with bitwise
+  /// equal requests (for an equilibrium, a budget class) share one W_i
+  /// evaluation per round.
   void set_reference(std::vector<core::MinerRequest> requests,
                      core::EdgeMode mode, double fork_rate,
                      double edge_success);
@@ -175,6 +177,26 @@ class CampaignMonitor {
     bool fired = false;  ///< win-rate incident raised (once per miner)
   };
 
+  /// Miners whose reference requests are bitwise equal. A round evaluates
+  /// the group's W_i once, on its first active member, and every active
+  /// member adds that value; an absent group is never evaluated (its
+  /// request need not fit inside the round's reference totals).
+  struct RequestGroup {
+    core::MinerRequest request;
+    std::uint64_t stamp = 0;  ///< evaluation round of `p_ref` (0 = none)
+    double p_ref = 0.0;
+  };
+  /// The gauges every round sets, resolved on the first observed round so
+  /// a monitor that observes nothing registers none.
+  struct RoundGauges {
+    support::Gauge* rounds = nullptr;
+    support::Gauge* sim_time = nullptr;
+    support::Gauge* difficulty = nullptr;
+    support::Gauge* unit_rate = nullptr;
+    support::Gauge* fork_ewma = nullptr;
+    support::Gauge* fork_model_ewma = nullptr;
+  };
+
   void ensure_miners(std::size_t count);
   /// Raises one incident: retains the event, queues its JSON line,
   /// bumps gauges, and warns/throws per the watchdog action. The caller
@@ -189,8 +211,10 @@ class CampaignMonitor {
   const CampaignMonitorOptions options_;
   mutable std::mutex mutex_;
 
-  // Reference equilibrium (empty = sampler checks only).
-  std::vector<core::MinerRequest> reference_;
+  // Reference equilibrium (empty = sampler checks only): miner -> group.
+  std::vector<std::uint32_t> reference_group_;
+  std::vector<RequestGroup> groups_;
+  std::uint64_t group_stamp_ = 0;  ///< bumped once per observed round
   core::EdgeMode reference_mode_ = core::EdgeMode::kStandalone;
   double reference_fork_rate_ = 0.0;
   double reference_edge_success_ = 1.0;
@@ -209,6 +233,7 @@ class CampaignMonitor {
   double max_drift_z_ = 0.0;
   double max_sampler_z_ = 0.0;
   std::uint64_t timeline_stride_ = 1;
+  RoundGauges gauges_;
   std::uint64_t incidents_ = 0;
   bool finalized_ = false;
   std::deque<support::health::HealthEvent> events_;

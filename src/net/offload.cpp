@@ -44,23 +44,20 @@ std::vector<ServiceRecord> admit_requests(
     const std::vector<core::MinerRequest>& requests, const EdgePolicy& policy,
     const core::Prices& prices, support::Rng& rng) {
   policy.validate();
+  const bool connected = policy.mode == core::EdgeMode::kConnected;
   std::vector<ServiceRecord> records;
   records.reserve(requests.size());
   for (const auto& request : requests) {
     HECMINE_REQUIRE(request.edge >= 0.0 && request.cloud >= 0.0,
                     "admit_requests: requests must be non-negative");
-    records.push_back(base_record(request, prices));
+    ServiceRecord& record = records.emplace_back(base_record(request, prices));
+    // Connected: each edge request draws its own transfer, in request
+    // order, as its record is built.
+    if (connected && request.edge > 0.0 &&
+        !rng.bernoulli(policy.success_prob))
+      apply_transfer(record);
   }
-
-  if (policy.mode == core::EdgeMode::kConnected) {
-    for (auto& record : records) {
-      if (record.requested.edge > 0.0 &&
-          !rng.bernoulli(policy.success_prob)) {
-        apply_transfer(record);
-      }
-    }
-    return records;
-  }
+  if (connected) return records;
 
   // Standalone: first-come-first-served in a random arrival order; a
   // request that does not fully fit is rejected outright (no partial

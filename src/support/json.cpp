@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -307,24 +308,32 @@ std::vector<Value> parse_lines(std::string_view text) {
 }
 
 void escape(std::ostream& os, std::string_view text) {
-  for (char c : text) {
+  // Characters that need no escape are written a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    const char* replacement = nullptr;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
+      case '"': replacement = "\\\""; break;
+      case '\\': replacement = "\\\\"; break;
+      case '\n': replacement = "\\n"; break;
+      case '\t': replacement = "\\t"; break;
+      case '\r': replacement = "\\r"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          os << buffer;
-        } else {
-          os << c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    os.write(text.data() + run, static_cast<std::streamsize>(i - run));
+    run = i + 1;
+    if (replacement != nullptr) {
+      os << replacement;
+    } else {
+      char buffer[8];
+      std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                    static_cast<unsigned>(c));
+      os << buffer;
     }
   }
+  os.write(text.data() + run, static_cast<std::streamsize>(text.size() - run));
 }
 
 void number(std::ostream& os, double value) {
@@ -332,10 +341,15 @@ void number(std::ostream& os, double value) {
     os << "null";
     return;
   }
-  std::ostringstream buffer;
-  buffer.precision(std::numeric_limits<double>::max_digits10);
-  buffer << value;
-  os << buffer.str();
+  // std::to_chars in general form at max_digits10 is specified as printf's
+  // %.17g in the C locale, which is also what a C-locale ostream at that
+  // precision writes; no stream is built per number.
+  char buffer[32];
+  const std::to_chars_result end =
+      std::to_chars(buffer, buffer + sizeof buffer, value,
+                    std::chars_format::general,
+                    std::numeric_limits<double>::max_digits10);
+  os.write(buffer, end.ptr - buffer);
 }
 
 void Writer::indent(std::size_t depth) {
@@ -409,14 +423,26 @@ void Writer::value(double num) {
   number(os_, num);
 }
 
+namespace {
+
+template <typename Integer>
+void integer(std::ostream& os, Integer value) {
+  char buffer[24];
+  const std::to_chars_result end =
+      std::to_chars(buffer, buffer + sizeof buffer, value);
+  os.write(buffer, end.ptr - buffer);
+}
+
+}  // namespace
+
 void Writer::value(std::int64_t num) {
   before_item();
-  os_ << num;
+  integer(os_, num);
 }
 
 void Writer::value(std::uint64_t num) {
   before_item();
-  os_ << num;
+  integer(os_, num);
 }
 
 void Writer::value(bool boolean) {

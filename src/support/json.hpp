@@ -96,8 +96,9 @@ class Value {
 /// Writes `text` with JSON string escaping (quotes not included).
 void escape(std::ostream& os, std::string_view text);
 
-/// Round-trippable JSON number with max_digits10 precision; non-finite
-/// values (not representable in JSON) degrade to null.
+/// Round-trippable JSON number: the bytes of printf's %.17g in the C
+/// locale (max_digits10 significant digits); non-finite values (not
+/// representable in JSON) degrade to null.
 void number(std::ostream& os, double value);
 
 /// Streaming JSON emitter: tracks container nesting and comma placement so

@@ -1,19 +1,26 @@
 // Tests for the hecmine.blocklog.v1 streaming writer and its simulator
 // hook: header/reference/record/summary round-trips through the JSON
-// parser, the stride and share-cap policies, and MiningSimulator emission.
+// parser, the stride and share-cap policies, MiningSimulator emission, and
+// the pinned bytes of seeded equilibrium campaign logs.
 #include "chain/blocklog.hpp"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "chain/simulator.hpp"
+#include "core/population.hpp"
+#include "net/campaign.hpp"
+#include "net/campaign_monitor.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/provenance.hpp"
+#include "support/telemetry.hpp"
 
 namespace hecmine::chain {
 namespace {
@@ -193,6 +200,97 @@ TEST(BlockLog, MiningSimulatorStreamsRecordsWithSimTime) {
       EXPECT_DOUBLE_EQ(p, 0.4 + 0.2);
     else
       EXPECT_DOUBLE_EQ(p, 0.4);
+  }
+}
+
+/// FNV-1a 64 of a block log's bytes after its first line. The manifest line
+/// carries build and host fields; every later byte is a function of the
+/// campaign alone.
+std::uint64_t digest_after_manifest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  const std::size_t first_line = bytes.find('\n');
+  EXPECT_NE(first_line, std::string::npos) << path;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::size_t i = first_line + 1; i < bytes.size(); ++i) {
+    hash ^= static_cast<unsigned char>(bytes[i]);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// A seeded run_campaign_at_equilibrium with the block log and the monitor
+/// attached (so the reference and summary lines are written); returns the
+/// log's digest.
+std::uint64_t equilibrium_campaign_digest(
+    core::EdgeMode mode, const std::vector<double>& budgets,
+    const std::optional<core::PopulationModel>& population,
+    std::size_t blocks, std::uint64_t seed) {
+  const std::string path = testing::TempDir() + "/hecmine_blocklog_pinned.jsonl";
+  net::CampaignConfig config;
+  config.params.reward = 100.0;
+  config.params.fork_rate = 0.2;
+  config.policy = {mode, 0.9, 10.0};
+  config.prices = {2.0, 1.0};
+  config.population = population;
+  config.difficulty.target_interval = 1.0;
+  config.difficulty.window = 32;
+  config.blocks = blocks;
+  const support::provenance::RunManifest manifest =
+      support::provenance::collect();
+  {
+    BlockLogWriter log(path, &manifest);
+    support::Telemetry sink;
+    net::CampaignMonitorOptions options;
+    options.action = support::health::WatchdogAction::kObserve;
+    options.wall_clock = false;
+    net::CampaignMonitor monitor(sink, options);
+    config.block_log = &log;
+    config.monitor = &monitor;
+    (void)net::run_campaign_at_equilibrium(config, budgets, seed);
+  }
+  return digest_after_manifest(path);
+}
+
+// Every byte after the manifest line is pinned: number formatting, the
+// monitor's summary sums and the loop's RNG stream may get faster, never
+// different. The digests were recorded with the stream-based number
+// formatter and a per-miner evaluation of the reference odds. Budgets sit
+// above the symmetric spend, so the played equilibrium is the all-slack
+// one. A libm that rounds log or exp differently records other digests.
+TEST(BlockLog, EquilibriumCampaignLogBytesArePinned) {
+  // Eight always-active miners in three budget classes: shares embedded.
+  const std::vector<double> small{15.0, 15.0, 15.0, 25.0,
+                                  25.0, 25.0, 25.0, 40.0};
+  // 1000 miners in four classes with churn around 600 active: no shares.
+  std::vector<double> crowd(1000);
+  for (std::size_t i = 0; i < crowd.size(); ++i)
+    crowd[i] = 60.0 + 120.0 * static_cast<double>((i * 7) % 4);
+  const core::PopulationModel churn(600.0, 60.0, 1, 1000);
+  struct Case {
+    const char* name;
+    core::EdgeMode mode;
+    const std::vector<double>* budgets;
+    std::optional<core::PopulationModel> population;
+    std::size_t blocks;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"small/connected", core::EdgeMode::kConnected, &small, std::nullopt,
+       400, 0x3646937b4072365aULL},
+      {"small/standalone", core::EdgeMode::kStandalone, &small, std::nullopt,
+       400, 0xdc5e0ed218ecb6a1ULL},
+      {"crowd/connected", core::EdgeMode::kConnected, &crowd, churn, 150,
+       0xabe7a6c09d403828ULL},
+      {"crowd/standalone", core::EdgeMode::kStandalone, &crowd, churn, 150,
+       0x16102c2a70d45a49ULL},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t digest = equilibrium_campaign_digest(
+        c.mode, *c.budgets, c.population, c.blocks, 2718);
+    EXPECT_EQ(digest, c.digest)
+        << c.name << ": block log digest 0x" << std::hex << digest;
   }
 }
 

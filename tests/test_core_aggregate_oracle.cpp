@@ -335,6 +335,44 @@ TEST(ClassShapeOracle, SharesAValidShapeAndRejectsMalformedOnes) {
                support::PreconditionError);
 }
 
+TEST(ClassShapeOracle, OneClassPoolCarriesNoClassMap) {
+  // Equal budgets need no miner -> class map; the pool solves bit for bit
+  // like the (budget, n) constructor's.
+  const NetworkParams params = default_params();
+  constexpr int kMiners = 100000;
+  const std::vector<double> budgets(kMiners, 40.0);
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+    const FollowerOracle bucketed(params, budgets, mode);
+    EXPECT_TRUE(bucketed.classes().of.empty());
+    EXPECT_EQ(bucketed.class_count(), 1);
+    EXPECT_EQ(bucketed.miner_count(), kMiners);
+    const auto a = bucketed.solve({2.0, 1.0});
+    const auto b = FollowerOracle(params, 40.0, kMiners, mode).solve({2.0, 1.0});
+    ASSERT_EQ(a.requests.size(), 1u);
+    ASSERT_EQ(b.requests.size(), 1u);
+    EXPECT_EQ(a.requests[0].edge, b.requests[0].edge);
+    EXPECT_EQ(a.requests[0].cloud, b.requests[0].cloud);
+    EXPECT_EQ(a.utilities, b.utilities);
+    EXPECT_EQ(a.totals.edge, b.totals.edge);
+    EXPECT_EQ(a.totals.cloud, b.totals.cloud);
+    EXPECT_EQ(a.surcharge, b.surcharge);
+    EXPECT_EQ(a.cap_active, b.cap_active);
+    EXPECT_EQ(a.converged, b.converged);
+  }
+  // +0.0 and -0.0 are one class, keyed by the first.
+  const FollowerOracle zeros(params, std::vector<double>{-0.0, 0.0},
+                             EdgeMode::kConnected);
+  EXPECT_EQ(zeros.class_count(), 1);
+  EXPECT_TRUE(std::signbit(zeros.classes().budgets[0]));
+  // The one budget is still validated, N = 1 included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{-1.0}, std::vector<double>{nan},
+        std::vector<double>(3, -2.0), std::vector<double>(3, nan)})
+    EXPECT_THROW(FollowerOracle(params, bad, EdgeMode::kConnected),
+                 support::PreconditionError);
+}
+
 TEST(ClassAggregateOracle, AllSlackPoolSettlesInTwoSweepsPerFixedPoint) {
   // Every class affords the richest class's common request, so the joint
   // block keeps every class: its response is the symmetric equilibrium of

@@ -1,18 +1,23 @@
 // Tests for net/campaign_monitor: streaming campaign statistics, CLT
-// drift detection against the reference equilibrium, watchdog escalation,
-// and the determinism contract of the campaign.* gauges.
+// drift detection against the reference equilibrium (pinned against a
+// per-miner recomputation), watchdog escalation, and the determinism
+// contract of the campaign.* gauges.
 #include "net/campaign_monitor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "core/winning.hpp"
 #include "net/campaign.hpp"
 #include "support/error.hpp"
 #include "support/health.hpp"
+#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace hecmine::net {
@@ -214,6 +219,215 @@ TEST(CampaignMonitor, ReferenceMustBeSetBeforeObserving) {
   EXPECT_THROW(monitor.set_reference({{1.0, 1.0}}, core::EdgeMode::kConnected,
                                      0.2, 0.9),
                support::PreconditionError);
+}
+
+/// One observed round: the record and its active miners' granted units.
+struct ObservedBlock {
+  chain::BlockRecord record;
+  std::vector<std::size_t> active;
+  std::vector<chain::Allocation> granted;
+};
+
+/// Seeded rounds over a pool playing `reference`, except that every third
+/// miner is granted half again its edge request, so win rates drift from
+/// the reference odds. Each round draws a random active subset of random
+/// size, its winner in proportion to granted units, and a fork.
+std::vector<ObservedBlock> drifting_blocks(
+    const std::vector<core::MinerRequest>& reference, double fork_rate,
+    std::size_t rounds, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<std::size_t> order(reference.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<ObservedBlock> blocks(rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    ObservedBlock& block = blocks[r];
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    const std::size_t count = 1 + rng.uniform_index(reference.size());
+    block.active.assign(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(count));
+    std::vector<double> weights;
+    for (const std::size_t id : block.active) {
+      const double edge = reference[id].edge * (id % 3 == 0 ? 1.5 : 1.0);
+      block.granted.push_back({edge, reference[id].cloud});
+      block.record.edge_units += edge;
+      block.record.cloud_units += reference[id].cloud;
+      weights.push_back(edge + reference[id].cloud);
+    }
+    const double total = block.record.edge_units + block.record.cloud_units;
+    block.record.round = r;
+    block.record.height = r + 1;
+    block.record.winner =
+        static_cast<std::int64_t>(block.active[rng.categorical(weights)]);
+    block.record.fork_rate = fork_rate;
+    block.record.p_fork = fork_rate * block.record.cloud_units / total;
+    block.record.fork = rng.bernoulli(block.record.p_fork);
+    block.record.interval = 1.0;
+    block.record.sim_time = static_cast<double>(r + 1);
+    block.record.active = count;
+  }
+  return blocks;
+}
+
+/// What the monitor must report, recomputed miner by miner: every active
+/// miner evaluates its own reference W_i each round, and the scans follow
+/// the documented cadence (every check_stride rounds and at finalize) and
+/// the drift rule.
+struct PerMinerReplay {
+  std::vector<chain::BlockLogMinerSummary> miners;
+  double max_drift_z = 0.0;
+  double max_sampler_z = 0.0;
+  double fork_z = 0.0;
+  std::uint64_t incidents = 0;
+};
+
+PerMinerReplay replay_per_miner(
+    const std::vector<core::MinerRequest>& reference, core::EdgeMode mode,
+    double fork_rate, double edge_success,
+    const std::vector<ObservedBlock>& blocks,
+    const CampaignMonitorOptions& options) {
+  PerMinerReplay out;
+  out.miners.resize(reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) out.miners[i].miner = i;
+  std::vector<bool> fired(reference.size(), false);
+  bool fork_fired = false;
+  std::uint64_t rounds = 0;
+  std::uint64_t produced = 0;
+  std::uint64_t forks = 0;
+  double fork_expected = 0.0;
+  double fork_variance = 0.0;
+  const auto scan = [&] {
+    double drift_max = 0.0;
+    double sampler_max = 0.0;
+    for (std::size_t i = 0; i < out.miners.size(); ++i) {
+      const chain::BlockLogMinerSummary& m = out.miners[i];
+      if (m.rounds < options.min_rounds) continue;
+      sampler_max = std::max(
+          sampler_max, std::abs(drift_score(static_cast<double>(m.wins),
+                                            m.expected, m.variance)));
+      const DriftTest test = drift_test(m.wins, m.rounds, m.expected_ref,
+                                        m.variance_ref, options);
+      drift_max = std::max(drift_max, std::abs(test.z));
+      if (!fired[i] && test.drifted) {
+        fired[i] = true;
+        ++out.incidents;
+      }
+    }
+    out.max_sampler_z = std::max(out.max_sampler_z, sampler_max);
+    out.max_drift_z = std::max(out.max_drift_z, drift_max);
+    if (rounds >= options.min_rounds && !fork_fired &&
+        drift_test(forks, produced, fork_expected, fork_variance, options)
+            .drifted) {
+      fork_fired = true;
+      ++out.incidents;
+    }
+  };
+  for (const ObservedBlock& block : blocks) {
+    const chain::BlockRecord& record = block.record;
+    core::Totals totals;
+    for (const std::size_t id : block.active) {
+      totals.edge += reference[id].edge;
+      totals.cloud += reference[id].cloud;
+    }
+    const double total = record.edge_units + record.cloud_units;
+    for (std::size_t a = 0; a < block.active.size(); ++a) {
+      const std::size_t id = block.active[a];
+      chain::BlockLogMinerSummary& m = out.miners[id];
+      ++m.rounds;
+      if (record.winner == static_cast<std::int64_t>(id)) ++m.wins;
+      double p = (1.0 - record.fork_rate) *
+                 (block.granted[a].edge_units + block.granted[a].cloud_units) /
+                 total;
+      if (record.edge_units > 0.0)
+        p += record.fork_rate * block.granted[a].edge_units /
+             record.edge_units;
+      m.expected += p;
+      m.variance += p * (1.0 - p);
+      const double p_ref =
+          mode == core::EdgeMode::kConnected
+              ? core::win_prob_connected(reference[id], totals, fork_rate,
+                                         edge_success)
+              : core::win_prob_full(reference[id], totals, fork_rate);
+      m.expected_ref += p_ref;
+      m.variance_ref += p_ref * (1.0 - p_ref);
+    }
+    ++rounds;
+    ++produced;
+    if (record.fork) ++forks;
+    fork_expected += record.p_fork;
+    fork_variance += record.p_fork * (1.0 - record.p_fork);
+    if (rounds % options.check_stride == 0) scan();
+  }
+  scan();
+  out.fork_z = drift_score(static_cast<double>(forks), fork_expected,
+                           fork_variance);
+  return out;
+}
+
+TEST(CampaignMonitor, GroupedReferenceOddsMatchAPerMinerRecomputation) {
+  // Four budget classes of ten miners.
+  std::vector<core::MinerRequest> classes;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const double k = static_cast<double>(i % 4);
+    classes.push_back({0.4 + 0.3 * k, 1.0 + 0.2 * k});
+  }
+  // Every miner its own request (K = N).
+  std::vector<core::MinerRequest> distinct;
+  for (std::size_t i = 0; i < 30; ++i) {
+    const double x = static_cast<double>(i);
+    distinct.push_back({0.2 + 0.05 * x, 1.5 - 0.03 * x});
+  }
+  // One miner whose request exceeds the three others' together: every
+  // round it sits out, its request lies outside the reference totals.
+  const std::vector<core::MinerRequest> whale{
+      {30.0, 30.0}, {0.5, 0.25}, {0.5, 0.25}, {0.5, 0.25}};
+  const double fork_rate = 0.2;
+  CampaignMonitorOptions options = deterministic_options();
+  options.action = health::WatchdogAction::kObserve;
+  options.min_rounds = 64;
+  options.check_stride = 16;
+  struct Pool {
+    const char* name;
+    const std::vector<core::MinerRequest>* reference;
+  };
+  for (const Pool& pool : {Pool{"classes", &classes},
+                           Pool{"distinct", &distinct},
+                           Pool{"whale", &whale}}) {
+    const std::vector<ObservedBlock> blocks =
+        drifting_blocks(*pool.reference, fork_rate, 1500, 91);
+    for (const core::EdgeMode mode :
+         {core::EdgeMode::kConnected, core::EdgeMode::kStandalone}) {
+      const double edge_success =
+          mode == core::EdgeMode::kConnected ? 0.9 : 1.0;
+      SCOPED_TRACE(std::string(pool.name) +
+                   (mode == core::EdgeMode::kConnected ? "/connected"
+                                                       : "/standalone"));
+      support::Telemetry telemetry;
+      CampaignMonitor monitor(telemetry, options);
+      monitor.set_reference(*pool.reference, mode, fork_rate, edge_success);
+      for (const ObservedBlock& block : blocks)
+        ASSERT_NO_THROW(
+            monitor.observe_block(block.record, block.active, block.granted));
+      monitor.finalize();
+      const PerMinerReplay expected = replay_per_miner(
+          *pool.reference, mode, fork_rate, edge_success, blocks, options);
+      const std::vector<chain::BlockLogMinerSummary> got =
+          monitor.miner_summaries();
+      ASSERT_EQ(got.size(), expected.miners.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        // Bitwise: EXPECT_EQ on doubles.
+        EXPECT_EQ(got[i].wins, expected.miners[i].wins) << i;
+        EXPECT_EQ(got[i].rounds, expected.miners[i].rounds) << i;
+        EXPECT_EQ(got[i].expected, expected.miners[i].expected) << i;
+        EXPECT_EQ(got[i].variance, expected.miners[i].variance) << i;
+        EXPECT_EQ(got[i].expected_ref, expected.miners[i].expected_ref) << i;
+        EXPECT_EQ(got[i].variance_ref, expected.miners[i].variance_ref) << i;
+      }
+      EXPECT_EQ(monitor.max_drift_z(), expected.max_drift_z);
+      EXPECT_EQ(monitor.max_sampler_z(), expected.max_sampler_z);
+      EXPECT_EQ(monitor.fork_z(), expected.fork_z);
+      EXPECT_EQ(monitor.incidents(), expected.incidents);
+    }
+  }
 }
 
 }  // namespace

@@ -1,19 +1,24 @@
 // JSON reader and writer tests: value kinds, accessors, escapes, error
 // handling, the JSONL line parser, the streaming Writer (compact and block
-// styles, escaping, number formatting), and a round trip through the
-// project's own telemetry emitter (the parser's main customer is our own
-// output).
+// styles, escaping, number formatting), the pinned byte format of numbers
+// and escapes, and a round trip through the project's own telemetry
+// emitter (the parser's main customer is our own output).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace {
@@ -199,6 +204,104 @@ TEST(JsonWriter, NumberFormattingRoundTrips) {
   // rather than corrupting the document.
   EXPECT_TRUE(doc.at("nan").is_null());
   EXPECT_TRUE(doc.at("inf").is_null());
+}
+
+std::string json_number(double value) {
+  std::ostringstream os;
+  support::json::number(os, value);
+  return os.str();
+}
+
+/// printf's %.17g in the C locale: the format every JSON number is pinned
+/// to, so logs and ledgers keep their bytes.
+std::string printf_17g(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+TEST(JsonNumber, MatchesPrintfPrecision17) {
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](double value) {
+    ++checked;
+    const std::string got = json_number(value);
+    const std::string want = printf_17g(value);
+    if (got != want && mismatches++ == 0)
+      first_mismatch = got + " vs %.17g " + want;
+  };
+  support::Rng rng(17);
+  for (int i = 0; i < 30000; ++i) {
+    // Random bit patterns reach every exponent and subnormals.
+    const double bits = std::bit_cast<double>(rng.engine()());
+    if (std::isfinite(bits)) check(bits);
+    const double unit = rng.uniform();
+    check(unit);
+    check(-unit * std::pow(10.0, rng.uniform(-30.0, 30.0)));
+    check(std::round(rng.uniform(-1e12, 1e12)));
+  }
+  for (const double edge :
+       {0.0, -0.0, 5e-324, -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, 1e-5, 1e-4,
+        1e16, 1e17, 1e21, 0.1, 1.0 / 3.0, -1.0, -42.0, -9007199254740993.0,
+        -123456789.0, 0.20000000000000001})
+    check(edge);
+  EXPECT_GE(checked, 100000u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+}
+
+TEST(JsonNumber, NonFiniteValuesWriteNull) {
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
+}
+
+/// Escapes one character at a time: the reference json::escape must match.
+std::string escape_charwise(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscape, MatchesACharwiseReference) {
+  std::vector<std::string> texts{"",
+                                 "plain text",
+                                 "\"quoted\"",
+                                 "back\\slash",
+                                 std::string("nul\0inside", 10),
+                                 "\x01\x1f control",
+                                 "tab\tnew\nline\rend\n",
+                                 "caf\xc3\xa9 \x7f"};
+  // Seeded strings over an alphabet dense in characters that need escapes.
+  const std::string alphabet("ab \"\\\n\t\r\x01\x1f\x7f\xc3\0", 13);
+  support::Rng rng(23);
+  for (int i = 0; i < 2000; ++i) {
+    std::string text(rng.uniform_index(24), ' ');
+    for (char& c : text) c = alphabet[rng.uniform_index(alphabet.size())];
+    texts.push_back(std::move(text));
+  }
+  for (const std::string& text : texts) {
+    std::ostringstream os;
+    support::json::escape(os, text);
+    EXPECT_EQ(os.str(), escape_charwise(text));
+  }
 }
 
 TEST(JsonParse, RoundTripsTelemetryEmitter) {
