@@ -26,12 +26,6 @@ int main(int argc, char** argv) {
   options.grid_points = args.get("grid", 20);
   options.max_rounds = 12;
   options.tolerance = 1e-3;
-  // The heterogeneous follower NEP runs inside every leader probe; a
-  // capped iteration budget keeps the sweep to seconds per row with no
-  // visible effect on the located optimum.
-  options.context.follower.max_iterations = 600;
-  options.context.follower.tolerance = 1e-7;
-  options.context.follower.damping = 0.6;
 
   // Mean-preserving spreads around 60 per miner (total 300).
   const std::vector<std::vector<double>> budget_sets{

@@ -1,11 +1,6 @@
-// Ablation: solver design choices.
-//
-// (a) standalone GNEP: the class solver's shared-surcharge decomposition
-//     vs the extragradient VI reference — agreement of the variational
-//     equilibria and relative cost;
-// (b) damping: sweeps the damping factor of the class fixed point on a
-//     connected pool of distinct budgets and reports sweeps to
-//     convergence (the library default is 0.5).
+// Ablation: solver design choices. The standalone GNEP through the class
+// solver's shared-surcharge decomposition vs the extragradient VI
+// reference: agreement of the variational equilibria and relative cost.
 #include <chrono>
 #include <iostream>
 
@@ -34,7 +29,6 @@ int main(int argc, char** argv) {
   params.edge_capacity = 8.0;
   const core::Prices prices{2.0, 1.0};
 
-  // (a) GNEP solver cross-validation.
   support::Table gnep_table({"miners", "edge_total_decomposition",
                              "edge_total_vi", "max_request_diff",
                              "decomposition_ms", "vi_ms"});
@@ -62,23 +56,8 @@ int main(int argc, char** argv) {
   }
   bench::emit("ablation_gnep_solvers", gnep_table);
 
-  // (b) damping sweep on the connected class fixed point.
-  support::Table damping_table(
-      {"damping", "iterations", "converged", "edge_total"});
-  const std::vector<double> budgets{20.0, 30.0, 40.0, 50.0, 60.0};
-  for (double damping : {0.2, 0.35, 0.5, 0.7, 0.9, 1.0}) {
-    core::SolveContext context;
-    context.follower.damping = damping;
-    const auto eq = core::FollowerOracle(params, budgets,
-                                         core::EdgeMode::kConnected, context)
-                        .solve(prices);
-    damping_table.add_row({damping, static_cast<double>(eq.iterations),
-                           eq.converged ? 1.0 : 0.0, eq.totals.edge});
-  }
-  bench::emit("ablation_damping", damping_table);
   std::cout << "Expected: both GNEP solvers land on the same variational "
                "equilibrium (diff ~1e-3 or better), the decomposition being "
-               "the cheaper; all dampings converge to the same unique NE "
-               "(Thm 2), moderate damping fastest.\n";
+               "the cheaper.\n";
   return 0;
 }

@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: the miner best
-// response, the block response, the follower solver on homogeneous and
-// heterogeneous pools in both modes, the extragradient VI reference and the
-// PoW race simulator.
+// response, the follower solver on homogeneous and heterogeneous pools in
+// both modes, the extragradient VI reference and the PoW race simulator.
 //
 // Besides google-benchmark's console report, a collecting reporter mirrors
 // the per-benchmark timings to bench_out/BENCH_micro_solvers.json in the
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "core/equilibrium.hpp"
-#include "core/kernels.hpp"
 #include "core/miner.hpp"
 #include "core/oracle.hpp"
 #include "chain/race.hpp"
@@ -52,16 +50,6 @@ void BM_MinerBestResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinerBestResponse);
-
-void BM_BlockResponse(benchmark::State& state) {
-  const core::KernelEnv env =
-      core::make_kernel_env(bench_params(), {2.0, 1.0}, 0.9, 0.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::block_response_kernel(env, 8.0, 50.0, 10.0, 30.0));
-  }
-}
-BENCHMARK(BM_BlockResponse);
 
 /// Distinct budgets 20, 30, ...: one class per miner (K = N).
 std::vector<double> distinct_budgets(std::int64_t n) {

@@ -2,7 +2,7 @@
 //
 // Times solve_leader_stage_homogeneous (connected mode — Algorithm 1's
 // hot path: every scanned price triggers a one-class follower solve) and
-// the heterogeneous solve_leader_stage (a class fixed point per price),
+// the heterogeneous solve_leader_stage (a class solve per price),
 // each serial and at --threads, asserts every parallel row bitwise equal
 // to its serial row, and emits machine-readable JSON to
 // bench_out/BENCH_leader_stage.json so the perf trajectory is tracked
@@ -198,8 +198,9 @@ int main(int argc, char** argv) {
           params, budget, n, core::EdgeMode::kConnected, options);
     };
   };
-  // Class fixed points are far costlier than the exact one-class solve,
-  // so the heterogeneous timing uses a smaller pool by default.
+  // The heterogeneous leader stage takes the numeric CSP reaction, far
+  // costlier than the closed-form one, so it uses a smaller pool by
+  // default.
   const int hetero_n = args.get("hetero-miners", 3);
   std::vector<double> budgets(static_cast<std::size_t>(hetero_n), budget);
   for (std::size_t i = 0; i < budgets.size(); ++i)

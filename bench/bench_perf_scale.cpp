@@ -2,10 +2,10 @@
 // miners.
 //
 // Times an end-to-end follower solve (oracle construction — the O(N)
-// bucketing pass — plus the O(K) class fixed point) at each pool size in
+// bucketing pass — plus the O(K) class solve) at each pool size in
 // --n-list, for a homogeneous pool (K = 1), a few-class heterogeneous pool
 // (K = --classes) in connected mode, and the same heterogeneous pool in
-// standalone mode (surcharge bisection against the shared edge capacity).
+// standalone mode (priced against the shared edge capacity).
 // Every heterogeneous row is audited with the
 // EquilibriumAuditor on a sampled miner subset (AuditOptions::
 // max_audited_miners), and the worst certificates across all rows ride in
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
     const std::string suffix = "/n=" + std::to_string(n);
 
     // Homogeneous pool through the aggregate path (K = 1): the degenerate
-    // class count isolates the bucketing overhead from the fixed point.
+    // class count isolates the bucketing overhead from the class solve.
     const std::vector<double> uniform(static_cast<std::size_t>(n), budget);
     const auto build_uniform = [&] {
       return std::make_unique<core::FollowerOracle>(

@@ -207,11 +207,9 @@ int report_health(const std::string& path, const std::string& text,
     record.tolerance = line.number_or("tolerance", 0.0);
     solves[line.at("solver").as_string()][record.solve].push_back(record);
   }
-  if (solves.empty()) {
+  if (solves.empty())
     std::cout << "hecmine_report health: " << path
               << ": header-only iteration log — nothing to analyze\n";
-    return kClean;
-  }
 
   const health::HealthOptions options;
   std::map<std::string, LoopReport> loops;
@@ -253,23 +251,27 @@ int report_health(const std::string& path, const std::string& text,
     }
   }
 
-  support::print_section(std::cout, "hecmine_report health: per-loop report");
-  support::Table table("loop", {"solves", "iters", "iters_mean", "iters_max",
-                                "rho_worst", "pred_iters", "actual_iters",
-                                "stall", "oscil", "diverg"});
   std::uint64_t total_divergences = 0;
-  for (const auto& [solver, loop] : loops) {
-    total_divergences += loop.divergences;
-    table.add_row(solver,
-                  {static_cast<double>(loop.solves),
-                   static_cast<double>(loop.records), loop.iterations_mean(),
-                   static_cast<double>(loop.iterations_max), loop.rho_worst,
-                   loop.predicted_mean(), loop.predicted_actual_mean(),
-                   static_cast<double>(loop.stalls),
-                   static_cast<double>(loop.oscillations),
-                   static_cast<double>(loop.divergences)});
+  if (!loops.empty()) {
+    support::print_section(std::cout,
+                           "hecmine_report health: per-loop report");
+    support::Table table("loop", {"solves", "iters", "iters_mean",
+                                  "iters_max", "rho_worst", "pred_iters",
+                                  "actual_iters", "stall", "oscil", "diverg"});
+    for (const auto& [solver, loop] : loops) {
+      total_divergences += loop.divergences;
+      table.add_row(solver,
+                    {static_cast<double>(loop.solves),
+                     static_cast<double>(loop.records),
+                     loop.iterations_mean(),
+                     static_cast<double>(loop.iterations_max), loop.rho_worst,
+                     loop.predicted_mean(), loop.predicted_actual_mean(),
+                     static_cast<double>(loop.stalls),
+                     static_cast<double>(loop.oscillations),
+                     static_cast<double>(loop.divergences)});
+    }
+    table.print(std::cout, 3);
   }
-  table.print(std::cout, 3);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

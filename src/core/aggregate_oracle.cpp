@@ -77,6 +77,121 @@ std::shared_ptr<const EquilibriumProfile::ClassShape> shape_of(
   return shape;
 }
 
+/// The certificate's bounds. The totals must match the class sums to
+/// kTotalsTolerance, and each class's request must match its best response
+/// to kResidualPerMiner * max(N, 1000), both relative. A reply moves by
+/// about N/2 times any relative error in the others' totals, so the
+/// residual bound grows with N.
+constexpr double kTotalsTolerance = 1e-9;
+constexpr double kResidualPerMiner = 1e-12;
+
+/// The largest class residual at which a slack class keeps the one-class
+/// closed form's rounding (solve_classes): about what the cancellation-free
+/// share form reaches at N = 1000.
+constexpr double kRoundingResidual = 1e-11;
+
+/// Relative slack of the share scan's consistency test, so that a class
+/// whose budget ties its unconstrained spend passes on either side.
+constexpr double kTieSlack = 1e-12;
+
+/// Standalone mode with the cap binding: a class's request at totals
+/// (E, S) that include it, under the surcharge mu. At such totals the
+/// class's KKT system is that of the concave quadratic
+///   q(e, s) = -A (S - s)^2 / (2 S^2) - H (E - e)^2 / (2 E^2)
+///             - (P_e - P_c + mu) e - P_c s,        s = e + c,
+/// over its budget triangle (docs/MATH.md), so the request is q's
+/// maximizer: the stationary point if it is feasible, else the best of the
+/// maximizers along the budget line and the two axes.
+MinerRequest request_at_totals(const KernelEnv& env, double budget,
+                               double mu, double edge, double grand) {
+  const double alpha = env.share_coeff / (grand * grand);
+  const double eta = env.edge_coeff / (edge * edge);
+  const double pe = env.price_edge;
+  const double pc = env.price_cloud;
+  const double edge_price = pe - pc + mu;  // q's price of e at fixed s
+  if (eta > 0.0) {
+    const double s = grand - pc / alpha;
+    const double e = edge - edge_price / eta;
+    if (e >= 0.0 && s >= e && pe * e + pc * (s - e) <= budget)
+      return {e, s - e};
+  }
+  // q up to its constant term, which would swamp the candidates' gaps.
+  const auto value = [&](const MinerRequest& r) {
+    const double s = r.total();
+    return alpha * s * (grand - 0.5 * s) +
+           eta * r.edge * (edge - 0.5 * r.edge) - edge_price * r.edge -
+           pc * s;
+  };
+  const double max_edge = budget / pe;
+  // On the budget line c = (B - P_e e)/P_c, s = B/P_c - slope e, so q is
+  // a concave quadratic in e there.
+  const double slope = (pe - pc) / pc;
+  const double rise = eta * edge - mu - slope * alpha * (grand - budget / pc);
+  const double bend = slope * slope * alpha + eta;
+  const double line_e = std::clamp(
+      bend > 0.0 ? rise / bend : (rise > 0.0 ? max_edge : 0.0), 0.0, max_edge);
+  MinerRequest best{line_e, std::max(0.0, (budget - pe * line_e) / pc)};
+  double best_value = value(best);
+  const MinerRequest edge_axis{
+      std::clamp((alpha * grand + eta * edge - pe - mu) / (alpha + eta), 0.0,
+                 max_edge),
+      0.0};
+  const MinerRequest cloud_axis{
+      0.0, std::clamp(grand - pc / alpha, 0.0, budget / pc)};
+  for (const MinerRequest& candidate : {edge_axis, cloud_axis}) {
+    const double candidate_value = value(candidate);
+    if (candidate_value > best_value) {
+      best_value = candidate_value;
+      best = candidate;
+    }
+  }
+  return best;
+}
+
+/// Narrows a bracket [lo, hi] of a root of f, where f(lo) > 0 > f(hi), by
+/// the Illinois variant of regula falsi: exact in one step on a linear
+/// piece, superlinear on a smooth one, never outside the bracket. Stops
+/// when the bracket is a few ulps wide or after `limit` evaluations, and
+/// returns the regula-falsi point of the final bracket (the certificate
+/// judges it). f_lo and f_hi hold the true values at the bracket's ends.
+template <typename Fn>
+double falling_root(Fn&& f, double& lo, double& f_lo, double& hi,
+                    double& f_hi, int limit) {
+  if (!(f_lo > 0.0)) {
+    hi = lo;
+    return lo;
+  }
+  if (!(f_hi < 0.0)) {
+    lo = hi;
+    return hi;
+  }
+  double g_lo = f_lo;  // Illinois-weighted ends
+  double g_hi = f_hi;
+  int side = 0;
+  for (int step = 0; step < limit; ++step) {
+    double x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo);
+    if (!(x > lo && x < hi)) x = 0.5 * (lo + hi);
+    if (!(x > lo && x < hi) || hi - lo <= 4e-16 * hi) break;
+    const double fx = f(x);
+    if (fx == 0.0) {
+      lo = hi = x;
+      return x;
+    }
+    if (fx > 0.0) {
+      lo = x;
+      f_lo = g_lo = fx;
+      if (side > 0) g_hi *= 0.5;
+      side = 1;
+    } else {
+      hi = x;
+      f_hi = g_hi = fx;
+      if (side < 0) g_lo *= 0.5;
+      side = -1;
+    }
+  }
+  return (lo * f_hi - hi * f_lo) / (f_hi - f_lo);
+}
+
 }  // namespace
 
 ClassPartition partition_budget_classes(const std::vector<double>& budgets) {
@@ -130,6 +245,63 @@ ClassPartition partition_budget_classes(const std::vector<double>& budgets) {
   return partition;
 }
 
+/// Solves the share equation
+///   sum_k m_k min(u, B_k / ((1 - u) Q)) = 1,   Q = R (1 - beta + beta h),
+/// whose left side increases in the slack share u (docs/MATH.md). No
+/// shares when fewer than two miners hold a budget: then no root lies in
+/// (0, 1).
+FollowerOracle::Shares FollowerOracle::solve_shares(
+    const EquilibriumProfile::ClassShape& shape, double spend_scale) {
+  const std::vector<int>& counts = shape.counts;
+  const std::vector<double>& budgets = shape.budgets;
+  const std::size_t kn = counts.size();
+  double miners = 0.0;
+  for (const int count : counts) miners += count;
+  Shares out;
+  if (miners - (budgets.front() > 0.0 ? 0.0 : counts.front()) < 2.0)
+    return out;
+  // A class binds iff B_k < u (1 - u) Q, so the binding classes are a
+  // prefix of the ascending budgets. Prefix j solves the quadratic
+  //   a u (1 - u) + w = 1 - u,   a = miners outside it, w = its spend / Q,
+  // whose smaller root u and its complement v = 1 - u are both taken in
+  // cancellation-free form (j = 0 gives u = 1/N exactly). The first prefix
+  // consistent with its own root is the answer.
+  double bound_miners = 0.0;
+  double bound_spend = 0.0;
+  double best_miss = std::numeric_limits<double>::infinity();
+  double share = 0.0;
+  for (std::size_t j = 0; j <= kn; ++j) {
+    if (j > 0) {
+      bound_miners += counts[j - 1];
+      bound_spend += counts[j - 1] * budgets[j - 1] / spend_scale;
+    }
+    if (!(bound_spend < 1.0)) break;
+    const double a = miners - bound_miners;
+    const double root =
+        std::sqrt((a - 1.0) * (a - 1.0) + 4.0 * a * bound_spend);
+    const double u = 2.0 * (1.0 - bound_spend) / (a + 1.0 + root);
+    const double numerator = a > 0.0 ? a - 1.0 + root : bound_spend;
+    const double denominator = a > 0.0 ? 2.0 * a : 1.0;
+    const double unbound_spend = u * (numerator / denominator) * spend_scale;
+    double miss = 0.0;
+    if (j > 0) miss = std::max(miss, budgets[j - 1] / unbound_spend - 1.0);
+    if (j < kn) miss = std::max(miss, 1.0 - budgets[j] / unbound_spend);
+    if (miss < best_miss) {
+      best_miss = miss;
+      share = u;
+      out.bound = j;
+      out.rest_numerator = numerator;
+      out.rest_denominator = denominator;
+    }
+    if (miss <= kTieSlack) break;
+  }
+  out.of_class.assign(kn, share);
+  const double rest = out.rest_numerator / out.rest_denominator;
+  for (std::size_t k = 0; k < out.bound; ++k)
+    out.of_class[k] = budgets[k] / (rest * spend_scale);
+  return out;
+}
+
 FollowerOracle::FollowerOracle(
     NetworkParams params,
     std::shared_ptr<const EquilibriumProfile::ClassShape> shape,
@@ -171,8 +343,12 @@ FollowerOracle::FollowerOracle(
     HECMINE_REQUIRE(members == counts,
                     "FollowerOracle: class map disagrees with class counts");
   }
-  HECMINE_REQUIRE(options_.damping > 0.0 && options_.damping <= 1.0,
-                  "FollowerOracle: damping must be in (0, 1]");
+  // Q is R(1 - beta + beta h), summed as make_kernel_env's coefficients.
+  const double h =
+      mode_ == EdgeMode::kConnected ? params_.edge_success : 1.0;
+  shares_ = solve_shares(*shape_,
+                         params_.reward * (1.0 - params_.fork_rate) +
+                             params_.reward * params_.fork_rate * h);
   instrument(context.telemetry);
 }
 
@@ -188,359 +364,264 @@ FollowerOracle::FollowerOracle(NetworkParams params, double budget, int n,
                          EquilibriumProfile::ClassShape{{}, {n}, {budget}}),
                      mode, context) {}
 
-EquilibriumProfile FollowerOracle::single_class(
-    const Prices& prices) const {
-  const bool connected = mode_ == EdgeMode::kConnected;
-  const KernelEnv env = make_kernel_env(
-      params_, prices, connected ? params_.edge_success : 1.0, 0.0);
-  const double n = static_cast<double>(miner_count_);
-  const double budget = shape_->budgets.front();
-  // The block is the whole pool, so nothing stays outside it.
-  MinerRequest request = block_response_kernel(env, budget, n, 0.0, 0.0);
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kBestResponseEvals, 1);
-
-  EquilibriumProfile out;
-  if (!connected) {
-    const double cap = params_.edge_capacity;
-    const double tol = 1e-9 * (1.0 + cap);
-    if (n * request.edge > cap + tol) {
-      // The cap binds: e = E_max/n. With no outside aggregates a member's
-      // contest marginals are (n-1)/n^2 times coeff/amount, so c maximizes
-      // the block potential along that e in closed form (the budget
-      // multiplier lambda prices a binding budget), and the shared
-      // surcharge mu is what keeps e stationary (Table II, extended to
-      // binding budgets).
-      const double scale = (n - 1.0) / (n * n);
-      const double e = cap / n;
-      double c = std::max(0.0, scale * env.share_coeff / prices.cloud - e);
-      double lambda = 0.0;
-      if (prices.edge * e + prices.cloud * c > budget) {
-        c = std::max(0.0, (budget - prices.edge * e) / prices.cloud);
-        lambda = std::max(
-            0.0, scale * env.share_coeff / (e + c) / prices.cloud - 1.0);
-      }
-      out.surcharge =
-          std::max(0.0, scale * env.share_coeff / (e + c) +
-                            scale * env.edge_coeff / e -
-                            prices.edge * (1.0 + lambda));
-      request = {e, c};
-    }
-    out.cap_active = n * request.edge >= cap - tol;
-  }
-  out.miner_count = miner_count_;
-  out.classes = shape_;
-  out.requests = {request};
-  out.totals = {n * request.edge, n * request.cloud};
-  const double others_edge = (n - 1.0) * request.edge;
-  out.utilities = {utility_kernel(env, request.edge, request.cloud,
-                                  others_edge,
-                                  others_edge + (n - 1.0) * request.cloud)};
-  out.converged = true;
-  return out;
-}
-
-EquilibriumProfile FollowerOracle::fixed_point(
-    const KernelEnv& env, std::vector<MinerRequest>& state) const {
-  const std::size_t kn = shape_->counts.size();
-  const std::vector<double>& budget = shape_->budgets;
-  std::vector<double> count(kn);
-  std::vector<double> e(kn);
-  std::vector<double> c(kn);
-  for (std::size_t k = 0; k < kn; ++k) {
-    count[k] = static_cast<double>(shape_->counts[k]);
-    e[k] = state[k].edge;
-    c[k] = state[k].cloud;
-  }
-  // Classes are sorted by budget, so the richest is the last.
-  const double richest = budget.back();
-
-  // Aggregative best responses steepen with the (class-weighted) player
-  // count, so a fixed damping can orbit: halve it when the residual stalls.
-  double damping = options_.damping;
-  double best_residual = std::numeric_limits<double>::infinity();
-  int stalled = 0;
-
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
-  const std::uint64_t solve_id =
-      telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
-  support::prof::ThreadWorkBlock* work = support::prof::current_block();
-
-  EquilibriumProfile out;
-  out.miner_count = miner_count_;
-  out.classes = shape_;
-  out.surcharge = env.surcharge;
-
-  std::vector<char> in_block(kn);
-  double total_e = 0.0;
-  double total_c = 0.0;
-  for (int iteration = 0; iteration < options_.max_iterations; ++iteration) {
-    out.iterations = iteration + 1;
-    // Recompute the aggregates at sweep start (O(K)) so incremental
-    // Gauss-Seidel updates cannot drift over thousands of sweeps.
-    total_e = total_c = 0.0;
-    for (std::size_t k = 0; k < kn; ++k) {
-      total_e += count[k] * e[k];
-      total_c += count[k] * c[k];
-    }
-    std::uint64_t sweep_br_evals = 0;
-    // Joint block: the richest class's block response, taken over every
-    // class at once, is the common request of all classes that can afford
-    // it while its own budget is slack. Solving the block jointly matters:
-    // class-by-class updates leave a near-degenerate redistribution mode
-    // (aggregate fixed, shares drifting) whose Gauss-Seidel rate degrades
-    // as 1 - O(1/count). Classes that cannot afford the common request
-    // peel out and are settled one by one below; peeling shrinks the block
-    // and raises the common request's cost, so the loop ends within K
-    // rounds. The richest class never peels.
-    std::fill(in_block.begin(), in_block.end(), static_cast<char>(1));
-    MinerRequest common;
-    bool block_ok = true;
-    bool peeled_any = false;
-    while (true) {
-      double members = 0.0;
-      double rest_e = total_e;
-      double rest_s = total_e + total_c;
-      for (std::size_t k = 0; k < kn; ++k) {
-        if (!in_block[k]) continue;
-        members += count[k];
-        rest_e -= count[k] * e[k];
-        rest_s -= count[k] * (e[k] + c[k]);
-      }
-      rest_e = std::max(0.0, rest_e);
-      rest_s = std::max(0.0, rest_s);
-      common = block_response_kernel(env, richest, members, rest_e, rest_s);
-      ++sweep_br_evals;
-      const double cost =
-          env.price_edge * common.edge + env.price_cloud * common.cloud;
-      if (!(cost < richest)) {
-        // Even the richest budget binds: no common request exists.
-        block_ok = false;
-        break;
-      }
-      bool peeled = false;
-      for (std::size_t k = 0; k < kn; ++k) {
-        if (in_block[k] != 0 && budget[k] < cost) {
-          in_block[k] = 0;
-          peeled = true;
-        }
-      }
-      if (!peeled) break;
-      peeled_any = true;
-    }
-    if (!block_ok) std::fill(in_block.begin(), in_block.end(), 0);
-    // An all-slack block (no class peeled) is the equilibrium itself: with
-    // every class inside it nothing stays outside, so `common` does not
-    // depend on the iterate, and every class affords it. Take it undamped;
-    // the next sweep returns the same request and passes the tolerance.
-    const double step = block_ok && !peeled_any ? 1.0 : damping;
-
-    double change = 0.0;
-    for (std::size_t k = 0; k < kn; ++k) {
-      MinerRequest response = common;
-      if (in_block[k] == 0) {
-        // A class on its own: its exact block response to the rest.
-        const double m = count[k];
-        const double rest_e = std::max(0.0, total_e - m * e[k]);
-        const double rest_g = rest_e + std::max(0.0, total_c - m * c[k]);
-        response = block_response_kernel(env, budget[k], m, rest_e, rest_g);
-        ++sweep_br_evals;
-      }
-      const double new_e = (1.0 - step) * e[k] + step * response.edge;
-      const double new_c = (1.0 - step) * c[k] + step * response.cloud;
-      change = std::max(change, std::abs(new_e - e[k]));
-      change = std::max(change, std::abs(new_c - c[k]));
-      total_e += count[k] * (new_e - e[k]);
-      total_c += count[k] * (new_c - c[k]);
-      e[k] = new_e;
-      c[k] = new_c;
-    }
-    out.residual = change;
-    if (work != nullptr) {
-      work->add(support::prof::WorkField::kSweeps, 1);
-      work->add(support::prof::WorkField::kConvergenceChecks, 1);
-      work->add(support::prof::WorkField::kBestResponseEvals, sweep_br_evals);
-    }
-    if (telemetry != nullptr) {
-      support::IterationProbe::Record record;
-      record.solver = "aggregate.fixed_point";
-      record.solve = solve_id;
-      record.iteration = out.iterations;
-      record.residual = change;
-      record.tolerance = options_.tolerance;
-      record.price_edge = env.price_edge;
-      record.price_cloud = env.price_cloud;
-      record.total_edge = total_e;
-      record.total_cloud = total_c;
-      record.step = env.surcharge;
-      record.cap_active = env.surcharge > 0.0;
-      telemetry->probe.record(record);
-    }
-    if (change < options_.tolerance) {
-      out.converged = true;
-      break;
-    }
-    if (change < 0.95 * best_residual) {
-      best_residual = change;
-      stalled = 0;
-    } else if (++stalled >= 30 && damping > 0.02) {
-      damping *= 0.5;
-      stalled = 0;
-    }
-  }
-
-  out.requests.resize(kn);
-  for (std::size_t k = 0; k < kn; ++k) {
-    out.requests[k] = {e[k], c[k]};
-    state[k] = out.requests[k];  // warm start for the surcharge bisection
-  }
-  out.totals = {total_e, total_c};
-
-  if (!out.converged) {
-    // The movement test can floor at line-search noise while the point is
-    // already exact; certify by class-level exploitability instead (every
-    // miner of a class faces the same environment, so one best response
-    // per class covers all N miners).
-    double worst = 0.0;
-    for (std::size_t k = 0; k < kn; ++k) {
-      const double oe = std::max(0.0, out.totals.edge - e[k]);
-      const double og = oe + std::max(0.0, out.totals.cloud - c[k]);
-      const double current = penalized_utility_kernel(env, e[k], c[k], oe, og);
-      const MinerRequest br = best_response_kernel(env, budget[k], oe, og);
-      const double best =
-          penalized_utility_kernel(env, br.edge, br.cloud, oe, og);
-      worst = std::max(worst, best - current);
-    }
-    out.converged = worst <= 1e-7 * params_.reward;
-    if (work != nullptr) {
-      work->add(support::prof::WorkField::kBestResponseEvals,
-                static_cast<std::uint64_t>(kn));
-      work->add(support::prof::WorkField::kUtilityEvals,
-                2 * static_cast<std::uint64_t>(kn));
-    }
-  }
-
-  // True (surcharge-free) utilities.
-  out.utilities.resize(kn);
-  for (std::size_t k = 0; k < kn; ++k) {
-    const double oe = std::max(0.0, out.totals.edge - e[k]);
-    const double og = oe + std::max(0.0, out.totals.cloud - c[k]);
-    out.utilities[k] = utility_kernel(env, e[k], c[k], oe, og);
-  }
-  if (work != nullptr)
-    work->add(support::prof::WorkField::kUtilityEvals,
-              static_cast<std::uint64_t>(kn));
-  return out;
-}
-
 EquilibriumProfile FollowerOracle::solve_classes(const Prices& prices) const {
   support::Telemetry* telemetry = support::current_telemetry();
   const support::SolveTrace::Scope span(
       telemetry != nullptr ? &telemetry->trace : nullptr,
-      "oracle.aggregate.fixed_point");
+      "oracle.aggregate.solve");
   if (telemetry != nullptr) {
     telemetry->metrics.gauge("oracle.aggregate.classes")
         .set(static_cast<double>(class_count()));
     telemetry->metrics.counter("oracle.aggregate.solves").add();
   }
-  if (class_count() == 1) return single_class(prices);
+  const bool connected = mode_ == EdgeMode::kConnected;
+  const KernelEnv env = make_kernel_env(
+      params_, prices, connected ? params_.edge_success : 1.0, 0.0);
+  const std::vector<int>& counts = shape_->counts;
+  const std::size_t kn = counts.size();
 
-  const std::size_t kn = shape_->counts.size();
-  const double dn = static_cast<double>(miner_count_);
-  const double edge_cap = mode_ == EdgeMode::kConnected
-                              ? std::numeric_limits<double>::infinity()
-                              : params_.edge_capacity;
-  // Per-class seeds: positive, away from the degenerate origin, jointly
-  // below capacity in standalone mode, and clamped to the interior
-  // equilibrium scale sigma^2 / n. A budget-scale seed overshoots the
-  // aggregate by orders of magnitude at large n; the collapse back to
-  // scale burns the stall-halving damping budget before the real
-  // contraction even starts.
-  const double h =
-      mode_ == EdgeMode::kConnected ? params_.edge_success : 1.0;
-  const KernelEnv env = make_kernel_env(params_, prices, h, 0.0);
-  const double gap0 = prices.edge - prices.cloud;
-  const double e_scale =
-      gap0 > 0.0
-          ? h * params_.fork_rate * params_.reward / gap0 / dn
-          : std::numeric_limits<double>::infinity();
-  const double s_scale =
-      (1.0 - params_.fork_rate) * params_.reward / prices.cloud / dn;
-  std::vector<MinerRequest> seed(kn);
-  for (std::size_t k = 0; k < kn; ++k) {
-    const double b = shape_->budgets[k];
-    const double edge_seed =
-        std::min({0.25 * b / prices.edge, 0.5 * edge_cap / dn, e_scale});
-    const double cloud_seed =
-        std::min(0.25 * b / prices.cloud,
-                 std::max(s_scale - edge_seed, 0.25 * s_scale));
-    seed[k] = {edge_seed, cloud_seed};
-  }
-
-  if (mode_ == EdgeMode::kConnected) return fixed_point(env, seed);
-
-  // Standalone GNEP (Theorem 5): shared-multiplier decomposition. Solve
-  // unconstrained first; when the cap binds, bisect the common surcharge to
-  // complementarity E = E_max.
-  // Every multiplier probe (initial, expansion, halving) counts as one
-  // bisection iteration in the work profile.
-  const auto count_probe = [] {
-    if (auto* work = support::prof::current_block(); work != nullptr)
-      work->add(support::prof::WorkField::kBisectionIters, 1);
-  };
-  count_probe();
-  EquilibriumProfile unconstrained = fixed_point(env, seed);
-  int sweeps = unconstrained.iterations;
-  const double cap = params_.edge_capacity;
-  const double tol = 1e-9 * (1.0 + cap);
-  if (unconstrained.totals.edge <= cap + tol) {
-    unconstrained.cap_active = unconstrained.totals.edge >= cap - tol;
-    return unconstrained;
-  }
-
-  // Seed the bracket from the sufficient-budget analytic multiplier so the
-  // expansion loop rarely runs.
-  const double analytic_mu =
-      prices.cloud +
-      params_.fork_rate * params_.reward * (dn - 1.0) / (dn * cap) -
-      prices.edge;
-  double lo = 0.0;
-  double hi = std::max(0.25 * prices.edge, 2.0 * std::max(analytic_mu, 0.0));
-  bool converged = unconstrained.converged;
-  for (int expansion = 0; expansion < 80; ++expansion) {
-    count_probe();
-    const EquilibriumProfile at_hi = fixed_point(with_surcharge(env, hi), seed);
-    sweeps += at_hi.iterations;
-    converged = converged && at_hi.converged;
-    if (at_hi.totals.edge <= cap) break;
-    lo = hi;
-    hi *= 2.0;
-    HECMINE_REQUIRE(hi < 1e30, "FollowerOracle: surcharge blowup");
-  }
-  for (int step = 0; step < 200; ++step) {
-    count_probe();
-    const double mid = 0.5 * (lo + hi);
-    const EquilibriumProfile at_mid = fixed_point(with_surcharge(env, mid), seed);
-    sweeps += at_mid.iterations;
-    converged = converged && at_mid.converged;
-    if (std::abs(at_mid.totals.edge - cap) <= tol) {
-      lo = hi = mid;
-      break;
+  EquilibriumProfile out;
+  out.miner_count = miner_count_;
+  out.classes = shape_;
+  out.requests.resize(kn);
+  if (shares_.of_class.empty()) {
+    // At most one miner holds a budget. It faces no opponents, so it plays
+    // the epsilon-probe best response; a zero budget requests nothing.
+    for (std::size_t k = 0; k < kn; ++k) {
+      out.requests[k] =
+          best_response_kernel(env, shape_->budgets[k], 0.0, 0.0);
+      out.totals.edge += counts[k] * out.requests[k].edge;
+      out.totals.cloud += counts[k] * out.requests[k].cloud;
     }
-    if (at_mid.totals.edge > cap)
-      lo = mid;
-    else
-      hi = mid;
-    if (hi - lo <= 1e-14 * (1.0 + hi)) break;
+    certify(env, out, true);
+    return out;
   }
-  count_probe();
-  EquilibriumProfile last = fixed_point(with_surcharge(env, 0.5 * (lo + hi)), seed);
-  sweeps += last.iterations;
-  last.iterations = sweeps;
-  last.cap_active = true;
-  last.converged = converged && last.converged;
-  return last;
+
+  // The totals are the rest share 1 - u times closed-form scales
+  // (docs/MATH.md): under Theorem 3's mixed-price condition both contest
+  // terms are interior, E = (1 - u) sigma_1^2 and S = (1 - u) sigma_2^2;
+  // otherwise every class sits on the edge axis.
+  const double spend = env.share_coeff + env.edge_coeff;
+  const bool mixed = prices.cloud * spend < prices.edge * env.share_coeff;
+  const double numerator = shares_.rest_numerator;
+  const double denominator = shares_.rest_denominator;
+  const double edge = mixed ? numerator * env.sigma1_sq / denominator
+                            : numerator * spend / (denominator * prices.edge);
+  const double grand = mixed ? numerator * env.sigma2_sq / denominator : edge;
+  const auto share_requests = [&](std::size_t from) {
+    for (std::size_t k = from; k < kn; ++k)
+      out.requests[k] = {shares_.of_class[k] * edge,
+                         shares_.of_class[k] * (grand - edge)};
+    out.totals = {edge, grand - edge};
+  };
+  share_requests(0);
+  // A slack class requests u E = E - E^2/sigma_1^2 (likewise S). The
+  // one-class closed form has always rounded it the second way, and the
+  // leader stages' exact-repeat cycle test turns on the last bit of these
+  // totals, so that rounding stays wherever it is accurate. It loses about
+  // N ulps to cancellation, so a pool whose residual it pushes past
+  // kRoundingResidual takes u E.
+  bool one_class_rounding =
+      mixed && env.sigma1_sq > 0.0 && shares_.bound < kn;
+  if (one_class_rounding) {
+    for (std::size_t k = shares_.bound; k < kn; ++k) {
+      MinerRequest& request = out.requests[k];
+      request.edge = edge - edge * edge / env.sigma1_sq;
+      request.cloud =
+          std::max(0.0, grand - grand * grand / env.sigma2_sq - request.edge);
+    }
+  }
+
+  KernelEnv at = env;
+  bool closed_form = true;
+  if (!connected) {
+    const double cap = params_.edge_capacity;
+    const double tol = 1e-9 * (1.0 + cap);
+    if (out.totals.edge > cap + tol) {
+      at = solve_cap(env, out);
+      closed_form = out.iterations == 0;
+      one_class_rounding = false;
+    }
+    out.cap_active = out.totals.edge >= cap - tol;
+  }
+  certify(at, out, closed_form);
+  if (one_class_rounding &&
+      !(out.converged && out.residual <= kRoundingResidual)) {
+    share_requests(shares_.bound);
+    certify(at, out, closed_form);
+  }
+  return out;
+}
+
+KernelEnv FollowerOracle::solve_cap(const KernelEnv& env,
+                                    EquilibriumProfile& out) const {
+  const std::vector<int>& counts = shape_->counts;
+  const std::vector<double>& budgets = shape_->budgets;
+  const std::size_t kn = counts.size();
+  const double cap = params_.edge_capacity;
+  const double n = static_cast<double>(miner_count_);
+  const double pe = env.price_edge;
+  const double pc = env.price_cloud;
+
+  // The symmetric cap request: e = E_max/n, and with no outside aggregates
+  // a member's contest marginals are (n-1)/n^2 times coeff/amount, so c, the
+  // budget multiplier lambda and the shared surcharge mu follow from its
+  // KKT conditions in closed form (Table II, extended to binding budgets).
+  // When the poorest class affords it, every class plays it.
+  const double scale = (n - 1.0) / (n * n);
+  const double e = cap / n;
+  double c = std::max(0.0, scale * env.share_coeff / pc - e);
+  if (kn == 1 || pe * e + pc * c <= budgets.front()) {
+    double lambda = 0.0;
+    if (pe * e + pc * c > budgets.front()) {
+      c = std::max(0.0, (budgets.front() - pe * e) / pc);
+      lambda = std::max(0.0, scale * env.share_coeff / (e + c) / pc - 1.0);
+    }
+    out.surcharge = std::max(0.0, scale * env.share_coeff / (e + c) +
+                                      scale * env.edge_coeff / e -
+                                      pe * (1.0 + lambda));
+    std::fill(out.requests.begin(), out.requests.end(), MinerRequest{e, c});
+    out.totals = {n * e, n * c};
+    return with_surcharge(env, out.surcharge);
+  }
+
+  // Otherwise the unknowns are mu and the grand total S. The edge sum falls
+  // in mu at fixed S and reaches 0 at mu = A/S + H/E_max; the grand total's
+  // gap is positive below its root and negative above it. So both roots are
+  // bracketed, each narrowed by falling_root within max_iterations steps.
+  const int limit = options_.max_iterations;
+  int steps = 0;
+  const auto settle = [&](double mu, double grand) {
+    Totals sums;
+    for (std::size_t k = 0; k < kn; ++k) {
+      out.requests[k] = request_at_totals(env, budgets[k], mu, cap, grand);
+      sums.edge += counts[k] * out.requests[k].edge;
+      sums.cloud += counts[k] * out.requests[k].cloud;
+    }
+    ++steps;
+    return sums;
+  };
+  // The classes at S: mu(S) meets the cap, and the requests are
+  // interpolated within mu's final bracket. That is exact where the edge
+  // sum is linear in mu, and it splits the classes where the sum jumps:
+  // with no edge bonus (H = 0), a class whose budget is slack is
+  // indifferent between edge and cloud units at mu = P_c - P_e.
+  std::vector<MinerRequest> upper(kn);
+  const auto settle_at = [&](double grand) {
+    out.surcharge = 0.0;
+    const Totals unsurcharged = settle(0.0, grand);
+    double lo = 0.0;
+    double f_lo = unsurcharged.edge - cap;
+    double hi = env.share_coeff / grand + env.edge_coeff / cap;
+    double f_hi = -cap;
+    if (!(f_lo > 0.0)) return unsurcharged;
+    out.surcharge = falling_root(
+        [&](double mu) { return settle(mu, grand).edge - cap; }, lo, f_lo,
+        hi, f_hi, limit);
+    if (env.edge_coeff == 0.0 &&
+        std::abs(out.surcharge - (pc - pe)) <= 1e-12 * pc)
+      out.surcharge = pc - pe;
+    const double weight = hi > lo ? f_lo / (f_lo - f_hi) : 0.0;
+    (void)settle(hi, grand);
+    upper = out.requests;
+    (void)settle(lo, grand);
+    Totals sums;
+    for (std::size_t k = 0; k < kn; ++k) {
+      MinerRequest& request = out.requests[k];
+      request.edge += weight * (upper[k].edge - request.edge);
+      request.cloud += weight * (upper[k].cloud - request.cloud);
+      sums.edge += counts[k] * request.edge;
+      sums.cloud += counts[k] * request.cloud;
+    }
+    return sums;
+  };
+  const auto grand_gap = [&](double grand) {
+    return settle_at(grand).grand() - grand;
+  };
+  // Bracket S by doubling away from the cap-free grand total.
+  double lo = out.totals.grand();
+  double f_lo = grand_gap(lo);
+  double hi = lo;
+  double f_hi = f_lo;
+  for (int doubling = 0; doubling < 64 && f_hi > 0.0; ++doubling) {
+    lo = hi;
+    f_lo = f_hi;
+    hi = 2.0 * lo;
+    f_hi = grand_gap(hi);
+  }
+  for (int halving = 0; halving < 64 && f_lo < 0.0; ++halving) {
+    hi = lo;
+    f_hi = f_lo;
+    lo = 0.5 * hi;
+    f_lo = grand_gap(lo);
+  }
+  const double grand = falling_root(grand_gap, lo, f_lo, hi, f_hi, limit);
+  (void)settle_at(grand);
+  out.totals = {cap, grand - cap};
+  out.iterations = steps;
+  if (auto* work = support::prof::current_block(); work != nullptr)
+    work->add(support::prof::WorkField::kBisectionIters,
+              static_cast<std::uint64_t>(steps));
+  return with_surcharge(env, out.surcharge);
+}
+
+void FollowerOracle::certify(const KernelEnv& env, EquilibriumProfile& out,
+                             bool report_sums) const {
+  const std::vector<int>& counts = shape_->counts;
+  const std::size_t kn = counts.size();
+  // The totals the solve aimed at must be the class sums. A closed form
+  // reports the sums, as the one-class closed form always did; the cap
+  // root reports its own totals, to which every class's request is an
+  // exact best response (its sums carry the root's residual, amplified
+  // about N times by cancellation in the class requests).
+  Totals sums;
+  for (std::size_t k = 0; k < kn; ++k) {
+    sums.edge += counts[k] * out.requests[k].edge;
+    sums.cloud += counts[k] * out.requests[k].cloud;
+  }
+  const auto consistent = [](double sum, double total) {
+    return std::abs(sum - total) <= kTotalsTolerance * total;
+  };
+  const bool totals_ok = consistent(sums.edge, out.totals.edge) &&
+                         consistent(sums.grand(), out.totals.grand());
+  if (report_sums) out.totals = sums;
+  // With no edge bonus and equal effective prices, edge and cloud units are
+  // interchangeable: only a class's total request is determined.
+  const bool split_free =
+      env.edge_coeff == 0.0 &&
+      std::abs(env.effective_edge_price - env.price_cloud) <=
+          4e-16 * env.price_cloud;
+  double residual = 0.0;
+  out.utilities.resize(kn);
+  for (std::size_t k = 0; k < kn; ++k) {
+    const MinerRequest& request = out.requests[k];
+    const double others_edge =
+        std::max(0.0, out.totals.edge - request.edge);
+    const double others_grand =
+        others_edge + std::max(0.0, out.totals.cloud - request.cloud);
+    const MinerRequest reply = best_response_kernel(
+        env, shape_->budgets[k], others_edge, others_grand);
+    const double size = std::max(request.total(), reply.total());
+    if (size > 0.0) {
+      double miss = std::abs(reply.total() - request.total());
+      if (!split_free)
+        miss = std::max(miss, std::abs(reply.edge - request.edge));
+      residual = std::max(residual, miss / size);
+    }
+    out.utilities[k] = utility_kernel(env, request.edge, request.cloud,
+                                      others_edge, others_grand);
+  }
+  out.residual = residual;
+  out.converged =
+      totals_ok &&
+      residual <= kResidualPerMiner *
+                      std::max(static_cast<double>(miner_count_), 1000.0);
+  if (auto* work = support::prof::current_block(); work != nullptr) {
+    work->add(support::prof::WorkField::kBestResponseEvals,
+              static_cast<std::uint64_t>(kn));
+    work->add(support::prof::WorkField::kUtilityEvals,
+              static_cast<std::uint64_t>(kn));
+  }
 }
 
 }  // namespace hecmine::core

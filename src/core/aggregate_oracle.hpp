@@ -18,31 +18,31 @@
 // once; a solved profile's shape rebuilds an oracle without bucketing
 // again (the audit's leader-gap re-solves do this).
 //
-// Each class is settled by block_response_kernel (core/kernels.hpp), the
-// exact common request of a class's m miners against the rest of the pool.
-//   * K = 1: one kernel call with no outside aggregates is the exact
-//     symmetric equilibrium; in standalone mode a binding cap pins
-//     e = E_max/n, and c and the shared surcharge follow from the class's
-//     KKT conditions. No iteration, no scratch state.
-//   * K > 1: a damped Gauss-Seidel fixed point over class requests. Each
-//     sweep first solves a joint block — every class that can afford the
-//     common request of the richest class's block response — in one kernel
-//     call, then settles the remaining classes one kernel call each. When
-//     no class peels, the block is the whole pool with nothing outside it:
-//     its response is the symmetric equilibrium of all N miners, which
-//     every budget affords, so by Theorem 2's uniqueness it is the
-//     equilibrium. That sweep takes it undamped and the next one confirms
-//     it, so an all-slack pool settles within two sweeps.
-//     Standalone mode bisects the shared surcharge to complementarity on
-//     E <= E_max (Theorem 5's shared-multiplier decomposition).
+// The solve is the share equation of aggregative games (docs/MATH.md §2).
+// At totals (E, S) that include its own request, a class's KKT system is
+// linear in that request, so every class takes the same share f_k of both
+// totals: the slack share u, or B_k / ((1 - u) Q) where its budget binds,
+// Q = R (1 - beta + beta h). The binding classes are a prefix of the
+// ascending budgets, so u is one quadratic per prefix, solved once per
+// pool (it depends on no price). A solve at given prices is then O(K):
+//   * E = (1 - u) R beta h / (P_e - P_c) and S = (1 - u) R (1 - beta) / P_c
+//     under Theorem 3's condition, E = S = (1 - u) Q / P_e otherwise;
+//     K = 1 is Theorem 3 / Corollary 1, an all-slack pool u = 1/N. A slack
+//     class keeps the one-class closed form's rounding where it is
+//     accurate (see solve_classes).
+//     The profile reports the class sums as its totals.
+//   * Standalone mode with the cap binding: E = E_max. If K = 1 or the
+//     poorest class affords the symmetric cap request, every class plays
+//     the one-class closed form (Table II, extended to binding budgets);
+//     otherwise the shared surcharge and S are bracketed roots, and the
+//     profile reports the roots' totals (E_max, S).
 //
-// A result is `converged` when the sweep movement falls below the
-// tolerance, or when no class's miner can gain more than 1e-7 R by a
-// unilateral deviation (the class certificate, computed with
-// best_response_kernel). The oracle's instrumentation (oracle.cpp) wraps
-// the solve; the solver itself records work counters, iteration-probe
-// records and the `oracle.aggregate.*` instruments into whatever sink is
-// installed on its thread.
+// `converged` is a certificate: the totals match the class sums, and each
+// class's request matches best_response_kernel's reply to the rest, each
+// to a stated relative bound. The largest class residual is the profile's
+// `residual`. The oracle's instrumentation (oracle.cpp) wraps the solve;
+// the solver itself records work counters and the `oracle.aggregate.*`
+// instruments into whatever sink is installed on its thread.
 #pragma once
 
 #include <cstdint>

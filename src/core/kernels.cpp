@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/miner.hpp"
 #include "support/error.hpp"
@@ -289,115 +288,6 @@ MinerRequest best_response_kernel(const KernelEnv& env, double budget,
     }
   }
   return best;
-}
-
-namespace {
-
-/// A contest term's marginal for one block member, and its slope.
-struct Marginal {
-  double value = 0.0;
-  double slope = 0.0;
-};
-
-/// Marginal of one block member's contest term when all `members` play
-/// the amount x against an outside total `rest`: with the block-inclusive
-/// total T = rest + m x,
-///   value = coeff (T - x) / T^2,   slope = coeff (2 m x - (m + 1) T) / T^3.
-/// The slope is <= 0 for m >= 1, which is the concavity of the block
-/// potential. At T = 0 the first unit takes the whole term, so the value
-/// is +infinity.
-Marginal block_marginal(double coeff, double rest, double members, double x) {
-  const double total = rest + members * x;
-  if (!(total > 0.0))
-    return {coeff > 0.0 ? std::numeric_limits<double>::infinity() : 0.0, 0.0};
-  return {coeff * (total - x) / (total * total),
-          coeff * (2.0 * members * x - (members + 1.0) * total) /
-              (total * total * total)};
-}
-
-/// Block-inclusive total T at which one contest term is stationary for all
-/// members at once: T = sqrt(sigma^2 (T - x)) with T = rest + m x is a
-/// quadratic in T (positive root taken); the member's amount is then
-/// x = T - T^2 / sigma^2. m = 1 is the single-miner point
-/// T = sqrt(sigma^2 rest).
-double block_total(double sigma_sq, double rest, double members) {
-  const double half = (members - 1.0) * sigma_sq / (2.0 * members);
-  return half + std::sqrt(half * half + sigma_sq * rest / members);
-}
-
-}  // namespace
-
-MinerRequest block_response_kernel(const KernelEnv& env, double budget,
-                                   double members, double rest_edge,
-                                   double rest_grand) {
-  if (members <= 1.0)
-    return best_response_kernel(env, budget, rest_edge, rest_grand);
-  if (budget <= 0.0) return {0.0, 0.0};
-  const double m = members;
-  const double max_edge = budget / env.price_edge;
-  const double A = env.share_coeff;
-  const double H = env.edge_coeff;
-
-  // 1. Interior: both contest terms stationary at once (Eq. 14 on the
-  // block manifold). The potential is concave, so a feasible stationary
-  // point is the answer.
-  if (env.sigma1_sq > 0.0) {
-    const double t_e = block_total(env.sigma1_sq, rest_edge, m);
-    const double t_s = block_total(env.sigma2_sq, rest_grand, m);
-    MinerRequest interior;
-    interior.edge = t_e - t_e * t_e / env.sigma1_sq;
-    interior.cloud = t_s - t_s * t_s / env.sigma2_sq - interior.edge;
-    if (interior.edge >= 0.0 && interior.cloud >= 0.0 &&
-        env.price_edge * interior.edge + env.price_cloud * interior.cloud <=
-            budget)
-      return interior;
-  }
-
-  // 2. Budget line, parametrized by e as in best_response_kernel: the
-  // member total t(e) = e + (B - P_e e)/P_c moves at (P_c - P_e)/P_c.
-  const double t_slope = (env.price_cloud - env.price_edge) / env.price_cloud;
-  const auto line_total = [&](double e) {
-    return e + (budget - env.price_edge * e) / env.price_cloud;
-  };
-  const double line_e = concave_newton_argmax(
-      max_edge, [&](double e, double& g, double& h) {
-        const Marginal share = block_marginal(A, rest_grand, m, line_total(e));
-        const Marginal edge = block_marginal(H, rest_edge, m, e);
-        g = share.value * t_slope + edge.value - env.surcharge;
-        h = share.slope * t_slope * t_slope + edge.slope;
-      });
-  // The budget binds iff its multiplier is >= 0: lambda P_c is the cloud
-  // marginal wherever c > 0 on the line, lambda P_e the edge marginal at
-  // the line's edge end (c = 0).
-  const double share_line =
-      block_marginal(A, rest_grand, m, line_total(line_e)).value;
-  const double budget_multiplier =
-      line_e >= max_edge
-          ? share_line + block_marginal(H, rest_edge, m, line_e).value -
-                env.effective_edge_price
-          : share_line - env.price_cloud;
-  if (budget_multiplier >= 0.0)
-    return {line_e, std::max(0.0, (budget - env.price_edge * line_e) /
-                                      env.price_cloud)};
-
-  // 3. Budget slack and no interior point: the optimum sits on an axis or
-  // at the origin. The edge axis holds it iff the cloud marginal there is
-  // <= 0.
-  const double axis_e = concave_newton_argmax(
-      max_edge, [&](double e, double& g, double& h) {
-        const Marginal share = block_marginal(A, rest_grand, m, e);
-        const Marginal edge = block_marginal(H, rest_edge, m, e);
-        g = share.value + edge.value - env.effective_edge_price;
-        h = share.slope + edge.slope;
-      });
-  if (block_marginal(A, rest_grand, m, axis_e).value <= env.price_cloud)
-    return {axis_e, 0.0};
-
-  // 4. Otherwise the cloud axis (the origin when its stationary point is
-  // negative), in closed form.
-  const double t_s = block_total(env.sigma2_sq, rest_grand, m);
-  return {0.0, std::clamp(t_s - t_s * t_s / env.sigma2_sq, 0.0,
-                          budget / env.price_cloud)};
 }
 
 }  // namespace hecmine::core

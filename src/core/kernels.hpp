@@ -1,5 +1,5 @@
-// Follower-solver kernels: the exact best response of one miner, and of a
-// block of identical miners, against fixed opponent aggregates.
+// Follower-solver kernels: the exact best response of one miner against
+// fixed opponent aggregates, and the utilities it is judged by.
 //
 // A KernelEnv hoists everything a best-response evaluation needs that does
 // NOT vary per miner — validated prices, the surcharge, and the Eq. (14)
@@ -9,12 +9,11 @@
 //
 // The scalar kernels are the single source of truth for the closed forms:
 // core/miner.cpp's miner_best_response / miner_utility entry points are
-// thin wrappers over them, so both agree bitwise by construction.
-// block_response_kernel is what the follower solver (FollowerOracle's
-// class solver, core/aggregate_oracle.hpp) iterates: one call settles a
-// whole budget class against the rest of the pool. Boundary segments of
-// both kernels are solved by safeguarded Newton on the exact derivative.
-// See DESIGN.md §13 and docs/MATH.md for the block potential.
+// thin wrappers over them, so both agree bitwise by construction. The
+// follower solver (FollowerOracle's class solver, core/aggregate_oracle.hpp)
+// never calls best_response_kernel to find an equilibrium; its certificate
+// checks each class's request against it. Boundary segments are solved by
+// safeguarded Newton on the exact derivative. See docs/MATH.md §2.
 #pragma once
 
 #include "core/params.hpp"
@@ -84,21 +83,5 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
                                                 double budget,
                                                 double others_edge,
                                                 double others_grand);
-
-/// Exact common request of `members` identical miners of budget `budget`
-/// that all play alike against fixed outside aggregates: `rest_edge` is the
-/// edge total and `rest_grand` the grand total (edge + cloud) of every miner
-/// outside the block. The request is the block's symmetric equilibrium: on
-/// the block's symmetric manifold the first-order system has a symmetric
-/// Jacobian, so the request maximizes a concave potential over the budget
-/// polytope (docs/MATH.md), found face by face (interior, budget line, edge
-/// axis, cloud axis) and selected by the signs of the budget multiplier and
-/// of the off-axis marginal. members = 1 is best_response_kernel itself;
-/// zero outside aggregates give the homogeneous closed forms (Theorem 3,
-/// Corollary 1, the edge-only NE).
-[[nodiscard]] MinerRequest block_response_kernel(const KernelEnv& env,
-                                                 double budget, double members,
-                                                 double rest_edge,
-                                                 double rest_grand);
 
 }  // namespace hecmine::core

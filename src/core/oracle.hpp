@@ -60,8 +60,10 @@ struct EquilibriumProfile {
   double surcharge = 0.0;    ///< GNEP shadow price on E <= E_max (0 if slack)
   bool cap_active = false;   ///< standalone only: capacity constraint binds
   bool converged = false;
-  int iterations = 0;        ///< class sweeps (0 for K = 1), VI iterations
-  double residual = 0.0;     ///< last profile change / VI natural residual
+  int iterations = 0;        ///< cap-root steps (0: closed form), VI iterations
+  /// Largest relative best-response residual of a class (class solver) /
+  /// VI natural residual.
+  double residual = 0.0;
 
   /// True when the profile carries a class-aggregate shape.
   [[nodiscard]] bool class_shaped() const noexcept {
@@ -97,7 +99,7 @@ class FollowerOracle final {
   /// The shape must be a partition: one budget and a positive count per
   /// class, budgets strictly ascending and >= 0, and a class map whose
   /// entries are class indices matching the counts (empty when K = 1).
-  /// Reads only context.follower (the solve tolerances) and
+  /// Reads only context.follower (the cap root's step budget) and
   /// context.telemetry (the instrumentation sink).
   FollowerOracle(NetworkParams params,
                  std::shared_ptr<const EquilibriumProfile::ClassShape> shape,
@@ -143,14 +145,17 @@ class FollowerOracle final {
   /// The class solve itself, without instrumentation.
   [[nodiscard]] EquilibriumProfile solve_classes(const Prices& prices) const;
 
-  /// K = 1: the exact symmetric equilibrium, no iteration.
-  [[nodiscard]] EquilibriumProfile single_class(const Prices& prices) const;
+  /// Standalone mode with the cap binding: rewrites `out` to E = E_max and
+  /// returns the kernel environment at the shared surcharge.
+  [[nodiscard]] KernelEnv solve_cap(const KernelEnv& env,
+                                    EquilibriumProfile& out) const;
 
-  /// K > 1: damped Gauss-Seidel fixed point over class requests at the
-  /// surcharge baked into `env`; `state` is the warm start and receives
-  /// the final requests.
-  [[nodiscard]] EquilibriumProfile fixed_point(
-      const KernelEnv& env, std::vector<MinerRequest>& state) const;
+  /// The certificate: checks `out`'s requests against the totals the
+  /// solve aimed at (then reported, or replaced by the class sums when
+  /// `report_sums`) and against their best responses to the rest, and sets
+  /// utilities, residual and `converged`.
+  void certify(const KernelEnv& env, EquilibriumProfile& out,
+               bool report_sums) const;
 
   NetworkParams params_;
   EdgeMode mode_;
@@ -159,6 +164,23 @@ class FollowerOracle final {
   /// The budget partition, shared with every profile this oracle returns
   /// (O(K) profile copies).
   std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
+  /// The share equation's answer (docs/MATH.md), which depends on no
+  /// price: each class's share of the pool's totals (empty when fewer than
+  /// two miners hold a budget), how many classes bind (a prefix), and the
+  /// share 1 - u left to the rest, kept as a ratio so that an all-slack
+  /// pool's totals round as (N - 1) sigma^2 / N.
+  struct Shares {
+    std::vector<double> of_class;
+    std::size_t bound = 0;
+    double rest_numerator = 0.0;
+    double rest_denominator = 1.0;
+  };
+  Shares shares_;
+
+  /// Solves the share equation of a pool with `shape`, with
+  /// Q = R (1 - beta + beta h) = `spend_scale` (aggregate_oracle.cpp).
+  [[nodiscard]] static Shares solve_shares(
+      const EquilibriumProfile::ClassShape& shape, double spend_scale);
   // Instruments are resolved once at construction; registry handles are
   // stable for the sink's lifetime, so solves never touch a stripe mutex.
   // All null without a sink.
@@ -170,8 +192,8 @@ class FollowerOracle final {
 };
 
 /// Builds the oracle for a follower game over `budgets` in `mode`
-/// (tolerances from context.follower, instrumented when context.telemetry
-/// is set).
+/// (the cap root's step budget from context.follower, instrumented when
+/// context.telemetry is set).
 [[nodiscard]] std::unique_ptr<FollowerOracle> make_follower_oracle(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SolveContext& context = {});

@@ -10,7 +10,8 @@
 //                 results are bitwise identical for every setting,
 //   * rng_root  — root seed of deterministic sampling (the audit's
 //                 monotonicity samples; recorded in the run manifest),
-//   * follower  — tolerances of the embedded miner solves,
+//   * follower  — iteration budgets and tolerances of the embedded miner
+//                 solves,
 //   * aggregate — a retired dispatch knob that selects nothing,
 //   * telemetry — optional instrumentation sink.
 //
@@ -26,11 +27,11 @@ class Telemetry;  // support/telemetry.hpp
 
 namespace hecmine::core {
 
-/// Options for the follower-stage solvers.
+/// Options for the follower-stage solvers. The class solver
+/// (core/aggregate_oracle.hpp) is closed form except for the standalone
+/// cap root, which max_iterations caps.
 struct MinerSolveOptions {
-  double damping = 0.5;       ///< best-response damping (1 = undamped)
-  double tolerance = 1e-9;    ///< profile max-norm change at convergence
-  int max_iterations = 4000;
+  int max_iterations = 4000;  ///< cap-root steps per level; VI budget / 20
   double vi_tolerance = 1e-8; ///< natural-residual target of the VI solver
 };
 

@@ -27,8 +27,8 @@
 //   * to_json / write_json / print_summary — machine-readable export and a
 //     human-readable summary built on support::Table.
 //
-// Deep layers (the VI extragradient loop, the class solver's fixed point)
-// cannot see a SolveContext, so the sink also propagates through a
+// Deep layers (the VI extragradient loop, the class solver) cannot see a
+// SolveContext, so the sink also propagates through a
 // thread-local: TelemetryScope installs a sink for the current thread and
 // current_telemetry() reads it back. The instrumented follower oracle sets
 // the scope around each inner solve — on whichever pool thread runs it —
@@ -359,7 +359,7 @@ class IterationProbe {
   /// loop cannot see (e.g. prices inside the price-agnostic best-response
   /// kernel) are bound by the caller and default to 0.
   struct Record {
-    std::string solver;        ///< loop label, e.g. "aggregate.fixed_point"
+    std::string solver;        ///< loop label, e.g. "vi.extragradient"
     std::uint64_t solve = 0;   ///< per-probe solve sequence id
     int iteration = 0;         ///< 1-based iteration index
     double residual = 0.0;     ///< the loop's own stopping metric
@@ -472,8 +472,8 @@ class Telemetry {
 
 /// Installs `sink` as the thread's current telemetry for the scope's
 /// lifetime (restores the previous sink on destruction). Used by the
-/// instrumented follower oracle so deep layers — the VI loop, the GNEP
-/// bisection — can record without seeing a SolveContext.
+/// instrumented follower oracle so deep layers — the VI loop, the class
+/// solver's counters — can record without seeing a SolveContext.
 class TelemetryScope {
  public:
   explicit TelemetryScope(Telemetry* sink);

@@ -1,9 +1,10 @@
 // Tests for FollowerOracle's class solver (core/aggregate_oracle.hpp): the
-// K-dimensional class fixed point must land on the same equilibrium as the
-// dense per-miner VI reference (Theorem 2's uniqueness makes the NE
-// symmetric within budget classes), lazy per-miner expansion must be
-// transparent to every consumer, and make_follower_oracle must bucket
-// every pool. Registered under the `aggregate` ctest label.
+// share equation must land on the same equilibrium as the dense per-miner
+// VI reference (Theorem 2's uniqueness makes the NE symmetric within
+// budget classes) and put every class on its own best response, lazy
+// per-miner expansion must be transparent to every consumer, and
+// make_follower_oracle must bucket every pool. Registered under the
+// `aggregate` ctest label.
 #include "core/aggregate_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -15,12 +16,14 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
 #include "core/closed_forms.hpp"
 #include "core/equilibrium.hpp"
+#include "core/kernels.hpp"
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "core/sp.hpp"
@@ -374,11 +377,11 @@ TEST(ClassShapeOracle, OneClassPoolCarriesNoClassMap) {
 }
 
 TEST(ClassAggregateOracle, AllSlackPoolSettlesInTwoSweepsPerFixedPoint) {
-  // Every class affords the richest class's common request, so the joint
-  // block keeps every class: its response is the symmetric equilibrium of
-  // the whole pool, taken undamped and confirmed by one more sweep. At
-  // P_e < P_c the standalone cap binds; the surcharge bisection stops at
-  // |E - E_max| <= 1e-9 (1 + E_max), which bounds the agreement there.
+  // Every budget affords the symmetric spend, so the share equation gives
+  // u = 1/N and every class plays the symmetric request of the whole pool,
+  // in closed form: no sweep and no cap-root step. At P_e < P_c the
+  // standalone cap binds, and every class plays the symmetric cap
+  // request.
   NetworkParams params = default_params();
   params.edge_capacity = 40.0;
   std::vector<double> budgets;
@@ -395,11 +398,10 @@ TEST(ClassAggregateOracle, AllSlackPoolSettlesInTwoSweepsPerFixedPoint) {
       ASSERT_TRUE(profile.converged);
       ASSERT_EQ(profile.requests.size(), 3u);
       const support::prof::WorkCounters work = telemetry.work.total();
-      // One fixed point in connected mode; one per surcharge probe else.
-      const std::uint64_t fixed_points = std::max<std::uint64_t>(
-          1, work[support::prof::WorkField::kBisectionIters]);
-      EXPECT_LE(work[support::prof::WorkField::kSweeps], 2 * fixed_points)
+      EXPECT_EQ(work[support::prof::WorkField::kSweeps], 0u);
+      EXPECT_EQ(work[support::prof::WorkField::kBisectionIters], 0u)
           << "P_e=" << prices.edge << " P_c=" << prices.cloud;
+      EXPECT_EQ(profile.iterations, 0);
       const auto symmetric =
           solve_followers_symmetric(params, prices, budgets.back(), n, mode);
       EXPECT_EQ(profile.cap_active, symmetric.cap_active);
@@ -412,6 +414,237 @@ TEST(ClassAggregateOracle, AllSlackPoolSettlesInTwoSweepsPerFixedPoint) {
       }
     }
   }
+}
+
+// --- the share equation on budget-bound pools -------------------------------
+
+// The symmetric spend R (N - 1)(1 - beta + beta h)/N^2 with h = 1 in
+// standalone mode: a class binds when its budget is below it.
+double symmetric_spend(const NetworkParams& params, double n, EdgeMode mode) {
+  const double h =
+      mode == EdgeMode::kConnected ? params.edge_success : 1.0;
+  return params.reward * (n - 1.0) *
+         (1.0 - params.fork_rate + params.fork_rate * h) / (n * n);
+}
+
+// The class shape of n miners spread as evenly as possible over the
+// ascending class budgets, miners listed class by class.
+std::shared_ptr<const EquilibriumProfile::ClassShape> spread_pool(
+    const std::vector<double>& budgets, int n) {
+  auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
+  const int kn = static_cast<int>(budgets.size());
+  shape->budgets = budgets;
+  for (int k = 0; k < kn; ++k) {
+    shape->counts.push_back(n / kn + (k < n % kn ? 1 : 0));
+    if (kn > 1)
+      shape->of.insert(shape->of.end(),
+                       static_cast<std::size_t>(shape->counts.back()),
+                       static_cast<std::uint32_t>(k));
+  }
+  return shape;
+}
+
+// One solve against the class solver's contract: `converged`, totals equal
+// to the class sums (1e-12 relative for N <= 1000, 1e-9 above), every class
+// within its budget and the cap, and every class's request equal to
+// best_response_kernel's reply to the rest (1e-9 relative for N <= 1000,
+// 1e-7 above). Returns the largest residual.
+double expect_exact(const NetworkParams& params,
+                    std::shared_ptr<const EquilibriumProfile::ClassShape> shape,
+                    EdgeMode mode, const Prices& prices,
+                    const std::string& what) {
+  const FollowerOracle oracle(params, shape, mode);
+  const EquilibriumProfile profile = oracle.solve(prices);
+  const bool large = oracle.miner_count() > 1000;
+  const double totals_tol = large ? 1e-9 : 1e-12;
+  const double residual_tol = large ? 1e-7 : 1e-9;
+  EXPECT_TRUE(profile.converged) << what;
+  Totals sums;
+  for (std::size_t k = 0; k < shape->counts.size(); ++k) {
+    sums.edge += shape->counts[k] * profile.requests[k].edge;
+    sums.cloud += shape->counts[k] * profile.requests[k].cloud;
+  }
+  EXPECT_LE(std::abs(sums.edge - profile.totals.edge),
+            totals_tol * profile.totals.edge)
+      << what;
+  EXPECT_LE(std::abs(sums.grand() - profile.totals.grand()),
+            totals_tol * profile.totals.grand())
+      << what;
+  if (mode == EdgeMode::kStandalone) {
+    EXPECT_LE(profile.totals.edge, params.edge_capacity * (1.0 + 1e-12))
+        << what;
+  }
+  const KernelEnv env = make_kernel_env(
+      params, prices,
+      mode == EdgeMode::kConnected ? params.edge_success : 1.0,
+      profile.surcharge);
+  // With no edge bonus at equal effective prices (beta = 0 under a binding
+  // cap), edge and cloud units are interchangeable: only totals count.
+  const bool split_free =
+      env.edge_coeff == 0.0 &&
+      std::abs(env.effective_edge_price - prices.cloud) <= 4e-16 * prices.cloud;
+  double worst = 0.0;
+  for (std::size_t k = 0; k < shape->counts.size(); ++k) {
+    const MinerRequest& request = profile.requests[k];
+    EXPECT_LE(request_cost(request, prices),
+              shape->budgets[k] * (1.0 + 1e-12))
+        << what << " class " << k;
+    const double others_edge = profile.totals.edge - request.edge;
+    const double others_grand =
+        profile.totals.grand() - request.total();
+    const MinerRequest reply = best_response_kernel(
+        env, shape->budgets[k], others_edge, others_grand);
+    const double size = std::max(request.total(), reply.total());
+    const double edge_miss =
+        split_free ? 0.0 : std::abs(reply.edge - request.edge);
+    if (size > 0.0)
+      worst = std::max(
+          worst,
+          std::max(edge_miss, std::abs(reply.total() - request.total())) /
+              size);
+  }
+  EXPECT_LE(worst, residual_tol) << what;
+  return worst;
+}
+
+const Prices kGridPrices[] = {
+    {6.0, 2.0}, {9.5, 1.0}, {3.0, 2.2}, {2.5, 2.2}, {2.0, 2.2}};
+
+std::string row(const char* kind, int n, std::size_t kn, EdgeMode mode,
+                const Prices& prices) {
+  return std::string(kind) + " N=" + std::to_string(n) +
+         " K=" + std::to_string(kn) +
+         (mode == EdgeMode::kConnected ? " connected" : " standalone") +
+         " P=(" + std::to_string(prices.edge) + ", " +
+         std::to_string(prices.cloud) + ")";
+}
+
+TEST(ShareEquation, BudgetBoundGridIsExact) {
+  // Budgets (0.05 + 3k/(K - 1)) x the symmetric spend: the poorest classes
+  // bind, the richest do not. A beta = 0 pool (no edge bonus) rides along.
+  for (const double beta : {0.2, 0.0}) {
+    NetworkParams params;
+    params.fork_rate = beta;
+    for (const int n : {40, 1000, 300000}) {
+      for (const int classes : {8, 64}) {
+        const std::size_t kn = static_cast<std::size_t>(std::min(classes, n));
+        for (const EdgeMode mode :
+             {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+          const double spend = symmetric_spend(params, n, mode);
+          std::vector<double> budgets(kn);
+          for (std::size_t k = 0; k < kn; ++k)
+            budgets[k] = (0.05 + 3.0 * static_cast<double>(k) /
+                                     static_cast<double>(kn - 1)) *
+                         spend;
+          const auto shape = spread_pool(budgets, n);
+          for (const Prices& prices : kGridPrices)
+            expect_exact(params, shape, mode, prices,
+                         row(beta > 0.0 ? "grid" : "beta=0 grid", n, kn, mode,
+                             prices));
+        }
+      }
+    }
+  }
+}
+
+TEST(ShareEquation, TiesAtTheSymmetricSpendAreExact) {
+  // The poorest class holds exactly the symmetric spend, the others more:
+  // in exact arithmetic no class binds and u = 1/N, so every class plays
+  // the symmetric equilibrium of the whole pool, however the tie rounds.
+  const NetworkParams params;
+  for (const int n : {1000, 300000}) {
+    for (const std::size_t kn : {std::size_t{2}, std::size_t{8},
+                                 std::size_t{64}}) {
+      for (const EdgeMode mode :
+           {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+        const double spend = symmetric_spend(params, n, mode);
+        std::vector<double> budgets(kn);
+        for (std::size_t k = 0; k < kn; ++k)
+          budgets[k] = spend * (1.0 + 2.0 * static_cast<double>(k) /
+                                          static_cast<double>(kn - 1));
+        const auto shape = spread_pool(budgets, n);
+        for (const Prices& prices : kGridPrices) {
+          const std::string what = row("tie", n, kn, mode, prices);
+          expect_exact(params, shape, mode, prices, what);
+          const auto profile =
+              FollowerOracle(params, shape, mode).solve(prices);
+          const auto symmetric = solve_followers_symmetric(
+              params, prices, budgets.back(), n, mode);
+          for (const MinerRequest& request : profile.requests) {
+            EXPECT_NEAR(request.edge, symmetric.request().edge,
+                        1e-12 * symmetric.request().total())
+                << what;
+            EXPECT_NEAR(request.cloud, symmetric.request().cloud,
+                        1e-12 * symmetric.request().total())
+                << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ShareEquation, SeededRandomPoolsAreExact) {
+  // 300 pools: N log-uniform over 5..3x10^5, K <= 20 classes with budgets
+  // log-uniform over 0.01..10x the symmetric spend, P_e in [1.5, 10] and
+  // P_c in [0.5, 3] (so P_e <= P_c too), each solved in both modes.
+  const NetworkParams params;
+  support::Rng rng(0x73686172ULL);
+  int edge_cheaper = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = static_cast<int>(
+        std::round(5.0 * std::exp(rng.uniform() * std::log(6e4))));
+    const std::size_t kn = std::min<std::size_t>(
+        1 + rng.uniform_index(20), static_cast<std::size_t>(n));
+    const Prices prices{rng.uniform(1.5, 10.0), rng.uniform(0.5, 3.0)};
+    if (prices.edge <= prices.cloud) ++edge_cheaper;
+    std::vector<double> scale(kn);
+    for (double& x : scale) x = 0.01 * std::exp(rng.uniform() * std::log(1e3));
+    std::sort(scale.begin(), scale.end());
+    for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+      std::vector<double> budgets(kn);
+      for (std::size_t k = 0; k < kn; ++k)
+        budgets[k] = scale[k] * symmetric_spend(params, n, mode);
+      expect_exact(params, spread_pool(budgets, n), mode, prices,
+                   row("random", n, kn, mode, prices) + " trial " +
+                       std::to_string(trial));
+    }
+  }
+  EXPECT_GT(edge_cheaper, 10);
+}
+
+TEST(ShareEquation, CapBindingPoolsAreExact) {
+  // Standalone pools of the budget-bound grid under caps of 30, 3 and 0.3:
+  // where the cap binds and the poorest class cannot afford the symmetric
+  // cap request, the surcharge and the grand total are roots.
+  int cap_roots = 0;
+  for (const double cap : {30.0, 3.0, 0.3}) {
+    NetworkParams params;
+    params.edge_capacity = cap;
+    for (const int n : {40, 1000, 300000}) {
+      for (const int classes : {8, 64}) {
+        const std::size_t kn = static_cast<std::size_t>(std::min(classes, n));
+        const double spend = symmetric_spend(params, n, EdgeMode::kStandalone);
+        std::vector<double> budgets(kn);
+        for (std::size_t k = 0; k < kn; ++k)
+          budgets[k] = (0.05 + 3.0 * static_cast<double>(k) /
+                                   static_cast<double>(kn - 1)) *
+                       spend;
+        const auto shape = spread_pool(budgets, n);
+        for (const Prices& prices : kGridPrices) {
+          const auto profile =
+              FollowerOracle(params, shape, EdgeMode::kStandalone)
+                  .solve(prices);
+          if (!profile.cap_active) continue;
+          cap_roots += profile.iterations > 0 ? 1 : 0;
+          expect_exact(params, shape, EdgeMode::kStandalone, prices,
+                       row("cap", n, kn, EdgeMode::kStandalone, prices) +
+                           " E_max=" + std::to_string(cap));
+        }
+      }
+    }
+  }
+  EXPECT_GT(cap_roots, 40);
 }
 
 // The profile with its class shape dropped: one request and utility per

@@ -166,6 +166,35 @@ TEST(ConnectedSelector, PicksBranchByThreshold) {
   EXPECT_NEAR(above.edge, sufficient.edge, 1e-12);
 }
 
+TEST(OneClassSolve, GivesTheHomogeneousClosedForms) {
+  // The follower solve of one budget class: on both sides of the budget
+  // threshold it is the selected closed form (Corollary 1 / Theorem 3),
+  // and with the cloud priced out it is the edge-only NE.
+  const NetworkParams params = default_params();
+  const Prices prices{2.0, 1.0};
+  const Prices edge_only{2.0,
+                         1.5 * mixed_strategy_cloud_price_bound(params, 2.0)};
+  for (const int miners : {2, 3, 5, 10, 50}) {
+    const auto expect_solve = [&](const Prices& at, double budget,
+                                  const MinerRequest& want) {
+      const MinerRequest got = solve_followers_symmetric(
+          params, at, budget, miners, EdgeMode::kConnected).request();
+      const double scale = 1.0 + want.total();
+      EXPECT_NEAR(got.edge, want.edge, 1e-10 * scale) << "n=" << miners;
+      EXPECT_NEAR(got.cloud, want.cloud, 1e-10 * scale) << "n=" << miners;
+    };
+    const double tight = 0.5 * homogeneous_budget_threshold(params, miners);
+    for (const double budget : {1e6, tight})
+      expect_solve(prices, budget,
+                   homogeneous_connected_request(params, prices, budget,
+                                                 miners));
+    for (const double budget : {1e6, 0.2})
+      expect_solve(edge_only, budget,
+                   homogeneous_edge_only_request(params, edge_only, budget,
+                                                 miners));
+  }
+}
+
 TEST(EdgeOnly, TullockContestCappedByBudget) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 5.0};

@@ -44,24 +44,21 @@ TEST(ConnectedNep, ConvergesAndIsUnexploitable) {
   EXPECT_NEAR(manual.cloud, eq.totals.cloud, 1e-12);
 }
 
-TEST(ConnectedNep, UniqueAcrossDampingAndSweeps) {
-  // Theorem 2: the NE is unique, so different dynamics find the same point.
+TEST(ConnectedNep, UniqueAcrossSolvers) {
+  // Theorem 2: the NE is unique, so the class solver's share equation and
+  // the VI reference's extragradient dynamics find the same point.
   const NetworkParams params = default_params();
   const Prices prices{2.5, 1.0};
   const std::vector<double> budgets{25.0, 35.0, 45.0};
-  SolveContext a;
-  a.follower.damping = 0.5;
-  SolveContext b;
-  b.follower.damping = 0.9;
-  const auto eq_a =
-      solve_followers(params, prices, budgets, EdgeMode::kConnected, a);
-  const auto eq_b =
-      solve_followers(params, prices, budgets, EdgeMode::kConnected, b);
-  ASSERT_TRUE(eq_a.converged);
-  ASSERT_TRUE(eq_b.converged);
+  const auto eq_classes =
+      solve_followers(params, prices, budgets, EdgeMode::kConnected);
+  const auto eq_vi =
+      solve_followers_vi(params, prices, budgets, EdgeMode::kConnected);
+  ASSERT_TRUE(eq_classes.converged);
+  ASSERT_TRUE(eq_vi.converged);
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_a.request(i).edge, eq_b.request(i).edge, 1e-6);
-    EXPECT_NEAR(eq_a.request(i).cloud, eq_b.request(i).cloud, 1e-6);
+    EXPECT_NEAR(eq_classes.request(i).edge, eq_vi.request(i).edge, 1e-6);
+    EXPECT_NEAR(eq_classes.request(i).cloud, eq_vi.request(i).cloud, 1e-6);
   }
 }
 

@@ -1,17 +1,13 @@
 // Tests for the kernel layer (core/kernels.hpp): scalar-wrapper bitwise
-// parity, the block-response kernel (one member is the best response, no
-// outside aggregates give the homogeneous closed forms, and the block's
-// request is a best response to its own copies), and parity of the class
-// solver with the VI reference on heterogeneous NEP/GNEP fixtures.
+// parity, and parity of the class solver with the VI reference on
+// heterogeneous NEP/GNEP fixtures.
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
-#include "core/closed_forms.hpp"
 #include "core/equilibrium.hpp"
 #include "core/miner.hpp"
 #include "core/oracle.hpp"
@@ -88,106 +84,6 @@ TEST(ScalarKernels, BitwiseMatchMinerEntryPoints) {
   }
 }
 
-TEST(BlockKernel, OneMemberIsBitwiseTheBestResponse) {
-  const NetworkParams params = default_params();
-  support::Rng rng{29};
-  for (int trial = 0; trial < 200; ++trial) {
-    const Prices prices{rng.uniform(0.5, 4.0), rng.uniform(0.2, 2.0)};
-    const double mu = trial % 3 == 0 ? rng.uniform(0.0, 1.0) : 0.0;
-    const KernelEnv env =
-        make_kernel_env(params, prices, rng.uniform(0.1, 1.0), mu);
-    const double budget = trial % 7 == 0 ? 0.0 : rng.uniform(1.0, 80.0);
-    Totals rest{rng.uniform(0.0, 30.0), rng.uniform(0.0, 50.0)};
-    if (trial % 5 == 0) rest.edge = 0.0;
-    if (trial % 11 == 0) rest = {0.0, 0.0};
-    const MinerRequest block =
-        block_response_kernel(env, budget, 1.0, rest.edge, rest.grand());
-    const MinerRequest single =
-        best_response_kernel(env, budget, rest.edge, rest.grand());
-    EXPECT_EQ(block.edge, single.edge);
-    EXPECT_EQ(block.cloud, single.cloud);
-  }
-}
-
-TEST(BlockKernel, ZeroOutsideAggregatesGiveTheHomogeneousClosedForms) {
-  // The whole pool as one block: Corollary 1 (sufficient budget),
-  // Theorem 3 (binding budget) and the edge-only NE (cloud priced out).
-  const NetworkParams params = default_params();
-  const double h = params.edge_success;
-  for (const int n : {2, 3, 5, 10, 50}) {
-    const double m = static_cast<double>(n);
-    const Prices mixed{2.0, 1.0};
-    const KernelEnv env = make_kernel_env(params, mixed, h, 0.0);
-    const auto expect_close = [&](const MinerRequest& got,
-                                  const MinerRequest& want) {
-      const double scale = 1.0 + want.total();
-      EXPECT_NEAR(got.edge, want.edge, 1e-10 * scale) << "n=" << n;
-      EXPECT_NEAR(got.cloud, want.cloud, 1e-10 * scale) << "n=" << n;
-    };
-    expect_close(block_response_kernel(env, 1e6, m, 0.0, 0.0),
-                 homogeneous_sufficient_request(params, mixed, n));
-    const double tight = 0.5 * homogeneous_budget_threshold(params, n);
-    expect_close(block_response_kernel(env, tight, m, 0.0, 0.0),
-                 homogeneous_binding_request(params, mixed, tight, n));
-    const Prices edge_only{
-        2.0, 1.5 * mixed_strategy_cloud_price_bound(params, 2.0)};
-    const KernelEnv edge_env = make_kernel_env(params, edge_only, h, 0.0);
-    for (const double budget : {1e6, 0.2}) {
-      expect_close(block_response_kernel(edge_env, budget, m, 0.0, 0.0),
-                   homogeneous_edge_only_request(params, edge_only, budget, n));
-    }
-  }
-}
-
-TEST(BlockKernel, IsTheBestResponseToItsOwnCopies) {
-  // Every member of the block faces the outside aggregates plus m - 1
-  // copies of the block's request; the single-miner best response to that
-  // must be the request itself. Seeded over price regimes (P_e < P_c
-  // included), surcharges, binding and slack budgets, and outside
-  // aggregates from none to dominant.
-  const NetworkParams params = default_params();
-  support::Rng rng{31};
-  int binding = 0;
-  int edge_cheaper = 0;
-  for (int trial = 0; trial < 400; ++trial) {
-    const Prices prices{rng.uniform(0.5, 6.0), rng.uniform(0.3, 3.0)};
-    const double mu = trial % 4 == 0 ? rng.uniform(0.0, 2.0) : 0.0;
-    const KernelEnv env =
-        make_kernel_env(params, prices, rng.uniform(0.2, 1.0), mu);
-    const double members =
-        trial % 2 == 0 ? std::floor(rng.uniform(2.0, 12.0))
-                       : std::floor(rng.uniform(2.0, 5000.0));
-    const double budget = trial % 3 == 0 ? rng.uniform(0.05, 2.0)
-                                         : rng.uniform(2.0, 200.0);
-    Totals rest{rng.uniform(0.0, 40.0), rng.uniform(0.0, 60.0)};
-    if (trial % 5 == 0) rest = {0.0, 0.0};
-    if (trial % 7 == 0) rest.edge = 0.0;
-    const MinerRequest block =
-        block_response_kernel(env, budget, members, rest.edge, rest.grand());
-    ASSERT_GE(block.edge, 0.0);
-    ASSERT_GE(block.cloud, 0.0);
-    ASSERT_LE(prices.edge * block.edge + prices.cloud * block.cloud,
-              budget * (1.0 + 1e-12));
-    const double copies = members - 1.0;
-    const double others_edge = rest.edge + copies * block.edge;
-    const double others_grand =
-        rest.grand() + copies * (block.edge + block.cloud);
-    const MinerRequest response =
-        best_response_kernel(env, budget, others_edge, others_grand);
-    const double scale = 1.0 + block.total();
-    EXPECT_NEAR(response.edge, block.edge, 1e-7 * scale) << "trial " << trial;
-    EXPECT_NEAR(response.cloud, block.cloud, 1e-7 * scale)
-        << "trial " << trial;
-    if (prices.edge * block.edge + prices.cloud * block.cloud >
-        budget * (1.0 - 1e-9))
-      ++binding;
-    if (prices.edge < prices.cloud) ++edge_cheaper;
-  }
-  // The sweep really visits binding budgets and the P_e < P_c regime.
-  EXPECT_GT(binding, 40);
-  EXPECT_GT(edge_cheaper, 40);
-}
-
 TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
   // Theorem 2 uniqueness: the class solver (one class per miner here) and
   // the independent VI reference must land on the same equilibrium.
@@ -214,8 +110,8 @@ TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
 }
 
 TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
-  // Tight capacity so the surcharge bisection actually runs in the class
-  // solver and the shared cap binds in the VI reference.
+  // Tight capacity so the class solver's cap root actually runs and the
+  // shared cap binds in the VI reference.
   NetworkParams params = default_params();
   params.edge_capacity = 4.0;
   const Prices prices{1.6, 1.0};
@@ -238,15 +134,6 @@ TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
     EXPECT_NEAR(eq_vi.request(i).edge, eq_classes.request(i).edge, 1e-4);
     EXPECT_NEAR(eq_vi.request(i).cloud, eq_classes.request(i).cloud, 1e-4);
   }
-}
-
-TEST(BatchSweeps, InvalidOptionsThrow) {
-  const NetworkParams params = default_params();
-  SolveContext context;
-  context.follower.damping = 0.0;
-  EXPECT_THROW(FollowerOracle(params, {10.0, 20.0}, EdgeMode::kConnected,
-                              context),
-               support::PreconditionError);
 }
 
 TEST(BatchSweeps, ConcurrentBatchSolvesAgree) {

@@ -157,11 +157,6 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
   const NetworkParams params = default_params();
   const std::vector<double> budgets(3, 30.0);
   SpSolveOptions options = fast_options();
-  // The parity claim is about the equilibrium, not the last digit of the
-  // follower fixed point; a loose inner tolerance keeps the reference's
-  // nested scans affordable.
-  options.context.follower.tolerance = 1e-6;
-  options.context.follower.max_iterations = 800;
   const auto fast =
       solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
 
