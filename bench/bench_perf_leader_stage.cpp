@@ -1,9 +1,9 @@
 // Leader-stage performance bench: serial vs parallel price scans.
 //
-// Times solve_leader_stage_homogeneous (connected mode — Algorithm 1's
-// hot path: every scanned price triggers a one-class follower solve) and
-// the heterogeneous solve_leader_stage (a class solve per price),
-// each serial and at --threads, asserts every parallel row bitwise equal
+// Times solve_leader_stage_homogeneous (connected mode: every price the
+// leader stage scans triggers a one-class follower solve) and the
+// heterogeneous solve_leader_stage (a class solve per price), each serial
+// and at --threads, asserts every parallel row bitwise equal
 // to its serial row, and emits machine-readable JSON to
 // bench_out/BENCH_leader_stage.json so the perf trajectory is tracked
 // across PRs.
@@ -183,11 +183,13 @@ int main(int argc, char** argv) {
 
   core::SpSolveOptions base;
   base.grid_points = args.get("grid", 40);
-  // The simultaneous price game cycles (Theorem 4: no pure NE), so no round
-  // cap makes the raw best-response scan converge — every tracked row ends
-  // in the sequential construction. The scan stops at the first exact
-  // repeat of its prices, well before the cap; the cap is still a config
-  // knob so the ledger records the workload it actually ran.
+  // Theorem 4's test rules out a pure price equilibrium for every tracked
+  // row (C_e = 1 lies above the cloud floor, and the CSP answers the
+  // ceiling at about 8.1), so each row skips the price scan, runs the
+  // sequential construction directly and reports one round. A pool that
+  // keeps the scan stops it at the first exact repeat of its prices, well
+  // before the cap; the cap is still a config knob so the ledger records
+  // the workload it actually ran.
   base.max_rounds = args.get("max-rounds", 60);
 
   const auto homogeneous = [&](int run_threads) {
@@ -209,9 +211,6 @@ int main(int argc, char** argv) {
     return [&, run_threads] {
       core::SpSolveOptions options = base;
       options.context.threads = run_threads;
-      // Let the sequential cycle fallback run so the tracked rows report
-      // a converged equilibrium (Theorem 4's construction) instead of the
-      // scan's honest-but-alarming converged=false.
       return core::solve_leader_stage(params, budgets,
                                       core::EdgeMode::kConnected, options);
     };

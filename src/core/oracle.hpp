@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/params.hpp"
@@ -136,6 +137,15 @@ class FollowerOracle final {
   /// The budget partition: class budgets (ascending) and class sizes.
   [[nodiscard]] const EquilibriumProfile::ClassShape& classes() const noexcept {
     return *shape_;
+  }
+
+  /// How many classes the share equation binds (docs/MATH.md §2): a prefix
+  /// of the ascending budgets that spends its whole budget at every price.
+  /// Empty when fewer than two miners hold a budget, so the pool has no
+  /// share solution.
+  [[nodiscard]] std::optional<std::size_t> binding_classes() const noexcept {
+    if (shares_.of_class.empty()) return std::nullopt;
+    return shares_.bound;
   }
 
  private:

@@ -236,15 +236,62 @@ LeaderStageResult sequential_construction(const NetworkParams& params,
   return result;
 }
 
-/// The leader stage over one follower oracle: Algorithm 1 (connected) /
-/// Algorithm 2 (standalone) asynchronous price best response. When that
-/// cycles — the simultaneous-move leader game can lack a pure NE exactly as
-/// Theorem 4 anticipates — the scan stops at the first exact repeat of the
-/// prices and the stage falls back to Theorem 4's sequential construction
-/// on the same oracle. The CSP reaction is picked once, from the oracle:
-/// the closed forms of homogeneous_csp_reaction for one class of n >= 2
-/// miners with a positive budget, the numeric V_c scan for every other
-/// pool.
+/// Theorem 4's test (docs/MATH.md §4): true when the price game over `box`
+/// has no pure equilibrium that the price scan could settle on, so the
+/// scan could only cycle. The follower totals are (1 - u) times a function
+/// of the prices, so on the mixed-price region V_e's slope in P_e has the
+/// sign of C_e - P_c: the ESP answers a P_c below C_e with the ceiling and
+/// a P_c above it with the point where the CSP sells nothing (standalone:
+/// or the sell-out price), which the CSP undercuts. Left to rule out are a
+/// rest at the ceiling and one at the cloud floor. Every pool the argument
+/// does not cover keeps the scan.
+bool pure_equilibrium_ruled_out(const NetworkParams& params,
+                                const FollowerOracle& oracle,
+                                const PriceBox& box,
+                                const SpSolveOptions& options) {
+  // The scan stops once a round moves both prices by less than its
+  // tolerance, and it finds the CSP's reply only to about sqrt(machine
+  // epsilon) relative (V_c is flat to rounding at its peak), so a price
+  // gap the argument turns on counts only when it is clearly wider.
+  const auto clears = [&](double below, double above) {
+    return above - below > 4.0 * options.tolerance + 1e-6 * above;
+  };
+  // 1. An edge bonus to compete for (h > 0 holds by params.validate()).
+  // 2. A share solution, and in standalone mode no binding class.
+  // 3. Room below C_e, so the CSP can undercut any P_c above it.
+  const std::optional<std::size_t> binding = oracle.binding_classes();
+  const bool connected = oracle.mode() == EdgeMode::kConnected;
+  if (!(params.fork_rate > 0.0) || !binding || (!connected && *binding > 0) ||
+      !clears(box.cloud.lo, params.cost_edge))
+    return false;
+  // 4. The CSP answers the ceiling above C_e. The (1 - u) factor scales
+  //    V_c without moving its argmax, so the sufficient-budget closed forms
+  //    give the reply of every connected pool, and of every all-slack
+  //    standalone pool of that many miners while the cap stays slack.
+  const double ceiling = box.edge.hi;
+  if (connected) {
+    const double reply = csp_reaction_sufficient_closed(params, ceiling);
+    return reply >= box.cloud.lo && reply <= box.cloud.hi &&
+           clears(params.cost_edge, reply);
+  }
+  const double reply = homogeneous_csp_reaction(
+      params, oracle.classes().budgets.front(), oracle.miner_count(),
+      EdgeMode::kStandalone, oracle, box, ceiling, options);
+  return clears(params.cost_edge, reply) &&
+         !oracle.solve({ceiling, reply}).cap_active;
+}
+
+/// The leader stage over one follower oracle. Where Theorem 4 rules out a
+/// pure price equilibrium (pure_equilibrium_ruled_out) it runs the
+/// sequential construction directly. Every other pool runs Algorithm 1
+/// (connected) / Algorithm 2 (standalone) asynchronous price best response
+/// first; when that cycles, the scan stops at the first exact repeat of the
+/// prices and the stage falls back to the sequential construction on the
+/// same oracle. The construction never reads the scan's state, so skipping
+/// a doomed scan changes no answer. The CSP reaction is picked once, from
+/// the oracle: the closed forms of homogeneous_csp_reaction for one class
+/// of n >= 2 miners with a positive budget, the numeric V_c scan for every
+/// other pool.
 LeaderStageResult leader_stage(const NetworkParams& params,
                                const FollowerOracle& oracle,
                                const SpSolveOptions& options) {
@@ -253,20 +300,25 @@ LeaderStageResult leader_stage(const NetworkParams& params,
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context), "leader_stage");
   const PriceBox box = price_box(params, options);
-  game::StackelbergResult leader;
-  {
-    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
-    leader = run_leader_best_response(params, oracle, box, options, context);
-  }
-  count_best_response_rounds(context, leader.rounds);
-  if (leader.converged) {
-    const support::SolveTrace::Scope phase(trace_of(context), "finish");
-    auto result = finish_leader_stage(params, oracle,
-                                      {leader.actions[0], leader.actions[1]},
-                                      leader.converged);
-    result.method = SpSolveMethod::kBestResponse;
-    result.rounds = leader.rounds;
-    return result;
+  int scan_rounds = 0;
+  if (!pure_equilibrium_ruled_out(params, oracle, box, options)) {
+    game::StackelbergResult leader;
+    {
+      const support::SolveTrace::Scope phase(trace_of(context),
+                                             "best_response");
+      leader = run_leader_best_response(params, oracle, box, options, context);
+    }
+    count_best_response_rounds(context, leader.rounds);
+    if (leader.converged) {
+      const support::SolveTrace::Scope phase(trace_of(context), "finish");
+      auto result = finish_leader_stage(params, oracle,
+                                        {leader.actions[0], leader.actions[1]},
+                                        leader.converged);
+      result.method = SpSolveMethod::kBestResponse;
+      result.rounds = leader.rounds;
+      return result;
+    }
+    scan_rounds = leader.rounds;
   }
   count_sequential_fallback(context);
   const support::SolveTrace::Scope phase(trace_of(context), "sequential");
@@ -282,7 +334,7 @@ LeaderStageResult leader_stage(const NetworkParams& params,
   };
   auto result = sequential_construction(params, oracle, reaction, box,
                                         options, context);
-  result.rounds += leader.rounds;
+  result.rounds += scan_rounds;
   return result;
 }
 

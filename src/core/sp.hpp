@@ -7,9 +7,11 @@
 // over prices (Algorithm 1; with the standalone oracle this is exactly
 // Algorithm 2's price bargaining). A sequential variant reproduces the
 // structure of Theorem 4: the CSP's reaction curve P_c*(P_e) is computed
-// first and the ESP maximizes over it. One internal driver runs the price
-// scan and the sequential fallback for every pool; only the CSP reaction
-// it plugs in depends on the pool (closed forms for one budget class).
+// first and the ESP maximizes over it. One internal driver serves every
+// pool: it runs the sequential construction directly where Theorem 4 rules
+// out a pure price equilibrium, and the price scan with the sequential
+// fallback elsewhere; only the CSP reaction it plugs in depends on the
+// pool (closed forms for one budget class).
 //
 // All entry points return one unified LeaderStageResult.
 #pragma once
@@ -65,15 +67,16 @@ struct LeaderStageResult {
   /// passed its class certificate).
   bool converged = false;
   /// Price best-response rounds actually run (the scan stops at its first
-  /// exact cycle), plus 1 when the sequential construction ran.
+  /// exact cycle; none where Theorem 4's test skips it), plus 1 when the
+  /// sequential construction ran. So a skipped scan reports 1.
   int rounds = 0;
 };
 
 /// Leader-stage solve with n identical miners of budget B: solve_leader_stage
 /// on the one-class pool, without building a budget vector. The follower
 /// stage is the one-class solve, exact without iteration, making price
-/// sweeps cheap, and the fallback's CSP reaction takes the closed forms of
-/// csp_reaction_homogeneous.
+/// sweeps cheap, and the sequential construction's CSP reaction takes the
+/// closed forms of csp_reaction_homogeneous.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});
@@ -108,15 +111,19 @@ struct LeaderStageResult {
     const SpSolveOptions& options = {});
 
 /// Leader-stage solve over arbitrary budgets, against one FollowerOracle
-/// built from them. Runs Algorithm 1 (connected) / Algorithm 2
-/// (standalone) asynchronous price best response first; when that cycles —
-/// the simultaneous-move leader game can lack a pure NE exactly as
-/// Theorem 4 anticipates — it stops at the first exact repeat of the
-/// prices, falls back to Theorem 4's sequential construction on the same
-/// oracle and reports method = kSequential. The fallback's CSP reaction is
-/// csp_reaction_homogeneous's (closed forms where they apply) when the pool
-/// is one class of n >= 2 miners with a positive budget, and a numeric scan
-/// of V_c otherwise.
+/// built from them. Where Theorem 4's closed-form test rules out a pure
+/// price equilibrium (docs/MATH.md §4: beta > 0, two funded miners and, in
+/// standalone mode, no binding class, C_e above the cloud floor, and the
+/// CSP's reply to the price ceiling above C_e), it runs Theorem 4's
+/// sequential construction directly and reports method = kSequential,
+/// rounds = 1. Every other pool runs Algorithm 1 (connected) / Algorithm 2
+/// (standalone) asynchronous price best response first; when that cycles,
+/// it stops at the first exact repeat of the prices and falls back to the
+/// sequential construction on the same oracle. The construction never
+/// reads the scan's state, so both routes give the same answer. Its CSP
+/// reaction is csp_reaction_homogeneous's (closed forms where they apply)
+/// when the pool is one class of n >= 2 miners with a positive budget, and
+/// a numeric scan of V_c otherwise.
 [[nodiscard]] LeaderStageResult solve_leader_stage(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SpSolveOptions& options = {});

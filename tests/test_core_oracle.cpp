@@ -1,17 +1,20 @@
 // Tests for the follower oracle (core/oracle.hpp): the one follower solver
-// must agree with the VI reference, and the factory must build it for
-// every pool. Registered under the `oracle` ctest label so
-// `ctest -L oracle` runs exactly the equivalence suite.
+// must agree with the VI reference, the factory must build it for every
+// pool, and the leader stage built on it must skip the price scan only
+// where the scan cannot settle. Registered under the `oracle` ctest label
+// so `ctest -L oracle` runs exactly this suite.
 #include "core/oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/equilibrium.hpp"
 #include "core/sp.hpp"
+#include "game/stackelberg.hpp"
 #include "numerics/optimize.hpp"
 #include "support/error.hpp"
 
@@ -214,6 +217,225 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
               0.03 * std::abs(fast_welfare));
   EXPECT_NEAR(reference.totals.grand(), fast.followers.totals.grand(),
               0.05 * fast.followers.totals.grand());
+}
+
+// --- Theorem 4's test: which leader stages run the price scan ------------
+
+/// The leader stage's price box (core/sp.cpp).
+std::vector<game::ActionBounds> leader_box(const NetworkParams& params,
+                                           const SpSolveOptions& options) {
+  const double ceiling =
+      2.0 * std::max(params.cost_edge, params.cost_cloud) +
+      0.5 * params.reward;
+  return {{params.cost_edge * (1.0 + options.price_margin) + 1e-9, ceiling},
+          {params.cost_cloud * (1.0 + options.price_margin) + 1e-9, ceiling}};
+}
+
+/// Algorithm 1/2's price scan as the leader stage runs it: the same payoff,
+/// price box, start and settings, called directly.
+game::StackelbergResult direct_price_scan(const NetworkParams& params,
+                                          const FollowerOracle& oracle,
+                                          const SpSolveOptions& options) {
+  const game::LeaderPayoffFn payoff = [&](const std::vector<double>& actions,
+                                          std::size_t leader) {
+    const Prices prices{actions[0], actions[1]};
+    const SpProfits profits =
+        sp_profits(params, prices, oracle.solve(prices).totals);
+    return leader == 0 ? profits.edge : profits.cloud;
+  };
+  const auto box = leader_box(params, options);
+  game::StackelbergOptions driver;
+  driver.tolerance = options.tolerance;
+  driver.max_rounds = options.max_rounds;
+  driver.grid_points = options.grid_points;
+  driver.context = options.context;
+  return game::solve_stackelberg(
+      payoff,
+      {std::min(box[0].hi, 2.0 * params.cost_edge + 1.0),
+       std::min(box[1].hi, 2.0 * params.cost_cloud + 0.5)},
+      box, driver);
+}
+
+/// Theorem 4's sequential construction from public pieces: the ESP's best
+/// point on the CSP's reaction curve. One budget class takes
+/// solve_leader_stage_sequential; any other pool the numeric V_c scan, with
+/// the leader stage's box and scan settings.
+LeaderStageResult sequential_reference(const NetworkParams& params,
+                                       const std::vector<double>& budgets,
+                                       EdgeMode mode,
+                                       const SpSolveOptions& options) {
+  const FollowerOracle oracle(params, budgets, mode, options.context);
+  if (oracle.class_count() == 1)
+    return solve_leader_stage_sequential(params, budgets.front(),
+                                         oracle.miner_count(), mode, options);
+  const auto box = leader_box(params, options);
+  num::Maximize1DOptions reaction_scan;
+  reaction_scan.grid_points = options.grid_points;
+  reaction_scan.tolerance = 1e-8;
+  const auto reaction = [&](double price_edge) {
+    return num::maximize_scan(
+               [&](double price_cloud) {
+                 const Prices prices{price_edge, price_cloud};
+                 return sp_profits(params, prices, oracle.solve(prices).totals)
+                     .cloud;
+               },
+               box[1].lo, box[1].hi, reaction_scan)
+        .argmax;
+  };
+  num::Maximize1DOptions composite_scan;
+  composite_scan.grid_points = std::max(4 * options.grid_points, 160);
+  composite_scan.tolerance = 1e-7;
+  LeaderStageResult result;
+  result.prices.edge =
+      num::maximize_scan(
+          [&](double price_edge) {
+            const Prices prices{price_edge, reaction(price_edge)};
+            return sp_profits(params, prices, oracle.solve(prices).totals)
+                .edge;
+          },
+          box[0].lo, box[0].hi, composite_scan)
+          .argmax;
+  result.prices.cloud = reaction(result.prices.edge);
+  result.followers = oracle.solve(result.prices);
+  result.profits = sp_profits(params, result.prices, result.followers.totals);
+  result.converged = result.followers.converged;
+  return result;
+}
+
+void expect_same_answer(const LeaderStageResult& stage,
+                        const LeaderStageResult& reference,
+                        const std::string& where) {
+  EXPECT_EQ(stage.prices.edge, reference.prices.edge) << where;
+  EXPECT_EQ(stage.prices.cloud, reference.prices.cloud) << where;
+  EXPECT_EQ(stage.followers.totals.edge, reference.followers.totals.edge)
+      << where;
+  EXPECT_EQ(stage.followers.totals.cloud, reference.followers.totals.cloud)
+      << where;
+  EXPECT_EQ(stage.profits.edge, reference.profits.edge) << where;
+  EXPECT_EQ(stage.profits.cloud, reference.profits.cloud) << where;
+  EXPECT_EQ(stage.converged, reference.converged) << where;
+}
+
+TEST(LeaderStage, SkipsThePriceScanOnlyWhereItCannotSettle) {
+  // Where Theorem 4's test rules out a pure equilibrium (docs/MATH.md §4),
+  // the leader stage skips the price scan. Over a grid of pools in both
+  // modes, with slack, binding, mixed and heterogeneous budgets, capacities
+  // down to 0.5 and cloud costs at or above the edge cost, the scan run
+  // directly must then fail to settle, and the answer must be the
+  // sequential construction's, bit for bit.
+  SpSolveOptions options;
+  options.context.threads = 1;
+  // One-class pools on every parameter set: slack ones in both modes, and
+  // in connected mode one that always binds and one that binds at R = 200.
+  // Every other pool takes a numeric CSP reaction, a scan per point of the
+  // composite scan, so a mixed pool (one binding class) and an all-slack
+  // heterogeneous one run on every seventeenth set. A standalone pool with
+  // a binding class always keeps the scan.
+  const std::vector<std::vector<double>> slack{std::vector<double>(2, 500.0),
+                                               std::vector<double>(6, 400.0)};
+  const std::vector<std::vector<double>> binding{std::vector<double>(10, 2.0),
+                                                 std::vector<double>(3, 30.0)};
+  const std::vector<std::vector<double>> several_classes{
+      {2.0, 500.0, 500.0}, {100.0, 150.0, 250.0}};
+  int sets = 0;
+  int stages = 0;
+  int skipped = 0;
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone})
+  for (const double reward : {50.0, 200.0})
+  for (const double fork_rate : {0.05, 0.2, 0.5})
+  for (const double success : {0.5, 1.0})
+  for (const double capacity : {0.5, 3.0, 30.0})
+  for (const double cost_edge : {0.5, 1.0, 3.0, 10.0})
+  for (const double cost_cloud : {0.1, 0.4, 1.0}) {
+    // Standalone mode reads no h, connected mode no E_max.
+    if (mode == EdgeMode::kStandalone ? success != 1.0 : capacity != 3.0)
+      continue;
+    NetworkParams params;
+    params.reward = reward;
+    params.fork_rate = fork_rate;
+    params.edge_success = success;
+    params.edge_capacity = capacity;
+    params.cost_edge = cost_edge;
+    params.cost_cloud = cost_cloud;
+    std::vector<std::vector<double>> pools = slack;
+    if (mode == EdgeMode::kConnected)
+      pools.insert(pools.end(), binding.begin(), binding.end());
+    if (sets++ % 17 == 0)
+      pools.insert(pools.end(), several_classes.begin(),
+                   several_classes.end());
+    for (const std::vector<double>& budgets : pools) {
+      ++stages;
+      const LeaderStageResult stage =
+          solve_leader_stage(params, budgets, mode, options);
+      if (stage.method != SpSolveMethod::kSequential || stage.rounds > 1)
+        continue;
+      ++skipped;
+      const std::string where =
+          std::string(mode == EdgeMode::kConnected ? "connected"
+                                                   : "standalone") +
+          " R=" + std::to_string(reward) +
+          " beta=" + std::to_string(fork_rate) +
+          " h=" + std::to_string(success) +
+          " E_max=" + std::to_string(capacity) +
+          " C_e=" + std::to_string(cost_edge) +
+          " C_c=" + std::to_string(cost_cloud) +
+          " budgets=" + std::to_string(budgets.front()) + "x" +
+          std::to_string(budgets.size());
+      const FollowerOracle oracle(params, budgets, mode, options.context);
+      EXPECT_FALSE(direct_price_scan(params, oracle, options).converged)
+          << where;
+      expect_same_answer(
+          stage, sequential_reference(params, budgets, mode, options), where);
+    }
+  }
+  EXPECT_GE(stages, 1000);
+  EXPECT_GT(skipped, stages / 4);
+  EXPECT_LT(skipped, stages - stages / 4);
+}
+
+// Two pools whose price scan settles, so Theorem 4's test must keep it. The
+// prices and rounds were pinned from the leader stage before the test
+// existed, when every pool ran the scan.
+
+TEST(LeaderStage, CeilingEquilibriumKeepsThePriceScan) {
+  // The CSP answers the ceiling P_e = 45 below C_e = 10, so the ESP stays
+  // at the ceiling: a pure equilibrium (condition 4 fails).
+  NetworkParams params;
+  params.reward = 50.0;
+  params.fork_rate = 0.2;
+  params.edge_success = 0.9;
+  params.cost_edge = 10.0;
+  params.cost_cloud = 0.1;
+  SpSolveOptions options;
+  options.context.threads = 1;
+  const LeaderStageResult stage =
+      solve_leader_stage(params, {500.0, 500.0}, EdgeMode::kConnected, options);
+  EXPECT_EQ(stage.method, SpSolveMethod::kBestResponse);
+  EXPECT_TRUE(stage.converged);
+  EXPECT_EQ(stage.rounds, 2);
+  EXPECT_EQ(stage.prices.edge, 45.0);
+  EXPECT_EQ(stage.prices.cloud, 0x1.049b691324512p+2);  // 4.0720
+}
+
+TEST(LeaderStage, CloudCostAboveEdgeCostKeepsThePriceScan) {
+  // C_c = 1 > C_e = 0.5: the cloud floor lies above C_e, where the ESP
+  // answers with the edge-only kink and the CSP cannot undercut, so the
+  // scan settles at the floors (condition 3 fails).
+  NetworkParams params;
+  params.reward = 50.0;
+  params.fork_rate = 0.05;
+  params.edge_success = 0.5;
+  params.cost_edge = 0.5;
+  params.cost_cloud = 1.0;
+  SpSolveOptions options;
+  options.context.threads = 1;
+  const LeaderStageResult stage =
+      solve_leader_stage(params, {500.0, 500.0}, EdgeMode::kConnected, options);
+  EXPECT_EQ(stage.method, SpSolveMethod::kBestResponse);
+  EXPECT_TRUE(stage.converged);
+  EXPECT_EQ(stage.rounds, 23);
+  EXPECT_EQ(stage.prices.edge, 0x1.06c35b892b845p+0);   // 1.0264
+  EXPECT_EQ(stage.prices.cloud, 0x1.00068dbd064a1p+0);  // 1.0001, the floor
 }
 
 TEST(Exploitability, ProfileOverloadCertifiesOracleEquilibria) {

@@ -247,8 +247,9 @@ TEST(HomogeneousStackelberg, SpPriceBestResponseCyclesAsDocumented) {
   // Algorithm 1's simultaneous price dynamics on the sufficient-budget
   // homogeneous game: each SP best-responds to the other's last price. The
   // scan must not settle (the simultaneous game lacks a pure NE here); it
-  // stops at an exact cycle, and the leader stage falls back to Theorem 4's
-  // sequential construction.
+  // stops at an exact cycle. Theorem 4's test rules the pure NE out in
+  // closed form, so the leader stage runs the sequential construction
+  // without the scan.
   NetworkParams params;
   params.reward = 100.0;
   params.fork_rate = 0.2;
@@ -289,7 +290,7 @@ TEST(HomogeneousStackelberg, SpPriceBestResponseCyclesAsDocumented) {
   const LeaderStageResult result =
       solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
   EXPECT_EQ(result.method, SpSolveMethod::kSequential);
-  EXPECT_EQ(result.rounds, scan.rounds + 1);
+  EXPECT_EQ(result.rounds, 1);
 }
 
 TEST(FullProfileStackelberg, HeterogeneousBudgetsSolve) {
