@@ -30,7 +30,6 @@
 #include "core/scenario.hpp"
 #include "core/sp.hpp"
 #include "support/error.hpp"
-#include "support/health.hpp"
 #include "support/json.hpp"
 #include "support/run_dir.hpp"
 #include "support/parallel.hpp"
@@ -309,26 +308,18 @@ int main(int argc, char** argv) {
   // Instrumented pass: deliberately separate from the timed runs above
   // (those stay sink-free so the tracked numbers measure the solver, not
   // the instrumentation). With --run-dir, one extra parallel solve with
-  // the sink attached writes the run bundle: telemetry, trace timeline,
-  // iteration log, health gauges and OpenMetrics snapshot.
+  // the sink attached writes the run bundle: telemetry, stage-level trace
+  // timeline and flight snapshots.
   if (const std::string run_dir_path = args.run_dir(); !run_dir_path.empty()) {
     support::Telemetry telemetry;
     telemetry.manifest = manifest;
     if (perf_sampler.live()) telemetry.trace.set_perf_sampler(&perf_sampler);
-    // The health watchdog rides the instrumented pass (observe-only: a
-    // bench gathers evidence, it should not abort or spam warnings).
-    support::health::HealthOptions health_options;
-    health_options.action = support::health::WatchdogAction::kObserve;
-    support::health::HealthMonitor health_monitor(telemetry, health_options);
     support::RunDir run_dir(run_dir_path, telemetry);
-    run_dir.set_event_drain(
-        [&health_monitor] { return health_monitor.drain_event_lines(); });
     core::SpSolveOptions options = base;
     options.context.threads = threads;
     options.context.telemetry = &telemetry;
     (void)core::solve_leader_stage_homogeneous(
         params, budget, n, core::EdgeMode::kConnected, options);
-    std::cout << "[health] " << health_monitor.incidents() << " incidents\n";
     run_dir.finish(std::cout);
   }
   std::cout << "threads=" << threads << "  parallel speedup "

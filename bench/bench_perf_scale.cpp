@@ -38,7 +38,6 @@
 #include "core/oracle.hpp"
 #include "core/scenario.hpp"
 #include "support/error.hpp"
-#include "support/health.hpp"
 #include "support/json.hpp"
 #include "support/run_dir.hpp"
 #include "support/parallel.hpp"
@@ -386,28 +385,18 @@ int main(int argc, char** argv) {
 
   // Instrumented pass, separate from the timed runs (those stay
   // sink-free): with --run-dir, one solve of the largest heterogeneous
-  // pool with the sink attached writes the run bundle with the
-  // oracle.aggregate.* spans and metrics.
+  // pool with the sink attached writes the run bundle, its bucketing and
+  // solve in one `followers` span, with the oracle.* metrics.
   if (const std::string run_dir_path = args.run_dir(); !run_dir_path.empty()) {
     support::Telemetry telemetry;
     telemetry.manifest = manifest;
     if (perf_sampler.live()) telemetry.trace.set_perf_sampler(&perf_sampler);
-    // Observe-only health watchdog on the instrumented pass: the bench
-    // gathers evidence without warnings or aborts.
-    support::health::HealthOptions health_options;
-    health_options.action = support::health::WatchdogAction::kObserve;
-    support::health::HealthMonitor health_monitor(telemetry, health_options);
     support::RunDir run_dir(run_dir_path, telemetry);
-    run_dir.set_event_drain(
-        [&health_monitor] { return health_monitor.drain_event_lines(); });
-    const std::vector<double> budgets =
-        class_budgets(n_list.back(), classes, budget);
     core::SolveContext context = audit_context;
     context.telemetry = &telemetry;
-    const auto oracle = core::make_follower_oracle(
-        params, budgets, core::EdgeMode::kConnected, context);
-    (void)oracle->solve(prices);
-    std::cout << "[health] " << health_monitor.incidents() << " incidents\n";
+    (void)core::solve_followers(params, prices,
+                                class_budgets(n_list.back(), classes, budget),
+                                core::EdgeMode::kConnected, context);
     run_dir.finish(std::cout);
   }
 

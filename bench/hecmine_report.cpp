@@ -1,25 +1,21 @@
 // hecmine_report: the reader of a run bundle (support::RunDir) and of each
 // file in it. Usage:
 //
-//   hecmine_report DIR [--fail-on-divergence] [--fail-on-drift] [--drift-z=Z]
+//   hecmine_report DIR [--fail-on-drift] [--drift-z=Z]
 //   hecmine_report prof TRACE.json [MORE.json ...]
-//   hecmine_report health ITERLOG.jsonl [--json=F] [--fail-on-divergence]
 //   hecmine_report campaign BLOCKLOG.jsonl [--json=F] [--fail-on-drift]
 //       [--drift-z=Z]
-//   hecmine_report lint METRICS.om [MORE.om ...]
 //
-// prof folds a hecmine.trace.v1 timeline into the hot-path table. health
-// replays a hecmine.iterlog.v1 stream through the live watchdog's
-// ConvergenceEstimator. campaign replays a hecmine.blocklog.v1 stream
-// through net::CampaignMonitor and judges drift with the monitor's own
-// rule (net::drift_test). lint checks OpenMetrics text structurally. DIR
-// runs every report whose input file is in the bundle.
+// prof folds a hecmine.trace.v1 timeline into the hot-path table. campaign
+// replays a hecmine.blocklog.v1 stream through net::CampaignMonitor and
+// judges drift with the monitor's own rule (net::drift_test). DIR runs
+// every report whose input file is in the bundle.
 //
 // Exit codes: 0 clean (an empty input file reports "nothing to report");
-// 1 lint findings; 2 unreadable or malformed input, a usage error, or, in
-// bundle mode, a gate whose input file the bundle lacks; 3 a gate
-// tripped. Bundle mode exits with the largest code of its reports.
-// `--help` prints usage and exits 0.
+// 2 unreadable or malformed input, a usage error, or, in bundle mode, a
+// gate whose input file the bundle lacks; 3 a gate tripped. Bundle mode
+// exits with the largest code of its reports. `--help` prints usage and
+// exits 0.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -28,8 +24,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -41,7 +35,6 @@
 #include "support/cli.hpp"
 #include "support/health.hpp"
 #include "support/json.hpp"
-#include "support/openmetrics.hpp"
 #include "support/prof_report.hpp"
 #include "support/run_dir.hpp"
 #include "support/table.hpp"
@@ -54,54 +47,41 @@ namespace health = support::health;
 using support::RunDir;
 
 void print_usage(std::ostream& os) {
-  os << "usage: hecmine_report DIR [--fail-on-divergence] [--fail-on-drift] "
-        "[--drift-z=Z]\n"
+  os << "usage: hecmine_report DIR [--fail-on-drift] [--drift-z=Z]\n"
         "       hecmine_report prof TRACE.json [MORE.json ...]\n"
-        "       hecmine_report health ITERLOG.jsonl [--json=F] "
-        "[--fail-on-divergence]\n"
         "       hecmine_report campaign BLOCKLOG.jsonl [--json=F] "
         "[--fail-on-drift] [--drift-z=Z]\n"
-        "       hecmine_report lint METRICS.om [MORE.om ...]\n"
         "  DIR       a --run-dir bundle: runs every report below whose input\n"
-        "            file is in it (trace.json, iterlog.jsonl, blocklog.jsonl,\n"
-        "            metrics.om); a gate whose file is missing exits 2.\n"
+        "            file is in it (trace.json, blocklog.jsonl); a gate whose\n"
+        "            file is missing exits 2.\n"
         "  prof      hot-path table: exclusive time and work per span name.\n"
-        "  health    per-loop solver health: contraction rate rho,\n"
-        "            predicted-vs-actual iterations, stall / oscillation /\n"
-        "            divergence incidents.\n"
         "  campaign  per-miner win rates against the sampler and the\n"
         "            reference equilibrium, with CLT drift scores.\n"
-        "  lint      structural OpenMetrics check, one finding per line.\n"
         "  --json=F              also write the report as JSON to F.\n"
-        "  --fail-on-divergence  exit 3 when any divergence was classified.\n"
         "  --fail-on-drift       exit 3 when a miner or the fork counter\n"
         "                        drifted from the model.\n"
         "  --drift-z=Z           drift threshold in standard deviations\n"
         "                        (default 4, as hecmine_cli --drift-z).\n"
-        "Exit codes: 0 clean, 1 lint findings, 2 unreadable or malformed\n"
-        "input or usage error, 3 a gate tripped.\n";
+        "Exit codes: 0 clean, 2 unreadable or malformed input or usage\n"
+        "error, 3 a gate tripped.\n";
 }
 
 constexpr int kClean = 0;
-constexpr int kFindings = 1;
 constexpr int kBadInput = 2;
 constexpr int kGateTripped = 3;
 
 /// Reads `path` whole and hands its text to `report`. Unreadable files and
 /// any error the report throws exit kBadInput with the file named; an
-/// empty file reports "nothing to report" unless `empty_is_input` (an
-/// empty OpenMetrics text is itself a finding).
+/// empty file reports "nothing to report".
 int with_file(const std::string& command, const std::string& path,
-              const std::function<int(const std::string&)>& report,
-              bool empty_is_input = false) {
+              const std::function<int(const std::string&)>& report) {
   try {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("cannot open file");
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const std::string text = std::move(buffer).str();
-    if (!empty_is_input &&
-        text.find_first_not_of(" \t\r\n") == std::string::npos) {
+    if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
       std::cout << "hecmine_report " << command << ": " << path
                 << ": empty file — nothing to report\n";
       return kClean;
@@ -138,181 +118,6 @@ int report_prof(const std::string& path, const std::string& text) {
     return kClean;
   }
   support::prof::print_report(std::cout, report);
-  return kClean;
-}
-
-// -------------------------------------------------------------- health
-
-/// One raw iterate parsed out of the log.
-struct LogRecord {
-  std::uint64_t solve = 0;
-  int iteration = 0;
-  double residual = 0.0;
-  double tolerance = 0.0;
-};
-
-/// Offline per-loop aggregate (superset of LoopHealthStats: the offline
-/// pass can afford to keep predicted-vs-actual sums).
-struct LoopReport {
-  std::uint64_t solves = 0;
-  std::uint64_t records = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t oscillations = 0;
-  std::uint64_t divergences = 0;
-  double rho_worst = 0.0;
-  std::uint64_t iterations_max = 0;
-  double iterations_sum = 0.0;
-  /// Sum over solves of the estimator's first post-warmup total-iteration
-  /// prediction (only solves where that prediction was finite).
-  double predicted_sum = 0.0;
-  double predicted_actual_sum = 0.0;  ///< actual iterations of those solves
-  std::uint64_t predicted_count = 0;
-
-  [[nodiscard]] double iterations_mean() const {
-    return solves == 0 ? 0.0 : iterations_sum / static_cast<double>(solves);
-  }
-  [[nodiscard]] double predicted_mean() const {
-    return predicted_count == 0
-               ? 0.0
-               : predicted_sum / static_cast<double>(predicted_count);
-  }
-  [[nodiscard]] double predicted_actual_mean() const {
-    return predicted_count == 0
-               ? 0.0
-               : predicted_actual_sum / static_cast<double>(predicted_count);
-  }
-};
-
-/// Replays every record, in iteration order per (solver, solve id),
-/// through the same ConvergenceEstimator the live watchdog runs, so this
-/// report and the health.* gauges of the producing run agree by
-/// construction.
-int report_health(const std::string& path, const std::string& text,
-                  const std::string& json_path, bool fail_on_divergence) {
-  const std::vector<json::Value> lines =
-      parse_stream(text, "hecmine.iterlog.v1");
-  // Group by (solver label, solve id); solve ids are globally unique, so
-  // the pair key only serves readable per-loop grouping.
-  std::map<std::string, std::map<std::uint64_t, std::vector<LogRecord>>>
-      solves;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const json::Value& line = lines[i];
-    if (!line.is_object() || !line.contains("solver"))
-      throw std::runtime_error("line " + std::to_string(i + 1) +
-                               ": not an iterlog record (no solver field)");
-    LogRecord record;
-    record.solve = static_cast<std::uint64_t>(line.number_or("solve", 0.0));
-    record.iteration = static_cast<int>(line.number_or("iteration", 0.0));
-    record.residual = line.number_or("residual", 0.0);
-    record.tolerance = line.number_or("tolerance", 0.0);
-    solves[line.at("solver").as_string()][record.solve].push_back(record);
-  }
-  if (solves.empty())
-    std::cout << "hecmine_report health: " << path
-              << ": header-only iteration log — nothing to analyze\n";
-
-  const health::HealthOptions options;
-  std::map<std::string, LoopReport> loops;
-  for (auto& [solver, per_solve] : solves) {
-    LoopReport& loop = loops[solver];
-    for (auto& [solve_id, records] : per_solve) {
-      std::stable_sort(records.begin(), records.end(),
-                       [](const LogRecord& a, const LogRecord& b) {
-                         return a.iteration < b.iteration;
-                       });
-      health::ConvergenceEstimator estimator(options);
-      double predicted_total = std::numeric_limits<double>::infinity();
-      for (const LogRecord& record : records) {
-        switch (estimator.update(record.residual, record.tolerance)) {
-          case health::LoopState::kStalled: loop.stalls += 1; break;
-          case health::LoopState::kOscillating: loop.oscillations += 1; break;
-          case health::LoopState::kDiverging: loop.divergences += 1; break;
-          case health::LoopState::kHealthy: break;
-        }
-        // First post-warmup finite prediction: remaining + spent so far.
-        if (!std::isfinite(predicted_total) &&
-            estimator.iterations() >= options.warmup &&
-            std::isfinite(estimator.predicted_iterations())) {
-          predicted_total = static_cast<double>(estimator.iterations()) +
-                            estimator.predicted_iterations();
-        }
-      }
-      loop.solves += 1;
-      loop.records += records.size();
-      loop.rho_worst = std::max(loop.rho_worst, estimator.rho_worst());
-      loop.iterations_max = std::max(
-          loop.iterations_max, static_cast<std::uint64_t>(records.size()));
-      loop.iterations_sum += static_cast<double>(records.size());
-      if (std::isfinite(predicted_total)) {
-        loop.predicted_sum += predicted_total;
-        loop.predicted_actual_sum += static_cast<double>(records.size());
-        loop.predicted_count += 1;
-      }
-    }
-  }
-
-  std::uint64_t total_divergences = 0;
-  if (!loops.empty()) {
-    support::print_section(std::cout,
-                           "hecmine_report health: per-loop report");
-    support::Table table("loop", {"solves", "iters", "iters_mean",
-                                  "iters_max", "rho_worst", "pred_iters",
-                                  "actual_iters", "stall", "oscil", "diverg"});
-    for (const auto& [solver, loop] : loops) {
-      total_divergences += loop.divergences;
-      table.add_row(solver,
-                    {static_cast<double>(loop.solves),
-                     static_cast<double>(loop.records),
-                     loop.iterations_mean(),
-                     static_cast<double>(loop.iterations_max), loop.rho_worst,
-                     loop.predicted_mean(), loop.predicted_actual_mean(),
-                     static_cast<double>(loop.stalls),
-                     static_cast<double>(loop.oscillations),
-                     static_cast<double>(loop.divergences)});
-    }
-    table.print(std::cout, 3);
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out)
-      throw std::runtime_error("cannot open --json output: " + json_path);
-    json::Writer writer(out);
-    writer.begin_object(json::Writer::kBlock);
-    writer.member("schema", "hecmine.health.v1");
-    writer.member("kind", "report");
-    writer.member("source", path);
-    writer.key("loops");
-    writer.begin_array(json::Writer::kBlock);
-    for (const auto& [solver, loop] : loops) {
-      writer.begin_object();
-      writer.member("solver", solver);
-      writer.member("solves", loop.solves);
-      writer.member("records", loop.records);
-      writer.member("iterations_mean", loop.iterations_mean());
-      writer.member("iterations_max", loop.iterations_max);
-      writer.member("rho_worst", loop.rho_worst);
-      writer.member("predicted_iterations_mean", loop.predicted_mean());
-      writer.member("predicted_actual_iterations_mean",
-                    loop.predicted_actual_mean());
-      writer.member("predicted_solves", loop.predicted_count);
-      writer.member("stalls", loop.stalls);
-      writer.member("oscillations", loop.oscillations);
-      writer.member("divergences", loop.divergences);
-      writer.end_object();
-    }
-    writer.end_array();
-    writer.end_object();
-    writer.finish();
-    std::cout << "[health-report] " << json_path << "\n";
-  }
-
-  if (fail_on_divergence && total_divergences > 0) {
-    std::cerr << "hecmine_report health: " << total_divergences
-              << " divergence incident(s) classified (--fail-on-divergence)"
-              << "\n";
-    return kGateTripped;
-  }
   return kClean;
 }
 
@@ -585,17 +390,6 @@ int report_campaign(const std::string& path, const std::string& text,
   return kClean;
 }
 
-// ---------------------------------------------------------------- lint
-
-int report_lint(const std::string& path, const std::string& text) {
-  const std::vector<std::string> findings = support::lint_openmetrics(text);
-  for (const std::string& finding : findings)
-    std::cout << path << ": " << finding << "\n";
-  if (!findings.empty()) return kFindings;
-  std::cout << "hecmine_report lint: " << path << ": OK\n";
-  return kClean;
-}
-
 // -------------------------------------------------------- command line
 
 /// Runs `report` over each path, with a "== path ==" header when there are
@@ -603,23 +397,21 @@ int report_lint(const std::string& path, const std::string& text) {
 int over_files(const std::string& command,
                const std::vector<std::string>& paths,
                const std::function<int(const std::string&,
-                                       const std::string&)>& report,
-               bool empty_is_input = false) {
+                                       const std::string&)>& report) {
   int status = kClean;
   for (const std::string& path : paths) {
     if (paths.size() > 1) std::cout << "== " << path << " ==\n";
     const int code = with_file(
         command, path,
-        [&](const std::string& text) { return report(path, text); },
-        empty_is_input);
+        [&](const std::string& text) { return report(path, text); });
     if (code == kBadInput) return code;
     status = std::max(status, code);
   }
   return status;
 }
 
-int report_bundle(const std::string& dir, bool fail_on_divergence,
-                  bool fail_on_drift, double drift_z) {
+int report_bundle(const std::string& dir, bool fail_on_drift,
+                  double drift_z) {
   const auto file = [&](const char* name) {
     return (std::filesystem::path(dir) / name).string();
   };
@@ -639,19 +431,10 @@ int report_bundle(const std::string& dir, bool fail_on_divergence,
               << name << ", which the bundle lacks\n";
     status = std::max(status, kBadInput);
   };
-  require(fail_on_divergence, RunDir::kIterlog, "--fail-on-divergence");
   require(fail_on_drift, RunDir::kBlockLog, "--fail-on-drift");
   if (present(RunDir::kTrace))
     status = std::max(status, over_files("prof", {file(RunDir::kTrace)},
                                          report_prof));
-  if (present(RunDir::kIterlog)) {
-    status = std::max(
-        status, with_file("health", file(RunDir::kIterlog),
-                          [&](const std::string& text) {
-                            return report_health(file(RunDir::kIterlog), text,
-                                                 {}, fail_on_divergence);
-                          }));
-  }
   if (present(RunDir::kBlockLog)) {
     status = std::max(
         status, with_file("campaign", file(RunDir::kBlockLog),
@@ -661,9 +444,6 @@ int report_bundle(const std::string& dir, bool fail_on_divergence,
                                                    drift_z);
                           }));
   }
-  if (present(RunDir::kMetrics))
-    status = std::max(status, over_files("lint", {file(RunDir::kMetrics)},
-                                         report_lint, true));
   return status;
 }
 
@@ -677,7 +457,6 @@ int run(const support::CliArgs& args) {
   const std::vector<std::string> inputs(positional.begin() + 1,
                                         positional.end());
   const std::string json_path = args.get("json", std::string{});
-  const bool fail_on_divergence = args.has("fail-on-divergence");
   const bool fail_on_drift = args.has("fail-on-drift");
   const double drift_z = args.positive_double("drift-z", 4.0);
 
@@ -687,15 +466,6 @@ int run(const support::CliArgs& args) {
   std::function<int()> report;
   if (command == "prof" && !inputs.empty()) {
     report = [&] { return over_files("prof", inputs, report_prof); };
-  } else if (command == "lint" && !inputs.empty()) {
-    report = [&] { return over_files("lint", inputs, report_lint, true); };
-  } else if (command == "health" && inputs.size() == 1) {
-    allowed = {"json", "fail-on-divergence"};
-    report = [&] {
-      return with_file("health", inputs[0], [&](const std::string& text) {
-        return report_health(inputs[0], text, json_path, fail_on_divergence);
-      });
-    };
   } else if (command == "campaign" && inputs.size() == 1) {
     allowed = {"json", "fail-on-drift", "drift-z"};
     report = [&] {
@@ -706,11 +476,8 @@ int run(const support::CliArgs& args) {
     };
   } else if (positional.size() == 1 &&
              std::filesystem::is_directory(command)) {
-    allowed = {"fail-on-divergence", "fail-on-drift", "drift-z"};
-    report = [&] {
-      return report_bundle(command, fail_on_divergence, fail_on_drift,
-                           drift_z);
-    };
+    allowed = {"fail-on-drift", "drift-z"};
+    report = [&] { return report_bundle(command, fail_on_drift, drift_z); };
   }
   if (args.reject_unknown_flags(allowed, "hecmine_report") || !report) {
     print_usage(std::cerr);

@@ -291,13 +291,13 @@ int cmd_version() {
 }
 
 /// The flags `command` reads besides the ones every command reads
-/// (--threads, --log-level, --run-dir, --health).
+/// (--threads, --log-level, --run-dir).
 std::vector<std::string> command_flags(const std::string& command) {
   if (command == "solve") return {"audit", "audit-tol"};
   if (command == "simulate") return {"rounds"};
   if (command == "campaign")
     return {"blocks", "campaign-seed", "misprice-edge", "drift-z",
-            "block-log-stride"};
+            "block-log-stride", "health"};
   return {};
 }
 
@@ -308,7 +308,7 @@ int usage() {
       "[--rounds=N] [--blocks=N] [--threads=N] [--log-level=L]\n"
       "                   [--run-dir=DIR] [--block-log-stride=N]\n"
       "                   [--drift-z=Z] [--misprice-edge=F]\n"
-      "                   [--health=off|observe|warn|abort]\n"
+      "                   [--health=observe|warn|abort]\n"
       "                   [--audit] [--audit-tol=T]\n"
       "       hecmine_cli --version\n"
       "  A flag the command does not read is an error (exit 2).\n"
@@ -322,17 +322,18 @@ int usage() {
       "                       fallback when the flag is absent.\n"
       "  --run-dir=DIR        write the run bundle to DIR: manifest.json,\n"
       "                       telemetry.json, trace.json (Perfetto),\n"
-      "                       iterlog.jsonl (per-iteration solver records),\n"
       "                       flight.jsonl (live snapshots every 500 ms),\n"
-      "                       metrics.om (OpenMetrics) and, for the\n"
-      "                       campaign command, blocklog.jsonl (one record\n"
-      "                       per simulated block); HECMINE_RUN_DIR is the\n"
+      "                       iterlog.jsonl (per-iteration records, only\n"
+      "                       when a solver loop such as the leader price\n"
+      "                       scan writes one) and, for the campaign\n"
+      "                       command, blocklog.jsonl (one record per\n"
+      "                       simulated block); HECMINE_RUN_DIR is the\n"
       "                       fallback. Read it with hecmine_report DIR.\n"
-      "  --health=A           solver health watchdog policy when a telemetry\n"
-      "                       sink is attached: off, observe (gauges/events\n"
-      "                       only), warn (default; log each incident), or\n"
-      "                       abort (throw a typed error on divergence);\n"
-      "                       HECMINE_HEALTH is the fallback.\n"
+      "  --health=A           campaign drift watchdog policy (campaign\n"
+      "                       command): observe (gauges/events only), warn\n"
+      "                       (default; log each incident), or abort (exit\n"
+      "                       5 at the first incident); HECMINE_HEALTH is\n"
+      "                       the fallback.\n"
       "  --block-log-stride=N log every N-th block to blocklog.jsonl\n"
       "                       (default 1).\n"
       "  --drift-z=Z          campaign drift threshold in standard\n"
@@ -370,14 +371,12 @@ int main(int argc, char** argv) {
   const std::string command = args.positional()[0];
   const std::string path = args.positional()[1];
   std::vector<std::string> accepted = command_flags(command);
-  accepted.insert(accepted.end(),
-                  {"threads", "log-level", "run-dir", "health"});
+  accepted.insert(accepted.end(), {"threads", "log-level", "run-dir"});
   if (args.reject_unknown_flags(accepted, "hecmine_cli")) return 2;
   try {
     args.apply_log_level();
     const core::Scenario scenario = core::load_scenario(path);
     const std::string run_dir_path = args.run_dir();
-    const std::string health_policy = args.health();
     const bool audit = args.has("audit");
     const double audit_tol = args.get("audit-tol", 1e-6);
     support::Telemetry telemetry;
@@ -392,46 +391,28 @@ int main(int argc, char** argv) {
     telemetry.manifest = support::provenance::collect(
         support::resolve_thread_count(context.threads), context.rng_root,
         argc, argv);
-    // Health monitoring is on by default whenever a sink is attached
-    // (--health=off disables it). The monitors are declared before the run
-    // bundle so its flight recorder — whose event drain reads them — is
-    // destroyed first on every path, including typed-error unwinds.
-    std::optional<support::health::HealthMonitor> health_monitor;
-    if (context.telemetry != nullptr && health_policy != "off") {
-      support::health::HealthOptions health_options;
-      health_options.action =
-          support::health::parse_watchdog_action(health_policy);
-      health_monitor.emplace(telemetry, health_options);
-    }
     // The campaign command always carries its statistics monitor: the
-    // campaign.* gauges and the equilibrium drift watchdog. --health=off
-    // demotes the watchdog to observe (gauges and retained events only);
-    // any other policy escalates drift incidents exactly like solver
-    // divergence, so --health=abort exits 5 on a mis-converged campaign.
+    // campaign.* gauges and the equilibrium drift watchdog, escalated per
+    // --health, so --health=abort exits 5 on a mis-converged campaign. The
+    // monitor is declared before the run bundle, so the bundle's flight
+    // recorder, whose event drain reads the monitor, is destroyed first on
+    // every path, including typed-error unwinds.
     std::optional<net::CampaignMonitor> campaign_monitor;
     if (command == "campaign") {
       net::CampaignMonitorOptions monitor_options;
       monitor_options.drift_z = args.positive_double("drift-z", 4.0);
       monitor_options.action =
-          health_policy == "off"
-              ? support::health::WatchdogAction::kObserve
-              : support::health::parse_watchdog_action(health_policy);
+          support::health::parse_watchdog_action(args.health());
       campaign_monitor.emplace(telemetry, monitor_options);
     }
     std::optional<support::RunDir> run_dir;
     std::optional<chain::BlockLogWriter> block_log;
     if (!run_dir_path.empty()) {
       run_dir.emplace(run_dir_path, telemetry);
-      run_dir->set_event_drain([&health_monitor, &campaign_monitor] {
-        std::vector<std::string> lines;
-        if (health_monitor) lines = health_monitor->drain_event_lines();
-        if (campaign_monitor) {
-          auto extra = campaign_monitor->drain_event_lines();
-          for (auto& line : extra) lines.push_back(std::move(line));
-        }
-        return lines;
-      });
       if (command == "campaign") {
+        run_dir->set_event_drain([&monitor = *campaign_monitor] {
+          return monitor.drain_event_lines();
+        });
         chain::BlockLogWriter::Options log_options;
         log_options.stride =
             static_cast<std::size_t>(args.positive_int("block-log-stride", 1));
@@ -461,20 +442,6 @@ int main(int argc, char** argv) {
       return usage();
     }
 
-    if (health_monitor) {
-      std::uint64_t stalls = 0, oscillations = 0, divergences = 0;
-      for (const auto& [label, stats] : health_monitor->loop_stats()) {
-        stalls += stats.stalls;
-        oscillations += stats.oscillations;
-        divergences += stats.divergences;
-      }
-      std::printf("[health] %llu incidents (%llu stalls, %llu oscillations, "
-                  "%llu divergences)\n",
-                  static_cast<unsigned long long>(health_monitor->incidents()),
-                  static_cast<unsigned long long>(stalls),
-                  static_cast<unsigned long long>(oscillations),
-                  static_cast<unsigned long long>(divergences));
-    }
     if (run_dir) run_dir->finish(std::cout);
     return status;
   } catch (const support::health::SolverHealthError& error) {

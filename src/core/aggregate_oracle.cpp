@@ -9,7 +9,7 @@
 
 #include "core/kernels.hpp"
 #include "support/error.hpp"
-#include "support/telemetry.hpp"
+#include "support/prof.hpp"
 
 namespace hecmine::core {
 
@@ -365,15 +365,6 @@ FollowerOracle::FollowerOracle(NetworkParams params, double budget, int n,
                      mode, context) {}
 
 EquilibriumProfile FollowerOracle::solve_classes(const Prices& prices) const {
-  support::Telemetry* telemetry = support::current_telemetry();
-  const support::SolveTrace::Scope span(
-      telemetry != nullptr ? &telemetry->trace : nullptr,
-      "oracle.aggregate.solve");
-  if (telemetry != nullptr) {
-    telemetry->metrics.gauge("oracle.aggregate.classes")
-        .set(static_cast<double>(class_count()));
-    telemetry->metrics.counter("oracle.aggregate.solves").add();
-  }
   const bool connected = mode_ == EdgeMode::kConnected;
   const KernelEnv env = make_kernel_env(
       params_, prices, connected ? params_.edge_success : 1.0, 0.0);

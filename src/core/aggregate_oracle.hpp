@@ -41,8 +41,8 @@
 // class's request matches best_response_kernel's reply to the rest, each
 // to a stated relative bound. The largest class residual is the profile's
 // `residual`. The oracle's instrumentation (oracle.cpp) wraps the solve;
-// the solver itself records work counters and the `oracle.aggregate.*`
-// instruments into whatever sink is installed on its thread.
+// the solver itself records only work counters, into whatever sink is
+// installed on its thread.
 #pragma once
 
 #include <cstdint>

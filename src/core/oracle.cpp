@@ -1,5 +1,7 @@
 #include "core/oracle.hpp"
 
+#include <optional>
+
 #include "core/equilibrium.hpp"
 #include "support/error.hpp"
 #include "support/telemetry.hpp"
@@ -14,6 +16,12 @@ std::size_t entry_of(const EquilibriumProfile& profile, std::size_t i) {
                   "EquilibriumProfile: miner index out of range");
   if (profile.classes == nullptr) return i;
   return profile.classes->of.empty() ? 0 : profile.classes->of[i];
+}
+
+/// The trace of a one-shot follower stage's `followers` span (null, so the
+/// span records nothing, without a sink).
+support::SolveTrace* followers_trace(const SolveContext& context) {
+  return context.telemetry == nullptr ? nullptr : &context.telemetry->trace;
 }
 
 }  // namespace
@@ -41,24 +49,22 @@ void FollowerOracle::instrument(support::Telemetry* telemetry) {
   telemetry_ = telemetry;
   solves_ = &telemetry->metrics.counter("oracle.solves");
   nonconverged_ = &telemetry->metrics.counter("oracle.nonconverged");
-  solve_ms_ = &telemetry->metrics.histogram(
-      "oracle.solve_ms", support::geometric_edges(0.001, 2.0, 24));
-  iterations_ = &telemetry->metrics.histogram(
-      "oracle.iterations", support::geometric_edges(1.0, 2.0, 16));
+  residual_max_ = &telemetry->metrics.gauge("oracle.residual_max");
+  telemetry->metrics.gauge("oracle.aggregate.classes")
+      .set(static_cast<double>(class_count()));
 }
 
 EquilibriumProfile FollowerOracle::solve(const Prices& prices) const {
   if (telemetry_ == nullptr) return solve_classes(prices);
-  // The scope makes the sink visible to the class solver on this thread
-  // for exactly the duration of the solve.
-  const support::TelemetryScope scope(telemetry_);
-  const support::SolveTrace::Scope span(&telemetry_->trace, "oracle.solve");
-  support::ScopedTimer timer(solve_ms_);
-  const EquilibriumProfile profile = solve_classes(prices);
-  const support::ConvergenceReport report = profile.report();
+  // The class solver's work counters land in the thread's current sink.
+  // The leader stage and the pool's tasks install this sink once for all
+  // their solves; only a solve called outside them installs it here.
+  std::optional<support::TelemetryScope> scope;
+  if (support::current_telemetry() != telemetry_) scope.emplace(telemetry_);
+  EquilibriumProfile profile = solve_classes(prices);
   solves_->add();
-  if (!report.converged) nonconverged_->add();
-  iterations_->observe(static_cast<double>(report.iterations));
+  if (!profile.converged) nonconverged_->add();
+  residual_max_->raise_to(profile.residual);
   return profile;
 }
 
@@ -72,6 +78,7 @@ EquilibriumProfile solve_followers(const NetworkParams& params,
                                    const Prices& prices,
                                    const std::vector<double>& budgets,
                                    EdgeMode mode, const SolveContext& context) {
+  const support::SolveTrace::Scope span(followers_trace(context), "followers");
   return FollowerOracle(params, budgets, mode, context).solve(prices);
 }
 
@@ -80,6 +87,7 @@ EquilibriumProfile solve_followers_symmetric(const NetworkParams& params,
                                              double budget, int n,
                                              EdgeMode mode,
                                              const SolveContext& context) {
+  const support::SolveTrace::Scope span(followers_trace(context), "followers");
   return FollowerOracle(params, budget, n, mode, context).solve(prices);
 }
 

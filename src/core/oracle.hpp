@@ -11,9 +11,10 @@
 // drawn from K distinct budgets is solved over K budget classes, which
 // covers the homogeneous game (K = 1, Thm 3 / Cor 1 / Table II), the dense
 // game (K = N) and everything in between, in both edge modes. When the
-// SolveContext carries a telemetry sink the oracle instruments its own
-// solves (see FollowerOracle::solve); without one it reads no clock and
-// resolves no instrument. The extragradient VI solver
+// SolveContext carries a telemetry sink the oracle counts its own solves
+// (see FollowerOracle::solve); it opens no span and reads no clock, since a
+// solve costs well under a microsecond: spans belong to the stages that
+// call it. The extragradient VI solver
 // (core/equilibrium.hpp) is the independent numeric reference.
 #pragma once
 
@@ -30,7 +31,7 @@
 
 namespace hecmine::support {
 class Counter;
-class HistogramMetric;
+class Gauge;
 class Telemetry;
 }  // namespace hecmine::support
 
@@ -116,11 +117,11 @@ class FollowerOracle final {
                  const SolveContext& context = {});
 
   /// Equilibrium of the pool at `prices`. With a telemetry sink the solve
-  /// runs with the sink installed as the thread's telemetry
-  /// (support::TelemetryScope) — on whichever pool worker runs it, so the
-  /// class solver's work counters and probe records land in the sink —
-  /// inside an `oracle.solve` span, and records `oracle.solves`,
-  /// `oracle.nonconverged`, `oracle.solve_ms` and `oracle.iterations`.
+  /// runs with the sink as the thread's telemetry (support::TelemetryScope,
+  /// installed unless the thread's current sink already is this one) — on
+  /// whichever pool worker runs it, so the class solver's work counters
+  /// land in the sink — counts `oracle.solves` and `oracle.nonconverged`,
+  /// and raises `oracle.residual_max` to the solve's residual.
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const;
 
   /// Number of followers in the pool (n).
@@ -149,7 +150,8 @@ class FollowerOracle final {
   }
 
  private:
-  /// Resolves the instruments when `telemetry` is set (both constructors).
+  /// Resolves the instruments and sets `oracle.aggregate.classes` when
+  /// `telemetry` is set (every constructor).
   void instrument(support::Telemetry* telemetry);
 
   /// The class solve itself, without instrumentation.
@@ -197,8 +199,7 @@ class FollowerOracle final {
   support::Telemetry* telemetry_ = nullptr;
   support::Counter* solves_ = nullptr;
   support::Counter* nonconverged_ = nullptr;
-  support::HistogramMetric* solve_ms_ = nullptr;
-  support::HistogramMetric* iterations_ = nullptr;
+  support::Gauge* residual_max_ = nullptr;
 };
 
 /// Builds the oracle for a follower game over `budgets` in `mode`
@@ -208,14 +209,16 @@ class FollowerOracle final {
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SolveContext& context = {});
 
-/// One-shot: equilibrium at `prices` of the pool over `budgets`.
+/// One-shot: equilibrium at `prices` of the pool over `budgets`. With a
+/// telemetry sink the stage (bucketing, share solve and solve) is one
+/// `followers` span.
 [[nodiscard]] EquilibriumProfile solve_followers(
     const NetworkParams& params, const Prices& prices,
     const std::vector<double>& budgets, EdgeMode mode,
     const SolveContext& context = {});
 
 /// One-shot homogeneous solve: n identical miners of budget B (one class,
-/// no budget vector built).
+/// no budget vector built), in a `followers` span like solve_followers.
 [[nodiscard]] EquilibriumProfile solve_followers_symmetric(
     const NetworkParams& params, const Prices& prices, double budget, int n,
     EdgeMode mode, const SolveContext& context = {});

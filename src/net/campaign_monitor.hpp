@@ -20,8 +20,8 @@
 //   * campaign.* gauges — difficulty, EWMA orphan rate (observed and
 //     model), drift-z maxima, decentralization (HHI / effective miners /
 //     Nakamoto at finalize), queue depth/throughput, sim time — exported
-//     through the shared Telemetry sink into OpenMetrics snapshots and
-//     the flight recorder. Every gauge except campaign.sim_wall_ratio is
+//     through the shared Telemetry sink into telemetry.json and the
+//     flight recorder. Every gauge except campaign.sim_wall_ratio is
 //     a pure function of the observed record stream, hence bitwise
 //     invariant to the solver thread count.
 //   * Perfetto campaign tracks: per-block spans plus difficulty / orphan
@@ -164,7 +164,7 @@ class CampaignMonitor {
   /// Retained incident events, oldest first (bounded by max_events).
   [[nodiscard]] std::vector<support::health::HealthEvent> events() const;
   /// Moves out pending hecmine.health.v1 lines — wire into
-  /// TelemetryFlusher::set_event_drain alongside the HealthMonitor drain.
+  /// TelemetryFlusher::set_event_drain (RunDir::set_event_drain).
   [[nodiscard]] std::vector<std::string> drain_event_lines();
 
   [[nodiscard]] const CampaignMonitorOptions& options() const noexcept {

@@ -90,8 +90,8 @@ VIResult solve_extragradient(const VariationalInequality& problem,
   result.point = problem.project(std::move(start));
   double tau = options.initial_step;
   std::uint64_t backtracks = 0;
-  // Timeline span for the whole inner loop (nested under the oracle.solve
-  // span on whichever thread runs this solve); null sink records nothing.
+  // Timeline span for the whole inner loop, on whichever thread runs this
+  // solve; null sink records nothing.
   support::Telemetry* span_sink = support::current_telemetry();
   const support::SolveTrace::Scope span(
       span_sink != nullptr ? &span_sink->trace : nullptr, "vi.extragradient");

@@ -108,9 +108,8 @@ double CliArgs::positive_double(const std::string& name,
 
 std::string CliArgs::health() const {
   const std::string value = flag_or_env("health", "HECMINE_HEALTH", "warn");
-  HECMINE_REQUIRE(value == "off" || value == "observe" || value == "warn" ||
-                      value == "abort",
-                  "--health/HECMINE_HEALTH must be off|observe|warn|abort, "
+  HECMINE_REQUIRE(value == "observe" || value == "warn" || value == "abort",
+                  "--health/HECMINE_HEALTH must be observe|warn|abort, "
                   "got: " + value);
   return value;
 }

@@ -32,7 +32,7 @@ class CliArgs {
   /// support::RunDir) with the HECMINE_RUN_DIR environment variable as the
   /// fallback; empty = no bundle.
   [[nodiscard]] std::string run_dir() const;
-  /// `--health` flag (off|observe|warn|abort — the solver health watchdog
+  /// `--health` flag (observe|warn|abort — the campaign drift watchdog
   /// policy, see support::health) with the HECMINE_HEALTH environment
   /// variable as the fallback; defaults to "warn".
   [[nodiscard]] std::string health() const;

@@ -1,13 +1,9 @@
 #include "support/health.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
 #include "support/json.hpp"
-#include "support/log.hpp"
 
 namespace hecmine::support::health {
 
@@ -63,180 +59,6 @@ SolverHealthError::SolverHealthError(std::string solver, std::uint64_t solve,
       rho_(rho),
       residual_(residual) {}
 
-ConvergenceEstimator::ConvergenceEstimator(const HealthOptions& options)
-    : options_(options) {
-  HECMINE_REQUIRE(options_.window >= 4,
-                  "ConvergenceEstimator requires window >= 4");
-  HECMINE_REQUIRE(options_.warmup >= 2,
-                  "ConvergenceEstimator requires warmup >= 2");
-  HECMINE_REQUIRE(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0,
-                  "ConvergenceEstimator requires 0 < ewma_alpha <= 1");
-  HECMINE_REQUIRE(options_.divergence_rho > 1.0,
-                  "ConvergenceEstimator requires divergence_rho > 1");
-  HECMINE_REQUIRE(options_.divergence_patience >= 1,
-                  "ConvergenceEstimator requires divergence_patience >= 1");
-  tolerance_ = options_.fallback_tolerance;
-}
-
-LoopState ConvergenceEstimator::update(double residual, double tolerance) {
-  if (!std::isfinite(residual)) {
-    // A NaN/inf residual is divergence by definition: no classifier math
-    // will recover it, flag immediately (once).
-    ++iterations_;
-    last_residual_ = residual;
-    if (!fired_divergence_) {
-      fired_divergence_ = true;
-      worst_ = LoopState::kDiverging;
-      return LoopState::kDiverging;
-    }
-    return LoopState::kHealthy;
-  }
-  if (tolerance > 0.0) tolerance_ = tolerance;
-
-  // Ratio of consecutive residuals feeds the EWMA contraction estimate.
-  // A transition *out of* an exact zero carries no contraction
-  // information — bracketing loops (the GNEP surcharge bisection) report
-  // residual 0 at every feasible probe point and a positive violation at
-  // the next infeasible one — so it skips the EWMA rather than poisoning
-  // the estimate with the ratio cap. A transition *into* zero is perfect
-  // contraction and is kept (ratio 0).
-  if (iterations_ >= 1 && last_residual_ > 0.0) {
-    const double ratio =
-        std::min(residual / last_residual_, options_.ratio_cap);
-    if (!ewma_seeded_) {
-      ewma_ = ratio;
-      ewma_seeded_ = true;
-    } else {
-      ewma_ = options_.ewma_alpha * ratio +
-              (1.0 - options_.ewma_alpha) * ewma_;
-    }
-  }
-  if (iterations_ >= 1) {
-    const int sign = residual > last_residual_ ? 1
-                     : residual < last_residual_ ? -1
-                                                 : 0;
-    delta_signs_.push_back(sign);
-    if (delta_signs_.size() > static_cast<std::size_t>(options_.window - 1))
-      delta_signs_.pop_front();
-  }
-  ++iterations_;
-  last_residual_ = residual;
-  window_.push_back(residual);
-  if (window_.size() > static_cast<std::size_t>(options_.window))
-    window_.pop_front();
-
-  const bool warmed = iterations_ >= options_.warmup;
-  if (warmed && ewma_seeded_) rho_worst_ = std::max(rho_worst_, ewma_);
-
-  // Divergence needs growth, not just rho > 1: a bounded limit cycle keeps
-  // its EWMA above the threshold (capped up-leg ratios) without ever
-  // exceeding the residuals it has already visited, so the sustained-rho
-  // path additionally requires the current residual to set a fresh high
-  // for the run.
-  bool fresh_high = false;
-  if (ewma_seeded_ && ewma_ > options_.divergence_rho) {
-    ++above_rho_run_;
-    fresh_high = residual > above_rho_peak_;
-    if (fresh_high) above_rho_peak_ = residual;
-  } else {
-    above_rho_run_ = 0;
-    above_rho_peak_ = 0.0;
-  }
-
-  // Classifiers: only past warmup and only while the loop has not reached
-  // its own tolerance (residuals jittering below tolerance are noise the
-  // loop is about to exit on, not pathology). Precedence: divergence >
-  // oscillation > stall.
-  if (!warmed || residual <= tolerance_) return LoopState::kHealthy;
-
-  if (!fired_divergence_) {
-    const bool sustained_growth =
-        above_rho_run_ >= options_.divergence_patience && fresh_high;
-    const bool window_blowup =
-        window_full() && window_min() > 0.0 &&
-        residual >= options_.divergence_growth * window_min() &&
-        residual >= window_.front();
-    if (sustained_growth || window_blowup) {
-      fired_divergence_ = true;
-      worst_ = LoopState::kDiverging;
-      return LoopState::kDiverging;
-    }
-  }
-
-  if (!fired_oscillation_ && window_full() &&
-      delta_signs_.size() >= static_cast<std::size_t>(options_.window - 1)) {
-    int flips = 0;
-    for (std::size_t i = 1; i < delta_signs_.size(); ++i)
-      if (delta_signs_[i] != 0 && delta_signs_[i] == -delta_signs_[i - 1])
-        ++flips;
-    const double fraction = static_cast<double>(flips) /
-                            static_cast<double>(delta_signs_.size() - 1);
-    // Limit-cycle path: the window repeats with some period p. Requires
-    // genuine variation across the window (a flat band is the stall case).
-    bool recurrent = false;
-    if (window_max() - window_min() > options_.plateau_band * window_max()) {
-      for (int period = 2; period <= options_.window / 2 && !recurrent;
-           ++period) {
-        bool match = true;
-        for (std::size_t i = static_cast<std::size_t>(period);
-             i < window_.size() && match; ++i) {
-          const double a = window_[i];
-          const double b = window_[i - static_cast<std::size_t>(period)];
-          match = std::abs(a - b) <=
-                  options_.recurrence_rel_tol *
-                      std::max(std::abs(a), std::abs(b));
-        }
-        recurrent = match;
-      }
-    }
-    if ((fraction >= options_.oscillation_fraction &&
-         ewma_ >= options_.oscillation_rho) ||
-        recurrent) {
-      fired_oscillation_ = true;
-      if (worst_ == LoopState::kHealthy || worst_ == LoopState::kStalled)
-        worst_ = LoopState::kOscillating;
-      return LoopState::kOscillating;
-    }
-  }
-
-  if (!fired_stall_ && window_full()) {
-    const double lo = window_min();
-    const double hi = window_max();
-    if (hi > 0.0 && lo > tolerance_ &&
-        (hi - lo) <= options_.plateau_band * hi) {
-      fired_stall_ = true;
-      if (worst_ == LoopState::kHealthy) worst_ = LoopState::kStalled;
-      return LoopState::kStalled;
-    }
-  }
-
-  return LoopState::kHealthy;
-}
-
-double ConvergenceEstimator::predicted_iterations() const {
-  if (last_residual_ <= tolerance_) return 0.0;
-  if (!ewma_seeded_ || ewma_ >= 1.0 || ewma_ <= 0.0)
-    return std::numeric_limits<double>::infinity();
-  return std::ceil(std::log(tolerance_ / last_residual_) / std::log(ewma_));
-}
-
-double ConvergenceEstimator::window_min() const noexcept {
-  if (window_.empty()) return 0.0;
-  return *std::min_element(window_.begin(), window_.end());
-}
-
-double ConvergenceEstimator::window_max() const noexcept {
-  if (window_.empty()) return 0.0;
-  return *std::max_element(window_.begin(), window_.end());
-}
-
-double ConvergenceEstimator::window_mean() const noexcept {
-  if (window_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double r : window_) sum += r;
-  return sum / static_cast<double>(window_.size());
-}
-
 std::string event_json(const HealthEvent& event,
                        const provenance::RunManifest* manifest) {
   std::ostringstream os;
@@ -263,161 +85,6 @@ std::string event_json(const HealthEvent& event,
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
     line.pop_back();
   return line;
-}
-
-HealthMonitor::HealthMonitor(Telemetry& sink, HealthOptions options)
-    : sink_(sink),
-      options_(options),
-      incidents_gauge_(sink.metrics.gauge("health.incidents")) {
-  HECMINE_REQUIRE(options_.max_active_solves >= 1,
-                  "HealthMonitor requires max_active_solves >= 1");
-  sink_.probe.set_observer(this);
-}
-
-HealthMonitor::~HealthMonitor() {
-  if (sink_.probe.observer() == this) sink_.probe.set_observer(nullptr);
-}
-
-HealthMonitor::LoopSlot& HealthMonitor::loop_slot(const std::string& solver) {
-  // Caller holds mutex_.
-  auto it = loops_.find(solver);
-  if (it != loops_.end()) return it->second;
-  LoopSlot slot;
-  const std::string prefix = "health." + solver + ".";
-  slot.solves = &sink_.metrics.gauge(prefix + "solves");
-  slot.records = &sink_.metrics.gauge(prefix + "records");
-  slot.stalls = &sink_.metrics.gauge(prefix + "stalls");
-  slot.oscillations = &sink_.metrics.gauge(prefix + "oscillations");
-  slot.divergences = &sink_.metrics.gauge(prefix + "divergences");
-  slot.rho_worst = &sink_.metrics.gauge(prefix + "rho_worst");
-  slot.predicted_max = &sink_.metrics.gauge(prefix + "predicted_iters_max");
-  return loops_.emplace(solver, std::move(slot)).first->second;
-}
-
-void HealthMonitor::raise(const IterationProbe::Record& record,
-                          const SolveSlot& slot, LoopState classification) {
-  // Caller holds mutex_.
-  const ConvergenceEstimator& est = slot.estimator;
-  HealthEvent event;
-  event.solver = record.solver;
-  event.solve = record.solve;
-  event.iteration = record.iteration;
-  event.classification = classification;
-  event.residual = record.residual;
-  event.tolerance = est.tolerance();
-  event.rho = est.rho();
-  event.window_min = est.window_min();
-  event.window_max = est.window_max();
-  event.predicted_iterations = est.predicted_iterations();
-  event.action = options_.action;
-  events_.push_back(event);
-  while (events_.size() > options_.max_events) events_.pop_front();
-  if (pending_lines_.size() < options_.max_events)
-    pending_lines_.push_back(event_json(event, &sink_.manifest));
-  ++incidents_;
-  incidents_gauge_.set(static_cast<double>(incidents_));
-}
-
-void HealthMonitor::on_record(const IterationProbe::Record& record) {
-  bool warn = false;
-  bool abort = false;
-  double rho = 0.0;
-  double residual = 0.0;
-  LoopState fired = LoopState::kHealthy;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    LoopSlot& loop = loop_slot(record.solver);
-    auto it = active_.find(record.solve);
-    if (it == active_.end()) {
-      SolveSlot slot;
-      slot.estimator = ConvergenceEstimator(options_);
-      slot.loop = &loop;
-      it = active_.emplace(record.solve, std::move(slot)).first;
-      active_order_.push_back(record.solve);
-      while (active_.size() > options_.max_active_solves) {
-        active_.erase(active_order_.front());
-        active_order_.pop_front();
-      }
-      ++loop.stats.solves;
-      loop.solves->set(static_cast<double>(loop.stats.solves));
-    }
-    SolveSlot& slot = it->second;
-    ++loop.stats.records;
-    loop.records->set(static_cast<double>(loop.stats.records));
-    fired = slot.estimator.update(record.residual, record.tolerance);
-    const double worst = slot.estimator.rho_worst();
-    if (worst > loop.stats.rho_worst) {
-      loop.stats.rho_worst = worst;
-      loop.rho_worst->set(worst);
-    }
-    const double predicted = slot.estimator.predicted_iterations();
-    if (std::isfinite(predicted) &&
-        predicted > loop.stats.predicted_iterations_max) {
-      loop.stats.predicted_iterations_max = predicted;
-      loop.predicted_max->set(predicted);
-    }
-    if (fired != LoopState::kHealthy) {
-      switch (fired) {
-        case LoopState::kStalled:
-          ++loop.stats.stalls;
-          loop.stalls->set(static_cast<double>(loop.stats.stalls));
-          break;
-        case LoopState::kOscillating:
-          ++loop.stats.oscillations;
-          loop.oscillations->set(static_cast<double>(loop.stats.oscillations));
-          break;
-        case LoopState::kDiverging:
-          ++loop.stats.divergences;
-          loop.divergences->set(static_cast<double>(loop.stats.divergences));
-          break;
-        case LoopState::kHealthy:
-          break;
-      }
-      raise(record, slot, fired);
-      rho = slot.estimator.rho();
-      residual = record.residual;
-      warn = options_.action != WatchdogAction::kObserve;
-      abort = options_.action == WatchdogAction::kAbort &&
-              fired == LoopState::kDiverging;
-    }
-  }
-  // Escalation outside the monitor lock: the log write can block, and the
-  // abort throw must not leave the mutex held.
-  if (warn) {
-    log_warn("health: ", record.solver, " solve #", record.solve,
-             " classified ", loop_state_name(fired), " at iteration ",
-             record.iteration, " (rho=", rho, ", residual=", residual, ")");
-  }
-  if (abort) {
-    throw SolverHealthError(record.solver, record.solve, record.iteration,
-                            fired, rho, residual);
-  }
-}
-
-std::uint64_t HealthMonitor::incidents() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return incidents_;
-}
-
-std::vector<std::pair<std::string, LoopHealthStats>> HealthMonitor::loop_stats()
-    const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, LoopHealthStats>> out;
-  out.reserve(loops_.size());
-  for (const auto& [solver, slot] : loops_) out.emplace_back(solver, slot.stats);
-  return out;
-}
-
-std::vector<HealthEvent> HealthMonitor::events() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {events_.begin(), events_.end()};
-}
-
-std::vector<std::string> HealthMonitor::drain_event_lines() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.swap(pending_lines_);
-  return out;
 }
 
 }  // namespace hecmine::support::health

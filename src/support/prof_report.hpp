@@ -8,8 +8,8 @@
 // "which phase actually burns the evaluations", not "which phase
 // contains them". Rows also carry throughput (exclusive evals per
 // exclusive second) and work-per-span (inclusive evals / span count: for
-// oracle.solve rows this is exactly evals-per-solve, the quantity the
-// bench counter gate tracks).
+// leader_stage rows this is evals-per-stage, the quantity the bench
+// counter gate tracks).
 #pragma once
 
 #include <cstdint>

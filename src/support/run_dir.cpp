@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/openmetrics.hpp"
 
 namespace hecmine::support {
 
@@ -16,10 +15,11 @@ RunDir::RunDir(std::string dir, Telemetry& telemetry)
   HECMINE_REQUIRE(!dir_.empty(), "run directory must not be empty");
   std::filesystem::create_directories(dir_);
   // A bundle holds one run: files an earlier run left under the bundle's
-  // names (a block log, a rotated flight generation, the end-of-run files
-  // of an aborted run) would be read back as this run's.
+  // names (a block log, an iteration log, a rotated flight generation, the
+  // end-of-run files of an aborted run, the retired OpenMetrics snapshot)
+  // would be read back as this run's.
   for (const char* name : {kManifest, kTelemetry, kTrace, kIterlog, kFlight,
-                           kMetrics, kBlockLog})
+                           kBlockLog, "metrics.om"})
     std::filesystem::remove(path(name));
   std::filesystem::remove(path(kFlight) + ".1");
   {
@@ -45,7 +45,6 @@ void RunDir::finish(std::ostream& os) {
   telemetry_.probe.flush();
   write_json(telemetry_, path(kTelemetry));
   write_chrome_trace(telemetry_, path(kTrace));
-  write_openmetrics(telemetry_, path(kMetrics));
   print_summary(os, telemetry_);
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir_))

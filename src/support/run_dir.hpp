@@ -6,10 +6,9 @@
 //   manifest.json   hecmine.manifest.v1 (provenance::to_json)
 //   telemetry.json  hecmine.telemetry.v1 (write_json)
 //   trace.json      hecmine.trace.v1 (write_chrome_trace)
-//   iterlog.jsonl   hecmine.iterlog.v1, streamed while the run goes
+//   iterlog.jsonl   hecmine.iterlog.v1, streamed while the run goes;
+//                   only when a solver loop records an iterate
 //   flight.jsonl    hecmine.flight.v1, one snapshot every 500 ms
-//   metrics.om      OpenMetrics text, written last so it holds the audit
-//                   and health gauges
 //   blocklog.jsonl  hecmine.blocklog.v1, campaign runs only: support does
 //                   not see chain, so the caller opens its
 //                   chain::BlockLogWriter at path(kBlockLog)
@@ -33,14 +32,14 @@ class RunDir {
   static constexpr const char* kTrace = "trace.json";
   static constexpr const char* kIterlog = "iterlog.jsonl";
   static constexpr const char* kFlight = "flight.jsonl";
-  static constexpr const char* kMetrics = "metrics.om";
   static constexpr const char* kBlockLog = "blocklog.jsonl";
 
-  /// Creates `dir` and removes the bundle files an earlier run left there
-  /// (other files are untouched), writes manifest.json from
-  /// `telemetry.manifest`, streams the iteration probe to iterlog.jsonl and
-  /// starts the flight recorder. Stamp the manifest before constructing;
-  /// `telemetry` must outlive the bundle. Throws on I/O failure.
+  /// Creates `dir` and removes the bundle files an earlier run left there,
+  /// including the metrics.om that bundles once carried (other files are
+  /// untouched), writes manifest.json from `telemetry.manifest`, points the
+  /// iteration probe at iterlog.jsonl and starts the flight recorder.
+  /// Stamp the manifest before constructing; `telemetry` must outlive the
+  /// bundle. Throws on I/O failure.
   RunDir(std::string dir, Telemetry& telemetry);
   RunDir(const RunDir&) = delete;
   RunDir& operator=(const RunDir&) = delete;
@@ -54,9 +53,9 @@ class RunDir {
   void set_event_drain(TelemetryFlusher::EventDrain drain);
 
   /// Stops the flight recorder (its final flush drains pending events),
-  /// flushes iterlog.jsonl, writes telemetry.json and trace.json, then
-  /// metrics.om, and prints the telemetry summary and one line naming the
-  /// directory and its files.
+  /// flushes iterlog.jsonl, writes telemetry.json and trace.json, and
+  /// prints the telemetry summary and one line naming the directory and
+  /// its files.
   void finish(std::ostream& os);
 
  private:

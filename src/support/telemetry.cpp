@@ -374,30 +374,13 @@ void IterationProbe::stream_to(const std::string& path,
   const std::filesystem::path file_path{path};
   if (file_path.has_parent_path())
     std::filesystem::create_directories(file_path.parent_path());
-  auto out = std::make_unique<std::ofstream>(file_path);
-  HECMINE_REQUIRE(out->good(), "cannot open iteration log: " + path);
-  {
-    json::Writer writer(*out);
-    writer.begin_object();
-    writer.member("schema", "hecmine.iterlog.v1");
-    if (manifest != nullptr) {
-      writer.key("manifest");
-      provenance::write(writer, *manifest);
-    }
-    writer.end_object();
-    writer.finish();
-  }
-  HECMINE_REQUIRE(out->good(), "failed writing iteration log: " + path);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    stream_ = std::move(out);
+    stream_path_ = path;
+    stream_manifest_ = manifest;
+    stream_.reset();
   }
   arm();
-}
-
-void IterationProbe::set_observer(Observer* observer) noexcept {
-  observer_.store(observer, std::memory_order_relaxed);
-  if (observer != nullptr) arm();
 }
 
 void IterationProbe::flush() {
@@ -408,20 +391,31 @@ void IterationProbe::flush() {
 void IterationProbe::record(const Record& record) {
   if (!armed()) return;
   total_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(record);
-    } else {
-      ring_[head_] = record;
-      head_ = (head_ + 1) % capacity_;
-    }
-    if (stream_ != nullptr) jsonl_record(*stream_, record);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(record);
+  } else {
+    ring_[head_] = record;
+    head_ = (head_ + 1) % capacity_;
   }
-  // Outside the probe lock: the observer takes its own lock and — on the
-  // watchdog abort path — may throw through the recording solver loop.
-  if (Observer* observer = observer_.load(std::memory_order_relaxed))
-    observer->on_record(record);
+  if (stream_path_.empty()) return;
+  if (stream_ == nullptr) {
+    auto out = std::make_unique<std::ofstream>(stream_path_);
+    HECMINE_REQUIRE(out->good(), "cannot open iteration log: " + stream_path_);
+    json::Writer writer(*out);
+    writer.begin_object();
+    writer.member("schema", "hecmine.iterlog.v1");
+    if (stream_manifest_ != nullptr) {
+      writer.key("manifest");
+      provenance::write(writer, *stream_manifest_);
+    }
+    writer.end_object();
+    writer.finish();
+    HECMINE_REQUIRE(out->good(),
+                    "failed writing iteration log: " + stream_path_);
+    stream_ = std::move(out);
+  }
+  jsonl_record(*stream_, record);
 }
 
 std::vector<IterationProbe::Record> IterationProbe::snapshot() const {

@@ -18,9 +18,10 @@
 //     when constructed with nullptr: the null-sink path does no clock
 //     reads).
 //   * SolveTrace — a capacity-bounded span recorder capturing the phase
-//     tree of a leader-stage solve (price grid evals -> follower oracle
-//     solves -> VI/NEP inner iterations). Spans nest per thread; spans
-//     begun past the capacity are counted as dropped rather than recorded.
+//     tree of a solve at stage boundaries (leader stage -> its phases ->
+//     leader rounds and pool tasks); a follower solve, well under a
+//     microsecond, opens no span. Spans nest per thread; spans begun past
+//     the capacity are counted as dropped rather than recorded.
 //   * Telemetry — one sink bundling a registry and a trace. A nullable
 //     `Telemetry*` rides in core::SolveContext; every instrumentation site
 //     guards on it, so an absent sink costs one pointer test.
@@ -30,10 +31,11 @@
 // Deep layers (the VI extragradient loop, the class solver) cannot see a
 // SolveContext, so the sink also propagates through a
 // thread-local: TelemetryScope installs a sink for the current thread and
-// current_telemetry() reads it back. The instrumented follower oracle sets
-// the scope around each inner solve — on whichever pool thread runs it —
-// which is how per-solver iteration counts reach the registry without
-// threading a pointer through every numeric call signature.
+// current_telemetry() reads it back. The leader stage and the pool's tasks
+// install it once per stage and per task, and the instrumented follower
+// oracle installs it around a solve run outside them — which is how work
+// counts reach the sink without threading a pointer through every numeric
+// call signature.
 #pragma once
 
 #include <array>
@@ -70,12 +72,23 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins scalar (cache hit rate, episode reward, ...). set() and
-/// add() are lock-free.
+/// Last-write-wins scalar (cache hit rate, episode reward, ...), or a
+/// running maximum through raise_to(). set(), add() and raise_to() are
+/// lock-free.
 class Gauge {
  public:
   void set(double value) noexcept {
     value_.store(value, std::memory_order_relaxed);
+  }
+  /// Raises the value to `value` when that is larger: one relaxed load and
+  /// compare, and a CAS only on a new maximum. A maximum does not depend
+  /// on the order of the calls, so it is thread-count invariant.
+  void raise_to(double value) noexcept {
+    double current = value_.load(std::memory_order_relaxed);
+    while (value > current &&
+           !value_.compare_exchange_weak(current, value,
+                                         std::memory_order_relaxed)) {
+    }
   }
   void add(double delta) noexcept {
     double current = value_.load(std::memory_order_relaxed);
@@ -372,17 +385,6 @@ class IterationProbe {
     bool cap_active = false;   ///< shared capacity constraint binding?
   };
 
-  /// Streaming consumer of probe records (the health monitor implements
-  /// this). on_record() runs on the recording thread, after the record has
-  /// landed in the ring, with no probe lock held — an observer may throw
-  /// (the watchdog abort path) and the exception unwinds the solver loop
-  /// that produced the record.
-  class Observer {
-   public:
-    virtual ~Observer() = default;
-    virtual void on_record(const Record& record) = 0;
-  };
-
   explicit IterationProbe(std::size_t capacity = 16384);
   ~IterationProbe();
   IterationProbe(const IterationProbe&) = delete;
@@ -397,24 +399,17 @@ class IterationProbe {
   }
 
   /// Arms the probe and additionally streams every record as one JSON line
-  /// to `path` (parent directories are created; throws on I/O failure).
+  /// to `path` (parent directories are created now). The file is opened,
+  /// and its header written, at the first record, so a run whose loops
+  /// record nothing leaves no file; opening it then throws on I/O failure.
   /// When `manifest` is set, the header line embeds the run-provenance
   /// block so a log file can be traced back to the exact build that wrote
-  /// it.
+  /// it; it must outlive the probe.
   void stream_to(const std::string& path,
                  const provenance::RunManifest* manifest = nullptr);
   /// Pushes the streamed lines to the OS (no-op without a stream), so the
   /// file is complete while the probe lives on.
   void flush();
-
-  /// Installs `observer` as the probe's streaming consumer (null detaches).
-  /// A non-null observer arms the probe, so solver loops start feeding
-  /// records without any per-loop wiring. Attach before solving begins:
-  /// the pointer is read with relaxed ordering on the hot path.
-  void set_observer(Observer* observer) noexcept;
-  [[nodiscard]] Observer* observer() const noexcept {
-    return observer_.load(std::memory_order_relaxed);
-  }
 
   /// Fresh id grouping the records of one solver-loop invocation.
   [[nodiscard]] std::uint64_t next_solve_id() noexcept {
@@ -434,13 +429,14 @@ class IterationProbe {
  private:
   const std::size_t capacity_;
   std::atomic<bool> armed_{false};
-  std::atomic<Observer*> observer_{nullptr};
   std::atomic<std::uint64_t> next_solve_{0};
   std::atomic<std::uint64_t> total_{0};
   mutable std::mutex mutex_;
   std::vector<Record> ring_;  ///< grows to capacity_, then wraps at head_
   std::size_t head_ = 0;
-  std::unique_ptr<std::ofstream> stream_;  ///< JSONL sink, null = ring only
+  std::string stream_path_;  ///< JSONL destination, empty = ring only
+  const provenance::RunManifest* stream_manifest_ = nullptr;
+  std::unique_ptr<std::ofstream> stream_;  ///< opened at the first record
 };
 
 /// One telemetry sink: the metrics registry, the solve trace, the
@@ -556,7 +552,7 @@ class TelemetryFlusher {
   void stop();
 
   /// Supplier of extra pre-serialized JSONL lines (newline excluded) to
-  /// append ahead of each snapshot — the health monitor's event drain.
+  /// append ahead of each snapshot — the campaign monitor's event drain.
   /// Called on every flush *including the final one in stop()/destruction*,
   /// so watchdog events raised between the last periodic flush and
   /// shutdown (or a typed-error unwind) still reach disk.

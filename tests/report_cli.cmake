@@ -33,27 +33,23 @@ function(expect_unknown_flag flag)
 endfunction()
 
 if(CASE STREQUAL "CleanBundle")
-  # A healthy campaign writes the whole bundle, and every report over it
-  # is clean with both gates on.
+  # A healthy campaign writes the whole bundle, five files (its loops record
+  # no iterate, so there is no iteration log), and every report over it is
+  # clean with the drift gate on.
   expect_exit(0 "${CLI}" campaign "${SCENARIO}" --blocks=2000
     "--run-dir=${WORK}/bundle")
-  foreach(name manifest.json telemetry.json trace.json iterlog.jsonl
-          flight.jsonl metrics.om blocklog.jsonl)
-    if(NOT EXISTS "${WORK}/bundle/${name}")
-      message(FATAL_ERROR "bundle lacks ${name}")
-    endif()
-  endforeach()
-  expect_exit(0 "${REPORT}" "${WORK}/bundle" --fail-on-drift
-    --fail-on-divergence)
+  file(GLOB files RELATIVE "${WORK}/bundle" "${WORK}/bundle/*")
+  list(SORT files)
+  if(NOT files STREQUAL
+     "blocklog.jsonl;flight.jsonl;manifest.json;telemetry.json;trace.json")
+    message(FATAL_ERROR "unexpected bundle files: ${files}")
+  endif()
+  expect_exit(0 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
   expect_exit(0 "${REPORT}" campaign "${WORK}/bundle/blocklog.jsonl"
     --fail-on-drift "--json=${WORK}/campaign.json")
-  expect_exit(0 "${REPORT}" health "${WORK}/bundle/iterlog.jsonl"
-    --fail-on-divergence "--json=${WORK}/health.json")
-  foreach(name campaign.json health.json)
-    if(NOT EXISTS "${WORK}/${name}")
-      message(FATAL_ERROR "no ${name} report written")
-    endif()
-  endforeach()
+  if(NOT EXISTS "${WORK}/campaign.json")
+    message(FATAL_ERROR "no campaign.json report written")
+  endif()
 elseif(CASE STREQUAL "StridedBlockLog")
   # Every 10th round is logged with its shares while the summary line
   # covers all rounds: the replay must take the summary, not call the log
@@ -64,25 +60,22 @@ elseif(CASE STREQUAL "StridedBlockLog")
     --fail-on-drift)
 elseif(CASE STREQUAL "MalformedInput")
   file(WRITE "${WORK}/bad.jsonl" "{\"schema\"\n")
-  foreach(command prof health campaign)
+  foreach(command prof campaign)
     expect_exit(2 "${REPORT}" ${command} "${WORK}/bad.jsonl")
   endforeach()
-  expect_exit(2 "${REPORT}" health "${WORK}/missing.jsonl")
+  expect_exit(2 "${REPORT}" campaign "${WORK}/missing.jsonl")
   expect_exit(2 "${REPORT}" campaign "${WORK}/bad.jsonl" --z=4)
   file(WRITE "${WORK}/bad_id.jsonl"
     "{\"schema\": \"hecmine.blocklog.v1\"}\n"
     "{\"round\": 0, \"winner\": 0, \"shares\": [[1e300, 1, 1]]}\n")
   expect_exit(2 "${REPORT}" campaign "${WORK}/bad_id.jsonl")
-elseif(CASE STREQUAL "LintFinding")
-  file(WRITE "${WORK}/bad.om" "hecmine_orphan_total 1\n")
-  expect_exit(1 "${REPORT}" lint "${WORK}/bad.om")
 elseif(CASE STREQUAL "MissingGateInput")
   # A solve writes no block log, so a drift gate over its bundle cannot
   # pass, not even when the solve reuses a campaign's bundle directory.
   expect_exit(0 "${CLI}" campaign "${SCENARIO}" --blocks=300
     "--run-dir=${WORK}/bundle")
   expect_exit(0 "${CLI}" solve "${SCENARIO}" "--run-dir=${WORK}/bundle")
-  expect_exit(0 "${REPORT}" "${WORK}/bundle" --fail-on-divergence)
+  expect_exit(0 "${REPORT}" "${WORK}/bundle")
   expect_exit(2 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
 elseif(CASE STREQUAL "FireDrill")
   # A campaign playing the wrong equilibrium aborts under --health=abort;
@@ -97,13 +90,15 @@ elseif(CASE STREQUAL "FireDrill")
   endif()
   expect_exit(3 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
 elseif(CASE STREQUAL "UnknownFlags")
-  # A retired export flag and a misspelled one are usage errors, not
-  # silently ignored settings.
+  # A retired export flag, a misspelled one and the campaign-only watchdog
+  # policy on a solve are usage errors, not silently ignored settings.
   get_filename_component(scenarios "${SCENARIO}" DIRECTORY)
   expect_unknown_flag(--block-log "${CLI}" campaign "${SCENARIO}"
     --blocks=100 --block-log=x)
   expect_unknown_flag(--threds "${CLI}" solve "${scenarios}/sp_pricing.conf"
     --threds=4)
+  expect_unknown_flag(--health "${CLI}" solve "${scenarios}/sp_pricing.conf"
+    --health=warn)
 else()
   message(FATAL_ERROR "unknown CASE: ${CASE}")
 endif()

@@ -1,7 +1,7 @@
 // Tests for net/campaign_monitor: streaming campaign statistics, CLT
 // drift detection against the reference equilibrium (pinned against a
-// per-miner recomputation), watchdog escalation, and the determinism
-// contract of the campaign.* gauges.
+// per-miner recomputation), watchdog escalation and its policy parser, and
+// the determinism contract of the campaign.* gauges.
 #include "net/campaign_monitor.hpp"
 
 #include <gtest/gtest.h>
@@ -428,6 +428,17 @@ TEST(CampaignMonitor, GroupedReferenceOddsMatchAPerMinerRecomputation) {
       EXPECT_EQ(monitor.incidents(), expected.incidents);
     }
   }
+}
+
+TEST(HealthOptionsTest, WatchdogActionParsesAndRejects) {
+  EXPECT_EQ(health::parse_watchdog_action("observe"),
+            health::WatchdogAction::kObserve);
+  EXPECT_EQ(health::parse_watchdog_action("warn"),
+            health::WatchdogAction::kWarn);
+  EXPECT_EQ(health::parse_watchdog_action("abort"),
+            health::WatchdogAction::kAbort);
+  EXPECT_THROW((void)health::parse_watchdog_action("off"),
+               support::PreconditionError);
 }
 
 }  // namespace

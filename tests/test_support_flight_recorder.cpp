@@ -189,7 +189,7 @@ TEST(RunDir, WritesEveryFileUnderOneManifest) {
   }
   EXPECT_NE(out.str().find("[run-dir] " + dir +
                            ": flight.jsonl iterlog.jsonl manifest.json "
-                           "metrics.om telemetry.json trace.json"),
+                           "telemetry.json trace.json"),
             std::string::npos)
       << out.str();
 
@@ -210,30 +210,34 @@ TEST(RunDir, WritesEveryFileUnderOneManifest) {
         header("flight.jsonl").at("manifest")}) {
     EXPECT_TRUE(same(embedded, manifest));
   }
-  const std::string metrics = slurp(dir + "/metrics.om");
-  EXPECT_NE(metrics.find("hecmine_test_solves_total 1"), std::string::npos);
-  EXPECT_NE(metrics.find("# EOF"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
 TEST(RunDir, ReplacesTheFilesOfAnEarlierRun) {
   // A campaign bundle rerun as a solve must not keep the campaign's block
-  // log (a drift gate would pass on it), nor an earlier run's end-of-run
-  // files; files outside the bundle's names stay.
+  // log (a drift gate would pass on it), nor an earlier run's iteration log
+  // or end-of-run files, nor the OpenMetrics snapshot older bundles held;
+  // files outside the bundle's names stay. A run whose loops record no
+  // iterate writes no iteration log of its own.
   const std::string dir = testing::TempDir() + "/hecmine_run_dir_rerun";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  for (const char* name : {"blocklog.jsonl", "metrics.om", "flight.jsonl.1",
-                           "notes.txt"})
+  for (const char* name : {"blocklog.jsonl", "iterlog.jsonl", "metrics.om",
+                           "flight.jsonl.1", "notes.txt"})
     std::ofstream(dir + "/" + name) << "stale\n";
   support::Telemetry telemetry;
   {
-    const support::RunDir run_dir(dir, telemetry);
+    support::RunDir run_dir(dir, telemetry);
     EXPECT_FALSE(std::filesystem::exists(dir + "/blocklog.jsonl"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/iterlog.jsonl"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/flight.jsonl.1"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/manifest.json"));
+    std::ostringstream out;
+    run_dir.finish(out);
   }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/iterlog.jsonl"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
   EXPECT_EQ(slurp(dir + "/notes.txt"), "stale\n");
   std::filesystem::remove_all(dir);
 }
@@ -258,7 +262,7 @@ TEST(RunDir, UnwindStillFlushesTheMonitorEvents) {
   }
   EXPECT_NE(slurp(dir + "/flight.jsonl").find("hecmine.health.v1"),
             std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/telemetry.json"));
   std::filesystem::remove_all(dir);
 }
 

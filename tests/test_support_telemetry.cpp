@@ -1,6 +1,7 @@
 // Telemetry subsystem tests: registry thread-safety under the pool,
 // histogram bucket semantics, JSON export shape, the null-sink zero-cost
-// path, and the cross-solver ConvergenceReport vocabulary.
+// path, the cross-solver ConvergenceReport vocabulary, and the follower
+// oracle's instruments and stage-level spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "core/equilibrium.hpp"
 #include "core/oracle.hpp"
 #include "core/params.hpp"
+#include "core/sp.hpp"
 #include "numerics/vi.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
@@ -39,6 +42,10 @@ TEST(Gauge, SetAndAdd) {
   EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
   gauge.add(-1.0);
   EXPECT_DOUBLE_EQ(gauge.value(), 1.5);
+  gauge.raise_to(1.0);  // below the value: no change
+  EXPECT_DOUBLE_EQ(gauge.value(), 1.5);
+  gauge.raise_to(3.0);
+  EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
 }
 
 TEST(HistogramMetric, BucketEdgesAreInclusiveUpperBounds) {
@@ -366,10 +373,14 @@ TEST(IterationProbe, SolveIdsAreUniqueAndIncreasing) {
 TEST(IterationProbe, StreamsJsonlWithSchemaHeader) {
   const std::string path =
       testing::TempDir() + "/hecmine_probe_stream.jsonl";
+  std::remove(path.c_str());
   {
     support::IterationProbe probe;
     probe.stream_to(path);
     EXPECT_TRUE(probe.armed());  // streaming arms the probe
+    probe.flush();
+    // The file is opened at the first record, not before.
+    EXPECT_FALSE(std::ifstream(path).good());
     auto record = probe_record(3, 0.25);
     record.price_edge = 2.0;
     record.price_cloud = 1.0;
@@ -576,22 +587,37 @@ TEST(InstrumentedOracle, CountsSolvesAndPropagatesTheSinkToDeepLayers) {
   context.telemetry = &telemetry;
   const auto oracle = core::make_follower_oracle(
       params, budgets, core::EdgeMode::kStandalone, context);
-  (void)oracle->solve(prices);
+  const core::EquilibriumProfile profile = oracle->solve(prices);
 
   EXPECT_EQ(telemetry.metrics.counter("oracle.solves").value(), 1u);
-  // The class solver runs under the TLS scope, so its counters land in
-  // the same sink without any plumbing through MinerSolveOptions.
-  EXPECT_EQ(telemetry.metrics.counter("oracle.aggregate.solves").value(), 1u);
-  EXPECT_EQ(telemetry.metrics.histogram("oracle.iterations", {}).count(), 1u);
+  EXPECT_EQ(telemetry.metrics.counter("oracle.nonconverged").value(), 0u);
+  EXPECT_EQ(telemetry.metrics.gauge("oracle.aggregate.classes").value(), 3.0);
+  // The class solver runs under the TLS scope, so its work counters land
+  // in the same sink without any plumbing through MinerSolveOptions.
+  EXPECT_TRUE(telemetry.work.total().any());
+  // The solve itself opens no span: spans belong to the stages.
+  EXPECT_TRUE(telemetry.trace.snapshot().empty());
   EXPECT_EQ(support::current_telemetry(), nullptr);  // scope restored
+
+  // The one-shot entry point is one stage with one `followers` span.
+  Telemetry one_shot;
+  context.telemetry = &one_shot;
+  const core::EquilibriumProfile again = core::solve_followers(
+      params, prices, budgets, core::EdgeMode::kStandalone, context);
+  EXPECT_EQ(again.totals.edge, profile.totals.edge);
+  const auto spans = one_shot.trace.snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans.front().name, "followers");
+  EXPECT_TRUE(spans.front().work.any());
+  EXPECT_EQ(one_shot.metrics.counter("oracle.solves").value(), 1u);
 }
 
 TEST(TelemetryScope, PoolWorkersNestScopedSolvesWithoutCrossTalk) {
   // Satellite-case regression: a pool worker installs its own scope, then
-  // spawns a nested scoped solve (the instrumented oracle installs a
-  // second TLS scope around the follower solve). The nested scope must
-  // capture the solve's counters, restore the worker's own sink on exit,
-  // and never leak across workers or to the main thread.
+  // runs a solve instrumented into another sink (the oracle installs its
+  // sink as a second TLS scope around the follower solve). The nested
+  // scope must capture the solve's counters, restore the worker's own sink
+  // on exit, and never leak across workers or to the main thread.
   const core::NetworkParams params = standalone_params();
   const core::Prices prices{2.2, 1.0};
   const std::vector<double> budgets{25.0, 35.0, 45.0};
@@ -615,15 +641,88 @@ TEST(TelemetryScope, PoolWorkersNestScopedSolvesWithoutCrossTalk) {
       0);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(restored[i], 1) << "worker " << i;
-    // The solve's counters landed in the nested sink, not the worker's.
+    // The solve's counters and work landed in the nested sink, not the
+    // worker's.
     EXPECT_EQ(solve_sinks[i].metrics.counter("oracle.solves").value(), 1u);
-    EXPECT_EQ(
-        solve_sinks[i].metrics.counter("oracle.aggregate.solves").value(),
-        1u);
+    EXPECT_TRUE(solve_sinks[i].work.total().any());
+    EXPECT_FALSE(worker_sinks[i].work.total().any());
     EXPECT_EQ(worker_sinks[i].metrics.counter("oracle.solves").value(), 0u);
     EXPECT_EQ(worker_sinks[i].metrics.counter("worker.tick").value(), 1u);
   }
   EXPECT_EQ(support::current_telemetry(), nullptr);  // main thread untouched
+}
+
+TEST(InstrumentedOracle, ResidualMaxIsTheLargestSolveResidual) {
+  // oracle.residual_max is the largest certificate residual over the
+  // instrumented solves: a maximum, so the same at 1 and 4 threads.
+  const core::NetworkParams params = standalone_params();
+  const std::vector<double> budgets{1.0, 25.0, 35.0, 45.0};
+  std::vector<core::Prices> grid;
+  for (int i = 0; i < 6; ++i)
+    for (int j = 0; j < 6; ++j)
+      grid.push_back({1.2 + 0.4 * i, 0.5 + 0.3 * j});
+  const auto residual_max = [&](int threads) {
+    Telemetry telemetry;
+    core::SolveContext context;
+    context.telemetry = &telemetry;
+    const auto oracle = core::make_follower_oracle(
+        params, budgets, core::EdgeMode::kStandalone, context);
+    std::vector<double> residuals(grid.size(), 0.0);
+    support::parallel_for(
+        grid.size(),
+        [&](std::size_t i) { residuals[i] = oracle->solve(grid[i]).residual; },
+        threads);
+    EXPECT_EQ(telemetry.metrics.counter("oracle.solves").value(),
+              grid.size());
+    const double gauge =
+        telemetry.metrics.gauge("oracle.residual_max").value();
+    EXPECT_EQ(gauge, *std::max_element(residuals.begin(), residuals.end()));
+    return gauge;
+  };
+  const double serial = residual_max(1);
+  EXPECT_GT(serial, 0.0);
+  EXPECT_EQ(residual_max(4), serial);
+}
+
+TEST(InstrumentedOracle, LeaderStageSpansArePerStage) {
+  // With a sink a leader stage records spans at its stage boundaries only:
+  // no follower solve opens one, so even a heterogeneous stage of tens of
+  // thousands of solves fits the trace. Its counts do not depend on the
+  // thread count.
+  const std::set<std::string> stage_spans = {
+      "leader_stage", "best_response", "finish", "sequential",
+      "leader.round", "pool.batch",    "pool.task"};
+  const core::NetworkParams params;
+  const std::vector<std::vector<double>> pools = {
+      std::vector<double>(10, 200.0), {200.0, 220.0, 240.0}};
+  for (const core::EdgeMode mode :
+       {core::EdgeMode::kConnected, core::EdgeMode::kStandalone}) {
+    for (const std::vector<double>& budgets : pools) {
+      std::vector<std::uint64_t> solves;
+      std::vector<support::prof::WorkCounters> work;
+      for (const int threads : {1, 4}) {
+        Telemetry telemetry;
+        core::SpSolveOptions options;
+        options.context.threads = threads;
+        options.context.telemetry = &telemetry;
+        (void)core::solve_leader_stage(params, budgets, mode, options);
+        const std::string label = std::to_string(budgets.size()) +
+                                  " miners, threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(telemetry.trace.dropped(), 0u) << label;
+        const auto spans = telemetry.trace.snapshot();
+        EXPECT_FALSE(spans.empty()) << label;
+        for (const auto& span : spans)
+          EXPECT_EQ(stage_spans.count(span.name), 1u)
+              << label << ": span " << span.name;
+        solves.push_back(telemetry.metrics.counter("oracle.solves").value());
+        work.push_back(telemetry.work.total());
+      }
+      EXPECT_GT(solves[0], 0u);
+      EXPECT_EQ(solves[0], solves[1]);
+      EXPECT_EQ(work[0], work[1]);
+    }
+  }
 }
 
 TEST(NullSink, SolveWithoutTelemetryTouchesNoGlobalState) {
