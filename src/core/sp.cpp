@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <vector>
 
 #include "core/closed_forms.hpp"
 #include "game/stackelberg.hpp"
@@ -171,9 +173,8 @@ double csp_reaction_with_oracle(const NetworkParams& params,
 /// the edge-cap kink, scored through the same oracle so the closed form
 /// only proposes and V_c decides). Falls back to the numeric scan when the
 /// root leaves the price box, no candidate exists, or the standalone budget
-/// can bind. Shared by csp_reaction_homogeneous, the sequential solver and
-/// the leader stage, which reuse ONE oracle across the whole composite
-/// scan.
+/// can bind. Shared by csp_reaction_homogeneous, Theorem 4's test and the
+/// sequential construction, which reuse ONE oracle across the stage.
 double homogeneous_csp_reaction(const NetworkParams& params, double budget,
                                 int n, EdgeMode mode,
                                 const FollowerOracle& oracle,
@@ -197,40 +198,218 @@ double homogeneous_csp_reaction(const NetworkParams& params, double budget,
   return csp_reaction_with_oracle(params, oracle, box, price_edge, options);
 }
 
-/// Theorem 4's sequential construction: substitute the CSP reaction curve
-/// P_c*(P_e) into V_e (the re-written Eq. 22), maximize the
-/// one-dimensional composite over P_e, and finish at the optimum.
-/// solve_leader_stage_sequential passes the homogeneous reaction (closed
-/// forms where they apply); the leader stage's cycle fallback passes the
-/// reaction it picked for its oracle.
+/// V_e/(1 - u) along the closed-form connected CSP reaction r(P_e) of
+/// `params`, up to the price-free factor H: (P_e - C_e)/(P_e - r(P_e))
+/// (docs/MATH.md §4). It reads no budget and no n.
+double u_free_composite(const NetworkParams& params, double price_edge) {
+  return (price_edge - params.cost_edge) /
+         (price_edge - csp_reaction_sufficient_closed(params, price_edge));
+}
+
+/// The slope of u_free_composite in P_e, up to a positive factor:
+/// C_e - r + (P_e - C_e) r', with r' from the implicit function theorem on
+/// the reaction's quadratic Q(x, P_e) = 0 (docs/MATH.md §4).
+double u_free_slope(const NetworkParams& params, double price_edge) {
+  const double a = 1.0 - params.fork_rate;
+  const double b = params.edge_success * params.fork_rate;
+  const double cost = params.cost_cloud;
+  const double reply = csp_reaction_sufficient_closed(params, price_edge);
+  // Q = ((a+b) C_c - b P_e) x^2 - 2 a C_c P_e x + a C_c P_e^2.
+  const double q_x =
+      2.0 * (((a + b) * cost - b * price_edge) * reply - a * cost * price_edge);
+  const double q_pe = -b * reply * reply - 2.0 * a * cost * reply +
+                      2.0 * a * cost * price_edge;
+  return params.cost_edge - reply +
+         (price_edge - params.cost_edge) * (-q_pe / q_x);
+}
+
+/// The best point of u_free_composite on [lo, hi] among its stationary
+/// point and the two ends. Wherever the reaction covers the box the
+/// composite rises to one stationary point and falls after it (docs/MATH.md
+/// §4), so a bracketed root of u_free_slope finds it.
+double u_free_peak(const NetworkParams& params, double lo, double hi) {
+  double best = lo;
+  double best_value = u_free_composite(params, lo);
+  const auto consider = [&](double price_edge) {
+    const double value = u_free_composite(params, price_edge);
+    if (value > best_value) {
+      best = price_edge;
+      best_value = value;
+    }
+  };
+  if (u_free_slope(params, lo) > 0.0 && u_free_slope(params, hi) < 0.0) {
+    num::RootOptions root;
+    root.tolerance = 1e-13 * hi;
+    consider(num::brent_root(
+        [&](double price_edge) { return u_free_slope(params, price_edge); },
+        lo, hi, root));
+  }
+  consider(hi);
+  return best;
+}
+
+/// The ESP's best point on the closed-form CSP reaction of a one-class pool
+/// of n >= 2 funded miners, picked from a few candidates instead of a scan
+/// (docs/MATH.md §4). Returns nothing where the closed forms do not cover
+/// the edge-price box; that pool keeps the composite scan.
+/// - Connected: the reaction rises with P_e and stays below it, so it
+///   covers the box when it clears the cloud floor at the box's left end.
+///   The composite's stationary point and the box ends are compared on the
+///   u-free composite, so the prices depend on neither n nor B.
+/// - Standalone (the h = 1 game, B >= R(n-1)/n^2): the reaction sits on
+///   the cap side of the kink x_k (E = E_max, V_e rising in P_e) on a left
+///   interval of the box and on the cap-slack root r_1 after it. The
+///   candidates are that interval's right end (where r_1 meets x_k, or the
+///   sell-out spike where Table II's binding candidate stops beating the
+///   slack one), the best point of the r_1 branch and the box ends, each
+///   scored through the oracle.
 template <typename Reaction>
+std::optional<Prices> candidate_optimum(const NetworkParams& params,
+                                        const FollowerOracle& oracle,
+                                        const Reaction& reaction,
+                                        const PriceBox& box) {
+  const double lo = box.edge.lo;
+  const double hi = box.edge.hi;
+  if (oracle.mode() == EdgeMode::kConnected) {
+    if (!(csp_reaction_sufficient_closed(params, lo) >= box.cloud.lo))
+      return std::nullopt;
+    const double price_edge = u_free_peak(params, lo, hi);
+    return Prices{price_edge, reaction(price_edge)};
+  }
+
+  const double budget = oracle.classes().budgets.front();
+  const int n = oracle.miner_count();
+  NetworkParams unit = params;
+  unit.edge_success = 1.0;
+  const auto closed = [&](double price_edge) {
+    return csp_reaction_standalone_closed(params, budget, n, price_edge,
+                                          box.cloud.lo, box.cloud.hi);
+  };
+  const StandaloneCspCandidates first = closed(lo);
+  if ((first.slack <= 0.0 && first.binding <= 0.0) ||
+      !(csp_reaction_sufficient_closed(unit, lo) >= box.cloud.lo))
+    return std::nullopt;
+
+  // Table II's totals at one class, with D = R(n-1)/n and K = (1 - beta)
+  // D: S = K/P_c, and E = E_max at or above the kink x_k = P_e - beta
+  // D/E_max, E = beta D/(P_e - P_c) below it.
+  const double dn = static_cast<double>(n);
+  const double demand = params.reward * (dn - 1.0) / dn;
+  const double total = (1.0 - params.fork_rate) * demand;
+  const auto kink = [&](double price_edge) {
+    return price_edge - params.fork_rate * demand / params.edge_capacity;
+  };
+  const auto cloud_profit_closed = [&](double price_edge, double price_cloud) {
+    const double edge =
+        price_cloud >= kink(price_edge)
+            ? params.edge_capacity
+            : params.fork_rate * demand / (price_edge - price_cloud);
+    return (price_cloud - params.cost_cloud) * (total / price_cloud - edge);
+  };
+  // The closed-form reaction sits at or above the kink: Table II's binding
+  // candidate wins (ties go to the slack one, as in
+  // homogeneous_csp_reaction), or the slack candidate is the kink itself.
+  const auto cap_side = [&](double price_edge) {
+    const StandaloneCspCandidates c = closed(price_edge);
+    return (c.binding > 0.0 &&
+            (c.slack <= 0.0 || cloud_profit_closed(price_edge, c.binding) >
+                                   cloud_profit_closed(price_edge, c.slack))) ||
+           c.slack >= kink(price_edge);
+  };
+
+  std::vector<Prices> candidates;
+  const auto add = [&](double price_edge) {
+    candidates.push_back({price_edge, reaction(price_edge)});
+  };
+  add(lo);
+  double branch_lo = lo;  // the r_1 branch starts here
+  if (cap_side(lo)) {
+    // The cap side's right end, bisected to adjacent doubles.
+    double a = lo;
+    double b = hi;
+    if (cap_side(hi)) a = hi;
+    for (double mid = 0.5 * (a + b); mid > a && mid < b; mid = 0.5 * (a + b))
+      (cap_side(mid) ? a : b) = mid;
+    branch_lo = a;
+    // The oracle scores the reaction's two candidates itself, so near the
+    // spike it may still pick the slack one; step left until it does not.
+    double price_edge = a;
+    double price_cloud = reaction(price_edge);
+    double step = 2.0 * std::numeric_limits<double>::epsilon() * a;
+    for (int i = 0; i < 8 && price_cloud < kink(price_edge) && price_edge > lo;
+         ++i, step *= 4.0) {
+      price_edge = std::max(lo, a - step);
+      price_cloud = reaction(price_edge);
+    }
+    if (price_edge > lo && price_cloud >= kink(price_edge))
+      candidates.push_back({price_edge, price_cloud});
+  }
+  if (branch_lo < hi) {
+    const double peak = u_free_peak(unit, branch_lo, hi);
+    if (peak > branch_lo && peak < hi) add(peak);
+    add(hi);
+  }
+
+  const Prices* best = nullptr;
+  double best_profit = 0.0;
+  for (const Prices& prices : candidates) {
+    count_leader_eval();
+    const double profit =
+        sp_profits(params, prices, oracle.solve(prices).totals).edge;
+    if (best == nullptr || profit > best_profit) {
+      best = &prices;
+      best_profit = profit;
+    }
+  }
+  return *best;
+}
+
+/// Theorem 4's sequential construction over one follower oracle: substitute
+/// the CSP reaction curve P_c*(P_e) into V_e (the re-written Eq. 22),
+/// maximize the one-dimensional composite over P_e, and finish at the
+/// optimum. The reaction is picked once, from the oracle: the closed forms
+/// of homogeneous_csp_reaction for one class of n >= 2 miners with a
+/// positive budget, the numeric V_c scan for every other pool. Where the
+/// closed forms cover the edge-price box, candidate_optimum picks the
+/// optimum; every other pool scans the composite.
 LeaderStageResult sequential_construction(const NetworkParams& params,
                                           const FollowerOracle& oracle,
-                                          const Reaction& reaction,
                                           const PriceBox& box,
                                           const SpSolveOptions& options,
                                           const SolveContext& context) {
-  num::Maximize1DOptions composite_scan;
-  // The composite objective can carry a narrow spike at the capacity
-  // sell-out price (the ESP's optimum sits just below the point where the
-  // CSP would rather undercut), so the outer scan is run much finer than
-  // the inner reaction scans.
-  composite_scan.grid_points = std::max(4 * options.grid_points, 160);
-  composite_scan.tolerance = 1e-7;
-  // Each composite point is one reaction solve (closed form, else a nested
-  // serial scan), so the outer scan is the stage to fan out.
-  const auto composite = [&](double price_edge) {
-    count_leader_eval();
-    const Prices prices{price_edge, reaction(price_edge)};
-    return sp_profits(params, prices, oracle.solve(prices).totals).edge;
+  const double budget = oracle.classes().budgets.front();
+  const int n = oracle.miner_count();
+  const bool closed_forms = oracle.class_count() == 1 && n >= 2 && budget > 0.0;
+  const auto reaction = [&](double price_edge) {
+    return closed_forms
+               ? homogeneous_csp_reaction(params, budget, n, oracle.mode(),
+                                          oracle, box, price_edge, options)
+               : csp_reaction_with_oracle(params, oracle, box, price_edge,
+                                          options);
   };
-  const auto best = num::maximize_scan_parallel(composite, box.edge.lo,
-                                                box.edge.hi, composite_scan,
-                                                context.threads);
-  Prices prices;
-  prices.edge = best.argmax;
-  prices.cloud = reaction(prices.edge);
-  auto result = finish_leader_stage(params, oracle, prices, true);
+  std::optional<Prices> prices;
+  if (closed_forms) prices = candidate_optimum(params, oracle, reaction, box);
+  if (!prices) {
+    num::Maximize1DOptions composite_scan;
+    // The composite objective can carry a narrow spike at the capacity
+    // sell-out price (the ESP's optimum sits just below the point where the
+    // CSP would rather undercut), so the outer scan is run much finer than
+    // the inner reaction scans.
+    composite_scan.grid_points = std::max(4 * options.grid_points, 160);
+    composite_scan.tolerance = 1e-7;
+    // Each composite point is one reaction solve (closed form, else a
+    // nested serial scan), so the outer scan is the stage to fan out.
+    const auto composite = [&](double price_edge) {
+      count_leader_eval();
+      const Prices point{price_edge, reaction(price_edge)};
+      return sp_profits(params, point, oracle.solve(point).totals).edge;
+    };
+    const auto best = num::maximize_scan_parallel(composite, box.edge.lo,
+                                                  box.edge.hi, composite_scan,
+                                                  context.threads);
+    prices = Prices{best.argmax, reaction(best.argmax)};
+  }
+  auto result = finish_leader_stage(params, oracle, *prices, true);
   result.method = SpSolveMethod::kSequential;
   result.rounds = 1;
   return result;
@@ -322,18 +501,7 @@ LeaderStageResult leader_stage(const NetworkParams& params,
   }
   count_sequential_fallback(context);
   const support::SolveTrace::Scope phase(trace_of(context), "sequential");
-  const double budget = oracle.classes().budgets.front();
-  const int n = oracle.miner_count();
-  const bool closed_forms = oracle.class_count() == 1 && n >= 2 && budget > 0.0;
-  const auto reaction = [&](double price_edge) {
-    return closed_forms
-               ? homogeneous_csp_reaction(params, budget, n, oracle.mode(),
-                                          oracle, box, price_edge, options)
-               : csp_reaction_with_oracle(params, oracle, box, price_edge,
-                                          options);
-  };
-  auto result = sequential_construction(params, oracle, reaction, box,
-                                        options, context);
+  auto result = sequential_construction(params, oracle, box, options, context);
   result.rounds += scan_rounds;
   return result;
 }
@@ -368,20 +536,15 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
                                                 EdgeMode mode,
                                                 const SpSolveOptions& options) {
   params.validate();
+  HECMINE_REQUIRE(budget > 0.0, "SP solve: budget must be positive");
+  HECMINE_REQUIRE(n >= 2, "SP solve: n >= 2 required");
   const SolveContext& context = options.context;
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.sequential");
-  const PriceBox box = price_box(params, options);
-  // The reaction shares the composite's oracle: rebuilding it per
-  // composite point would redo the oracle setup a few hundred times.
-  const FollowerOracle oracle(params, budget, n, mode, context);
-  const auto reaction = [&](double price_edge) {
-    return homogeneous_csp_reaction(params, budget, n, mode, oracle, box,
-                                    price_edge, options);
-  };
-  return sequential_construction(params, oracle, reaction, box, options,
-                                 context);
+  return sequential_construction(params,
+                                 FollowerOracle(params, budget, n, mode, context),
+                                 price_box(params, options), options, context);
 }
 
 LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,

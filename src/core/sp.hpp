@@ -11,7 +11,9 @@
 // pool: it runs the sequential construction directly where Theorem 4 rules
 // out a pure price equilibrium, and the price scan with the sequential
 // fallback elsewhere; only the CSP reaction it plugs in depends on the
-// pool (closed forms for one budget class).
+// pool (closed forms for one budget class). Along a closed-form reaction
+// that covers the edge-price box, the ESP's optimum comes from a few
+// candidates (docs/MATH.md §4); every other pool scans the composite.
 //
 // All entry points return one unified LeaderStageResult.
 #pragma once
@@ -74,9 +76,10 @@ struct LeaderStageResult {
 
 /// Leader-stage solve with n identical miners of budget B: solve_leader_stage
 /// on the one-class pool, without building a budget vector. The follower
-/// stage is the one-class solve, exact without iteration, making price
-/// sweeps cheap, and the sequential construction's CSP reaction takes the
-/// closed forms of csp_reaction_homogeneous.
+/// stage is the one-class solve, exact without iteration, and the
+/// sequential construction's CSP reaction takes the closed forms of
+/// csp_reaction_homogeneous, so the ESP's price comes from a few
+/// candidates wherever they cover the edge-price box.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});
@@ -93,7 +96,17 @@ struct LeaderStageResult {
 
 /// Sequential solve reproducing Theorem 4: substitute the CSP reaction
 /// curve (csp_reaction_homogeneous) into V_e and maximize the
-/// one-dimensional composite over P_e.
+/// one-dimensional composite over P_e, through the leader stage's driver
+/// without Theorem 4's test or the price scan. Where the closed-form
+/// reaction covers the edge-price box (connected: its root clears the cloud
+/// floor at the box's left end; standalone: B >= R(n-1)/n^2, with a Table
+/// II candidate and the h = 1 root in the cloud box there), the optimum is
+/// the best of a few closed-form candidates: the composite's stationary
+/// point, the box ends and, in standalone mode, the end of the interval
+/// where the reaction sits on the cap side of the kink (the sell-out
+/// spike). Connected mode compares them on V_e/(1 - u), so its prices do
+/// not depend on n or B. Elsewhere a grid scan of the composite with
+/// golden-section refines. Requires B > 0 and n >= 2.
 [[nodiscard]] LeaderStageResult solve_leader_stage_sequential(
     const NetworkParams& params, double budget, int n, EdgeMode mode,
     const SpSolveOptions& options = {});
@@ -123,7 +136,9 @@ struct LeaderStageResult {
 /// reads the scan's state, so both routes give the same answer. Its CSP
 /// reaction is csp_reaction_homogeneous's (closed forms where they apply)
 /// when the pool is one class of n >= 2 miners with a positive budget, and
-/// a numeric scan of V_c otherwise.
+/// a numeric scan of V_c otherwise; the construction then runs as in
+/// solve_leader_stage_sequential (candidates where the closed forms cover
+/// the edge-price box, the composite scan elsewhere).
 [[nodiscard]] LeaderStageResult solve_leader_stage(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SpSolveOptions& options = {});

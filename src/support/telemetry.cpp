@@ -195,19 +195,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-ScopedTimer::ScopedTimer(HistogramMetric* sink) noexcept : sink_(sink) {
-  if (sink_ != nullptr) start_ns_ = steady_now_ns();
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (sink_ != nullptr) sink_->observe(elapsed_ms());
-}
-
-double ScopedTimer::elapsed_ms() const noexcept {
-  if (sink_ == nullptr) return 0.0;
-  return static_cast<double>(steady_now_ns() - start_ns_) * 1e-6;
-}
-
 SolveTrace::SolveTrace(std::size_t capacity)
     : capacity_(capacity), epoch_ns_(steady_now_ns()) {}
 

@@ -14,9 +14,6 @@
 //     serializes on telemetry. Handles returned by counter()/gauge()/
 //     histogram() stay valid for the registry's lifetime — hot paths
 //     resolve once and increment through the reference.
-//   * ScopedTimer — RAII wall-clock timer feeding a HistogramMetric (or nothing,
-//     when constructed with nullptr: the null-sink path does no clock
-//     reads).
 //   * SolveTrace — a capacity-bounded span recorder capturing the phase
 //     tree of a solve at stage boundaries (leader stage -> its phases ->
 //     leader rounds and pool tasks); a follower solve, well under a
@@ -204,23 +201,6 @@ class MetricsRegistry {
   [[nodiscard]] Stripe& stripe_of(std::string_view name);
 
   std::array<Stripe, kStripes> stripes_;
-};
-
-/// RAII wall-clock timer: records elapsed milliseconds into `sink` on
-/// destruction. A null sink skips the clock reads entirely.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(HistogramMetric* sink) noexcept;
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Milliseconds since construction (0 for a null sink).
-  [[nodiscard]] double elapsed_ms() const noexcept;
-
- private:
-  HistogramMetric* sink_;
-  std::uint64_t start_ns_ = 0;
 };
 
 /// Capacity-bounded span recorder for the phase tree of a solve. begin()

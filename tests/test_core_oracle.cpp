@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/closed_forms.hpp"
 #include "core/equilibrium.hpp"
 #include "core/sp.hpp"
 #include "game/stackelberg.hpp"
@@ -256,10 +257,10 @@ game::StackelbergResult direct_price_scan(const NetworkParams& params,
       box, driver);
 }
 
-/// Theorem 4's sequential construction from public pieces: the ESP's best
-/// point on the CSP's reaction curve. One budget class takes
-/// solve_leader_stage_sequential; any other pool the numeric V_c scan, with
-/// the leader stage's box and scan settings.
+/// Theorem 4's sequential construction: the ESP's best point on the CSP's
+/// reaction curve. One budget class takes solve_leader_stage_sequential;
+/// any other pool the composite scan with the numeric V_c scan, rebuilt
+/// from public pieces with the leader stage's box and scan settings.
 LeaderStageResult sequential_reference(const NetworkParams& params,
                                        const std::vector<double>& budgets,
                                        EdgeMode mode,
@@ -391,6 +392,156 @@ TEST(LeaderStage, SkipsThePriceScanOnlyWhereItCannotSettle) {
   EXPECT_GE(stages, 1000);
   EXPECT_GT(skipped, stages / 4);
   EXPECT_LT(skipped, stages - stages / 4);
+}
+
+// --- The ESP's optimum by candidates, with the grid scan as the oracle --
+
+/// The sequential construction for one budget class as a composite scan,
+/// rebuilt from public pieces: V_e over a grid of the edge-price box and
+/// golden-section refines of its best cells, with the leader stage's box,
+/// scan settings and CSP reaction against one oracle (the closed-form root
+/// in connected mode, Table II's better-scoring candidate in standalone
+/// mode, the numeric V_c scan where neither applies).
+LeaderStageResult composite_scan_reference(const NetworkParams& params,
+                                           double budget, int n,
+                                           EdgeMode mode,
+                                           const SpSolveOptions& options) {
+  const FollowerOracle oracle(params, budget, n, mode, options.context);
+  const auto box = leader_box(params, options);
+  const auto profits_at = [&](const Prices& prices) {
+    return sp_profits(params, prices, oracle.solve(prices).totals);
+  };
+  const auto reaction = [&](double price_edge) {
+    if (mode == EdgeMode::kConnected) {
+      const double root = csp_reaction_sufficient_closed(params, price_edge);
+      if (root >= box[1].lo && root <= box[1].hi) return root;
+    } else {
+      const StandaloneCspCandidates closed = csp_reaction_standalone_closed(
+          params, budget, n, price_edge, box[1].lo, box[1].hi);
+      if (closed.slack > 0.0 && closed.binding > 0.0)
+        return profits_at({price_edge, closed.binding}).cloud >
+                       profits_at({price_edge, closed.slack}).cloud
+                   ? closed.binding
+                   : closed.slack;
+      if (closed.slack > 0.0) return closed.slack;
+      if (closed.binding > 0.0) return closed.binding;
+    }
+    num::Maximize1DOptions reaction_scan;
+    reaction_scan.grid_points = options.grid_points;
+    reaction_scan.tolerance = 1e-8;
+    return num::maximize_scan(
+               [&](double price_cloud) {
+                 return profits_at({price_edge, price_cloud}).cloud;
+               },
+               box[1].lo, box[1].hi, reaction_scan)
+        .argmax;
+  };
+  num::Maximize1DOptions composite_scan;
+  composite_scan.grid_points = std::max(4 * options.grid_points, 160);
+  composite_scan.tolerance = 1e-7;
+  LeaderStageResult result;
+  result.prices.edge =
+      num::maximize_scan(
+          [&](double price_edge) {
+            return profits_at({price_edge, reaction(price_edge)}).edge;
+          },
+          box[0].lo, box[0].hi, composite_scan)
+          .argmax;
+  result.prices.cloud = reaction(result.prices.edge);
+  result.followers = oracle.solve(result.prices);
+  result.profits = sp_profits(params, result.prices, result.followers.totals);
+  result.converged = result.followers.converged;
+  return result;
+}
+
+/// docs/MATH.md §4's coverage test: the closed-form reaction covers the
+/// edge-price box (connected: its root clears the cloud floor at the box's
+/// left end; standalone: B >= R(n-1)/n^2, a Table II candidate and the h = 1
+/// root in the cloud box there).
+bool closed_forms_cover(const NetworkParams& params, double budget, int n,
+                        EdgeMode mode, const SpSolveOptions& options) {
+  const auto box = leader_box(params, options);
+  if (mode == EdgeMode::kConnected)
+    return csp_reaction_sufficient_closed(params, box[0].lo) >= box[1].lo;
+  NetworkParams unit = params;
+  unit.edge_success = 1.0;
+  const StandaloneCspCandidates closed = csp_reaction_standalone_closed(
+      params, budget, n, box[0].lo, box[1].lo, box[1].hi);
+  return (closed.slack > 0.0 || closed.binding > 0.0) &&
+         csp_reaction_sufficient_closed(unit, box[0].lo) >= box[1].lo;
+}
+
+TEST(LeaderStage, CandidatesMatchTheCompositeScanOnOneClassPools) {
+  // Over a grid of one-class pools in both modes, with slack and binding
+  // budgets, the sequential construction by candidates must reach the
+  // composite scan's V_e to 1e-9 relative on an exact follower answer.
+  // Pools the closed forms do not cover keep the scan and must match it bit
+  // for bit: every seventh of them (standalone ones only up to n = 3, to
+  // bound the run time, as each of their composite points scans V_c over
+  // binding-budget follower solves), and the standalone n = 10, B = 5 pool.
+  SpSolveOptions options;
+  options.context.threads = 1;
+  int covered = 0;
+  int kept = 0;
+  const auto check = [&](const NetworkParams& params, double budget, int n,
+                         EdgeMode mode, bool sample_kept) {
+    const std::string where =
+        std::string(mode == EdgeMode::kConnected ? "connected" : "standalone") +
+        " beta=" + std::to_string(params.fork_rate) +
+        " h=" + std::to_string(params.edge_success) +
+        " E_max=" + std::to_string(params.edge_capacity) +
+        " C_e=" + std::to_string(params.cost_edge) +
+        " C_c=" + std::to_string(params.cost_cloud) +
+        " budgets=" + std::to_string(budget) + "x" + std::to_string(n);
+    if (!closed_forms_cover(params, budget, n, mode, options)) {
+      if (!sample_kept) return;
+      ++kept;
+      expect_same_answer(
+          solve_leader_stage_sequential(params, budget, n, mode, options),
+          composite_scan_reference(params, budget, n, mode, options), where);
+      return;
+    }
+    ++covered;
+    const LeaderStageResult stage =
+        solve_leader_stage_sequential(params, budget, n, mode, options);
+    const LeaderStageResult scan =
+        composite_scan_reference(params, budget, n, mode, options);
+    EXPECT_TRUE(stage.converged) << where;
+    EXPECT_GE(stage.profits.edge,
+              scan.profits.edge - 1e-9 * std::abs(scan.profits.edge))
+        << where;
+  };
+  int uncovered = 0;
+  for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone})
+  for (const double capacity : {0.5, 3.0, 8.0, 30.0})
+  for (const double cost_edge : {0.5, 1.0, 3.0, 10.0})
+  for (const double cost_cloud : {0.1, 0.4, 1.0})
+  for (const double fork_rate : {0.05, 0.2, 0.5})
+  for (const double success : {0.5, 0.9, 1.0})
+  for (const int n : {2, 3, 10, 50}) {
+    // Standalone mode reads no h, connected mode no E_max.
+    if (mode == EdgeMode::kStandalone ? success != 1.0 : capacity != 3.0)
+      continue;
+    NetworkParams params;
+    params.fork_rate = fork_rate;
+    params.edge_success = success;
+    params.edge_capacity = capacity;
+    params.cost_edge = cost_edge;
+    params.cost_cloud = cost_cloud;
+    // Twice and half of the smaller per-miner spend threshold.
+    const double threshold = params.reward * (n - 1.0) * (1.0 - fork_rate) /
+                             (static_cast<double>(n) * n);
+    for (const double budget : {2.0 * params.reward / n, 0.5 * threshold}) {
+      const bool sample =
+          !closed_forms_cover(params, budget, n, mode, options) &&
+          uncovered++ % 7 == 0 && (mode == EdgeMode::kConnected || n <= 3);
+      check(params, budget, n, mode, sample);
+    }
+  }
+  const NetworkParams defaults;
+  check(defaults, 5.0, 10, EdgeMode::kStandalone, true);
+  EXPECT_GE(covered, 1000);
+  EXPECT_GE(kept, 20);
 }
 
 // Two pools whose price scan settles, so Theorem 4's test must keep it. The

@@ -14,6 +14,8 @@
 #include "core/closed_forms.hpp"
 #include "game/stackelberg.hpp"
 #include "support/error.hpp"
+#include "support/prof.hpp"
+#include "support/telemetry.hpp"
 
 namespace hecmine::core {
 namespace {
@@ -347,6 +349,50 @@ TEST(LeaderStage, EqualBudgetsMatchTheHomogeneousEntryBitwise) {
     EXPECT_EQ(general.rounds, homogeneous.rounds);
     EXPECT_EQ(general.method, homogeneous.method);
     EXPECT_EQ(general.converged, homogeneous.converged);
+  }
+}
+
+TEST(LeaderStage, ConnectedOneClassPricesDependOnNeitherNNorB) {
+  // Along the closed-form reaction the connected stage picks the ESP's
+  // price on V_e/(1 - u), a function of the prices alone, so every n and B
+  // gives the same prices bit for bit (the composite scan agreed to ~2e-7).
+  for (const NetworkParams& params : {default_params(), NetworkParams{}}) {
+    const SpSolveOptions options;
+    const auto reference = solve_leader_stage_homogeneous(
+        params, 1.0, 2, EdgeMode::kConnected, options);
+    for (const int n : {2, 5, 50}) {
+      for (const double budget : {1.0, 200.0, 1e6}) {
+        const auto result = solve_leader_stage_homogeneous(
+            params, budget, n, EdgeMode::kConnected, options);
+        EXPECT_EQ(result.method, SpSolveMethod::kSequential);
+        EXPECT_EQ(result.rounds, 1);
+        EXPECT_TRUE(result.converged);
+        EXPECT_EQ(result.prices.edge, reference.prices.edge) << n << " " << budget;
+        EXPECT_EQ(result.prices.cloud, reference.prices.cloud)
+            << n << " " << budget;
+      }
+    }
+  }
+}
+
+TEST(LeaderStage, OneClassStagesMakeAtMostSixtyLeaderEvaluations) {
+  // The ESP's optimum comes from a few closed-form candidates, not from a
+  // 160-point composite scan and its refines (543 utility evaluations
+  // connected, 570 standalone), so a one-class stage stays within 60.
+  for (const NetworkParams& params : {default_params(), NetworkParams{}}) {
+    for (const EdgeMode mode : {EdgeMode::kConnected, EdgeMode::kStandalone}) {
+      support::Telemetry telemetry;
+      SpSolveOptions options;
+      options.context.telemetry = &telemetry;
+      const auto result =
+          solve_leader_stage_homogeneous(params, 200.0, 10, mode, options);
+      EXPECT_EQ(result.method, SpSolveMethod::kSequential);
+      EXPECT_TRUE(result.converged);
+      const std::uint64_t evals =
+          telemetry.work.total()[support::prof::WorkField::kUtilityEvals];
+      EXPECT_GT(evals, 0u);
+      EXPECT_LE(evals, 60u);
+    }
   }
 }
 

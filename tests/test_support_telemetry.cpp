@@ -275,20 +275,6 @@ TEST(MetricsRegistry, SnapshotIsSortedByName) {
   ASSERT_EQ(snap.gauges.size(), 1u);
 }
 
-TEST(ScopedTimer, NullSinkIsZeroCostAndRecordsNothing) {
-  support::ScopedTimer timer(nullptr);
-  EXPECT_DOUBLE_EQ(timer.elapsed_ms(), 0.0);
-}
-
-TEST(ScopedTimer, RecordsIntoSink) {
-  support::HistogramMetric sink({1e9});
-  {
-    support::ScopedTimer timer(&sink);
-  }
-  EXPECT_EQ(sink.count(), 1u);
-  EXPECT_GE(sink.sum(), 0.0);
-}
-
 TEST(SolveTrace, NestsSpansPerThreadAndDropsAtCapacity) {
   support::SolveTrace trace(3);
   const int outer = trace.begin("outer");
