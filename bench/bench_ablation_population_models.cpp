@@ -5,7 +5,6 @@
 
 #include "bench_util.hpp"
 #include "core/dynamic.hpp"
-#include "core/dynamic_types.hpp"
 #include "core/population.hpp"
 
 int main(int argc, char** argv) {

@@ -7,12 +7,16 @@
 #include "core/oracle.hpp"
 #include "numerics/pga.hpp"
 #include "numerics/projection.hpp"
+#include "numerics/roots.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 
 namespace hecmine::core {
 
 namespace {
+
+/// Certificate bound: the class solver's for pools of up to 1,000 miners.
+constexpr double kResidualBound = 1e-9;
 
 void check_config(const DynamicGameConfig& config) {
   config.params.validate();
@@ -36,6 +40,42 @@ double win_given_count(const DynamicGameConfig& config, const MinerRequest& own,
   if (s_k > 0.0) win += (1.0 - beta) * own.total() / s_k;
   if (own.edge > 0.0 && e_k > 0.0) win += beta * h * own.edge / e_k;
   return win;
+}
+
+/// phi(x) = sum_k P(k)(k-1)/(x+k-1)^2: a miner requesting x times the
+/// mixture m earns marginal revenue K phi(x)/m per unit. phi(1) = G.
+double share_kernel(const PopulationModel& population, double x) {
+  double sum = 0.0;
+  for (int k = std::max(2, population.min_miners());
+       k <= population.max_miners(); ++k) {
+    const double opponents = static_cast<double>(k - 1);
+    const double spread = x + opponents;
+    sum += population.pmf(k) * opponents / (spread * spread);
+  }
+  return sum;
+}
+
+/// KKT residual of `own` as a reply to `mixture` over the budget set, per
+/// coin of spend: each component's marginal utility per coin must equal the
+/// budget multiplier lambda where the component is positive and not exceed
+/// it where it is zero, and lambda must vanish unless the budget binds.
+double kkt_residual(const DynamicGameConfig& config,
+                    const PopulationModel& population, const MinerRequest& own,
+                    const MinerRequest& mixture) {
+  const auto [du_de, du_dc] =
+      dynamic_miner_gradient(config, population, own, mixture);
+  const double per_coin[2] = {du_de / config.prices.edge,
+                              du_dc / config.prices.cloud};
+  const bool positive[2] = {own.edge > 0.0, own.cloud > 0.0};
+  const double spent = request_cost(own, config.prices) / config.budget;
+  const double lambda = std::max({0.0, positive[0] ? per_coin[0] : 0.0,
+                                  positive[1] ? per_coin[1] : 0.0});
+  double residual = std::max({0.0, spent - 1.0, lambda * (1.0 - spent)});
+  for (int i = 0; i < 2; ++i) {
+    const double gap = per_coin[i] - lambda;
+    residual = std::max(residual, positive[i] ? std::abs(gap) : gap);
+  }
+  return residual;
 }
 
 }  // namespace
@@ -158,46 +198,92 @@ MinerRequest dynamic_best_response(const DynamicGameConfig& config,
   return {pga.point[0], pga.point[1]};
 }
 
-DynamicEquilibrium solve_dynamic_symmetric(const DynamicGameConfig& config,
-                                           const PopulationModel& population,
-                                           double damping, double tolerance,
-                                           int max_iterations) {
-  check_config(config);
-  HECMINE_REQUIRE(damping > 0.0 && damping <= 1.0,
-                  "dynamic solve: damping in (0, 1]");
-  DynamicEquilibrium result;
-  MinerRequest current{0.25 * config.budget / config.prices.edge,
-                       0.25 * config.budget / config.prices.cloud};
-  // The best response steepens with the opponent count, so a fixed damping
-  // can fall into a period-2 orbit; halve the damping whenever the residual
-  // stops improving.
-  double step = damping;
-  double best_residual = std::numeric_limits<double>::infinity();
-  int stalled = 0;
-  for (int iteration = 0; iteration < max_iterations; ++iteration) {
-    result.iterations = iteration + 1;
-    const MinerRequest response =
-        dynamic_best_response(config, population, current);
-    const double change = std::max(std::abs(response.edge - current.edge),
-                                   std::abs(response.cloud - current.cloud));
-    current.edge = (1.0 - step) * current.edge + step * response.edge;
-    current.cloud = (1.0 - step) * current.cloud + step * response.cloud;
-    if (change < tolerance) {
-      result.converged = true;
-      break;
-    }
-    if (change < 0.95 * best_residual) {
-      best_residual = change;
-      stalled = 0;
-    } else if (++stalled >= 40 && step > 0.02) {
-      step *= 0.5;
-      stalled = 0;
-    }
+TypedDynamicEquilibrium solve_dynamic_types(const DynamicGameConfig& config,
+                                            const PopulationModel& population,
+                                            const std::vector<MinerType>& types) {
+  HECMINE_REQUIRE(!types.empty(), "dynamic types: at least one type");
+  double fraction_total = 0.0;
+  double smallest_budget = std::numeric_limits<double>::infinity();
+  DynamicGameConfig typed = config;
+  for (const auto& type : types) {
+    typed.budget = type.budget;
+    check_config(typed);
+    HECMINE_REQUIRE(type.fraction > 0.0, "dynamic types: fractions positive");
+    fraction_total += type.fraction;
+    smallest_budget = std::min(smallest_budget, type.budget);
   }
-  result.request = current;
-  result.expected_total_edge = population.mean() * current.edge;
+  HECMINE_REQUIRE(std::abs(fraction_total - 1.0) < 1e-9,
+                  "dynamic types: fractions must sum to 1");
+
+  TypedDynamicEquilibrium result;
+  result.requests.resize(types.size());
+  // Theorem 3's price condition picks the face (docs/MATH.md §5). Per unit
+  // of the mixture: its edge fraction rho, its cost c and K/p.
+  const double beta = config.params.fork_rate;
+  const double edge_weight = beta * config.edge_success;
+  const double pe = config.prices.edge;
+  const double pc = config.prices.cloud;
+  double rho = 1.0;
+  double unit_cost = pe;
+  double demand = config.params.reward * (1.0 - beta + edge_weight) / pe;
+  if (pc * (1.0 - beta + edge_weight) < (1.0 - beta) * pe) {
+    rho = edge_weight * pc / ((1.0 - beta) * (pe - pc));
+    unit_cost = pc * (1.0 - beta + edge_weight) / (1.0 - beta);
+    demand = config.params.reward * (1.0 - beta) / pc;
+  }
+  // m(x): the mixture's total request when the slack types play x times it.
+  const auto mixture_total = [&](double x) {
+    return demand * share_kernel(population, x);
+  };
+  const double total_at_one = mixture_total(1.0);
+  if (total_at_one <= 0.0) {  // no mass on k >= 2: no equilibrium
+    result.residual = std::numeric_limits<double>::infinity();
+    return result;
+  }
+  // The slack multiple x solves sum_t f_t min(x, B_t/(m(x) c)) = 1, whose
+  // left side increases in x; with no binding type it is 1.
+  double x = 1.0;
+  if (smallest_budget < total_at_one * unit_cost) {
+    x = num::decreasing_root_unbounded(
+        [&](double multiple) {
+          const double spend = mixture_total(multiple) * unit_cost;
+          double share = 0.0;
+          for (const auto& type : types)
+            share += type.fraction * std::min(multiple, type.budget / spend);
+          return 1.0 - share;
+        },
+        0.0, 1.0);
+  }
+  const double slack_units = x * mixture_total(x);
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    const double units = std::min(slack_units, types[t].budget / unit_cost);
+    result.requests[t] = {units * rho, units * (1.0 - rho)};
+    result.mixture.edge += types[t].fraction * result.requests[t].edge;
+    result.mixture.cloud += types[t].fraction * result.requests[t].cloud;
+  }
+  result.expected_total_edge = population.mean() * result.mixture.edge;
+
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    typed.budget = types[t].budget;
+    result.residual = std::max(
+        result.residual,
+        kkt_residual(typed, population, result.requests[t], result.mixture));
+  }
+  result.converged = result.residual <= kResidualBound;
+  return result;
+}
+
+DynamicEquilibrium solve_dynamic_symmetric(const DynamicGameConfig& config,
+                                           const PopulationModel& population) {
+  const TypedDynamicEquilibrium typed =
+      solve_dynamic_types(config, population, {{config.budget, 1.0}});
+  DynamicEquilibrium result;
+  result.request = typed.requests.front();
+  result.expected_total_edge = typed.expected_total_edge;
   result.exceeds_capacity =
       result.expected_total_edge > config.params.edge_capacity;
+  result.converged = typed.converged;
+  result.residual = typed.residual;
   return result;
 }
 

@@ -1,17 +1,23 @@
-// The dynamic-miner-number game (paper Section V, Problem 1d).
+// The dynamic-miner-number game (paper Section V, Problem 1d), for
+// homogeneous miners and, as an extension, budget classes ("types").
 //
 // With N random, a focal miner evaluates its expected utility over the
-// population law, assuming every other miner plays the same symmetric
-// strategy (e-bar, c-bar):
+// population law against opponents whose mean strategy is m:
 //
 //   U(e, c) = R sum_k P(k) [ (1-beta)(e+c)/S_k + beta h e / E_k ]
 //             - P_e e - P_c c,
-//   S_k = (e+c) + (k-1)(e-bar + c-bar),   E_k = e + (k-1) e-bar.
+//   S_k = (e+c) + (k-1)(m_e + m_c),   E_k = e + (k-1) m_e.
 //
-// The h-weighted form is the same reduction as Eq. (9); the paper's Eq. (26)
-// prints the h = 1/2 instance. The symmetric equilibrium is the fixed point
-// of the focal best response, computed by projected gradient ascent over the
-// budget polytope (no closed form exists — Sec. V resorts to numerics too).
+// m is the symmetric strategy, or with types (a fraction f_t of any k
+// active miners is of type t) the mixture m = sum_t f_t (e_t, c_t). The
+// h-weighted form is Eq. (9)'s reduction; Eq. (26) prints h = 1/2.
+//
+// The equilibrium has a share form (docs/MATH.md §5): every type requests
+// a multiple of the mixture, binding types play Theorem 3's request, and
+// the slack types share one multiple x, the increasing root of one scalar
+// equation. With no binding budget x = 1: e* = R beta h G/(P_e - P_c),
+// G = E[(N-1)/N^2]. U is concave in (e, c), so `converged`, a zero KKT
+// residual of every request against the mixture, certifies the answer.
 //
 // Headline reproduced here (paper Sec. V / Fig 9): population uncertainty
 // makes miners bid *more* on the ESP than the fixed-N game at N = mu, and
@@ -20,6 +26,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/params.hpp"
 #include "core/population.hpp"
@@ -28,11 +36,11 @@
 
 namespace hecmine::core {
 
-/// Inputs of the symmetric dynamic game.
+/// Inputs of the dynamic game.
 struct DynamicGameConfig {
   NetworkParams params;        ///< uses reward, fork_rate; edge_success = h
   Prices prices;               ///< fixed SP prices during the horizon
-  double budget = 0.0;         ///< common miner budget B
+  double budget = 0.0;         ///< common budget B (types carry their own)
   double edge_success = 0.5;   ///< h — edge service probability (Eq. 26)
 };
 
@@ -66,7 +74,8 @@ struct MonteCarloUtility {
     const DynamicGameConfig& config, const PopulationModel& population,
     const MinerRequest& own, const MinerRequest& others_symmetric);
 
-/// Focal best response against a symmetric opponent strategy.
+/// Focal best response against a symmetric opponent strategy, by projected
+/// gradient ascent: no solver calls it; tests hold the solvers to it.
 [[nodiscard]] MinerRequest dynamic_best_response(
     const DynamicGameConfig& config, const PopulationModel& population,
     const MinerRequest& others_symmetric);
@@ -76,14 +85,37 @@ struct DynamicEquilibrium {
   MinerRequest request;          ///< per-miner strategy (e*, c*)
   double expected_total_edge = 0.0;  ///< E[N] * e* — compare against E_max
   bool exceeds_capacity = false;     ///< expected edge demand > E_max
-  bool converged = false;
-  int iterations = 0;
+  bool converged = false;  ///< the KKT certificate passed (residual <= 1e-9)
+  double residual = 0.0;   ///< KKT residual per unit of spend; +inf if none
 };
 
-/// Damped fixed point of dynamic_best_response.
+/// The one-type case of solve_dynamic_types.
 [[nodiscard]] DynamicEquilibrium solve_dynamic_symmetric(
+    const DynamicGameConfig& config, const PopulationModel& population);
+
+/// One budget class.
+struct MinerType {
+  double budget = 0.0;    ///< B_t
+  double fraction = 0.0;  ///< f_t, population share; fractions sum to 1
+};
+
+/// Equilibrium of the typed dynamic game.
+struct TypedDynamicEquilibrium {
+  std::vector<MinerRequest> requests;  ///< per-type strategy (e_t, c_t)
+  MinerRequest mixture;                ///< sum_t f_t (e_t, c_t)
+  double expected_total_edge = 0.0;    ///< E[N] * mixture.edge
+  bool converged = false;  ///< the KKT certificate passed (residual <= 1e-9)
+  double residual = 0.0;   ///< largest KKT residual over the types
+};
+
+/// Solves the typed dynamic game by the share form. `config.budget` is
+/// ignored (budgets come from the types); fractions must be positive and
+/// sum to 1 (1e-9). A population with no mass on k >= 2 has no equilibrium
+/// (a lone miner wins with any positive request): the requests are then
+/// zero, `converged` false and `residual` +inf.
+[[nodiscard]] TypedDynamicEquilibrium solve_dynamic_types(
     const DynamicGameConfig& config, const PopulationModel& population,
-    double damping = 0.5, double tolerance = 1e-8, int max_iterations = 2000);
+    const std::vector<MinerType>& types);
 
 /// The fixed-N benchmark at N = round(population mean): the connected-mode
 /// symmetric NE with the same h, for the Fig-9 comparison. Solved through

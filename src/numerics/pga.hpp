@@ -1,8 +1,8 @@
 // Projected gradient ascent for concave maximization over a convex set.
 //
-// Used where no closed-form best response exists (the dynamic-population
-// miner problem, Sec. V) and as an independent cross-check of the
-// closed-form KKT best responses elsewhere.
+// No solver calls it: it is the independent maximizer that tests hold the
+// closed-form and share-form best responses to (core::dynamic_best_response
+// wraps it for the Sec.-V game).
 #pragma once
 
 #include <functional>

@@ -1,24 +1,24 @@
 #include "numerics/poly.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace hecmine::num {
 
-std::vector<double> solve_quadratic(double a, double b, double c) {
+QuadraticRoots solve_quadratic(double a, double b, double c) {
   if (a == 0.0) {
     if (b == 0.0) return {};  // constant: no roots (or all x if c == 0)
-    return {-c / b};
+    return {{-c / b, 0.0}, 1};
   }
   const double discriminant = b * b - 4.0 * a * c;
   if (discriminant < 0.0) return {};
-  if (discriminant == 0.0) return {-b / (2.0 * a)};
+  if (discriminant == 0.0) return {{-b / (2.0 * a), 0.0}, 1};
   // Numerically stable form: compute the larger-magnitude root first.
   const double q =
       -0.5 * (b + std::copysign(std::sqrt(discriminant), b));
-  std::vector<double> roots{q / a, c / q};
-  std::sort(roots.begin(), roots.end());
-  return roots;
+  QuadraticRoots out{{q / a, c / q}, 2};
+  if (out.roots[1] < out.roots[0]) std::swap(out.roots[0], out.roots[1]);
+  return out;
 }
 
 }  // namespace hecmine::num
