@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   config.params.edge_capacity = 8.0;
   config.prices = {2.0, 1.0};
   config.budget = args.get("budget", 12.0);
-  config.edge_success = args.get("h", 0.5);
+  config.params.edge_success = args.get("h", 0.5);
 
   support::Table table({"mu", "edge_fixed", "edge_gaussian_sd2",
                         "edge_poisson", "premium_gaussian_pct",

@@ -24,7 +24,8 @@ hecmine::core::DynamicGameConfig make_config(const hecmine::support::CliArgs& ar
   config.params.edge_capacity = args.get("capacity", 8.0);
   config.prices = {args.get("price-edge", 2.0), args.get("price-cloud", 1.0)};
   config.budget = args.get("budget", 12.0);
-  config.edge_success = args.get("h", 0.5);  // Eq. (26)'s 1/2-1/2 mixture
+  // Eq. (26)'s 1/2-1/2 mixture.
+  config.params.edge_success = args.get("h", 0.5);
   return config;
 }
 
@@ -45,6 +46,7 @@ int main(int argc, char** argv) {
   using namespace hecmine;
   const support::CliArgs args(argc, argv);
   const auto config = make_config(args);
+  const double h = config.params.edge_success;
   const double sigma = args.get("stddev", 2.0);
   const int threads = args.threads();
 
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
         const auto fixed = core::fixed_population_benchmark(config, population);
         const auto learned =
             rl::train_miners(config.params, config.prices, config.budget,
-                             population, trainer_config(config.edge_success),
+                             population, trainer_config(h),
                              900 + static_cast<std::uint64_t>(mu));
         return std::vector<double>{mu, dynamic.request.edge, fixed.edge,
                                    learned.mean.edge,
@@ -87,7 +89,7 @@ int main(int argc, char** argv) {
         const auto fixed = core::fixed_population_benchmark(config, population);
         const auto learned =
             rl::train_miners(config.params, config.prices, config.budget,
-                             population, trainer_config(config.edge_success),
+                             population, trainer_config(h),
                              950 + static_cast<std::uint64_t>(10.0 * s));
         return std::vector<double>{s * s, dynamic.request.edge, fixed.edge,
                                    learned.mean.edge};

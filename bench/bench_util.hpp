@@ -4,63 +4,15 @@
 // plots) and mirrors them to CSV under bench_out/ for plotting.
 #pragma once
 
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "support/cli.hpp"
-#include "support/error.hpp"
-#include "support/json.hpp"
 #include "support/parallel.hpp"
-#include "support/prof.hpp"
 #include "support/table.hpp"
-#include "support/telemetry.hpp"
 
 namespace hecmine::bench {
-
-/// Deterministic work accounting for one bench run label: the counters
-/// totalled over `solves` serial instrumented passes of the labelled
-/// workload. Serial passes make the counts bitwise seed-stable and
-/// trivially thread-count-invariant (the repo's perf benches already
-/// assert parallel == serial on the solved equilibria), so bench_compare
-/// can gate on work-per-solve deltas without any machine-noise tolerance.
-struct WorkLedgerEntry {
-  std::string label;
-  std::uint64_t solves = 0;
-  support::prof::WorkCounters work;
-};
-
-/// Runs `body` once under a fresh telemetry scope (installing the
-/// thread-local work block) and returns the work it counted.
-template <typename Body>
-[[nodiscard]] support::prof::WorkCounters counted_pass(const Body& body) {
-  support::Telemetry telemetry;
-  const support::TelemetryScope scope(&telemetry);
-  body();
-  return telemetry.work.total();
-}
-
-/// Emits the ledger's "counters" section: one object per run label with
-/// the solve count and every work field (zeros included, so the section's
-/// shape is stable across workloads).
-inline void write_counters(support::json::Writer& writer,
-                           const std::vector<WorkLedgerEntry>& counters) {
-  writer.key("counters");
-  writer.begin_object(support::json::Writer::kBlock);
-  for (const auto& entry : counters) {
-    writer.key(entry.label);
-    writer.begin_object();
-    writer.member("solves", entry.solves);
-    for (std::size_t i = 0; i < support::prof::kWorkFieldCount; ++i)
-      writer.member(
-          support::prof::work_field_name(
-              static_cast<support::prof::WorkField>(i)),
-          entry.work.values[i]);
-    writer.end_object();
-  }
-  writer.end_object();
-}
 
 /// Default parameters shared by the figure benches (the paper's small
 /// network: 5 miners, R = 100, h = 0.9).
@@ -84,21 +36,6 @@ template <typename Point, typename Fn>
     -> std::vector<decltype(fn(points.front()))> {
   return support::parallel_map(
       points.size(), [&](std::size_t i) { return fn(points[i]); }, threads);
-}
-
-/// Exact sample percentile with linear interpolation between order
-/// statistics (the ledger's p50/p95 come from the repeat samples, which
-/// are few — so no bucketing, unlike HistogramMetric::quantile).
-[[nodiscard]] inline double percentile(std::vector<double> values, double q) {
-  HECMINE_REQUIRE(!values.empty(), "percentile of an empty sample");
-  std::sort(values.begin(), values.end());
-  if (q <= 0.0) return values.front();
-  if (q >= 1.0) return values.back();
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] + frac * (values[lo + 1] - values[lo]);
 }
 
 /// Prints the table and writes bench_out/<name>.csv.

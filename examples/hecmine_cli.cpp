@@ -254,7 +254,7 @@ int cmd_dynamic(const core::Scenario& scenario) {
   config.params = scenario.params;
   config.prices = *scenario.fixed_prices;
   config.budget = scenario.budgets.front();
-  config.edge_success = scenario.edge_success_dynamic;
+  config.params.edge_success = scenario.edge_success_dynamic;
   const auto& population = *scenario.population;
   const auto dynamic = core::solve_dynamic_symmetric(config, population);
   const auto fixed = core::fixed_population_benchmark(config, population);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   config.params.edge_capacity = args.get("capacity", 8.0);
   config.prices = {args.get("price-edge", 2.0), args.get("price-cloud", 1.0)};
   config.budget = args.get("budget", 12.0);
-  config.edge_success = args.get("h", 0.5);  // Eq. (26)'s service risk
+  config.params.edge_success = args.get("h", 0.5);  // Eq. (26)'s service risk
 
   const double mu = args.get("mu", 10.0);
   const double stddev = args.get("stddev", 2.0);
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   market.trainer.blocks = args.get("blocks", 4000);
   market.trainer.edge_steps = 13;
   market.trainer.cloud_steps = 13;
-  market.trainer.edge_success = config.edge_success;
+  market.trainer.edge_success = config.params.edge_success;
   market.max_periods = args.get("periods", 10);
   const auto outcome = rl::adaptive_pricing_loop(
       config.params, config.prices, config.budget, population, market,

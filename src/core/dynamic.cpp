@@ -23,8 +23,6 @@ void check_config(const DynamicGameConfig& config) {
   HECMINE_REQUIRE(config.prices.edge > 0.0 && config.prices.cloud > 0.0,
                   "dynamic game: prices must be positive");
   HECMINE_REQUIRE(config.budget > 0.0, "dynamic game: budget must be > 0");
-  HECMINE_REQUIRE(config.edge_success > 0.0 && config.edge_success <= 1.0,
-                  "dynamic game: edge_success must be in (0, 1]");
 }
 
 /// Focal win probability conditional on the miner count being k (the
@@ -32,7 +30,7 @@ void check_config(const DynamicGameConfig& config) {
 double win_given_count(const DynamicGameConfig& config, const MinerRequest& own,
                        const MinerRequest& others_symmetric, int k) {
   const double beta = config.params.fork_rate;
-  const double h = config.edge_success;
+  const double h = config.params.edge_success;
   const double opponents = static_cast<double>(k - 1);
   const double s_k = own.total() + opponents * others_symmetric.total();
   const double e_k = own.edge + opponents * others_symmetric.edge;
@@ -150,7 +148,7 @@ std::pair<double, double> dynamic_miner_gradient(
     const MinerRequest& own, const MinerRequest& others_symmetric) {
   check_config(config);
   const double beta = config.params.fork_rate;
-  const double h = config.edge_success;
+  const double h = config.params.edge_success;
   double d_share = 0.0;  // d/d(e or c) of the (1-beta)(e+c)/S_k part
   double d_edge = 0.0;   // d/de of the beta h e/E_k part
   for (int k = population.min_miners(); k <= population.max_miners(); ++k) {
@@ -220,7 +218,7 @@ TypedDynamicEquilibrium solve_dynamic_types(const DynamicGameConfig& config,
   // Theorem 3's price condition picks the face (docs/MATH.md §5). Per unit
   // of the mixture: its edge fraction rho, its cost c and K/p.
   const double beta = config.params.fork_rate;
-  const double edge_weight = beta * config.edge_success;
+  const double edge_weight = beta * config.params.edge_success;
   const double pe = config.prices.edge;
   const double pc = config.prices.cloud;
   double rho = 1.0;
@@ -293,10 +291,9 @@ MinerRequest fixed_population_benchmark(const DynamicGameConfig& config,
   check_config(config);
   const int n = std::max(
       2, static_cast<int>(std::lround(population.nominal_mean())));
-  NetworkParams params = config.params;
-  params.edge_success = config.edge_success;
-  const EquilibriumProfile profile = solve_followers_symmetric(
-      params, config.prices, config.budget, n, EdgeMode::kConnected, context);
+  const EquilibriumProfile profile =
+      solve_followers_symmetric(config.params, config.prices, config.budget,
+                                n, EdgeMode::kConnected, context);
   return profile.request();
 }
 

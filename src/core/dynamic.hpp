@@ -38,10 +38,11 @@ namespace hecmine::core {
 
 /// Inputs of the dynamic game.
 struct DynamicGameConfig {
-  NetworkParams params;        ///< uses reward, fork_rate; edge_success = h
+  /// Uses reward, fork_rate and edge_success (h, the edge service
+  /// probability of Eq. 26).
+  NetworkParams params;
   Prices prices;               ///< fixed SP prices during the horizon
   double budget = 0.0;         ///< common budget B (types carry their own)
-  double edge_success = 0.5;   ///< h — edge service probability (Eq. 26)
 };
 
 /// Expected utility of a focal miner playing `own` while everyone else

@@ -1,18 +1,17 @@
 // Minimal JSON reader and writer for the project's own machine-readable
 // artifacts.
 //
-// hecmine emits JSON in several places (telemetry sinks, BENCH_*.json
-// ledger entries, iteration-log JSONL, trace timelines, run manifests)
-// and the repo deliberately carries no third-party JSON dependency.
-// bench_compare and the audit tests must parse those artifacts, so this
+// hecmine emits JSON in several places (telemetry sinks, perfbench
+// ledgers, iteration-log JSONL, trace timelines, run manifests) and the
+// repo deliberately carries no third-party JSON dependency.
+// hecmine_report and the tests must parse those artifacts, so this
 // header provides a small recursive-descent parser producing an immutable
 // Value tree; every emitter goes through the streaming Writer below so
 // string escaping and number formatting live in exactly one place.
 //
 // Parser scope: full JSON syntax (objects, arrays, strings with escapes
 // including \uXXXX, numbers, true/false/null) with a fixed nesting-depth
-// bound. Not a streaming parser and not tuned for huge documents — the
-// ledger files it reads are a few kilobytes.
+// bound. Not a streaming parser and not tuned for huge documents.
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,10 @@
 // Deterministic work-counter profiling: cost accounting for the solver
 // hot path.
 //
-// Wall-clock numbers do not transfer across hosts — the bench ledgers are
-// gated at 2x slack precisely because timings are machine- and
-// noise-dependent. What *does* transfer is the amount of algorithmic work
-// a solve performs: best- and block-response kernel evaluations,
-// Gauss-Seidel sweeps, bisection iterations. This header makes that work
-// first-class:
+// Wall-clock numbers do not transfer across hosts. What *does* transfer is
+// the amount of algorithmic work a solve performs: best-response and
+// utility evaluations, sweeps, bisection iterations. This header makes
+// that work first-class:
 //
 //   * WorkCounters — a plain snapshot of the counter taxonomy (uint64 per
 //     field). Deltas of monotone counts subtract field-wise; totals add.
@@ -17,18 +15,13 @@
 //   * WorkProfile — the per-sink registry of thread blocks. total() sums
 //     the blocks field-wise; because uint64 addition is associative and
 //     commutative, the sum is bitwise-identical regardless of which
-//     threads did the work — the determinism contract the bench counter
-//     gate stands on (identical seeds => identical counts, and
+//     threads did the work — the determinism contract the work-count
+//     tests stand on (identical seeds => identical counts, and
 //     thread-count-invariant wherever the algorithm itself is).
 //   * current_block() — the calling thread's block of the active telemetry
 //     sink, installed/restored by support::TelemetryScope exactly in step
 //     with current_telemetry(). Instrumentation sites pay one TLS read and
 //     a null test when profiling is off.
-//   * PerfSampler — optional Linux perf_event_open hardware counters
-//     (cycles / instructions / cache-misses), off by default. Opening can
-//     fail without privileges (perf_event_paranoid); the sampler degrades
-//     to "unavailable" and the outcome is recorded in the run manifest so
-//     a ledger always says whether hardware sampling was live.
 //
 // The header is deliberately standalone (no telemetry/json includes) so
 // the solver layers can include it without pulling the full telemetry
@@ -40,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,13 +49,10 @@ enum class WorkField : std::size_t {
   kBisectionIters,        ///< GNEP surcharge bisection iterations
   kProjectionClips,       ///< iterates clipped to a box/budget bound
   kConvergenceChecks,     ///< residual / stopping-rule evaluations
-  kCacheHits,             ///< retired follower-cache hits (always 0; kept
-                          ///< so committed ledgers keep their columns)
-  kCacheMisses,           ///< retired follower-cache misses (always 0)
   kSoaBytesMoved,         ///< retired with the SoA workspace; always 0
 };
 
-inline constexpr std::size_t kWorkFieldCount = 10;
+inline constexpr std::size_t kWorkFieldCount = 8;
 
 /// Stable export name of a field ("sweeps", "best_response_evals", ...).
 [[nodiscard]] const char* work_field_name(WorkField field) noexcept;
@@ -162,47 +151,5 @@ class WorkProfile {
 /// Installs `block` as the thread's current block and returns the
 /// previous one (TelemetryScope restores it on destruction).
 ThreadWorkBlock* exchange_current_block(ThreadWorkBlock* block) noexcept;
-
-/// One reading of the hardware counter group.
-struct PerfSample {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t cache_misses = 0;
-
-  [[nodiscard]] PerfSample delta_since(const PerfSample& earlier) const noexcept {
-    return {cycles - earlier.cycles, instructions - earlier.instructions,
-            cache_misses - earlier.cache_misses};
-  }
-  [[nodiscard]] bool any() const noexcept {
-    return cycles != 0 || instructions != 0 || cache_misses != 0;
-  }
-};
-
-/// Optional perf_event_open sampler (Linux only; a stub elsewhere). Not
-/// opened by construction — call open() to try. The counters are bound to
-/// the *opening* thread, so per-span hardware attribution is only
-/// meaningful on serial (threads=1) profiling runs; see DESIGN.md for the
-/// caveats. read() on a sampler that is not live returns zeros.
-class PerfSampler {
- public:
-  PerfSampler() = default;
-  ~PerfSampler();
-  PerfSampler(const PerfSampler&) = delete;
-  PerfSampler& operator=(const PerfSampler&) = delete;
-
-  /// Attempts to open the counter group on the calling thread. Returns
-  /// live(); on failure the sampler stays inert and status() explains why
-  /// (typically perf_event_paranoid in containers).
-  bool open();
-  [[nodiscard]] bool live() const noexcept { return fds_[0] >= 0; }
-  /// "off" (never opened), "on", or "unavailable: <reason>". Recorded in
-  /// the run manifest's perf_sampler field.
-  [[nodiscard]] const std::string& status() const noexcept { return status_; }
-  [[nodiscard]] PerfSample read() const noexcept;
-
- private:
-  std::array<int, 3> fds_{-1, -1, -1};  ///< cycles, instructions, cache-misses
-  std::string status_ = "off";
-};
 
 }  // namespace hecmine::support::prof

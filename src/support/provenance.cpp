@@ -106,7 +106,6 @@ void write(json::Writer& writer, const RunManifest& manifest) {
   writer.member("compiler", manifest.compiler);
   writer.member("sanitizer", manifest.sanitizer);
   writer.member("isa", manifest.isa);
-  writer.member("perf_sampler", manifest.perf_sampler);
   writer.member("os", manifest.os);
   writer.member("host", manifest.host);
   writer.member("hardware_concurrency", manifest.hardware_concurrency);

@@ -2,9 +2,9 @@
 // artifact" record embedded in every machine-readable export.
 //
 // Telemetry profiles, iteration logs, trace timelines, flight-recorder
-// streams and bench ledgers are only trustworthy when the reader can tell
-// *what* produced them: comparing a Release ledger against a TSan one, or
-// a trace from last week's tree against today's, silently lies. A
+// streams and perfbench ledgers are only trustworthy when the reader can tell
+// *what* produced them: comparing a Release run against a TSan one, or a
+// trace from last week's tree against today's, silently lies. A
 // RunManifest (schema hecmine.manifest.v1) pins down:
 //
 //   * the build  — git sha (baked at configure time), CMake build type,
@@ -17,8 +17,7 @@
 // collect() fills the build/host half from compile-time definitions and
 // uname; the run half (threads/seed/args) is the caller's. The manifest is
 // deliberately timestamp-free: identical inputs serialize identically, so
-// manifests can be compared byte-wise (bench_compare does) and golden
-// tests stay deterministic.
+// manifests can be compared byte-wise and golden tests stay deterministic.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +57,6 @@ struct RunManifest {
   std::string sanitizer;   ///< HECMINE_SANITIZE ("" = none)
   std::string isa;         ///< target ISA ("generic"; older ledgers may
                            ///< carry other strings)
-  /// Hardware perf sampler state of the run: "off" (default), "on", or
-  /// "unavailable: <reason>" (prof::PerfSampler::status()). Sampling adds
-  /// per-span read overhead, so ledgers record whether it was live.
-  std::string perf_sampler = "off";
   std::string os;          ///< uname sysname + release
   std::string host;        ///< uname nodename
   int hardware_concurrency = 0;

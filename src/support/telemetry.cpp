@@ -225,11 +225,10 @@ int SolveTrace::begin(std::string_view name) {
   span.depth = static_cast<int>(stack.size());
   span.thread = ordinal->second;
   span.start_ms = start;
-  // Start-of-span snapshots; end() turns them into deltas. The work
-  // snapshot is the *calling* thread's cumulative block, so the recorded
-  // delta is same-thread inclusive work.
+  // Start-of-span snapshot; end() turns it into a delta. The snapshot is
+  // the *calling* thread's cumulative block, so the recorded delta is
+  // same-thread inclusive work.
   if (profile_ != nullptr) span.work = profile_->local().snapshot();
-  if (sampler_ != nullptr) span.perf = sampler_->read();
   stack.push_back(span.id);
   spans_.push_back(std::move(span));
   return spans_.back().id;
@@ -244,7 +243,6 @@ void SolveTrace::end(int id) {
   span.duration_ms = stop - span.start_ms;
   if (profile_ != nullptr)
     span.work = profile_->local().snapshot().delta_since(span.work);
-  if (sampler_ != nullptr) span.perf = sampler_->read().delta_since(span.perf);
   span.closed = true;
   auto& stack = open_stacks_[std::this_thread::get_id()];
   // Unwind to the ended span so a missed inner end() cannot wedge the
@@ -597,11 +595,6 @@ std::string to_chrome_trace(const Telemetry& telemetry) {
     if (span.closed && span.work.any()) {
       writer.key("work");
       write_work(writer, span.work, /*all_fields=*/false);
-    }
-    if (span.perf.any()) {
-      writer.member("perf_cycles", span.perf.cycles);
-      writer.member("perf_instructions", span.perf.instructions);
-      writer.member("perf_cache_misses", span.perf.cache_misses);
     }
     writer.end_object();
     writer.end_object();

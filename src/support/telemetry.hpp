@@ -223,15 +223,12 @@ class SolveTrace {
     int thread = 0;   ///< dense thread ordinal (timeline track)
     double start_ms = 0.0;
     double duration_ms = 0.0;  ///< 0 while still open
-    bool closed = false;       ///< end() reached (work/perf deltas valid)
+    bool closed = false;       ///< end() reached (work delta valid)
     /// Work performed *on the span's own thread* between begin() and
     /// end() (holds the start-of-span cumulative snapshot while open).
     /// Same-thread inclusive: nested same-thread spans count the same
     /// work; spans dispatched to other threads do not.
     prof::WorkCounters work;
-    /// Hardware-counter delta when a PerfSampler is attached (zeros
-    /// otherwise; see PerfSampler for the threads=1 caveat).
-    prof::PerfSample perf;
   };
 
   explicit SolveTrace(std::size_t capacity = 4096);
@@ -252,11 +249,6 @@ class SolveTrace {
   /// snapshot to attribute work to spans (Telemetry wires its own).
   void set_work_profile(prof::WorkProfile* profile) noexcept {
     profile_ = profile;
-  }
-  /// Attaches an opened PerfSampler so spans additionally carry hardware
-  /// counter deltas. Null detaches.
-  void set_perf_sampler(prof::PerfSampler* sampler) noexcept {
-    sampler_ = sampler;
   }
 
   /// RAII span; tolerates a null trace (records nothing).
@@ -281,7 +273,6 @@ class SolveTrace {
   const std::size_t capacity_;
   const std::uint64_t epoch_ns_;
   prof::WorkProfile* profile_ = nullptr;
-  prof::PerfSampler* sampler_ = nullptr;
   mutable std::mutex mutex_;
   std::vector<Span> spans_;
   std::unordered_map<std::thread::id, std::vector<int>> open_stacks_;

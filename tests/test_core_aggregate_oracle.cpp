@@ -416,6 +416,69 @@ TEST(ClassAggregateOracle, AllSlackPoolSettlesInTwoSweepsPerFixedPoint) {
   }
 }
 
+TEST(ClassAggregateOracle, ScaleRowsKeepTheirWorkAndAudit) {
+  // Oracle build plus one solve at prices (2, 1), at R = 100, beta = 0.2,
+  // h = 0.9 and the default costs and cap: a uniform pool of budget 200,
+  // connected, and the eight-class pool 200 (1 + 0.1 (i mod 8)) in both
+  // modes. Each solve makes one best response and one utility evaluation
+  // per class, twice at N = 10^4, where the one-class rounding misses
+  // kRoundingResidual and the share form is certified again. The work may
+  // grow by at most 10%, and a sampled audit of 16 miners certifies each
+  // answer.
+  struct Row {
+    int miners;
+    bool classes;
+    EdgeMode mode;
+    std::uint64_t evals;
+  };
+  const NetworkParams params;
+  const Prices prices{2.0, 1.0};
+  for (const Row& row : {Row{1000, false, EdgeMode::kConnected, 1},
+                         Row{1000, true, EdgeMode::kConnected, 8},
+                         Row{1000, true, EdgeMode::kStandalone, 8},
+                         Row{10000, false, EdgeMode::kConnected, 2},
+                         Row{10000, true, EdgeMode::kConnected, 16},
+                         Row{10000, true, EdgeMode::kStandalone, 16}}) {
+    const auto n = static_cast<std::size_t>(row.miners);
+    SCOPED_TRACE(std::to_string(n) + (row.classes ? " miners, 8 classes, "
+                                                  : " miners, 1 class, ") +
+                 (row.mode == EdgeMode::kConnected ? "connected"
+                                                   : "standalone"));
+    std::vector<double> budgets(n, 200.0);
+    if (row.classes)
+      for (std::size_t i = 0; i < n; ++i)
+        budgets[i] = 200.0 * (1.0 + 0.1 * static_cast<double>(i % 8));
+    support::Telemetry telemetry;
+    EquilibriumProfile profile;
+    {
+      const support::TelemetryScope scope(&telemetry);
+      profile = FollowerOracle(params, budgets, row.mode).solve(prices);
+    }
+    const support::prof::WorkCounters work = telemetry.work.total();
+    EXPECT_LE(10 * work[support::prof::WorkField::kBestResponseEvals],
+              11 * row.evals);
+    EXPECT_LE(10 * work[support::prof::WorkField::kUtilityEvals],
+              11 * row.evals);
+    ASSERT_TRUE(profile.converged);
+    // The lazy per-miner expansion reaches both ends of the pool.
+    EXPECT_GE(profile.request(0).edge, 0.0);
+    EXPECT_GE(profile.request(n - 1).edge, 0.0);
+    EXPECT_TRUE(std::isfinite(profile.utility(n / 2)));
+
+    Scenario scenario;
+    scenario.params = params;
+    scenario.mode = row.mode;
+    scenario.budgets = budgets;
+    AuditOptions options;
+    options.max_audited_miners = 16;
+    const AuditReport audit =
+        audit_equilibrium(scenario, prices, profile, options);
+    EXPECT_TRUE(audit.converged);
+    EXPECT_LE(audit.best_response_gap, 1e-6);
+    EXPECT_LE(audit.capacity_violation, 1e-6);
+  }
+}
+
 // --- the share equation on budget-bound pools -------------------------------
 
 // The symmetric spend R (N - 1)(1 - beta + beta h)/N^2 with h = 1 in

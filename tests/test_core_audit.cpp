@@ -198,8 +198,8 @@ TEST(Audit, RejectsMismatchedProfiles) {
 TEST(Audit, LeaderGapShrinksAtTheLeaderOptimum) {
   // At non-optimal prices a unilateral rescale improves some SP's profit;
   // the audit exposes that as a positive leader gap. (The converse — a
-  // near-zero gap at the scanned optimum — is covered by the CLI smoke
-  // and the bench ledger, which audit the SP-stage solution.)
+  // near-zero gap at the scanned optimum — is covered by the CLI smoke,
+  // which audits the SP-stage solution.)
   const Scenario scenario =
       make_scenario(std::vector<double>(5, 200.0), EdgeMode::kConnected);
   const Prices low{0.5, 0.25};  // far below revenue-optimal

@@ -71,7 +71,7 @@ DynamicGameConfig default_config() {
   config.params.edge_capacity = 8.0;
   config.prices = {2.0, 1.0};
   config.budget = 100.0;
-  config.edge_success = 0.5;  // the paper's Eq. (26) instance
+  config.params.edge_success = 0.5;  // the paper's Eq. (26) instance
   return config;
 }
 
@@ -84,7 +84,7 @@ TEST(DynamicUtility, DegeneratePopulationMatchesStaticGame) {
   MinerEnv env;
   env.reward = config.params.reward;
   env.fork_rate = config.params.fork_rate;
-  env.edge_success = config.edge_success;
+  env.edge_success = config.params.edge_success;
   env.prices = config.prices;
   env.budget = config.budget;
   env.others = {4.0 * others.edge, 4.0 * others.cloud};
@@ -132,8 +132,7 @@ TEST(DynamicEquilibrium, DegeneratePopulationMatchesFixedNSolver) {
   // budgets (the symmetric spend is 14.4 at n = 5).
   DynamicGameConfig config = default_config();
   const PopulationModel fixed(5.0, 0.0, 1, 10);
-  NetworkParams params = config.params;
-  params.edge_success = config.edge_success;
+  const NetworkParams params = config.params;
   for (double budget : {3.0, 12.0, 200.0}) {
     for (double price_edge : {2.0, 1.05, 0.8}) {
       config.budget = budget;
@@ -194,6 +193,23 @@ TEST(DynamicEquilibrium, CanExceedStandaloneCapacity) {
   EXPECT_TRUE(eq.exceeds_capacity);
 }
 
+TEST(DynamicEquilibrium, EdgeRequestFollowsTheNetworkEdgeSuccess) {
+  // h lives in config.params alone. On the mixed face with slack budgets
+  // e* = R beta h G/(P_e - P_c) is linear in h, and the fixed-N benchmark
+  // moves with h too.
+  DynamicGameConfig low = default_config();
+  DynamicGameConfig high = low;
+  high.params.edge_success = 0.9;
+  const PopulationModel population = PopulationModel::around(10.0, 2.0);
+  const auto low_eq = solve_dynamic_symmetric(low, population);
+  const auto high_eq = solve_dynamic_symmetric(high, population);
+  ASSERT_TRUE(low_eq.converged);
+  ASSERT_TRUE(high_eq.converged);
+  EXPECT_NEAR(high_eq.request.edge / low_eq.request.edge, 0.9 / 0.5, 1e-12);
+  EXPECT_NE(fixed_population_benchmark(high, population).edge,
+            fixed_population_benchmark(low, population).edge);
+}
+
 TEST(DynamicSolve, ValidatesConfig) {
   DynamicGameConfig config = default_config();
   config.budget = 0.0;
@@ -232,8 +248,7 @@ TEST(DynamicShareSolve, EveryTypePlaysABestResponseToTheMixture) {
   // pools with slack budgets are included on purpose: damped best-response
   // iteration does not settle on them.
   DynamicGameConfig config = default_config();
-  NetworkParams params = config.params;
-  params.edge_success = config.edge_success;
+  const NetworkParams params = config.params;
   const std::vector<PopulationModel> populations{
       PopulationModel(5.0, 0.0, 1, 10), PopulationModel::around(6.0, 2.0),
       PopulationModel::around(10.0, 0.5), PopulationModel::around(20.0, 4.0),

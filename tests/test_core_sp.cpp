@@ -9,9 +9,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "core/closed_forms.hpp"
+#include "core/scenario.hpp"
 #include "game/stackelberg.hpp"
 #include "support/error.hpp"
 #include "support/prof.hpp"
@@ -394,6 +398,56 @@ TEST(LeaderStage, OneClassStagesMakeAtMostSixtyLeaderEvaluations) {
       EXPECT_LE(evals, 60u);
     }
   }
+}
+
+TEST(LeaderStage, GateRowsKeepTheirWorkAndRounds) {
+  // Two connected stages at R = 100, beta = 0.2, h = 0.9 and the default
+  // costs, on an 8-point grid: 4 miners of budget 200, and the pool
+  // {200, 220}. C_e = 1 lies above the cloud floor, so Theorem 4's test
+  // rules out a pure price equilibrium: both skip the price scan and run
+  // the sequential construction alone. The one-class stage takes the
+  // closed-form candidates; the two-class stage scans the composite with
+  // the numeric CSP reaction (41,421 follower solves). Neither may do more
+  // than 10% more work than pinned here, and both answers pass the audit.
+  const NetworkParams params;
+  SpSolveOptions options;
+  options.grid_points = 8;
+  const auto check = [&](const std::vector<double>& budgets,
+                         const LeaderStageResult& result,
+                         support::Telemetry& telemetry,
+                         std::uint64_t best_response_evals,
+                         std::uint64_t utility_evals) {
+    SCOPED_TRACE(std::to_string(budgets.size()) + " miners");
+    EXPECT_EQ(result.rounds, 1);
+    EXPECT_EQ(result.method, SpSolveMethod::kSequential);
+    EXPECT_TRUE(result.converged);
+    EXPECT_GE(telemetry.metrics.counter("oracle.solves").value(), 1u);
+    const support::prof::WorkCounters work = telemetry.work.total();
+    EXPECT_LE(10 * work[support::prof::WorkField::kBestResponseEvals],
+              11 * best_response_evals);
+    EXPECT_LE(10 * work[support::prof::WorkField::kUtilityEvals],
+              11 * utility_evals);
+    Scenario scenario;
+    scenario.params = params;
+    scenario.mode = EdgeMode::kConnected;
+    scenario.budgets = budgets;
+    const AuditReport audit =
+        audit_equilibrium(scenario, result.prices, result.followers);
+    EXPECT_LE(audit.best_response_gap, 1e-6);
+    EXPECT_LE(audit.capacity_violation, 1e-6);
+  };
+  support::Telemetry one_class_sink;
+  options.context.telemetry = &one_class_sink;
+  const auto one_class = solve_leader_stage_homogeneous(
+      params, 200.0, 4, EdgeMode::kConnected, options);
+  check(std::vector<double>(4, 200.0), one_class, one_class_sink, 1, 1);
+
+  support::Telemetry two_class_sink;
+  options.context.telemetry = &two_class_sink;
+  const std::vector<double> two_classes{200.0, 220.0};
+  const auto two_class =
+      solve_leader_stage(params, two_classes, EdgeMode::kConnected, options);
+  check(two_classes, two_class, two_class_sink, 82842, 124262);
 }
 
 TEST(LeaderStage, UnconvergedFollowersMakeTheResultUnconverged) {

@@ -1,8 +1,8 @@
 // Bitwise determinism of the parallelized hot paths: the same inputs must
 // produce the same bits for every thread count. The suite compares
 // threads=1 against threads=4 on the Stackelberg leader iteration, the SP
-// leader stage, and the Monte-Carlo population sweep, and checks the MC
-// estimator against the exact pmf expectation.
+// leader stage (one-class and scanned), and the Monte-Carlo population
+// sweep, and checks the MC estimator against the exact pmf expectation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,8 @@
 #include "core/sp.hpp"
 #include "game/stackelberg.hpp"
 #include "numerics/optimize.hpp"
+#include "support/prof.hpp"
+#include "support/telemetry.hpp"
 
 namespace hecmine {
 namespace {
@@ -85,7 +87,20 @@ TEST(ParallelDeterminism, StackelbergPayoffsAreReusedFromTheFinalScan) {
   }
 }
 
+void expect_bitwise_equal(const core::LeaderStageResult& parallel,
+                          const core::LeaderStageResult& serial) {
+  EXPECT_EQ(parallel.prices.edge, serial.prices.edge);  // bitwise
+  EXPECT_EQ(parallel.prices.cloud, serial.prices.cloud);
+  EXPECT_EQ(parallel.profits.edge, serial.profits.edge);
+  EXPECT_EQ(parallel.profits.cloud, serial.profits.cloud);
+  EXPECT_EQ(parallel.rounds, serial.rounds);
+  EXPECT_EQ(parallel.converged, serial.converged);
+}
+
 TEST(ParallelDeterminism, SpLeaderStageMatchesSerialBitwise) {
+  // A one-class stage picks the ESP's price from closed-form candidates
+  // and never reaches the parallel scan; the connected two-class pool
+  // {200, 220} scans the composite, whose grid fans out over the pool.
   const core::NetworkParams params = test_params();
   core::SpSolveOptions options;
   options.grid_points = 12;
@@ -96,11 +111,24 @@ TEST(ParallelDeterminism, SpLeaderStageMatchesSerialBitwise) {
   options.context.threads = 4;
   const auto parallel = core::solve_leader_stage_homogeneous(
       params, 200.0, 5, core::EdgeMode::kConnected, options);
-  EXPECT_EQ(parallel.prices.edge, serial.prices.edge);  // bitwise
-  EXPECT_EQ(parallel.prices.cloud, serial.prices.cloud);
-  EXPECT_EQ(parallel.profits.edge, serial.profits.edge);
-  EXPECT_EQ(parallel.profits.cloud, serial.profits.cloud);
-  EXPECT_EQ(parallel.rounds, serial.rounds);
+  expect_bitwise_equal(parallel, serial);
+
+  const std::vector<double> two_classes{200.0, 220.0};
+  std::vector<core::LeaderStageResult> scanned;
+  for (const int threads : {1, 4}) {
+    support::Telemetry telemetry;
+    core::SpSolveOptions scan_options;
+    scan_options.grid_points = 8;
+    scan_options.context.threads = threads;
+    scan_options.context.telemetry = &telemetry;
+    scanned.push_back(core::solve_leader_stage(
+        params, two_classes, core::EdgeMode::kConnected, scan_options));
+    // The composite scan ran, so this pass is not vacuous.
+    EXPECT_GT(telemetry.work.total()[support::prof::WorkField::kUtilityEvals],
+              1000u)
+        << "threads=" << threads;
+  }
+  expect_bitwise_equal(scanned[1], scanned[0]);
 }
 
 core::DynamicGameConfig dynamic_config() {
@@ -109,7 +137,7 @@ core::DynamicGameConfig dynamic_config() {
   config.params.edge_capacity = 8.0;
   config.prices = {2.0, 1.0};
   config.budget = 12.0;
-  config.edge_success = 0.5;
+  config.params.edge_success = 0.5;
   return config;
 }
 

@@ -140,7 +140,7 @@ TEST(TrainMiners, UncertainPopulationTracksDynamicEquilibrium) {
   dyn.params = params;
   dyn.prices = prices;
   dyn.budget = budget;
-  dyn.edge_success = 0.5;
+  dyn.params.edge_success = 0.5;
   const auto analytic = core::solve_dynamic_symmetric(dyn, uncertain);
   ASSERT_TRUE(analytic.converged);
   const double edge_step = (budget / prices.edge) / 12.0;

@@ -58,7 +58,7 @@ TEST(FictitiousPlay, UncertainPopulationTracksDynamicEquilibrium) {
   dyn.params = params;
   dyn.prices = prices;
   dyn.budget = budget;
-  dyn.edge_success = 0.5;
+  dyn.params.edge_success = 0.5;
   const auto analytic = core::solve_dynamic_symmetric(dyn, uncertain);
   ASSERT_TRUE(analytic.converged);
   // Fictitious play best-responds to the *mean* aggregate rather than the

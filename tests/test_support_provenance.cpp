@@ -1,7 +1,7 @@
 // Run-provenance tests: manifest determinism (identical inputs serialize
 // identically, no timestamps), the schema-version table, run-half
 // stamping from CLI arguments, and the embedded-manifest JSON shape that
-// bench_compare and the trace/flight readers rely on.
+// hecmine_report and the trace/flight readers rely on.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -86,9 +86,7 @@ TEST(Provenance, JsonShapeMatchesManifestSchema) {
   EXPECT_EQ(doc.at("build_type").as_string(), manifest.build_type);
   EXPECT_EQ(doc.at("compiler").as_string(), manifest.compiler);
   EXPECT_TRUE(doc.contains("sanitizer"));
-  // The hardware perf sampler defaults off; the manifest records whether
-  // an artifact's timings ran with it enabled.
-  EXPECT_EQ(doc.at("perf_sampler").as_string(), "off");
+  EXPECT_EQ(doc.at("isa").as_string(), manifest.isa);
   EXPECT_EQ(doc.at("os").as_string(), manifest.os);
   EXPECT_EQ(doc.at("host").as_string(), manifest.host);
   EXPECT_DOUBLE_EQ(doc.at("threads").as_number(), 4.0);

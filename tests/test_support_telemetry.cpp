@@ -680,7 +680,7 @@ TEST(InstrumentedOracle, LeaderStageSpansArePerStage) {
       "leader.round", "pool.batch",    "pool.task"};
   const core::NetworkParams params;
   const std::vector<std::vector<double>> pools = {
-      std::vector<double>(10, 200.0), {200.0, 220.0, 240.0}};
+      std::vector<double>(10, 200.0), {200.0, 220.0}, {200.0, 220.0, 240.0}};
   for (const core::EdgeMode mode :
        {core::EdgeMode::kConnected, core::EdgeMode::kStandalone}) {
     for (const std::vector<double>& budgets : pools) {
@@ -704,7 +704,10 @@ TEST(InstrumentedOracle, LeaderStageSpansArePerStage) {
         solves.push_back(telemetry.metrics.counter("oracle.solves").value());
         work.push_back(telemetry.work.total());
       }
-      EXPECT_GT(solves[0], 0u);
+      // A multi-class stage scans the composite: tens of thousands of
+      // follower solves, past the trace's 4096 spans.
+      const bool scanned = budgets.front() != budgets.back();
+      EXPECT_GT(solves[0], scanned ? 4096u : 0u);
       EXPECT_EQ(solves[0], solves[1]);
       EXPECT_EQ(work[0], work[1]);
     }
