@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
   const int n = args.positive_int("miners", 5);
   const core::PopulationModel fixed(static_cast<double>(n), 0.0, 1, n);
 
-  const auto analytic = rl::equilibrium_reference(params, prices, budget,
-                                                  fixed, params.edge_success);
+  const auto analytic =
+      rl::equilibrium_reference(params, prices, budget, fixed);
   std::cout << "analytic symmetric NE: e*=" << analytic.request().edge
             << " c*=" << analytic.request().cloud << "\n";
 
@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
     config.epsilon_decay = 0.9995;
     config.epsilon_floor = 0.05;
     config.ucb_exploration = 0.15;
-    config.edge_success = params.edge_success;
     config.curve_stride = stride;
     const auto trained =
         rl::train_miners(params, prices, budget, fixed, config, 4242);
@@ -80,7 +79,6 @@ int main(int argc, char** argv) {
     config.edge_steps = 13;
     config.cloud_steps = 13;
     config.feedback = rl::FeedbackMode::kRealized;
-    config.edge_success = params.edge_success;
     config.block_log = &block_log;
     config.telemetry = &telemetry;
     (void)rl::train_miners(params, prices, budget, fixed, config, 4242);

@@ -29,14 +29,13 @@ hecmine::core::DynamicGameConfig make_config(const hecmine::support::CliArgs& ar
   return config;
 }
 
-hecmine::rl::TrainerConfig trainer_config(double h) {
+hecmine::rl::TrainerConfig trainer_config() {
   hecmine::rl::TrainerConfig config;
   config.blocks = 8000;
   config.edge_steps = 13;
   config.cloud_steps = 13;
   config.epsilon_decay = 0.9995;
   config.epsilon_floor = 0.05;
-  config.edge_success = h;
   return config;
 }
 
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
   using namespace hecmine;
   const support::CliArgs args(argc, argv);
   const auto config = make_config(args);
-  const double h = config.params.edge_success;
   const double sigma = args.get("stddev", 2.0);
   const int threads = args.threads();
 
@@ -64,7 +62,7 @@ int main(int argc, char** argv) {
         const auto fixed = core::fixed_population_benchmark(config, population);
         const auto learned =
             rl::train_miners(config.params, config.prices, config.budget,
-                             population, trainer_config(h),
+                             population, trainer_config(),
                              900 + static_cast<std::uint64_t>(mu));
         return std::vector<double>{mu, dynamic.request.edge, fixed.edge,
                                    learned.mean.edge,
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
         const auto fixed = core::fixed_population_benchmark(config, population);
         const auto learned =
             rl::train_miners(config.params, config.prices, config.budget,
-                             population, trainer_config(h),
+                             population, trainer_config(),
                              950 + static_cast<std::uint64_t>(10.0 * s));
         return std::vector<double>{s * s, dynamic.request.edge, fixed.edge,
                                    learned.mean.edge};

@@ -8,12 +8,14 @@
 //
 // prof folds a hecmine.trace.v1 timeline into the hot-path table. campaign
 // replays a hecmine.blocklog.v1 stream through net::CampaignMonitor and
-// judges drift with the monitor's own rule (net::drift_test). DIR runs
-// every report whose input file is in the bundle.
+// judges drift with the monitor's own rule (net::drift_test). DIR, a
+// directory whose flight.jsonl opens with its hecmine.flight.v1 header,
+// runs every report whose input file is in the bundle.
 //
 // Exit codes: 0 clean (an empty input file reports "nothing to report");
 // 2 unreadable or malformed input, a usage error, or, in bundle mode, a
-// gate whose input file the bundle lacks; 3 a gate tripped. Bundle mode
+// directory that is no bundle or a gate whose input file the bundle lacks;
+// 3 a gate tripped. Bundle mode
 // exits with the largest code of its reports. `--help` prints usage and
 // exits 0.
 #include <algorithm>
@@ -36,6 +38,7 @@
 #include "support/health.hpp"
 #include "support/json.hpp"
 #include "support/prof_report.hpp"
+#include "support/provenance.hpp"
 #include "support/run_dir.hpp"
 #include "support/table.hpp"
 
@@ -51,9 +54,10 @@ void print_usage(std::ostream& os) {
         "       hecmine_report prof TRACE.json [MORE.json ...]\n"
         "       hecmine_report campaign BLOCKLOG.jsonl [--json=F] "
         "[--fail-on-drift] [--drift-z=Z]\n"
-        "  DIR       a --run-dir bundle: runs every report below whose input\n"
-        "            file is in it (trace.json, blocklog.jsonl); a gate whose\n"
-        "            file is missing exits 2.\n"
+        "  DIR       a --run-dir bundle (a flight.jsonl with its header):\n"
+        "            runs every report below whose input file is in it\n"
+        "            (trace.json, blocklog.jsonl); a gate whose file is\n"
+        "            missing exits 2.\n"
         "  prof      hot-path table: exclusive time and work per span name.\n"
         "  campaign  per-miner win rates against the sampler and the\n"
         "            reference equilibrium, with CLT drift scores.\n"
@@ -418,9 +422,16 @@ int report_bundle(const std::string& dir, bool fail_on_drift,
   const auto present = [&](const char* name) {
     return std::filesystem::is_regular_file(file(name));
   };
-  if (!present(RunDir::kManifest)) {
-    std::cerr << "hecmine_report: " << dir << ": not a run bundle (no "
-              << RunDir::kManifest << ")\n";
+  // A bundle is recognised by the header line of its flight stream.
+  try {
+    std::ifstream flight(file(RunDir::kFlight));
+    if (!flight) throw std::runtime_error("cannot open file");
+    std::string header;
+    std::getline(flight, header);
+    (void)parse_stream(header, support::provenance::schema_version("flight"));
+  } catch (const std::exception& error) {
+    std::cerr << "hecmine_report: " << dir << ": not a run bundle ("
+              << RunDir::kFlight << ": " << error.what() << ")\n";
     return kBadInput;
   }
   int status = kClean;

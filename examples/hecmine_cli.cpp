@@ -320,15 +320,14 @@ int usage() {
       "  --log-level=L        debug|info|warn|error (default info); the\n"
       "                       HECMINE_LOG_LEVEL environment variable is the\n"
       "                       fallback when the flag is absent.\n"
-      "  --run-dir=DIR        write the run bundle to DIR: manifest.json,\n"
-      "                       telemetry.json, trace.json (Perfetto),\n"
-      "                       flight.jsonl (live snapshots every 500 ms),\n"
-      "                       iterlog.jsonl (per-iteration records, only\n"
-      "                       when a solver loop such as the leader price\n"
-      "                       scan writes one) and, for the campaign\n"
-      "                       command, blocklog.jsonl (one record per\n"
-      "                       simulated block); HECMINE_RUN_DIR is the\n"
-      "                       fallback. Read it with hecmine_report DIR.\n"
+      "  --run-dir=DIR        write the run bundle to DIR: flight.jsonl\n"
+      "                       (the run's stream: snapshots every 500 ms\n"
+      "                       and at the end, solver-loop iterates and\n"
+      "                       drift incidents as they happen), trace.json\n"
+      "                       (Perfetto) and, for the campaign command,\n"
+      "                       blocklog.jsonl (one record per simulated\n"
+      "                       block); HECMINE_RUN_DIR is the fallback.\n"
+      "                       Read it with hecmine_report DIR.\n"
       "  --health=A           campaign drift watchdog policy (campaign\n"
       "                       command): observe (gauges/events only), warn\n"
       "                       (default; log each incident), or abort (exit\n"
@@ -393,10 +392,7 @@ int main(int argc, char** argv) {
         argc, argv);
     // The campaign command always carries its statistics monitor: the
     // campaign.* gauges and the equilibrium drift watchdog, escalated per
-    // --health, so --health=abort exits 5 on a mis-converged campaign. The
-    // monitor is declared before the run bundle, so the bundle's flight
-    // recorder, whose event drain reads the monitor, is destroyed first on
-    // every path, including typed-error unwinds.
+    // --health, so --health=abort exits 5 on a mis-converged campaign.
     std::optional<net::CampaignMonitor> campaign_monitor;
     if (command == "campaign") {
       net::CampaignMonitorOptions monitor_options;
@@ -410,9 +406,6 @@ int main(int argc, char** argv) {
     if (!run_dir_path.empty()) {
       run_dir.emplace(run_dir_path, telemetry);
       if (command == "campaign") {
-        run_dir->set_event_drain([&monitor = *campaign_monitor] {
-          return monitor.drain_event_lines();
-        });
         chain::BlockLogWriter::Options log_options;
         log_options.stride =
             static_cast<std::size_t>(args.positive_int("block-log-stride", 1));
@@ -445,8 +438,8 @@ int main(int argc, char** argv) {
     if (run_dir) run_dir->finish(std::cout);
     return status;
   } catch (const support::health::SolverHealthError& error) {
-    // The watchdog abort path: the bundle's flight recorder (destroyed
-    // during this unwind) has already flushed the hecmine.health.v1 event.
+    // The watchdog abort path: the monitor wrote the hecmine.health.v1
+    // event to the bundle's flight stream when it raised it.
     std::fprintf(stderr, "error: %s\n", error.what());
     return 5;
   } catch (const std::exception& error) {

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   market.trainer.blocks = args.get("blocks", 4000);
   market.trainer.edge_steps = 13;
   market.trainer.cloud_steps = 13;
-  market.trainer.edge_success = config.params.edge_success;
   market.max_periods = args.get("periods", 10);
   const auto outcome = rl::adaptive_pricing_loop(
       config.params, config.prices, config.budget, population, market,

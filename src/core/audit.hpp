@@ -100,8 +100,8 @@ struct AuditReport {
 /// gate (hecmine_cli --audit --audit-tol) compares against its tolerance.
 [[nodiscard]] double worst_violation(const AuditReport& report);
 
-/// Exports the report as audit.* gauges in the hecmine.telemetry.v1
-/// registry (booleans as 0/1).
+/// Exports the report as audit.* gauges in the sink's metrics registry
+/// (booleans as 0/1), which the flight stream's snapshots carry.
 void record_audit(support::Telemetry& telemetry, const AuditReport& report);
 
 /// Renders the report as an aligned two-column table (support::Table).

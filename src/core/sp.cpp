@@ -31,19 +31,16 @@ struct PriceBox {
   game::ActionBounds cloud;
 };
 
-PriceBox price_box(const NetworkParams& params, const SpSolveOptions& options) {
-  // Default ceiling: demand is ~R/n-scale per unit price gap, so prices
-  // beyond a few times the cost plus a reward fraction sell nothing;
-  // keeping the box tight keeps the scan resolution useful.
+PriceBox price_box(const NetworkParams& params) {
+  // Demand is ~R/n-scale per unit price gap, so prices beyond a few times
+  // the cost plus a reward fraction sell nothing; keeping the box tight
+  // keeps the scan resolution useful.
   const double ceiling =
-      options.price_ceiling > 0.0
-          ? options.price_ceiling
-          : 2.0 * std::max(params.cost_edge, params.cost_cloud) +
-                0.5 * params.reward;
+      2.0 * std::max(params.cost_edge, params.cost_cloud) +
+      0.5 * params.reward;
   PriceBox box;
-  box.edge = {params.cost_edge * (1.0 + options.price_margin) + 1e-9, ceiling};
-  box.cloud = {params.cost_cloud * (1.0 + options.price_margin) + 1e-9,
-               ceiling};
+  box.edge = {params.cost_edge * (1.0 + kPriceMargin) + 1e-9, ceiling};
+  box.cloud = {params.cost_cloud * (1.0 + kPriceMargin) + 1e-9, ceiling};
   HECMINE_REQUIRE(box.edge.lo < box.edge.hi && box.cloud.lo < box.cloud.hi,
                   "SP solve: price ceiling below the cost floor");
   return box;
@@ -478,7 +475,7 @@ LeaderStageResult leader_stage(const NetworkParams& params,
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context), "leader_stage");
-  const PriceBox box = price_box(params, options);
+  const PriceBox box = price_box(params);
   int scan_rounds = 0;
   if (!pure_equilibrium_ruled_out(params, oracle, box, options)) {
     game::StackelbergResult leader;
@@ -525,7 +522,7 @@ double csp_reaction_homogeneous(const NetworkParams& params, double budget,
                                 const SpSolveOptions& options) {
   params.validate();
   HECMINE_REQUIRE(price_edge > 0.0, "csp_reaction: price_edge must be > 0");
-  const PriceBox box = price_box(params, options);
+  const PriceBox box = price_box(params);
   const FollowerOracle oracle(params, budget, n, mode, options.context);
   return homogeneous_csp_reaction(params, budget, n, mode, oracle, box,
                                   price_edge, options);
@@ -544,7 +541,7 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
                                          "leader_stage.sequential");
   return sequential_construction(params,
                                  FollowerOracle(params, budget, n, mode, context),
-                                 price_box(params, options), options, context);
+                                 price_box(params), options, context);
 }
 
 LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
@@ -558,7 +555,7 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.sellout");
-  const PriceBox box = price_box(params, options);
+  const PriceBox box = price_box(params);
 
   // Unconstrained (cap-free) standalone edge demand at the given prices:
   // the h = 1 connected game.

@@ -36,12 +36,14 @@ struct SpProfits {
 [[nodiscard]] SpProfits sp_profits(const NetworkParams& params,
                                    const Prices& prices, const Totals& totals);
 
+/// The leader stage's price box: each SP's price lies in
+/// [cost * (1 + kPriceMargin) + 1e-9, 2 max(C_e, C_c) + R/2]. The ceiling is
+/// a heuristic: demand is ~R/n-scale per unit price gap, so higher prices
+/// sell nothing.
+inline constexpr double kPriceMargin = 1e-4;
+
 /// Options for the leader-stage solvers.
 struct SpSolveOptions {
-  double price_margin = 1e-4;  ///< price lower bounds: cost * (1 + margin)
-  /// Upper price bound; 0 = 2 max(C_e, C_c) + R/2 (heuristic: demand is
-  /// ~R/n-scale per unit price gap, so higher prices sell nothing).
-  double price_ceiling = 0.0;
   int grid_points = 40;        ///< 1-D scan resolution per price update
   double tolerance = 1e-5;     ///< max price change per round at convergence
   int max_rounds = 60;

@@ -28,17 +28,18 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
   result.payoffs.resize(result.actions.size());
   num::Maximize1DOptions scan_options;
   scan_options.grid_points = options.grid_points;
-  scan_options.tolerance = options.refine_tolerance;
+  scan_options.tolerance = kRefineTolerance;
   const int threads = support::resolve_thread_count(options.context.threads);
 
-  // Leader-round probe records come from the context sink (the leader stage
+  // Leader-round records go to the context sink's stream (the leader stage
   // runs above the instrumented oracle, so no thread-local scope is
   // installed here); the two-leader pricing game maps actions 0/1 to
   // (P_e, P_c).
-  support::Telemetry* probe_sink = options.context.telemetry;
-  if (probe_sink != nullptr && !probe_sink->probe.armed()) probe_sink = nullptr;
+  support::TelemetryFlusher* flight =
+      options.context.telemetry != nullptr ? options.context.telemetry->stream
+                                           : nullptr;
   const std::uint64_t solve_id =
-      probe_sink != nullptr ? probe_sink->probe.next_solve_id() : 0;
+      flight != nullptr ? flight->next_solve_id() : 0;
 
   support::SolveTrace* trace = options.context.telemetry != nullptr
                                    ? &options.context.telemetry->trace
@@ -71,8 +72,8 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
       result.payoffs[leader] = best.value;
     }
     result.residual = round_change;
-    if (probe_sink != nullptr) {
-      support::IterationProbe::Record record;
+    if (flight != nullptr) {
+      support::IterationRecord record;
       record.solver = "stackelberg.leader_round";
       record.solve = solve_id;
       record.iteration = result.rounds;
@@ -80,7 +81,7 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
       record.tolerance = options.tolerance;
       if (!result.actions.empty()) record.price_edge = result.actions[0];
       if (result.actions.size() > 1) record.price_cloud = result.actions[1];
-      probe_sink->probe.record(record);
+      flight->record(record);
     }
     if (round_change < options.tolerance) {
       result.converged = true;

@@ -28,12 +28,15 @@ struct ActionBounds {
   double hi = 1.0;
 };
 
+/// Refinement tolerance of each 1-D best response's scan
+/// (num::Maximize1DOptions::tolerance).
+inline constexpr double kRefineTolerance = 1e-8;
+
 /// Options for the Stackelberg leader iteration.
 struct StackelbergOptions {
   double tolerance = 1e-6;  ///< max action change across one round to stop
   int max_rounds = 200;     ///< leader best-response rounds
   int grid_points = 48;     ///< coarse scan resolution per 1-D best response
-  double refine_tolerance = 1e-8;
   /// Shared solver resources. context.threads bounds the concurrent payoff
   /// evaluations per best response: the scan grid and the top-cell
   /// refinements fan out over the shared thread pool. 1 = serial; 0 = auto

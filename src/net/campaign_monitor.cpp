@@ -18,6 +18,14 @@ namespace health = support::health;
 
 namespace {
 
+/// Smoothing of the observed / model orphan-rate EWMAs.
+constexpr double kForkEwmaAlpha = 0.01;
+/// Target number of sim-time timeline samples over the whole campaign;
+/// begin_campaign() derives the decimation stride from it.
+constexpr std::size_t kTimelineSamples = 2048;
+/// Incidents events() retains, newest kept.
+constexpr std::size_t kMaxEvents = 64;
+
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -44,9 +52,6 @@ CampaignMonitor::CampaignMonitor(support::Telemetry& sink,
                   "CampaignMonitor: drift_z must be positive");
   HECMINE_REQUIRE(options_.check_stride > 0,
                   "CampaignMonitor: check_stride must be positive");
-  HECMINE_REQUIRE(
-      options_.fork_ewma_alpha > 0.0 && options_.fork_ewma_alpha <= 1.0,
-      "CampaignMonitor: fork_ewma_alpha must be in (0, 1]");
 }
 
 void CampaignMonitor::set_reference(std::vector<core::MinerRequest> requests,
@@ -81,7 +86,7 @@ bool CampaignMonitor::has_reference() const {
 void CampaignMonitor::begin_campaign(std::size_t expected_blocks) {
   const std::lock_guard<std::mutex> lock(mutex_);
   timeline_stride_ = std::max<std::uint64_t>(
-      1, expected_blocks / std::max<std::size_t>(1, options_.timeline_samples));
+      1, expected_blocks / kTimelineSamples);
 }
 
 void CampaignMonitor::ensure_miners(std::size_t count) {
@@ -107,7 +112,7 @@ DriftTest drift_test(std::uint64_t hits, std::uint64_t rounds,
   test.empirical = static_cast<double>(hits) / trials;
   test.expected = expected / trials;
   test.gap = std::abs(test.empirical - test.expected);
-  test.slack = options.min_rel_gap * std::max(test.expected, 1e-12);
+  test.slack = kMinRelGap * std::max(test.expected, 1e-12);
   test.drifted = rounds >= options.min_rounds &&
                  std::abs(test.z) > options.drift_z && test.gap > test.slack;
   return test;
@@ -132,12 +137,12 @@ void CampaignMonitor::raise(const std::string& solver, std::uint64_t solve,
   event.predicted_iterations = 0.0;
   event.action = options_.action;
   events_.push_back(event);
-  while (events_.size() > options_.max_events) events_.pop_front();
-  if (pending_lines_.size() < options_.max_events)
-    pending_lines_.push_back(health::event_json(event, &sink_.manifest));
+  while (events_.size() > kMaxEvents) events_.pop_front();
   ++incidents_;
   sink_.metrics.gauge("campaign.incidents")
       .set(static_cast<double>(incidents_));
+  if (sink_.stream != nullptr)
+    sink_.stream->write_line(health::event_json(event, &sink_.manifest));
 }
 
 void CampaignMonitor::scan(std::uint64_t round, bool final_scan) {
@@ -274,9 +279,8 @@ void CampaignMonitor::observe_block(
         fork_model_ewma_ = record.p_fork;
         ewma_seeded_ = true;
       } else {
-        fork_ewma_ += options_.fork_ewma_alpha * (observed - fork_ewma_);
-        fork_model_ewma_ +=
-            options_.fork_ewma_alpha * (record.p_fork - fork_model_ewma_);
+        fork_ewma_ += kForkEwmaAlpha * (observed - fork_ewma_);
+        fork_model_ewma_ += kForkEwmaAlpha * (record.p_fork - fork_model_ewma_);
       }
     }
 
@@ -455,13 +459,6 @@ std::uint64_t CampaignMonitor::incidents() const {
 std::vector<support::health::HealthEvent> CampaignMonitor::events() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return std::vector<health::HealthEvent>(events_.begin(), events_.end());
-}
-
-std::vector<std::string> CampaignMonitor::drain_event_lines() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> lines = std::move(pending_lines_);
-  pending_lines_.clear();
-  return lines;
 }
 
 }  // namespace hecmine::net

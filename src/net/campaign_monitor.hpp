@@ -20,23 +20,22 @@
 //   * campaign.* gauges — difficulty, EWMA orphan rate (observed and
 //     model), drift-z maxima, decentralization (HHI / effective miners /
 //     Nakamoto at finalize), queue depth/throughput, sim time — exported
-//     through the shared Telemetry sink into telemetry.json and the
-//     flight recorder. Every gauge except campaign.sim_wall_ratio is
-//     a pure function of the observed record stream, hence bitwise
-//     invariant to the solver thread count.
+//     through the shared Telemetry sink into the flight recorder's
+//     snapshots. Every gauge except campaign.sim_wall_ratio is a pure
+//     function of the observed record stream, hence bitwise invariant to
+//     the solver thread count.
 //   * Perfetto campaign tracks: per-block spans plus difficulty / orphan
 //     / queue-depth counter series on the sink's sim-time DomainTimeline.
 //   * hecmine.health.v1 incidents under the existing observe/warn/abort
-//     watchdog policy: abort throws support::health::SolverHealthError
-//     out of the campaign loop, so a mis-converged campaign terminates
-//     with a typed error (CLI exit 5) instead of silently producing
-//     garbage statistics.
+//     watchdog policy, each written to the sink's flight stream as it is
+//     raised: abort throws support::health::SolverHealthError out of the
+//     campaign loop, so a mis-converged campaign terminates with a typed
+//     error (CLI exit 5) instead of silently producing garbage statistics.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "chain/blocklog.hpp"
@@ -46,35 +45,30 @@
 
 namespace hecmine::net {
 
+/// A drift incident also needs the absolute win-rate gap |wins/rounds -
+/// m/rounds| to exceed this fraction of the expected rate. The guard keeps
+/// model error (the connected-mode Eq. 9 is itself an approximation of the
+/// transfer process) from tripping the CLT bound at huge n.
+inline constexpr double kMinRelGap = 0.02;
+
 /// Tuning for the campaign monitor. Defaults keep the repo's tracked
 /// campaigns incident-free; see DESIGN.md §16 for the calibration notes.
 struct CampaignMonitorOptions {
   /// Drift fires when |z| exceeds this (z is in standard deviations, so 4
-  /// is a ~6e-5 two-sided false-positive rate per check).
+  /// is a ~6e-5 two-sided false-positive rate per check) and the rate gap
+  /// exceeds kMinRelGap of the expected rate.
   double drift_z = 4.0;
-  /// ...and the absolute win-rate gap |wins/rounds - m/rounds| also
-  /// exceeds this fraction of the expected rate. The second guard keeps
-  /// model error (the connected-mode Eq. 9 is itself an approximation of
-  /// the transfer process) from tripping the CLT bound at huge n.
-  double min_rel_gap = 0.02;
   /// Rounds a miner must accumulate before its drift score may fire.
   std::size_t min_rounds = 256;
   /// Cadence (in observed rounds) of the O(n) drift / decentralization
   /// scans; scalar gauges update every round regardless.
   std::size_t check_stride = 64;
-  /// Smoothing of the observed / model orphan-rate EWMAs.
-  double fork_ewma_alpha = 0.01;
-  /// Target number of sim-time timeline samples over the whole campaign;
-  /// begin_campaign() derives the decimation stride from this.
-  std::size_t timeline_samples = 2048;
   /// Emit campaign.sim_wall_ratio (the one wall-clock gauge, excluded
   /// from the determinism contract). Tests disable it.
   bool wall_clock = true;
   /// Escalation policy for drift incidents (observe / warn / abort).
   support::health::WatchdogAction action =
       support::health::WatchdogAction::kWarn;
-  /// Retained + pending event lines are each bounded by this.
-  std::size_t max_events = 64;
 };
 
 /// CLT drift score (hits - expected) / sqrt(variance) of a count against
@@ -91,7 +85,7 @@ struct DriftTest {
   double expected = 0.0;   ///< expected sum / rounds
   double gap = 0.0;        ///< |empirical - expected|
   double slack = 0.0;      ///< the gap the thresholds allow
-  /// rounds >= min_rounds, |z| > drift_z, and gap > min_rel_gap * expected.
+  /// rounds >= min_rounds, |z| > drift_z, and gap > kMinRelGap * expected.
   bool drifted = false;
 };
 
@@ -123,15 +117,16 @@ class CampaignMonitor {
   [[nodiscard]] bool has_reference() const;
 
   /// Declares the expected campaign length (sets the timeline decimation
-  /// stride). Optional; without it every round lands on the timeline
-  /// until its capacity bound.
+  /// stride for about 2048 samples). Optional; without it every round
+  /// lands on the timeline until its capacity bound.
   void begin_campaign(std::size_t expected_blocks);
 
   /// Folds one round. `active_ids`/`granted` are the global ids and
   /// granted allocations of the round's active miners (parallel arrays);
   /// `record` carries the race outcome and aggregates, exactly as logged
   /// to the blocklog. Under WatchdogAction::kAbort a drift incident
-  /// throws SolverHealthError from inside this call.
+  /// throws SolverHealthError from inside this call, after its line is on
+  /// the sink's stream.
   void observe_block(const chain::BlockRecord& record,
                      const std::vector<std::size_t>& active_ids,
                      const std::vector<chain::Allocation>& granted);
@@ -161,11 +156,8 @@ class CampaignMonitor {
   [[nodiscard]] double fork_z() const;
   /// Drift incidents raised so far.
   [[nodiscard]] std::uint64_t incidents() const;
-  /// Retained incident events, oldest first (bounded by max_events).
+  /// Retained incident events, oldest first: the newest 64.
   [[nodiscard]] std::vector<support::health::HealthEvent> events() const;
-  /// Moves out pending hecmine.health.v1 lines — wire into
-  /// TelemetryFlusher::set_event_drain (RunDir::set_event_drain).
-  [[nodiscard]] std::vector<std::string> drain_event_lines();
 
   [[nodiscard]] const CampaignMonitorOptions& options() const noexcept {
     return options_;
@@ -198,9 +190,11 @@ class CampaignMonitor {
   };
 
   void ensure_miners(std::size_t count);
-  /// Raises one incident: retains the event, queues its JSON line,
-  /// bumps gauges, and warns/throws per the watchdog action. The caller
-  /// holds the mutex; a throw leaves the monitor consistent.
+  /// Raises one incident: retains the event, bumps gauges, and writes
+  /// its hecmine.health.v1 line to the sink's stream when one is attached
+  /// (the stream's mutex is taken under the monitor's). The caller holds
+  /// the mutex and warns/throws per the watchdog action after releasing
+  /// it; a throw leaves the monitor consistent.
   void raise(const std::string& solver, std::uint64_t solve,
              std::uint64_t round, double z, double gap, double bound,
              double empirical, double expected);
@@ -237,7 +231,6 @@ class CampaignMonitor {
   std::uint64_t incidents_ = 0;
   bool finalized_ = false;
   std::deque<support::health::HealthEvent> events_;
-  std::vector<std::string> pending_lines_;
   std::uint64_t wall_start_ns_ = 0;  ///< steady clock at construction
 };
 

@@ -92,16 +92,15 @@ VIResult solve_extragradient(const VariationalInequality& problem,
   std::uint64_t backtracks = 0;
   // Timeline span for the whole inner loop, on whichever thread runs this
   // solve; null sink records nothing.
-  support::Telemetry* span_sink = support::current_telemetry();
+  support::Telemetry* sink = support::current_telemetry();
   const support::SolveTrace::Scope span(
-      span_sink != nullptr ? &span_sink->trace : nullptr, "vi.extragradient");
-  // Per-iteration probe records. The VI layer is layout-agnostic (it cannot
-  // name prices or aggregates), so records carry only the movement residual
-  // and the adaptive step; gating is hoisted out of the loop.
-  support::Telemetry* probe_sink = support::current_telemetry();
-  if (probe_sink != nullptr && !probe_sink->probe.armed()) probe_sink = nullptr;
+      sink != nullptr ? &sink->trace : nullptr, "vi.extragradient");
+  // Per-iteration records. The VI layer is layout-agnostic (it cannot name
+  // prices or aggregates), so records carry only the movement residual and
+  // the adaptive step; gating is hoisted out of the loop.
+  support::TelemetryFlusher* flight = sink != nullptr ? sink->stream : nullptr;
   const std::uint64_t solve_id =
-      probe_sink != nullptr ? probe_sink->probe.next_solve_id() : 0;
+      flight != nullptr ? flight->next_solve_id() : 0;
   // Step buffers hoisted out of the loop; the backtracking inner loop is
   // allocation-free apart from whatever map/project themselves return.
   std::vector<double> y;
@@ -144,15 +143,15 @@ VIResult solve_extragradient(const VariationalInequality& problem,
       work->add(support::prof::WorkField::kGradientEvals, maps);
       work->add(support::prof::WorkField::kProjectionClips, projections);
     }
-    if (probe_sink != nullptr) {
-      support::IterationProbe::Record record;
+    if (flight != nullptr) {
+      support::IterationRecord record;
       record.solver = "vi.extragradient";
       record.solve = solve_id;
       record.iteration = result.iterations;
       record.residual = movement;
       record.tolerance = options.tolerance;
       record.step = tau;
-      probe_sink->probe.record(record);
+      flight->record(record);
     }
     // Cheap movement test first; the exact natural residual costs one more
     // map + projection, so only confirm when movement is already small.

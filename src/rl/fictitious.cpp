@@ -20,8 +20,6 @@ FictitiousPlayResult run_fictitious_play(const core::NetworkParams& params,
                   "fictitious play: prices must be positive");
   HECMINE_REQUIRE(budget > 0.0, "fictitious play: budget must be positive");
   HECMINE_REQUIRE(config.blocks > 0, "fictitious play: blocks > 0");
-  HECMINE_REQUIRE(config.edge_success > 0.0 && config.edge_success <= 1.0,
-                  "fictitious play: edge_success in (0, 1]");
 
   const std::size_t pool = static_cast<std::size_t>(population.max_miners());
   support::Rng rng{seed};
@@ -43,7 +41,7 @@ FictitiousPlayResult run_fictitious_play(const core::NetworkParams& params,
   // Env construction and validation hoisted out of the block loop: only
   // the per-miner beliefs change between best responses.
   const core::KernelEnv env =
-      core::make_kernel_env(params, prices, config.edge_success, 0.0);
+      core::make_kernel_env(params, prices, params.edge_success, 0.0);
 
   for (int block = 0; block < config.blocks; ++block) {
     const int active_count = std::min<int>(population.sample(rng),

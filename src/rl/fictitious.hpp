@@ -28,7 +28,6 @@ namespace hecmine::rl {
 /// Configuration of the fictitious-play loop.
 struct FictitiousPlayConfig {
   int blocks = 400;            ///< rounds of belief updating
-  double edge_success = 0.5;   ///< h of the dynamic utility (Eq. 26)
   double belief_step0 = 1.0;   ///< initial averaging weight (decays ~1/t)
   double min_belief_step = 0.01;
 };
@@ -44,7 +43,8 @@ struct FictitiousPlayResult {
 /// Runs fictitious play for a pool of population.max_miners() homogeneous
 /// miners with budget B at fixed prices; each block a random subset of the
 /// drawn size is active, the aggregate is "published", and every miner
-/// updates its belief with a 1/t-decaying step.
+/// updates its belief with a 1/t-decaying step. Best responses use the
+/// dynamic utility's h = params.edge_success (Eq. 26).
 [[nodiscard]] FictitiousPlayResult run_fictitious_play(
     const core::NetworkParams& params, const core::Prices& prices,
     double budget, const core::PopulationModel& population,

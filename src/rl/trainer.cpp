@@ -15,12 +15,10 @@ namespace hecmine::rl {
 core::EquilibriumProfile equilibrium_reference(
     const core::NetworkParams& params, const core::Prices& prices,
     double budget, const core::PopulationModel& population,
-    double edge_success, const core::SolveContext& context) {
+    const core::SolveContext& context) {
   const int n = std::max(
       2, static_cast<int>(std::lround(population.nominal_mean())));
-  core::NetworkParams reference = params;
-  reference.edge_success = edge_success;
-  return core::solve_followers_symmetric(reference, prices, budget, n,
+  return core::solve_followers_symmetric(params, prices, budget, n,
                                          core::EdgeMode::kConnected, context);
 }
 
@@ -29,7 +27,7 @@ namespace {
 /// Expected utility of active miner `i` against the chosen active profile,
 /// with the dynamic game's h-weighted winning probability (Eq. 26 reduced).
 double expected_utility(const core::NetworkParams& params,
-                        const core::Prices& prices, double edge_success,
+                        const core::Prices& prices,
                         const std::vector<core::MinerRequest>& active,
                         std::size_t i) {
   const core::Totals totals = core::aggregate(active);
@@ -38,7 +36,7 @@ double expected_utility(const core::NetworkParams& params,
   if (totals.grand() > 0.0)
     win += (1.0 - beta) * active[i].total() / totals.grand();
   if (active[i].edge > 0.0 && totals.edge > 0.0)
-    win += beta * edge_success * active[i].edge / totals.edge;
+    win += beta * params.edge_success * active[i].edge / totals.edge;
   return params.reward * win - core::request_cost(active[i], prices);
 }
 
@@ -54,15 +52,14 @@ struct RealizedRound {
 /// transferred to the cloud), then one PoW race decides the reward.
 RealizedRound realized_utilities(
     const core::NetworkParams& params, const core::Prices& prices,
-    double edge_success, const std::vector<core::MinerRequest>& active,
-    support::Rng& rng) {
+    const std::vector<core::MinerRequest>& active, support::Rng& rng) {
   RealizedRound round;
   round.allocations.resize(active.size());
   std::vector<double> payments(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
     payments[i] = core::request_cost(active[i], prices);
     const bool transferred =
-        active[i].edge > 0.0 && !rng.bernoulli(edge_success);
+        active[i].edge > 0.0 && !rng.bernoulli(params.edge_success);
     round.allocations[i] =
         transferred
             ? chain::Allocation{0.0, active[i].total()}
@@ -91,8 +88,6 @@ TrainerResult train_miners(const core::NetworkParams& params,
                   "train_miners: prices must be positive");
   HECMINE_REQUIRE(budget > 0.0, "train_miners: budget must be positive");
   HECMINE_REQUIRE(config.blocks > 0, "train_miners: blocks must be positive");
-  HECMINE_REQUIRE(config.edge_success > 0.0 && config.edge_success <= 1.0,
-                  "train_miners: edge_success in (0, 1]");
 
   const ActionGrid grid = ActionGrid::budget_grid(
       prices, budget, config.edge_steps, config.cloud_steps);
@@ -156,14 +151,13 @@ TrainerResult train_miners(const core::NetworkParams& params,
     double block_reward = 0.0;
     if (config.feedback == FeedbackMode::kExpected) {
       for (std::size_t a = 0; a < active.size(); ++a) {
-        const double reward = expected_utility(
-            params, prices, config.edge_success, profile, a);
+        const double reward = expected_utility(params, prices, profile, a);
         learners[active[a]]->update(chosen[a], reward);
         block_reward += reward;
       }
     } else {
-      const RealizedRound round = realized_utilities(
-          params, prices, config.edge_success, profile, rng);
+      const RealizedRound round =
+          realized_utilities(params, prices, profile, rng);
       for (std::size_t a = 0; a < active.size(); ++a) {
         learners[active[a]]->update(chosen[a], round.utilities[a]);
         block_reward += round.utilities[a];
@@ -256,12 +250,13 @@ AdaptivePricingResult adaptive_pricing_loop(
   double step = config.price_step;
   std::uint64_t stream = seed;
 
-  // Per-period probe records: the RL pricing loop's residual is the price
+  // Per-period records: the RL pricing loop's residual is the price
   // movement, its step size the current hill-climb step.
-  support::Telemetry* probe_sink = config.trainer.telemetry;
-  if (probe_sink != nullptr && !probe_sink->probe.armed()) probe_sink = nullptr;
+  support::TelemetryFlusher* flight =
+      config.trainer.telemetry != nullptr ? config.trainer.telemetry->stream
+                                          : nullptr;
   const std::uint64_t solve_id =
-      probe_sink != nullptr ? probe_sink->probe.next_solve_id() : 0;
+      flight != nullptr ? flight->next_solve_id() : 0;
 
   // Profit of each SP when miners re-learn at candidate prices. Common
   // random numbers (same stream per period) keep probe comparisons fair.
@@ -311,8 +306,8 @@ AdaptivePricingResult adaptive_pricing_loop(
     const double movement = std::max(std::abs(best.edge - result.prices.edge),
                                      std::abs(best.cloud - result.prices.cloud));
     result.prices = best;
-    if (probe_sink != nullptr) {
-      support::IterationProbe::Record record;
+    if (flight != nullptr) {
+      support::IterationRecord record;
       record.solver = "rl.adaptive_pricing";
       record.solve = solve_id;
       record.iteration = result.periods;
@@ -321,7 +316,7 @@ AdaptivePricingResult adaptive_pricing_loop(
       record.price_edge = result.prices.edge;
       record.price_cloud = result.prices.cloud;
       record.step = step;
-      probe_sink->probe.record(record);
+      flight->record(record);
     }
     if (movement < config.price_tolerance) {
       if (step < 1e-3) {

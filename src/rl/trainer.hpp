@@ -29,13 +29,13 @@ namespace hecmine::rl {
 
 /// Model-side reference the learned strategies should approach (the filled
 /// points of Fig. 9): the symmetric connected-mode equilibrium at the
-/// population's nominal mean count (clamped to >= 2), with the dynamic
-/// edge-success h substituted for the static one. Routed through the
-/// follower oracle; `context` carries the follower tolerances.
+/// population's nominal mean count (clamped to >= 2), at the edge-success
+/// h of `params`. Routed through the follower oracle; `context` carries
+/// the follower tolerances.
 [[nodiscard]] core::EquilibriumProfile equilibrium_reference(
     const core::NetworkParams& params, const core::Prices& prices,
     double budget, const core::PopulationModel& population,
-    double edge_success, const core::SolveContext& context = {});
+    const core::SolveContext& context = {});
 
 /// Payoff feedback given to learners each round.
 enum class FeedbackMode {
@@ -61,7 +61,6 @@ struct TrainerConfig {
   double boltzmann_temperature = 5.0;  ///< initial softmax temperature
   double boltzmann_cooling = 0.999;    ///< per-block temperature factor
   double boltzmann_floor = 0.05;
-  double edge_success = 0.5;    ///< h of the dynamic game (Eq. 26)
   FeedbackMode feedback = FeedbackMode::kExpected;
   int curve_stride = 0;  ///< record the greedy-mean trajectory every k
                          ///< blocks (0 = off)
@@ -92,7 +91,8 @@ struct TrainerResult {
 
 /// Trains population.max_miners() homogeneous learners with budget B at
 /// fixed prices; the active subset each block is a uniformly random
-/// combination of the drawn size.
+/// combination of the drawn size. Edge requests are served with the
+/// dynamic game's h = params.edge_success (Eq. 26).
 [[nodiscard]] TrainerResult train_miners(const core::NetworkParams& params,
                                          const core::Prices& prices,
                                          double budget,

@@ -79,12 +79,7 @@ std::string event_json(const HealthEvent& event,
   if (manifest != nullptr) writer.member("git_sha", manifest->git_sha);
   writer.end_object();
   writer.finish();
-  std::string line = os.str();
-  // json::Writer::finish appends a newline; events are joined by the
-  // consumer, so strip it here.
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-    line.pop_back();
-  return line;
+  return os.str();
 }
 
 }  // namespace hecmine::support::health

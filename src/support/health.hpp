@@ -1,7 +1,7 @@
 // The watchdog vocabulary of the campaign drift monitor
 // (net::CampaignMonitor): the escalation policy, the classification and the
 // typed abort error, and the hecmine.health.v1 event line the flight
-// recorder carries.
+// stream carries.
 //
 // The monitor raises an incident when a campaign's empirical win rates
 // drift from the reference equilibrium; the policy decides what follows:
@@ -78,7 +78,7 @@ struct HealthEvent {
 };
 
 /// Serializes one event as a single hecmine.health.v1 JSON line (newline
-/// excluded). When `manifest` is non-null its git sha is embedded so a
+/// included). When `manifest` is non-null its git sha is embedded so a
 /// flight tail can be traced back to the producing build.
 [[nodiscard]] std::string event_json(
     const HealthEvent& event,

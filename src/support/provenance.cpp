@@ -1,6 +1,5 @@
 #include "support/provenance.hpp"
 
-#include <sstream>
 #include <thread>
 
 #include "support/json.hpp"
@@ -51,9 +50,7 @@ const std::vector<SchemaVersion>& schema_versions() {
       {"blocklog", "hecmine.blocklog.v1"},
       {"flight", "hecmine.flight.v1"},
       {"health", "hecmine.health.v1"},
-      {"iterlog", "hecmine.iterlog.v1"},
       {"manifest", kManifestSchema},
-      {"telemetry", "hecmine.telemetry.v1"},
       {"trace", "hecmine.trace.v1"},
   };
   return kVersions;
@@ -121,13 +118,6 @@ void write(json::Writer& writer, const RunManifest& manifest) {
     writer.member(schema.artifact, schema.version);
   writer.end_object();
   writer.end_object();
-}
-
-std::string to_json(const RunManifest& manifest) {
-  std::ostringstream os;
-  json::Writer writer(os);
-  write(writer, manifest);
-  return os.str();
 }
 
 }  // namespace hecmine::support::provenance

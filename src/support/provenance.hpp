@@ -1,11 +1,11 @@
 // Run provenance: the "which exact build/seed/params produced this
 // artifact" record embedded in every machine-readable export.
 //
-// Telemetry profiles, iteration logs, trace timelines, flight-recorder
-// streams and perfbench ledgers are only trustworthy when the reader can tell
-// *what* produced them: comparing a Release run against a TSan one, or a
-// trace from last week's tree against today's, silently lies. A
-// RunManifest (schema hecmine.manifest.v1) pins down:
+// Flight-recorder streams, trace timelines, block logs and perfbench
+// ledgers are only trustworthy when the reader can tell *what* produced
+// them: comparing a Release run against a TSan one, or a trace from last
+// week's tree against today's, silently lies. A RunManifest (schema
+// hecmine.manifest.v1) pins down:
 //
 //   * the build  — git sha (baked at configure time), CMake build type,
 //     compiler id + version, sanitizer mode, ISA flag string,
@@ -36,15 +36,15 @@ inline constexpr const char* kManifestSchema = "hecmine.manifest.v1";
 /// One emitted artifact format and its current version tag. The table is
 /// fixed at compile time; bump a version here when its format changes.
 struct SchemaVersion {
-  const char* artifact;  ///< e.g. "telemetry"
-  const char* version;   ///< e.g. "hecmine.telemetry.v1"
+  const char* artifact;  ///< e.g. "flight"
+  const char* version;   ///< e.g. "hecmine.flight.v1"
 };
 
 /// Every artifact schema this binary can emit, sorted by artifact name.
 [[nodiscard]] const std::vector<SchemaVersion>& schema_versions();
 
-/// Version tag for one artifact name ("telemetry", "trace", "iterlog",
-/// "bench", "flight", "manifest"); empty when unknown.
+/// Version tag for one artifact name ("bench", "blocklog", "flight",
+/// "health", "manifest", "trace"); empty when unknown.
 [[nodiscard]] std::string schema_version(const std::string& artifact);
 
 /// The provenance record. Build/host fields come from collect(); the run
@@ -77,8 +77,5 @@ struct RunManifest {
 /// Emits the manifest as one JSON object (the "hecmine.manifest.v1"
 /// block) through the shared writer. Deterministic for fixed fields.
 void write(json::Writer& writer, const RunManifest& manifest);
-
-/// The manifest object as a standalone compact JSON document.
-[[nodiscard]] std::string to_json(const RunManifest& manifest);
 
 }  // namespace hecmine::support::provenance

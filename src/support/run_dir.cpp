@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <vector>
 
@@ -15,35 +14,26 @@ RunDir::RunDir(std::string dir, Telemetry& telemetry)
   HECMINE_REQUIRE(!dir_.empty(), "run directory must not be empty");
   std::filesystem::create_directories(dir_);
   // A bundle holds one run: files an earlier run left under the bundle's
-  // names (a block log, an iteration log, a rotated flight generation, the
-  // end-of-run files of an aborted run, the retired OpenMetrics snapshot)
-  // would be read back as this run's.
-  for (const char* name : {kManifest, kTelemetry, kTrace, kIterlog, kFlight,
-                           kBlockLog, "metrics.om"})
+  // names (a block log, a rotated flight generation, the end-of-run trace
+  // of an aborted run, the files older bundles carried) would be read
+  // back as this run's.
+  for (const char* name : {kTrace, kFlight, kBlockLog, "telemetry.json",
+                           "manifest.json", "iterlog.jsonl", "metrics.om"})
     std::filesystem::remove(path(name));
   std::filesystem::remove(path(kFlight) + ".1");
-  {
-    std::ofstream out(path(kManifest));
-    HECMINE_REQUIRE(out.good(), "cannot open " + path(kManifest));
-    out << provenance::to_json(telemetry_.manifest) << "\n";
-    HECMINE_REQUIRE(out.good(), "failed writing " + path(kManifest));
-  }
-  telemetry_.probe.stream_to(path(kIterlog), &telemetry_.manifest);
   flusher_.emplace(telemetry_, path(kFlight));
+  telemetry_.stream = &*flusher_;
 }
+
+RunDir::~RunDir() { telemetry_.stream = nullptr; }
 
 std::string RunDir::path(std::string_view name) const {
   return (std::filesystem::path(dir_) / name).string();
 }
 
-void RunDir::set_event_drain(TelemetryFlusher::EventDrain drain) {
-  flusher_->set_event_drain(std::move(drain));
-}
-
 void RunDir::finish(std::ostream& os) {
+  telemetry_.stream = nullptr;
   flusher_->stop();
-  telemetry_.probe.flush();
-  write_json(telemetry_, path(kTelemetry));
   write_chrome_trace(telemetry_, path(kTrace));
   print_summary(os, telemetry_);
   std::vector<std::string> files;

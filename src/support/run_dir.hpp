@@ -3,12 +3,11 @@
 // Every export of a run lands in one directory under fixed file names,
 // each in an existing schema, each embedding the same manifest:
 //
-//   manifest.json   hecmine.manifest.v1 (provenance::to_json)
-//   telemetry.json  hecmine.telemetry.v1 (write_json)
+//   flight.jsonl    hecmine.flight.v1, the run's one JSONL stream: the
+//                   manifest header, a snapshot every 500 ms and a final
+//                   one, and the iteration records and hecmine.health.v1
+//                   incidents as they happen (TelemetryFlusher)
 //   trace.json      hecmine.trace.v1 (write_chrome_trace)
-//   iterlog.jsonl   hecmine.iterlog.v1, streamed while the run goes;
-//                   only when a solver loop records an iterate
-//   flight.jsonl    hecmine.flight.v1, one snapshot every 500 ms
 //   blocklog.jsonl  hecmine.blocklog.v1, campaign runs only: support does
 //                   not see chain, so the caller opens its
 //                   chain::BlockLogWriter at path(kBlockLog)
@@ -27,35 +26,28 @@ namespace hecmine::support {
 
 class RunDir {
  public:
-  static constexpr const char* kManifest = "manifest.json";
-  static constexpr const char* kTelemetry = "telemetry.json";
   static constexpr const char* kTrace = "trace.json";
-  static constexpr const char* kIterlog = "iterlog.jsonl";
   static constexpr const char* kFlight = "flight.jsonl";
   static constexpr const char* kBlockLog = "blocklog.jsonl";
 
   /// Creates `dir` and removes the bundle files an earlier run left there,
-  /// including the metrics.om that bundles once carried (other files are
-  /// untouched), writes manifest.json from `telemetry.manifest`, points the
-  /// iteration probe at iterlog.jsonl and starts the flight recorder.
-  /// Stamp the manifest before constructing; `telemetry` must outlive the
-  /// bundle. Throws on I/O failure.
+  /// including the files that older bundles carried (other files are
+  /// untouched), starts the flight recorder and attaches it as
+  /// `telemetry.stream`. Stamp the manifest before constructing;
+  /// `telemetry` must outlive the bundle. Throws on I/O failure.
   RunDir(std::string dir, Telemetry& telemetry);
+  /// Detaches the stream; the flight recorder's destructor then writes
+  /// the final snapshot, also on an exception unwind.
+  ~RunDir();
   RunDir(const RunDir&) = delete;
   RunDir& operator=(const RunDir&) = delete;
 
   /// A file inside the bundle.
   [[nodiscard]] std::string path(std::string_view name) const;
 
-  /// Hands the flight recorder the monitors' event drain. Everything the
-  /// drain reads must outlive this RunDir: its destructor's final flush
-  /// (also on an exception unwind, e.g. the watchdog abort) calls it.
-  void set_event_drain(TelemetryFlusher::EventDrain drain);
-
-  /// Stops the flight recorder (its final flush drains pending events),
-  /// flushes iterlog.jsonl, writes telemetry.json and trace.json, and
-  /// prints the telemetry summary and one line naming the directory and
-  /// its files.
+  /// Detaches the stream and stops the flight recorder (its final
+  /// snapshot), writes trace.json, and prints the telemetry summary and
+  /// one line naming the directory and its files.
   void finish(std::ostream& os);
 
  private:

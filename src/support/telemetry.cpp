@@ -282,29 +282,6 @@ TelemetryScope::~TelemetryScope() {
   prof::exchange_current_block(previous_block_);
 }
 
-namespace {
-
-/// One iteration-log line ("hecmine.iterlog.v1" record), newline included.
-void jsonl_record(std::ostream& os, const IterationProbe::Record& record) {
-  json::Writer writer(os);
-  writer.begin_object();
-  writer.member("solver", record.solver);
-  writer.member("solve", record.solve);
-  writer.member("iteration", record.iteration);
-  writer.member("residual", record.residual);
-  writer.member("tolerance", record.tolerance);
-  writer.member("price_edge", record.price_edge);
-  writer.member("price_cloud", record.price_cloud);
-  writer.member("total_edge", record.total_edge);
-  writer.member("total_cloud", record.total_cloud);
-  writer.member("step", record.step);
-  writer.member("cap_active", record.cap_active);
-  writer.end_object();
-  writer.finish();
-}
-
-}  // namespace
-
 DomainTimeline::DomainTimeline(std::size_t capacity) : capacity_(capacity) {}
 
 void DomainTimeline::counter(std::string_view name, double t_ms,
@@ -344,121 +321,40 @@ bool DomainTimeline::empty() const {
   return counters_.empty() && spans_.empty();
 }
 
-IterationProbe::IterationProbe(std::size_t capacity) : capacity_(capacity) {
-  HECMINE_REQUIRE(capacity_ >= 1, "IterationProbe requires capacity >= 1");
-}
-
-IterationProbe::~IterationProbe() = default;
-
-void IterationProbe::arm() noexcept {
-  armed_.store(true, std::memory_order_relaxed);
-}
-
-void IterationProbe::stream_to(const std::string& path,
-                               const provenance::RunManifest* manifest) {
-  const std::filesystem::path file_path{path};
-  if (file_path.has_parent_path())
-    std::filesystem::create_directories(file_path.parent_path());
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stream_path_ = path;
-    stream_manifest_ = manifest;
-    stream_.reset();
-  }
-  arm();
-}
-
-void IterationProbe::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stream_ != nullptr) stream_->flush();
-}
-
-void IterationProbe::record(const Record& record) {
-  if (!armed()) return;
-  total_.fetch_add(1, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(record);
-  } else {
-    ring_[head_] = record;
-    head_ = (head_ + 1) % capacity_;
-  }
-  if (stream_path_.empty()) return;
-  if (stream_ == nullptr) {
-    auto out = std::make_unique<std::ofstream>(stream_path_);
-    HECMINE_REQUIRE(out->good(), "cannot open iteration log: " + stream_path_);
-    json::Writer writer(*out);
-    writer.begin_object();
-    writer.member("schema", "hecmine.iterlog.v1");
-    if (stream_manifest_ != nullptr) {
-      writer.key("manifest");
-      provenance::write(writer, *stream_manifest_);
-    }
-    writer.end_object();
-    writer.finish();
-    HECMINE_REQUIRE(out->good(),
-                    "failed writing iteration log: " + stream_path_);
-    stream_ = std::move(out);
-  }
-  jsonl_record(*stream_, record);
-}
-
-std::vector<IterationProbe::Record> IterationProbe::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Record> out;
-  out.reserve(ring_.size());
-  // head_ is the oldest slot once the ring has wrapped.
-  for (std::size_t i = 0; i < ring_.size(); ++i)
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  return out;
-}
-
-std::uint64_t IterationProbe::overwritten() const {
-  const std::uint64_t recorded = total();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recorded - ring_.size();
-}
-
 namespace {
 
-/// Shared by to_json and the flight recorder: the registry snapshot as
-/// "counters"/"gauges"/"histograms" members of the writer's open object.
-/// `full` additionally emits per-histogram edges/counts/min/max.
-void write_metrics(json::Writer& writer, const MetricsSnapshot& snap,
-                   bool full) {
+/// The registry snapshot as "counters"/"gauges"/"histograms" members of
+/// the writer's open object.
+void write_metrics(json::Writer& writer, const MetricsSnapshot& snap) {
   writer.key("counters");
-  writer.begin_object(full ? json::Writer::kBlock : json::Writer::kCompact);
+  writer.begin_object();
   for (const CounterSample& counter : snap.counters)
     writer.member(counter.name, counter.value);
   writer.end_object();
 
   writer.key("gauges");
-  writer.begin_object(full ? json::Writer::kBlock : json::Writer::kCompact);
+  writer.begin_object();
   for (const GaugeSample& gauge : snap.gauges)
     writer.member(gauge.name, gauge.value);
   writer.end_object();
 
   writer.key("histograms");
-  writer.begin_object(full ? json::Writer::kBlock : json::Writer::kCompact);
+  writer.begin_object();
   for (const HistogramSample& histogram : snap.histograms) {
     writer.key(histogram.name);
     writer.begin_object();
-    if (full) {
-      writer.key("edges");
-      writer.begin_array();
-      for (double edge : histogram.edges) writer.value(edge);
-      writer.end_array();
-      writer.key("counts");
-      writer.begin_array();
-      for (std::uint64_t bucket : histogram.counts) writer.value(bucket);
-      writer.end_array();
-    }
+    writer.key("edges");
+    writer.begin_array();
+    for (double edge : histogram.edges) writer.value(edge);
+    writer.end_array();
+    writer.key("counts");
+    writer.begin_array();
+    for (std::uint64_t bucket : histogram.counts) writer.value(bucket);
+    writer.end_array();
     writer.member("count", histogram.count);
     writer.member("sum", histogram.sum);
-    if (full) {
-      writer.member("min", histogram.min);
-      writer.member("max", histogram.max);
-    }
+    writer.member("min", histogram.min);
+    writer.member("max", histogram.max);
     writer.member("p50", histogram.p50);
     writer.member("p95", histogram.p95);
     writer.member("p99", histogram.p99);
@@ -481,58 +377,6 @@ void write_work(json::Writer& writer, const prof::WorkCounters& work,
 }
 
 }  // namespace
-
-std::string to_json(const Telemetry& telemetry) {
-  const MetricsSnapshot snap = telemetry.metrics.snapshot();
-  const auto spans = telemetry.trace.snapshot();
-  std::ostringstream os;
-  json::Writer writer(os);
-  writer.begin_object(json::Writer::kBlock);
-  writer.member("schema", "hecmine.telemetry.v1");
-  writer.key("manifest");
-  provenance::write(writer, telemetry.manifest);
-  write_metrics(writer, snap, /*full=*/true);
-  // Deterministic work totals (field-wise sum of every thread's block):
-  // the full taxonomy, zeros included, so the shape is seed-stable.
-  writer.key("work");
-  write_work(writer, telemetry.work.total(), /*all_fields=*/true);
-  writer.key("trace");
-  writer.begin_object(json::Writer::kBlock);
-  writer.member("dropped", telemetry.trace.dropped());
-  writer.member("threads", telemetry.trace.thread_count());
-  writer.key("spans");
-  writer.begin_array(json::Writer::kBlock);
-  for (const SolveTrace::Span& span : spans) {
-    writer.begin_object();
-    writer.member("name", span.name);
-    writer.member("id", span.id);
-    writer.member("parent", span.parent);
-    writer.member("depth", span.depth);
-    writer.member("thread", span.thread);
-    writer.member("start_ms", span.start_ms);
-    writer.member("duration_ms", span.duration_ms);
-    if (span.closed && span.work.any()) {
-      writer.key("work");
-      write_work(writer, span.work, /*all_fields=*/false);
-    }
-    writer.end_object();
-  }
-  writer.end_array();
-  writer.end_object();
-  writer.end_object();
-  writer.finish();
-  return os.str();
-}
-
-void write_json(const Telemetry& telemetry, const std::string& path) {
-  const std::filesystem::path file_path{path};
-  if (file_path.has_parent_path())
-    std::filesystem::create_directories(file_path.parent_path());
-  std::ofstream out{file_path};
-  HECMINE_REQUIRE(out.good(), "cannot open telemetry file: " + path);
-  out << to_json(telemetry);
-  HECMINE_REQUIRE(out.good(), "failed writing telemetry file: " + path);
-}
 
 std::string to_chrome_trace(const Telemetry& telemetry) {
   const auto spans = telemetry.trace.snapshot();
@@ -819,8 +663,13 @@ void TelemetryFlusher::write_header() {
   bytes_ += line.size();
 }
 
-void TelemetryFlusher::maybe_rotate() {
-  // Caller holds mutex_.
+void TelemetryFlusher::append(std::string_view line) {
+  *stream_ << line;
+  // Flushed per line so a killed run still leaves every completed line on
+  // disk.
+  stream_->flush();
+  HECMINE_REQUIRE(stream_->good(), "failed writing flight recorder: " + path_);
+  bytes_ += line.size();
   if (bytes_ <= options_.max_bytes) return;
   stream_->close();
   // Best-effort rename: a failed rotation (exotic filesystem) just means
@@ -834,21 +683,38 @@ void TelemetryFlusher::maybe_rotate() {
   rotations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void TelemetryFlusher::set_event_drain(EventDrain drain) {
+void TelemetryFlusher::write_line(std::string_view line) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  event_drain_ = std::move(drain);
+  if (stream_ == nullptr) return;  // already stopped
+  append(line);
+}
+
+void TelemetryFlusher::record(const IterationRecord& record) {
+  std::ostringstream buffer;
+  json::Writer writer(buffer);
+  writer.begin_object();
+  writer.member("kind", "iteration");
+  writer.member("solver", record.solver);
+  writer.member("solve", record.solve);
+  writer.member("iteration", record.iteration);
+  writer.member("residual", record.residual);
+  writer.member("tolerance", record.tolerance);
+  writer.member("price_edge", record.price_edge);
+  writer.member("price_cloud", record.price_cloud);
+  writer.member("total_edge", record.total_edge);
+  writer.member("total_cloud", record.total_cloud);
+  writer.member("step", record.step);
+  writer.member("cap_active", record.cap_active);
+  writer.end_object();
+  writer.finish();
+  write_line(buffer.str());
 }
 
 void TelemetryFlusher::flush_now() {
   const MetricsSnapshot snap = sink_.metrics.snapshot();
+  const prof::WorkCounters work = sink_.work.total();
   const std::lock_guard<std::mutex> lock(mutex_);
   if (stream_ == nullptr) return;  // already stopped
-  if (event_drain_) {
-    for (const std::string& event : event_drain_()) {
-      *stream_ << event << '\n';
-      bytes_ += event.size() + 1;
-    }
-  }
   std::ostringstream buffer;
   json::Writer writer(buffer);
   writer.begin_object();
@@ -857,18 +723,15 @@ void TelemetryFlusher::flush_now() {
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - epoch_)
                     .count());
-  write_metrics(writer, snap, /*full=*/false);
+  write_metrics(writer, snap);
+  // Deterministic work totals (field-wise sum of every thread's block):
+  // the full taxonomy, zeros included, so the shape is seed-stable.
+  writer.key("work");
+  write_work(writer, work, /*all_fields=*/true);
   writer.end_object();
   writer.finish();
-  const std::string line = buffer.str();
-  *stream_ << line;
-  // Flushed per line so a killed run still leaves every completed
-  // snapshot on disk.
-  stream_->flush();
-  HECMINE_REQUIRE(stream_->good(), "failed writing flight recorder: " + path_);
-  bytes_ += line.size();
+  append(buffer.str());
   flushes_.fetch_add(1, std::memory_order_relaxed);
-  maybe_rotate();
 }
 
 void TelemetryFlusher::stop() {

@@ -22,7 +22,11 @@
 //   * Telemetry — one sink bundling a registry and a trace. A nullable
 //     `Telemetry*` rides in core::SolveContext; every instrumentation site
 //     guards on it, so an absent sink costs one pointer test.
-//   * to_json / write_json / print_summary — machine-readable export and a
+//   * TelemetryFlusher — the run's one JSONL stream (flight.jsonl): timed
+//     snapshots of the sink, plus the iteration records of the solver
+//     loops and the campaign monitor's incidents, each written as it
+//     happens through the sink's nullable `stream` pointer.
+//   * to_chrome_trace / print_summary — the Perfetto timeline and a
 //     human-readable summary built on support::Table.
 //
 // Deep layers (the VI extragradient loop, the class solver) cannot see a
@@ -40,7 +44,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -327,100 +330,38 @@ class DomainTimeline {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Per-iteration convergence probe. Solver loops (connected-NEP best
-/// response, GNEP price bargaining, VI extragradient, RL training) feed one
-/// Record per iteration so a solve's trajectory — not just its endpoint —
-/// is observable. Records carry no timestamps by design: the probe, like
-/// the rest of the sink, does no clock reads, and the disarmed path costs
-/// one relaxed atomic load. Records land in a bounded in-memory ring
-/// (oldest overwritten once full, overwrites counted) and, when streaming
-/// is enabled, are also appended to a JSONL file — a header line
-/// {"schema": "hecmine.iterlog.v1"} followed by one record object per line.
-class IterationProbe {
- public:
-  /// One per-iteration observation. `solve` groups the records of a single
-  /// solver-loop invocation; `iteration` is 1-based within it. Fields a
-  /// loop cannot see (e.g. prices inside the price-agnostic best-response
-  /// kernel) are bound by the caller and default to 0.
-  struct Record {
-    std::string solver;        ///< loop label, e.g. "vi.extragradient"
-    std::uint64_t solve = 0;   ///< per-probe solve sequence id
-    int iteration = 0;         ///< 1-based iteration index
-    double residual = 0.0;     ///< the loop's own stopping metric
-    double tolerance = 0.0;    ///< the loop's own stopping tolerance (0 = unknown)
-    double price_edge = 0.0;   ///< P_e in effect for this solve
-    double price_cloud = 0.0;  ///< P_c in effect for this solve
-    double total_edge = 0.0;   ///< aggregate edge demand E at this iterate
-    double total_cloud = 0.0;  ///< aggregate cloud demand C at this iterate
-    double step = 0.0;         ///< damping / step size / bisection knob
-    bool cap_active = false;   ///< shared capacity constraint binding?
-  };
-
-  explicit IterationProbe(std::size_t capacity = 16384);
-  ~IterationProbe();
-  IterationProbe(const IterationProbe&) = delete;
-  IterationProbe& operator=(const IterationProbe&) = delete;
-
-  /// Enables in-memory recording. Until armed, record() is a no-op after
-  /// one relaxed atomic load, so probes wired into hot loops cost nothing
-  /// when nobody is looking.
-  void arm() noexcept;
-  [[nodiscard]] bool armed() const noexcept {
-    return armed_.load(std::memory_order_relaxed);
-  }
-
-  /// Arms the probe and additionally streams every record as one JSON line
-  /// to `path` (parent directories are created now). The file is opened,
-  /// and its header written, at the first record, so a run whose loops
-  /// record nothing leaves no file; opening it then throws on I/O failure.
-  /// When `manifest` is set, the header line embeds the run-provenance
-  /// block so a log file can be traced back to the exact build that wrote
-  /// it; it must outlive the probe.
-  void stream_to(const std::string& path,
-                 const provenance::RunManifest* manifest = nullptr);
-  /// Pushes the streamed lines to the OS (no-op without a stream), so the
-  /// file is complete while the probe lives on.
-  void flush();
-
-  /// Fresh id grouping the records of one solver-loop invocation.
-  [[nodiscard]] std::uint64_t next_solve_id() noexcept {
-    return next_solve_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  void record(const Record& record);
-
-  /// Ring contents in chronological order (oldest surviving record first).
-  [[nodiscard]] std::vector<Record> snapshot() const;
-  /// Records ever offered while armed / records evicted by the ring.
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t overwritten() const;
-
- private:
-  const std::size_t capacity_;
-  std::atomic<bool> armed_{false};
-  std::atomic<std::uint64_t> next_solve_{0};
-  std::atomic<std::uint64_t> total_{0};
-  mutable std::mutex mutex_;
-  std::vector<Record> ring_;  ///< grows to capacity_, then wraps at head_
-  std::size_t head_ = 0;
-  std::string stream_path_;  ///< JSONL destination, empty = ring only
-  const provenance::RunManifest* stream_manifest_ = nullptr;
-  std::unique_ptr<std::ofstream> stream_;  ///< opened at the first record
+/// One iterate of a solver loop (the leader price scan, the VI
+/// extragradient loop, the RL pricing loop), so a solve's trajectory, not
+/// just its endpoint, is observable. Records carry no timestamps by design:
+/// like the rest of the sink, they need no clock read. A loop writes them
+/// only while its sink has a stream (TelemetryFlusher::record).
+struct IterationRecord {
+  std::string solver;        ///< loop label, e.g. "vi.extragradient"
+  std::uint64_t solve = 0;   ///< TelemetryFlusher::next_solve_id of the loop
+  int iteration = 0;         ///< 1-based iteration index
+  double residual = 0.0;     ///< the loop's own stopping metric
+  double tolerance = 0.0;    ///< the loop's own stopping tolerance (0 = unknown)
+  double price_edge = 0.0;   ///< P_e in effect for this solve
+  double price_cloud = 0.0;  ///< P_c in effect for this solve
+  double total_edge = 0.0;   ///< aggregate edge demand E at this iterate
+  double total_cloud = 0.0;  ///< aggregate cloud demand C at this iterate
+  double step = 0.0;         ///< damping / step size / bisection knob
+  bool cap_active = false;   ///< shared capacity constraint binding?
 };
 
-/// One telemetry sink: the metrics registry, the solve trace, the
-/// iteration probe, and the run-provenance manifest embedded into every
-/// export. Pass a pointer down through core::SolveContext; null means
-/// "telemetry off" and costs instrumentation sites a single pointer test.
+class TelemetryFlusher;
+
+/// One telemetry sink: the metrics registry, the solve trace, the domain
+/// timeline, the work profile, the run-provenance manifest embedded into
+/// every export, and the run's stream while one is attached. Pass a
+/// pointer down through core::SolveContext; null means "telemetry off" and
+/// costs instrumentation sites a single pointer test.
 class Telemetry {
  public:
   Telemetry() { trace.set_work_profile(&work); }
 
   MetricsRegistry metrics;
   SolveTrace trace;
-  IterationProbe probe;
   /// Sim-time campaign/chain timeline (block spans, difficulty / orphan /
   /// queue-depth counter series); empty unless a campaign layer feeds it.
   DomainTimeline timeline;
@@ -428,10 +369,17 @@ class Telemetry {
   /// blocks installed by TelemetryScope, attributed to trace spans at
   /// span close, summed by work.total().
   prof::WorkProfile work;
-  /// Embedded into to_json / to_chrome_trace / flight-recorder headers.
+  /// Embedded into to_chrome_trace and the flight-stream header.
   /// Defaults to the build/host half; callers stamp threads/seed/args
   /// (provenance::collect(threads, seed, argc, argv)).
   provenance::RunManifest manifest = provenance::collect();
+  /// The run's flight stream, or null. support::RunDir points it at its
+  /// flight recorder for the run's lifetime and clears it before the
+  /// recorder stops, so it is set before the run's loops start and
+  /// cleared after they end. Loops write their iteration records and the
+  /// campaign monitor its incidents through it; null costs them one
+  /// pointer test.
+  TelemetryFlusher* stream = nullptr;
 };
 
 /// The thread's current sink (installed by TelemetryScope), or null.
@@ -452,15 +400,6 @@ class TelemetryScope {
   Telemetry* previous_;
   prof::ThreadWorkBlock* previous_block_;
 };
-
-/// Serializes the whole sink (manifest, counters, gauges, histograms,
-/// trace spans) as one JSON object. Deterministic: instruments are sorted
-/// by name.
-[[nodiscard]] std::string to_json(const Telemetry& telemetry);
-
-/// Writes to_json() to `path`, creating parent directories. Throws on I/O
-/// failure.
-void write_json(const Telemetry& telemetry, const std::string& path);
 
 /// Serializes the solve trace as Chrome Trace Event JSON (schema
 /// hecmine.trace.v1): one complete ("X") event per span in microseconds on
@@ -485,17 +424,21 @@ void write_chrome_trace(const Telemetry& telemetry, const std::string& path);
 /// end-of-run summary the benches and hecmine_cli print.
 void print_summary(std::ostream& os, const Telemetry& telemetry);
 
-/// Flight recorder: a background thread that snapshots the sink's
-/// counters/gauges/histograms to a JSONL stream every `interval`, so a
-/// long training or campaign run that crashes or is killed still leaves an
-/// inspectable tail. The stream starts with a {"schema":
-/// "hecmine.flight.v1", "manifest": {...}} header line followed by one
-/// snapshot object per flush ({"seq", "uptime_ms", "counters", "gauges",
-/// "histograms"}); every line is flushed to the OS as written. When the
-/// file grows past `max_bytes` it is rotated to `<path>.1` (replacing any
-/// previous rotation) and a fresh header is written, bounding disk usage
-/// at roughly two generations. The recorder never touches solver hot
-/// paths: it only *reads* the lock-free instruments on its own thread.
+/// Flight recorder: the run's one JSONL stream. The stream starts with a
+/// {"schema": "hecmine.flight.v1", "manifest": {...}} header line. A
+/// background thread adds one snapshot line of the sink every `interval`
+/// ({"seq", "uptime_ms", "counters", "gauges", "histograms", "work"};
+/// each histogram carries its edges, bucket counts, count, sum, min, max
+/// and percentiles), so a long training or campaign run that crashes or is
+/// killed still leaves an inspectable tail, and stop() writes the final
+/// one. Between snapshots the run writes its iteration records
+/// ({"kind": "iteration", ...}, see record()) and the campaign monitor's
+/// hecmine.health.v1 incidents (write_line()) as they happen. Every line
+/// is flushed to the OS as written. When the file grows past `max_bytes`
+/// it is rotated to `<path>.1` (replacing any previous rotation) and a
+/// fresh header is written, bounding disk usage at roughly two
+/// generations. The recorder never touches solver hot paths: its thread
+/// only *reads* the lock-free instruments.
 class TelemetryFlusher {
  public:
   struct Options {
@@ -522,13 +465,16 @@ class TelemetryFlusher {
   /// joining.
   void stop();
 
-  /// Supplier of extra pre-serialized JSONL lines (newline excluded) to
-  /// append ahead of each snapshot — the campaign monitor's event drain.
-  /// Called on every flush *including the final one in stop()/destruction*,
-  /// so watchdog events raised between the last periodic flush and
-  /// shutdown (or a typed-error unwind) still reach disk.
-  using EventDrain = std::function<std::vector<std::string>()>;
-  void set_event_drain(EventDrain drain);
+  /// Appends one serialized JSON line (newline included, as
+  /// json::Writer::finish leaves it) and flushes it; a no-op once stopped.
+  /// Throws on I/O failure.
+  void write_line(std::string_view line);
+  /// Appends `record` as one {"kind": "iteration", ...} line (write_line).
+  void record(const IterationRecord& record);
+  /// Fresh id grouping the records of one solver-loop invocation.
+  [[nodiscard]] std::uint64_t next_solve_id() noexcept {
+    return next_solve_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
   /// Snapshot lines written so far (excluding headers).
   [[nodiscard]] std::uint64_t flushes() const noexcept {
@@ -541,19 +487,21 @@ class TelemetryFlusher {
 
  private:
   void write_header();
-  void maybe_rotate();
+  /// Writes `line` and flushes it, then rotates past max_bytes. Caller
+  /// holds mutex_ and has checked that the stream is open.
+  void append(std::string_view line);
   void run();
 
   const Telemetry& sink_;
   const std::string path_;
   const Options options_;
   const std::chrono::steady_clock::time_point epoch_;
-  std::mutex mutex_;  ///< guards the stream, rotation and event drain
-  EventDrain event_drain_;
+  std::mutex mutex_;  ///< guards the stream and rotation
   std::unique_ptr<std::ofstream> stream_;
   std::size_t bytes_ = 0;  ///< bytes written to the current generation
   std::atomic<std::uint64_t> flushes_{0};
   std::atomic<std::uint64_t> rotations_{0};
+  std::atomic<std::uint64_t> next_solve_{0};
   std::mutex wake_mutex_;
   std::condition_variable wake_;
   bool stopping_ = false;  ///< guarded by wake_mutex_

@@ -33,15 +33,14 @@ function(expect_unknown_flag flag)
 endfunction()
 
 if(CASE STREQUAL "CleanBundle")
-  # A healthy campaign writes the whole bundle, five files (its loops record
-  # no iterate, so there is no iteration log), and every report over it is
+  # A healthy campaign writes the whole bundle, three files (the flight
+  # stream, the trace and the block log), and every report over it is
   # clean with the drift gate on.
   expect_exit(0 "${CLI}" campaign "${SCENARIO}" --blocks=2000
     "--run-dir=${WORK}/bundle")
   file(GLOB files RELATIVE "${WORK}/bundle" "${WORK}/bundle/*")
   list(SORT files)
-  if(NOT files STREQUAL
-     "blocklog.jsonl;flight.jsonl;manifest.json;telemetry.json;trace.json")
+  if(NOT files STREQUAL "blocklog.jsonl;flight.jsonl;trace.json")
     message(FATAL_ERROR "unexpected bundle files: ${files}")
   endif()
   expect_exit(0 "${REPORT}" "${WORK}/bundle" --fail-on-drift)
@@ -69,6 +68,13 @@ elseif(CASE STREQUAL "MalformedInput")
     "{\"schema\": \"hecmine.blocklog.v1\"}\n"
     "{\"round\": 0, \"winner\": 0, \"shares\": [[1e300, 1, 1]]}\n")
   expect_exit(2 "${REPORT}" campaign "${WORK}/bad_id.jsonl")
+  # A directory is a bundle only when its flight stream opens with the
+  # hecmine.flight.v1 header.
+  file(MAKE_DIRECTORY "${WORK}/no_flight" "${WORK}/other_flight")
+  expect_exit(2 "${REPORT}" "${WORK}/no_flight")
+  file(WRITE "${WORK}/other_flight/flight.jsonl"
+    "{\"schema\": \"hecmine.blocklog.v1\"}\n")
+  expect_exit(2 "${REPORT}" "${WORK}/other_flight")
 elseif(CASE STREQUAL "MissingGateInput")
   # A solve writes no block log, so a drift gate over its bundle cannot
   # pass, not even when the solve reuses a campaign's bundle directory.
@@ -80,11 +86,12 @@ elseif(CASE STREQUAL "MissingGateInput")
 elseif(CASE STREQUAL "FireDrill")
   # A campaign playing the wrong equilibrium aborts under --health=abort;
   # the bundle's flight stream still holds the watchdog event, and the
-  # replay of its block log trips the drift gate.
+  # replay of its block log trips the drift gate. The event is a line of
+  # its own; the header's manifest names the schema too.
   expect_exit(5 "${CLI}" campaign "${SCENARIO}" --misprice-edge=0.5
     --health=abort --blocks=10000 "--run-dir=${WORK}/bundle")
   file(READ "${WORK}/bundle/flight.jsonl" flight)
-  string(FIND "${flight}" "hecmine.health.v1" at)
+  string(FIND "${flight}" "\n{\"schema\": \"hecmine.health.v1\"" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "flight.jsonl holds no hecmine.health.v1 event")
   endif()

@@ -1,15 +1,14 @@
-// Equilibrium auditor + convergence-probe acceptance tests (label:
-// audit). The probe-backed test drives a real leader stage with an armed
-// IterationProbe streaming JSONL, parses the stream back with the JSON
-// reader, and checks the fields every record carries.
+// Equilibrium auditor + iteration-record acceptance tests (label: audit).
+// The record-backed tests drive a real leader stage inside a run bundle,
+// parse its flight stream back with the JSON reader, and check the fields
+// every iteration line carries.
 #include "core/audit.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,6 +22,7 @@
 #include "rl/trainer.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/run_dir.hpp"
 #include "support/telemetry.hpp"
 
 namespace hecmine::core {
@@ -57,22 +57,17 @@ Scenario ceiling_equilibrium_scenario() {
   return scenario;
 }
 
-/// Runs one leader stage with the probe armed and streaming to a temp JSONL
-/// file, returns the parsed per-iteration records (header skipped), or
-/// nullopt when the stage wrote no file. The follower solves are closed
-/// form and record nothing; each round of the price scan records one line,
-/// and the log is opened at the first record, so a stage that skips the
-/// scan leaves no file.
-std::optional<std::vector<support::json::Value>> probe_records(
-    const Scenario& scenario, const std::string& tag) {
-  const std::string path =
-      testing::TempDir() + "/hecmine_iterlog_" + tag + ".jsonl";
-  std::remove(path.c_str());
+/// Runs one leader stage inside a run bundle and returns the iteration
+/// lines of its flight stream. The follower solves are closed form and
+/// record nothing; each round of the price scan records one line.
+std::vector<support::json::Value> iteration_lines(const Scenario& scenario,
+                                                  const std::string& tag) {
+  const std::string dir = testing::TempDir() + "/hecmine_iterlog_" + tag;
+  std::filesystem::remove_all(dir);
   {
-    // Scoped so the probe's stream is closed (and flushed) before the
-    // file is read back.
+    // Scoped so the flight recorder has stopped before the stream is read.
     support::Telemetry telemetry;
-    telemetry.probe.stream_to(path);
+    const support::RunDir run_dir(dir, telemetry);
     SpSolveOptions options;
     options.grid_points = 8;
     options.context.threads = 1;
@@ -81,26 +76,22 @@ std::optional<std::vector<support::json::Value>> probe_records(
         scenario.params, scenario.budgets, scenario.mode, options);
     EXPECT_TRUE(result.followers.converged);
   }
-  std::ifstream in(path);
-  if (!in.good()) return std::nullopt;
+  std::ifstream in(dir + "/flight.jsonl");
   std::stringstream buffer;
   buffer << in.rdbuf();
-  std::remove(path.c_str());
-  auto lines = support::json::parse_lines(buffer.str());
-  if (lines.empty()) {
-    ADD_FAILURE() << "iteration log has no header";
-    return lines;
-  }
-  EXPECT_EQ(lines.front().at("schema").as_string(), "hecmine.iterlog.v1");
-  lines.erase(lines.begin());
-  return lines;
+  std::filesystem::remove_all(dir);
+  std::vector<support::json::Value> records;
+  for (support::json::Value& line : support::json::parse_lines(buffer.str()))
+    if (line.contains("kind") && line.at("kind").as_string() == "iteration")
+      records.push_back(std::move(line));
+  return records;
 }
 
 TEST(IterationLog, RecordsCarryPricesAndAggregates) {
-  const auto records = probe_records(ceiling_equilibrium_scenario(), "fields");
-  ASSERT_TRUE(records.has_value());
-  ASSERT_FALSE(records->empty());
-  for (const auto& record : *records) {
+  const auto records =
+      iteration_lines(ceiling_equilibrium_scenario(), "fields");
+  ASSERT_FALSE(records.empty());
+  for (const auto& record : records) {
     EXPECT_EQ(record.at("solver").as_string(), "stackelberg.leader_round");
     EXPECT_GT(record.at("price_edge").as_number(), 0.0);
     EXPECT_GT(record.at("price_cloud").as_number(), 0.0);
@@ -114,10 +105,10 @@ TEST(IterationLog, RecordsCarryPricesAndAggregates) {
 TEST(IterationLog, TheoremFourPoolWritesNoLeaderRounds) {
   // Theorem 4's test rules out a pure price equilibrium for this pool, so
   // the leader stage runs no price scan, and its follower solves are
-  // closed form: nothing is recorded, so no log file is written.
-  const auto records = probe_records(
+  // closed form: the stream holds no iteration line.
+  const auto records = iteration_lines(
       make_scenario({25.0, 35.0, 45.0}, EdgeMode::kConnected), "theorem4");
-  EXPECT_FALSE(records.has_value());
+  EXPECT_TRUE(records.empty());
 }
 
 // --- auditor on closed-form scenarios -------------------------------------

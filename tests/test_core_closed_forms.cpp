@@ -314,15 +314,14 @@ double scanned_best_profit(const NetworkParams& params, double budget, int n,
       .value;
 }
 
-/// The leader stage's cloud price box at default SpSolveOptions.
+/// The leader stage's cloud price box.
 struct CloudBox {
   double lo = 0.0;
   double hi = 0.0;
 };
 
 CloudBox default_cloud_box(const NetworkParams& params) {
-  const SpSolveOptions options;
-  return {params.cost_cloud * (1.0 + options.price_margin) + 1e-9,
+  return {params.cost_cloud * (1.0 + kPriceMargin) + 1e-9,
           2.0 * std::max(params.cost_edge, params.cost_cloud) +
               0.5 * params.reward};
 }

@@ -169,9 +169,9 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
       2.0 * std::max(params.cost_edge, params.cost_cloud) +
       0.5 * params.reward;
   const double edge_lo =
-      params.cost_edge * (1.0 + options.price_margin) + 1e-9;
+      params.cost_edge * (1.0 + kPriceMargin) + 1e-9;
   const double cloud_lo =
-      params.cost_cloud * (1.0 + options.price_margin) + 1e-9;
+      params.cost_cloud * (1.0 + kPriceMargin) + 1e-9;
   const auto followers = [&](const Prices& prices) {
     return solve_followers_symmetric(params, prices, 30.0, 3,
                                      EdgeMode::kConnected, options.context);
@@ -223,13 +223,12 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
 // --- Theorem 4's test: which leader stages run the price scan ------------
 
 /// The leader stage's price box (core/sp.cpp).
-std::vector<game::ActionBounds> leader_box(const NetworkParams& params,
-                                           const SpSolveOptions& options) {
+std::vector<game::ActionBounds> leader_box(const NetworkParams& params) {
   const double ceiling =
       2.0 * std::max(params.cost_edge, params.cost_cloud) +
       0.5 * params.reward;
-  return {{params.cost_edge * (1.0 + options.price_margin) + 1e-9, ceiling},
-          {params.cost_cloud * (1.0 + options.price_margin) + 1e-9, ceiling}};
+  return {{params.cost_edge * (1.0 + kPriceMargin) + 1e-9, ceiling},
+          {params.cost_cloud * (1.0 + kPriceMargin) + 1e-9, ceiling}};
 }
 
 /// Algorithm 1/2's price scan as the leader stage runs it: the same payoff,
@@ -244,7 +243,7 @@ game::StackelbergResult direct_price_scan(const NetworkParams& params,
         sp_profits(params, prices, oracle.solve(prices).totals);
     return leader == 0 ? profits.edge : profits.cloud;
   };
-  const auto box = leader_box(params, options);
+  const auto box = leader_box(params);
   game::StackelbergOptions driver;
   driver.tolerance = options.tolerance;
   driver.max_rounds = options.max_rounds;
@@ -269,7 +268,7 @@ LeaderStageResult sequential_reference(const NetworkParams& params,
   if (oracle.class_count() == 1)
     return solve_leader_stage_sequential(params, budgets.front(),
                                          oracle.miner_count(), mode, options);
-  const auto box = leader_box(params, options);
+  const auto box = leader_box(params);
   num::Maximize1DOptions reaction_scan;
   reaction_scan.grid_points = options.grid_points;
   reaction_scan.tolerance = 1e-8;
@@ -407,7 +406,7 @@ LeaderStageResult composite_scan_reference(const NetworkParams& params,
                                            EdgeMode mode,
                                            const SpSolveOptions& options) {
   const FollowerOracle oracle(params, budget, n, mode, options.context);
-  const auto box = leader_box(params, options);
+  const auto box = leader_box(params);
   const auto profits_at = [&](const Prices& prices) {
     return sp_profits(params, prices, oracle.solve(prices).totals);
   };
@@ -459,8 +458,8 @@ LeaderStageResult composite_scan_reference(const NetworkParams& params,
 /// left end; standalone: B >= R(n-1)/n^2, a Table II candidate and the h = 1
 /// root in the cloud box there).
 bool closed_forms_cover(const NetworkParams& params, double budget, int n,
-                        EdgeMode mode, const SpSolveOptions& options) {
-  const auto box = leader_box(params, options);
+                        EdgeMode mode) {
+  const auto box = leader_box(params);
   if (mode == EdgeMode::kConnected)
     return csp_reaction_sufficient_closed(params, box[0].lo) >= box[1].lo;
   NetworkParams unit = params;
@@ -493,7 +492,7 @@ TEST(LeaderStage, CandidatesMatchTheCompositeScanOnOneClassPools) {
         " C_e=" + std::to_string(params.cost_edge) +
         " C_c=" + std::to_string(params.cost_cloud) +
         " budgets=" + std::to_string(budget) + "x" + std::to_string(n);
-    if (!closed_forms_cover(params, budget, n, mode, options)) {
+    if (!closed_forms_cover(params, budget, n, mode)) {
       if (!sample_kept) return;
       ++kept;
       expect_same_answer(
@@ -533,7 +532,7 @@ TEST(LeaderStage, CandidatesMatchTheCompositeScanOnOneClassPools) {
                              (static_cast<double>(n) * n);
     for (const double budget : {2.0 * params.reward / n, 0.5 * threshold}) {
       const bool sample =
-          !closed_forms_cover(params, budget, n, mode, options) &&
+          !closed_forms_cover(params, budget, n, mode) &&
           uncovered++ % 7 == 0 && (mode == EdgeMode::kConnected || n <= 3);
       check(params, budget, n, mode, sample);
     }

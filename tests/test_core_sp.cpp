@@ -225,7 +225,7 @@ TEST(HomogeneousStackelberg, StandaloneCspCannotUndercutTheLeaderOptimum) {
   const double best = csp_profit(params, result.prices, 100.0, 5,
                                  EdgeMode::kStandalone);
   EXPECT_NEAR(best, result.profits.cloud, 1e-12 * best);
-  const double lo = params.cost_cloud * (1.0 + options.price_margin) + 1e-9;
+  const double lo = params.cost_cloud * (1.0 + kPriceMargin) + 1e-9;
   const double hi = 2.0 * params.cost_edge + 0.5 * params.reward;
   constexpr int kGrid = 20000;
   for (int i = 0; i <= kGrid; ++i) {
@@ -278,8 +278,8 @@ TEST(HomogeneousStackelberg, SpPriceBestResponseCyclesAsDocumented) {
       2.0 * std::max(params.cost_edge, params.cost_cloud) +
       0.5 * params.reward;
   const std::vector<game::ActionBounds> box{
-      {params.cost_edge * (1.0 + options.price_margin) + 1e-9, ceiling},
-      {params.cost_cloud * (1.0 + options.price_margin) + 1e-9, ceiling}};
+      {params.cost_edge * (1.0 + kPriceMargin) + 1e-9, ceiling},
+      {params.cost_cloud * (1.0 + kPriceMargin) + 1e-9, ceiling}};
   game::StackelbergOptions driver;
   driver.tolerance = options.tolerance;
   driver.max_rounds = options.max_rounds;

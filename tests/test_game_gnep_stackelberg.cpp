@@ -97,7 +97,7 @@ TEST(Stackelberg, ContractingPayoffRunsTheSameRoundsAsWithoutCycleExit) {
   std::vector<double> actions{1.0, 1.0};
   num::Maximize1DOptions scan;
   scan.grid_points = options.grid_points;
-  scan.tolerance = options.refine_tolerance;
+  scan.tolerance = kRefineTolerance;
   int rounds = 0;
   for (double change = 1.0; change >= options.tolerance;) {
     ASSERT_LT(rounds++, options.max_rounds);

@@ -1,15 +1,19 @@
 // Tests for net/campaign_monitor: streaming campaign statistics, CLT
 // drift detection against the reference equilibrium (pinned against a
-// per-miner recomputation), watchdog escalation and its policy parser, and
-// the determinism contract of the campaign.* gauges.
+// per-miner recomputation), incidents on the flight stream, watchdog
+// escalation and its policy parser, and the determinism contract of the
+// campaign.* gauges.
 #include "net/campaign_monitor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +21,9 @@
 #include "net/campaign.hpp"
 #include "support/error.hpp"
 #include "support/health.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/run_dir.hpp"
 #include "support/telemetry.hpp"
 
 namespace hecmine::net {
@@ -43,6 +49,19 @@ CampaignMonitorOptions deterministic_options() {
   CampaignMonitorOptions options;
   options.wall_clock = false;  // campaign.sim_wall_ratio is wall-clock
   return options;
+}
+
+/// The hecmine.health.v1 lines of the bundle in `dir`.
+std::vector<support::json::Value> incident_lines(const std::string& dir) {
+  std::ifstream in(dir + "/flight.jsonl");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::vector<support::json::Value> incidents;
+  for (support::json::Value& line : support::json::parse_lines(buffer.str()))
+    if (line.contains("schema") &&
+        line.at("schema").as_string() == "hecmine.health.v1")
+      incidents.push_back(std::move(line));
+  return incidents;
 }
 
 /// All counter/gauge samples of a sink, keyed by name (sorted), for
@@ -102,6 +121,8 @@ TEST(CampaignMonitor, ConvergedEquilibriumCampaignStaysWithinBounds) {
 TEST(CampaignMonitor, MispricedReferenceRaisesWinRateIncident) {
   CampaignConfig config = base_config();
   support::Telemetry telemetry;
+  const std::string dir = testing::TempDir() + "/hecmine_monitor_misprice";
+  const support::RunDir run_dir(dir, telemetry);
   CampaignMonitor monitor(telemetry, deterministic_options());
   config.monitor = &monitor;
   // The campaign plays these fixed strategies...
@@ -120,19 +141,71 @@ TEST(CampaignMonitor, MispricedReferenceRaisesWinRateIncident) {
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().solver, "campaign.win_rate");
   EXPECT_EQ(events.front().classification, health::LoopState::kDiverging);
-  // The pending hecmine.health.v1 lines carry the incident for the
-  // flight-recorder drain.
-  const auto lines = monitor.drain_event_lines();
-  ASSERT_FALSE(lines.empty());
-  EXPECT_NE(lines.front().find("campaign.win_rate"), std::string::npos);
-  EXPECT_NE(lines.front().find("hecmine.health.v1"), std::string::npos);
-  // Drained once: the queue is empty afterwards.
-  EXPECT_TRUE(monitor.drain_event_lines().empty());
+  // Each incident is one hecmine.health.v1 line of the flight stream.
+  const std::vector<support::json::Value> lines = incident_lines(dir);
+  ASSERT_EQ(lines.size(), monitor.incidents());
+  EXPECT_EQ(lines.front().at("solver").as_string(), "campaign.win_rate");
+  EXPECT_EQ(lines.front().at("classification").as_string(), "diverging");
   EXPECT_DOUBLE_EQ(telemetry.metrics.gauge("campaign.incidents").value(),
                    static_cast<double>(monitor.incidents()));
   // The sampler self-consistency check stays healthy: run_race matches
   // its own granted allocations even when the reference is wrong.
   EXPECT_LT(monitor.max_sampler_z(), monitor.options().drift_z);
+}
+
+TEST(CampaignMonitor, EveryIncidentReachesTheFlightStream) {
+  // 200 miners play {1, 1} while the reference expects the even-indexed
+  // ones at {4, 4}: far more incidents than events() retains, and every
+  // one of them is a line of the stream.
+  CampaignConfig config = base_config();
+  config.blocks = 20000;
+  const std::vector<core::MinerRequest> played(200, {1.0, 1.0});
+  std::vector<core::MinerRequest> reference = played;
+  for (std::size_t i = 0; i < reference.size(); i += 2)
+    reference[i] = {4.0, 4.0};
+  support::Telemetry telemetry;
+  const std::string dir = testing::TempDir() + "/hecmine_monitor_every";
+  std::uint64_t incidents = 0;
+  {
+    const support::RunDir run_dir(dir, telemetry);
+    CampaignMonitorOptions options = deterministic_options();
+    options.action = health::WatchdogAction::kObserve;
+    CampaignMonitor monitor(telemetry, options);
+    config.monitor = &monitor;
+    monitor.set_reference(reference, core::EdgeMode::kConnected,
+                          config.params.fork_rate, config.params.edge_success);
+    (void)run_campaign(config, played, 74);
+    incidents = monitor.incidents();
+    EXPECT_EQ(monitor.events().size(), 64u);
+  }
+  EXPECT_GT(incidents, 64u);
+  EXPECT_EQ(incident_lines(dir).size(), incidents);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignMonitor, AbortedIncidentIsOnTheStreamBeforeTheBundleCloses) {
+  // Under abort the incident's line is on disk when the typed error
+  // reaches the caller, while the bundle is still open.
+  CampaignConfig config = base_config();
+  support::Telemetry telemetry;
+  const std::string dir = testing::TempDir() + "/hecmine_monitor_abort";
+  const support::RunDir run_dir(dir, telemetry);
+  CampaignMonitorOptions options = deterministic_options();
+  options.action = health::WatchdogAction::kAbort;
+  CampaignMonitor monitor(telemetry, options);
+  config.monitor = &monitor;
+  const std::vector<core::MinerRequest> played{
+      {2.0, 1.0}, {1.0, 3.0}, {0.5, 2.0}};
+  std::vector<core::MinerRequest> reference = played;
+  reference[0] = {4.0, 2.0};
+  monitor.set_reference(reference, core::EdgeMode::kConnected,
+                        config.params.fork_rate, config.params.edge_success);
+  EXPECT_THROW((void)run_campaign(config, played, 72),
+               health::SolverHealthError);
+  const std::vector<support::json::Value> lines = incident_lines(dir);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines.front().at("solver").as_string(), "campaign.win_rate");
+  EXPECT_EQ(lines.front().at("action").as_string(), "abort");
 }
 
 TEST(CampaignMonitor, AbortPolicyThrowsSolverHealthError) {

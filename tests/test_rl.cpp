@@ -100,7 +100,6 @@ TEST(TrainMiners, FixedPopulationConvergesNearSymmetricNe) {
   config.blocks = 4000;
   config.edge_steps = 21;
   config.cloud_steps = 21;
-  config.edge_success = params.edge_success;
   config.feedback = FeedbackMode::kExpected;
   const auto trained = train_miners(params, prices, budget, fixed, config, 92);
 
@@ -121,7 +120,8 @@ TEST(TrainMiners, UncertainPopulationTracksDynamicEquilibrium) {
   // reasonable action-grid resolution — so the ordering claim is verified
   // at model level in test_core_population_dynamic; here we check the RL
   // framework tracks the model, which is what the paper's Fig. 9 shows.)
-  const core::NetworkParams params = default_params();
+  core::NetworkParams params = default_params();
+  params.edge_success = 0.5;
   const core::Prices prices{2.0, 1.0};
   const double budget = 12.0;
   TrainerConfig config;
@@ -130,7 +130,6 @@ TEST(TrainMiners, UncertainPopulationTracksDynamicEquilibrium) {
   config.cloud_steps = 13;
   config.epsilon_decay = 0.9995;
   config.epsilon_floor = 0.05;
-  config.edge_success = 0.5;
   const core::PopulationModel uncertain =
       core::PopulationModel::around(10.0, 2.0);
   const auto learned =
@@ -140,7 +139,6 @@ TEST(TrainMiners, UncertainPopulationTracksDynamicEquilibrium) {
   dyn.params = params;
   dyn.prices = prices;
   dyn.budget = budget;
-  dyn.params.edge_success = 0.5;
   const auto analytic = core::solve_dynamic_symmetric(dyn, uncertain);
   ASSERT_TRUE(analytic.converged);
   const double edge_step = (budget / prices.edge) / 12.0;
@@ -169,7 +167,6 @@ TEST(TrainMiners, RealizedFeedbackStaysInTheSameRegion) {
   const core::PopulationModel fixed(4.0, 0.0, 1, 4);
   TrainerConfig expected_config;
   expected_config.blocks = 3000;
-  expected_config.edge_success = 0.9;
   TrainerConfig realized_config = expected_config;
   realized_config.blocks = 30000;
   realized_config.feedback = FeedbackMode::kRealized;
@@ -180,6 +177,23 @@ TEST(TrainMiners, RealizedFeedbackStaysInTheSameRegion) {
       train_miners(params, prices, budget, fixed, realized_config, 94);
   const double scale = budget / prices.cloud;
   EXPECT_NEAR(realized.mean.total(), expected.mean.total(), 0.35 * scale);
+}
+
+TEST(TrainMiners, LearnsAtTheParamsEdgeSuccess) {
+  // h enters the learners' rewards: two runs that differ only in
+  // params.edge_success learn different mean requests.
+  const core::PopulationModel fixed(5.0, 0.0, 1, 5);
+  TrainerConfig config;
+  config.blocks = 300;
+  const auto mean_at = [&](double h) {
+    core::NetworkParams params = default_params();
+    params.edge_success = h;
+    return train_miners(params, {2.0, 1.0}, 12.0, fixed, config, 7).mean;
+  };
+  const core::MinerRequest low = mean_at(0.3);
+  const core::MinerRequest high = mean_at(0.9);
+  EXPECT_TRUE(low.edge != high.edge || low.cloud != high.cloud)
+      << "e=" << low.edge << " c=" << low.cloud;
 }
 
 TEST(TrainMiners, ValidatesArguments) {
@@ -216,7 +230,6 @@ TEST(AdaptivePricing, FictitiousPlayDemandRecoversTheCspReaction) {
   const auto learned_cloud_profit = [&](double pc) {
     FictitiousPlayConfig fp;
     fp.blocks = 400;
-    fp.edge_success = params.edge_success;
     const auto played = run_fictitious_play(
         params, {analytic.prices.edge, pc}, budget, population, fp, 321);
     return (pc - params.cost_cloud) * 5.0 * played.mean.cloud;
@@ -242,7 +255,6 @@ TEST(AdaptivePricing, MovesTowardProfitablePrices) {
   config.trainer.blocks = 800;
   config.trainer.edge_steps = 13;
   config.trainer.cloud_steps = 13;
-  config.trainer.edge_success = 0.9;
   config.max_periods = 12;
   const core::Prices start{params.cost_edge * 1.1, params.cost_cloud * 1.1};
   const auto result =

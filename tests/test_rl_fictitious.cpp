@@ -28,7 +28,6 @@ TEST(FictitiousPlay, FixedPopulationConvergesToTheNe) {
   const core::PopulationModel fixed(5.0, 0.0, 1, 5);
   FictitiousPlayConfig config;
   config.blocks = 600;
-  config.edge_success = 0.9;
   const auto played =
       run_fictitious_play(params, prices, budget, fixed, config, 51);
   const auto analytic = core::solve_followers_symmetric(
@@ -43,14 +42,14 @@ TEST(FictitiousPlay, FixedPopulationConvergesToTheNe) {
 }
 
 TEST(FictitiousPlay, UncertainPopulationTracksDynamicEquilibrium) {
-  const core::NetworkParams params = default_params();
+  core::NetworkParams params = default_params();
+  params.edge_success = 0.5;
   const core::Prices prices{2.0, 1.0};
   const double budget = 12.0;
   const core::PopulationModel uncertain =
       core::PopulationModel::around(10.0, 2.0);
   FictitiousPlayConfig config;
   config.blocks = 1500;
-  config.edge_success = 0.5;
   const auto played =
       run_fictitious_play(params, prices, budget, uncertain, config, 52);
 
@@ -58,7 +57,6 @@ TEST(FictitiousPlay, UncertainPopulationTracksDynamicEquilibrium) {
   dyn.params = params;
   dyn.prices = prices;
   dyn.budget = budget;
-  dyn.params.edge_success = 0.5;
   const auto analytic = core::solve_dynamic_symmetric(dyn, uncertain);
   ASSERT_TRUE(analytic.converged);
   // Fictitious play best-responds to the *mean* aggregate rather than the
@@ -77,7 +75,6 @@ TEST(FictitiousPlay, ConvergesFromAnySeedStrategy) {
   const core::PopulationModel fixed(4.0, 0.0, 1, 4);
   FictitiousPlayConfig config;
   config.blocks = 800;
-  config.edge_success = 0.9;
   const auto run_a =
       run_fictitious_play(params, prices, 15.0, fixed, config, 53);
   const auto run_b =

@@ -121,7 +121,6 @@ TEST_P(LearnerKindTest, AllLearnersConvergeNearTheSymmetricNe) {
   // UCB's bonus scales with the reward range; a small coefficient suits
   // the flat contest payoffs.
   config.ucb_exploration = 0.15;
-  config.edge_success = 0.9;
   const auto trained =
       train_miners(params, prices, budget, fixed, config, 1234);
   const auto analytic = core::solve_followers_symmetric(

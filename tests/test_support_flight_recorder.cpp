@@ -1,10 +1,12 @@
 // Flight-recorder tests: JSONL stream shape (header + snapshot lines,
 // every line parseable), manifest embedding, explicit and periodic
-// flushing, rotation once the file outgrows max_bytes, and clean shutdown
-// semantics (final flush on stop, flush_now a no-op afterwards).
+// flushing, rotation once the file outgrows max_bytes, clean shutdown
+// semantics (final flush on stop, flush_now a no-op afterwards), and the
+// run bundle that attaches the stream to its sink.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -41,11 +43,13 @@ TEST(FlightRecorder, StreamStartsWithManifestHeader) {
     flusher.stop();
   }
   const auto lines = support::json::parse_lines(slurp(path));
-  ASSERT_GE(lines.size(), 1u);
+  ASSERT_EQ(lines.size(), 2u);  // header + the final snapshot
   EXPECT_EQ(lines[0].at("schema").as_string(), "hecmine.flight.v1");
   EXPECT_EQ(lines[0].at("manifest").at("schema").as_string(),
             "hecmine.manifest.v1");
   EXPECT_DOUBLE_EQ(lines[0].at("manifest").at("seed").as_number(), 99.0);
+  // An empty sink's snapshot is well formed.
+  EXPECT_TRUE(lines[1].at("counters").as_object().empty());
   std::remove(path.c_str());
 }
 
@@ -53,7 +57,13 @@ TEST(FlightRecorder, SnapshotLinesCarryLiveInstrumentValues) {
   support::Telemetry telemetry;
   telemetry.metrics.counter("fl.count").add(3);
   telemetry.metrics.gauge("fl.gauge").set(0.5);
+  telemetry.metrics.gauge("fl.bad").set(std::nan(""));
   telemetry.metrics.histogram("fl.hist", {1.0, 2.0}).observe(1.5);
+  {
+    const support::TelemetryScope scope(&telemetry);
+    support::prof::current_block()->add(
+        support::prof::WorkField::kBestResponseEvals, 5);
+  }
   const std::string path = testing::TempDir() + "/hecmine_flight_vals.jsonl";
   {
     support::TelemetryFlusher::Options options;
@@ -66,7 +76,8 @@ TEST(FlightRecorder, SnapshotLinesCarryLiveInstrumentValues) {
     flusher.stop();  // final flush
     EXPECT_EQ(flusher.flushes(), 3u);
   }
-  const auto lines = support::json::parse_lines(slurp(path));
+  const std::string text = slurp(path);
+  const auto lines = support::json::parse_lines(text);
   ASSERT_EQ(lines.size(), 4u);  // header + three snapshots
   const Value& first = lines[1];
   const Value& second = lines[2];
@@ -76,12 +87,30 @@ TEST(FlightRecorder, SnapshotLinesCarryLiveInstrumentValues) {
   EXPECT_DOUBLE_EQ(first.at("counters").at("fl.count").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(second.at("counters").at("fl.count").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(first.at("gauges").at("fl.gauge").as_number(), 0.5);
+  // A non-finite gauge degrades to null (the snapshots follow the header).
+  EXPECT_TRUE(first.at("gauges").at("fl.bad").is_null());
+  EXPECT_EQ(text.find("nan", text.find('\n')), std::string::npos) << text;
+  // The full histogram: edges, bucket counts (last = overflow), extrema.
   const Value& hist = first.at("histograms").at("fl.hist");
+  const Value::Array& edges = hist.at("edges").as_array();
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_DOUBLE_EQ(edges[1].as_number(), 2.0);
+  std::vector<double> counts;
+  for (const Value& bucket : hist.at("counts").as_array())
+    counts.push_back(bucket.as_number());
+  EXPECT_EQ(counts, (std::vector<double>{0.0, 1.0, 0.0}));
   EXPECT_DOUBLE_EQ(hist.at("count").as_number(), 1.0);
   EXPECT_DOUBLE_EQ(hist.at("sum").as_number(), 1.5);
+  EXPECT_DOUBLE_EQ(hist.at("min").as_number(), 1.5);
+  EXPECT_DOUBLE_EQ(hist.at("max").as_number(), 1.5);
   EXPECT_TRUE(hist.contains("p50"));
   EXPECT_TRUE(hist.contains("p95"));
   EXPECT_TRUE(hist.contains("p99"));
+  // The work totals: every field of the taxonomy, zeros included.
+  const Value& work = first.at("work");
+  EXPECT_EQ(work.as_object().size(), support::prof::kWorkFieldCount);
+  EXPECT_DOUBLE_EQ(work.at("best_response_evals").as_number(), 5.0);
+  EXPECT_DOUBLE_EQ(work.at("sweeps").as_number(), 0.0);
   std::remove(path.c_str());
 }
 
@@ -182,61 +211,55 @@ TEST(RunDir, WritesEveryFileUnderOneManifest) {
   std::ostringstream out;
   {
     support::RunDir run_dir(dir, telemetry);
+    ASSERT_NE(telemetry.stream, nullptr);
     telemetry.metrics.counter("test.solves").add();
-    telemetry.probe.record({"test.loop", 1, 1, 0.5});
+    telemetry.stream->record({"test.loop", 1, 1, 0.5});
     { const support::SolveTrace::Scope span(&telemetry.trace, "test.span"); }
     run_dir.finish(out);
+    EXPECT_EQ(telemetry.stream, nullptr);
   }
-  EXPECT_NE(out.str().find("[run-dir] " + dir +
-                           ": flight.jsonl iterlog.jsonl manifest.json "
-                           "telemetry.json trace.json"),
+  EXPECT_NE(out.str().find("[run-dir] " + dir + ": flight.jsonl trace.json"),
             std::string::npos)
       << out.str();
 
-  const Value manifest = support::json::parse(slurp(dir + "/manifest.json"));
+  const auto lines = support::json::parse_lines(slurp(dir + "/flight.jsonl"));
+  ASSERT_EQ(lines.size(), 3u);  // header, the record, the final snapshot
+  EXPECT_EQ(lines[0].at("schema").as_string(), "hecmine.flight.v1");
+  const Value& manifest = lines[0].at("manifest");
   EXPECT_EQ(manifest.at("schema").as_string(), "hecmine.manifest.v1");
   EXPECT_DOUBLE_EQ(manifest.at("seed").as_number(), 42.0);
-  const auto header = [&](const char* name) {
-    return support::json::parse_lines(slurp(dir + "/" + name)).front();
-  };
-  EXPECT_EQ(header("iterlog.jsonl").at("schema").as_string(),
-            "hecmine.iterlog.v1");
-  EXPECT_EQ(header("flight.jsonl").at("schema").as_string(),
-            "hecmine.flight.v1");
-  for (const Value& embedded :
-       {support::json::parse(slurp(dir + "/telemetry.json")).at("manifest"),
-        support::json::parse(slurp(dir + "/trace.json")).at("manifest"),
-        header("iterlog.jsonl").at("manifest"),
-        header("flight.jsonl").at("manifest")}) {
-    EXPECT_TRUE(same(embedded, manifest));
-  }
+  EXPECT_TRUE(same(
+      support::json::parse(slurp(dir + "/trace.json")).at("manifest"),
+      manifest));
+  EXPECT_EQ(lines[1].at("kind").as_string(), "iteration");
+  EXPECT_EQ(lines[1].at("solver").as_string(), "test.loop");
+  EXPECT_DOUBLE_EQ(lines[2].at("counters").at("test.solves").as_number(),
+                   1.0);
   std::filesystem::remove_all(dir);
 }
 
 TEST(RunDir, ReplacesTheFilesOfAnEarlierRun) {
   // A campaign bundle rerun as a solve must not keep the campaign's block
-  // log (a drift gate would pass on it), nor an earlier run's iteration log
-  // or end-of-run files, nor the OpenMetrics snapshot older bundles held;
-  // files outside the bundle's names stay. A run whose loops record no
-  // iterate writes no iteration log of its own.
+  // log (a drift gate would pass on it), nor an earlier run's rotated
+  // flight generation or trace, nor the files older bundles held; files
+  // outside the bundle's names stay.
   const std::string dir = testing::TempDir() + "/hecmine_run_dir_rerun";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  for (const char* name : {"blocklog.jsonl", "iterlog.jsonl", "metrics.om",
+  for (const char* name : {"blocklog.jsonl", "trace.json", "metrics.om",
                            "flight.jsonl.1", "notes.txt"})
     std::ofstream(dir + "/" + name) << "stale\n";
   support::Telemetry telemetry;
   {
     support::RunDir run_dir(dir, telemetry);
     EXPECT_FALSE(std::filesystem::exists(dir + "/blocklog.jsonl"));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/iterlog.jsonl"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/trace.json"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/flight.jsonl.1"));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/manifest.json"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/flight.jsonl"));
     std::ostringstream out;
     run_dir.finish(out);
   }
-  EXPECT_FALSE(std::filesystem::exists(dir + "/iterlog.jsonl"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/metrics.om"));
   EXPECT_EQ(slurp(dir + "/notes.txt"), "stale\n");
   std::filesystem::remove_all(dir);
@@ -244,25 +267,23 @@ TEST(RunDir, ReplacesTheFilesOfAnEarlierRun) {
 
 TEST(RunDir, UnwindStillFlushesTheMonitorEvents) {
   // The watchdog abort path leaves the scope by an exception, without
-  // finish(): the flight recorder's final flush must still drain.
+  // finish(): the line written before the throw stays, the recorder still
+  // writes its final snapshot, and the sink's stream is detached.
   support::Telemetry telemetry;
   const std::string dir = testing::TempDir() + "/hecmine_run_dir_unwind";
   std::filesystem::remove_all(dir);
-  bool drained = false;
   try {
     support::RunDir run_dir(dir, telemetry);
-    run_dir.set_event_drain([&drained] {
-      std::vector<std::string> lines;
-      if (!drained) lines.push_back(R"({"schema": "hecmine.health.v1"})");
-      drained = true;
-      return lines;
-    });
+    telemetry.stream->write_line("{\"schema\": \"hecmine.health.v1\"}\n");
     throw std::runtime_error("abort");
   } catch (const std::runtime_error&) {
   }
-  EXPECT_NE(slurp(dir + "/flight.jsonl").find("hecmine.health.v1"),
-            std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/telemetry.json"));
+  EXPECT_EQ(telemetry.stream, nullptr);
+  const auto lines = support::json::parse_lines(slurp(dir + "/flight.jsonl"));
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1].at("schema").as_string(), "hecmine.health.v1");
+  EXPECT_TRUE(lines[2].contains("seq"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/trace.json"));
   std::filesystem::remove_all(dir);
 }
 

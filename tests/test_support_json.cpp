@@ -2,11 +2,13 @@
 // handling, the JSONL line parser, the streaming Writer (compact and block
 // styles, escaping, number formatting), the pinned byte format of numbers
 // and escapes, and a round trip through the project's own telemetry
-// emitter (the parser's main customer is our own output).
+// emitter, a flight-stream snapshot (the parser's main customer is our own
+// output).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cfloat>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -305,15 +307,28 @@ TEST(JsonEscape, MatchesACharwiseReference) {
 }
 
 TEST(JsonParse, RoundTripsTelemetryEmitter) {
+  // A flight-stream snapshot line, read back from its file.
   support::Telemetry telemetry;
   telemetry.metrics.counter("rt.count").add(7);
   telemetry.metrics.gauge("rt.gauge").set(0.125);
   telemetry.metrics.histogram("rt.hist", {1.0, 2.0}).observe(1.5);
-  const Value doc = support::json::parse(support::to_json(telemetry));
-  EXPECT_EQ(doc.at("schema").as_string(), "hecmine.telemetry.v1");
+  const std::string path = testing::TempDir() + "/hecmine_json_snapshot.jsonl";
+  {
+    support::TelemetryFlusher::Options options;
+    options.interval = std::chrono::milliseconds(10'000);
+    support::TelemetryFlusher flight(telemetry, path, options);
+  }
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::vector<Value> lines = support::json::parse_lines(buffer.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].at("schema").as_string(), "hecmine.flight.v1");
+  const Value& doc = lines[1];
   EXPECT_DOUBLE_EQ(doc.at("counters").at("rt.count").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("rt.gauge").as_number(), 0.125);
   EXPECT_TRUE(doc.at("histograms").at("rt.hist").contains("p50"));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Telemetry subsystem tests: registry thread-safety under the pool,
-// histogram bucket semantics, JSON export shape, the null-sink zero-cost
-// path, the cross-solver ConvergenceReport vocabulary, and the follower
-// oracle's instruments and stage-level spans.
+// histogram bucket semantics, iteration records on the flight stream, the
+// null-sink zero-cost path, the cross-solver ConvergenceReport vocabulary,
+// and the follower oracle's instruments and stage-level spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "core/params.hpp"
 #include "core/sp.hpp"
 #include "numerics/vi.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 
@@ -315,10 +317,10 @@ TEST(MetricsRegistry, SnapshotCarriesHistogramPercentiles) {
   EXPECT_NEAR(snap.histograms[0].p99, 9.9, 1e-12);
 }
 
-// --- IterationProbe -------------------------------------------------------
+// --- Iteration records on the flight stream ------------------------------
 
-support::IterationProbe::Record probe_record(int iteration, double residual) {
-  support::IterationProbe::Record record;
+support::IterationRecord probe_record(int iteration, double residual) {
+  support::IterationRecord record;
   record.solver = "test.solver";
   record.solve = 1;
   record.iteration = iteration;
@@ -326,86 +328,87 @@ support::IterationProbe::Record probe_record(int iteration, double residual) {
   return record;
 }
 
-TEST(IterationProbe, DisarmedRecordIsDropped) {
-  support::IterationProbe probe;
-  EXPECT_FALSE(probe.armed());
-  probe.record(probe_record(0, 1.0));
-  EXPECT_EQ(probe.total(), 0u);
-  EXPECT_TRUE(probe.snapshot().empty());
+/// A flight recorder that writes only when told to (no timed snapshot).
+support::TelemetryFlusher::Options manual_flushes() {
+  support::TelemetryFlusher::Options options;
+  options.interval = std::chrono::milliseconds(10'000);
+  return options;
 }
 
-TEST(IterationProbe, ArmedRingKeepsTheNewestRecordsInOrder) {
-  support::IterationProbe probe(4);
-  probe.arm();
-  for (int i = 0; i < 10; ++i)
-    probe.record(probe_record(i, 1.0 / (1.0 + i)));
-  EXPECT_EQ(probe.total(), 10u);
-  EXPECT_EQ(probe.overwritten(), 6u);
-  const auto records = probe.snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(records[static_cast<std::size_t>(i)].iteration, 6 + i);
-  }
+std::vector<support::json::Value> stream_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return support::json::parse_lines(buffer.str());
 }
 
 TEST(IterationProbe, SolveIdsAreUniqueAndIncreasing) {
-  support::IterationProbe probe;
-  const auto a = probe.next_solve_id();
-  const auto b = probe.next_solve_id();
+  Telemetry telemetry;
+  const std::string path = testing::TempDir() + "/hecmine_probe_ids.jsonl";
+  support::TelemetryFlusher flight(telemetry, path, manual_flushes());
+  const auto a = flight.next_solve_id();
+  const auto b = flight.next_solve_id();
   EXPECT_GT(a, 0u);
   EXPECT_GT(b, a);
+  flight.stop();
+  std::remove(path.c_str());
 }
 
 TEST(IterationProbe, StreamsJsonlWithSchemaHeader) {
-  const std::string path =
-      testing::TempDir() + "/hecmine_probe_stream.jsonl";
-  std::remove(path.c_str());
-  {
-    support::IterationProbe probe;
-    probe.stream_to(path);
-    EXPECT_TRUE(probe.armed());  // streaming arms the probe
-    probe.flush();
-    // The file is opened at the first record, not before.
-    EXPECT_FALSE(std::ifstream(path).good());
-    auto record = probe_record(3, 0.25);
-    record.price_edge = 2.0;
-    record.price_cloud = 1.0;
-    record.total_edge = 6.0;
-    record.total_cloud = 12.0;
-    record.step = 0.5;
-    record.cap_active = true;
-    probe.record(record);
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::string line;
-  ASSERT_TRUE(std::getline(in, header));
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(header.find("hecmine.iterlog.v1"), std::string::npos);
-  EXPECT_NE(line.find("\"solver\": \"test.solver\""), std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"iteration\": 3"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"residual\": 0.25"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"cap_active\": true"), std::string::npos) << line;
+  // A record is one tagged line of the flight stream, on disk as soon as
+  // it is written.
+  Telemetry telemetry;
+  const std::string path = testing::TempDir() + "/hecmine_probe_stream.jsonl";
+  support::TelemetryFlusher flight(telemetry, path, manual_flushes());
+  auto record = probe_record(3, 0.25);
+  record.price_edge = 2.0;
+  record.price_cloud = 1.0;
+  record.total_edge = 6.0;
+  record.total_cloud = 12.0;
+  record.step = 0.5;
+  record.cap_active = true;
+  flight.record(record);
+  const auto lines = stream_lines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].at("schema").as_string(), "hecmine.flight.v1");
+  const support::json::Value& line = lines[1];
+  EXPECT_EQ(line.at("kind").as_string(), "iteration");
+  EXPECT_EQ(line.at("solver").as_string(), "test.solver");
+  EXPECT_DOUBLE_EQ(line.at("solve").as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(line.at("iteration").as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(line.at("residual").as_number(), 0.25);
+  EXPECT_DOUBLE_EQ(line.at("tolerance").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(line.at("price_edge").as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(line.at("price_cloud").as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(line.at("total_edge").as_number(), 6.0);
+  EXPECT_DOUBLE_EQ(line.at("total_cloud").as_number(), 12.0);
+  EXPECT_DOUBLE_EQ(line.at("step").as_number(), 0.5);
+  EXPECT_TRUE(line.at("cap_active").as_bool());
+  flight.stop();
   std::remove(path.c_str());
 }
 
 TEST(IterationProbe, ConcurrentRecordsUnderThePoolLoseNothing) {
-  support::IterationProbe probe(64);
-  probe.arm();
+  Telemetry telemetry;
+  const std::string path = testing::TempDir() + "/hecmine_probe_pool.jsonl";
   constexpr std::size_t kTasks = 8;
   constexpr int kPerTask = 100;
-  support::parallel_for(
-      kTasks,
-      [&](std::size_t task) {
-        for (int i = 0; i < kPerTask; ++i)
-          probe.record(probe_record(i, static_cast<double>(task)));
-      },
-      0);
-  EXPECT_EQ(probe.total(), kTasks * kPerTask);
-  EXPECT_EQ(probe.snapshot().size(), 64u);
-  EXPECT_EQ(probe.overwritten(), kTasks * kPerTask - 64u);
+  {
+    support::TelemetryFlusher flight(telemetry, path, manual_flushes());
+    support::parallel_for(
+        kTasks,
+        [&](std::size_t task) {
+          for (int i = 0; i < kPerTask; ++i)
+            flight.record(probe_record(i, static_cast<double>(task)));
+        },
+        0);
+  }
+  // Every record is one whole line: none lost, none torn.
+  std::size_t records = 0;
+  for (const support::json::Value& line : stream_lines(path))
+    if (line.contains("kind")) ++records;
+  EXPECT_EQ(records, kTasks * kPerTask);
+  std::remove(path.c_str());
 }
 
 TEST(TelemetryScope, InstallsAndRestoresThreadLocalSink) {
@@ -422,79 +425,6 @@ TEST(TelemetryScope, InstallsAndRestoresThreadLocalSink) {
     EXPECT_EQ(support::current_telemetry(), &sink);
   }
   EXPECT_EQ(support::current_telemetry(), nullptr);
-}
-
-// Minimal structural JSON check: balanced braces/brackets outside strings,
-// and an even number of unescaped quotes. Not a parser, but catches the
-// classic emission bugs (dangling comma handling is covered by substring
-// checks below).
-bool json_balanced(const std::string& text) {
-  int braces = 0;
-  int brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '{') ++braces;
-    else if (c == '}') --braces;
-    else if (c == '[') ++brackets;
-    else if (c == ']') --brackets;
-    if (braces < 0 || brackets < 0) return false;
-  }
-  return braces == 0 && brackets == 0 && !in_string;
-}
-
-TEST(ToJson, EmptySinkIsWellFormed) {
-  Telemetry telemetry;
-  const std::string json = support::to_json(telemetry);
-  EXPECT_TRUE(json_balanced(json)) << json;
-  EXPECT_NE(json.find("\"schema\": \"hecmine.telemetry.v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"counters\": {}"), std::string::npos);
-}
-
-TEST(ToJson, CarriesInstrumentsAndTrace) {
-  Telemetry telemetry;
-  telemetry.metrics.counter("a.count").add(7);
-  telemetry.metrics.gauge("b.gauge").set(0.125);
-  telemetry.metrics.histogram("c.hist", {1.0, 2.0}).observe(1.5);
-  {
-    support::SolveTrace::Scope scope(&telemetry.trace, "phase");
-  }
-  const std::string json = support::to_json(telemetry);
-  EXPECT_TRUE(json_balanced(json)) << json;
-  EXPECT_NE(json.find("\"a.count\": 7"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"b.gauge\": 0.125"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"counts\": [0, 1, 0]"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"name\": \"phase\""), std::string::npos) << json;
-}
-
-TEST(ToJson, NonFiniteGaugesDegradeToNull) {
-  Telemetry telemetry;
-  telemetry.metrics.gauge("bad").set(std::nan(""));
-  const std::string json = support::to_json(telemetry);
-  EXPECT_TRUE(json_balanced(json));
-  EXPECT_NE(json.find("\"bad\": null"), std::string::npos) << json;
-  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
-}
-
-TEST(WriteJson, RoundTripsThroughTheFile) {
-  Telemetry telemetry;
-  telemetry.metrics.counter("file.count").add(3);
-  const std::string path =
-      testing::TempDir() + "/hecmine_telemetry_roundtrip.json";
-  support::write_json(telemetry, path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), support::to_json(telemetry));
-  std::remove(path.c_str());
 }
 
 TEST(PrintSummary, RendersTablesForEverySection) {
